@@ -37,6 +37,7 @@ from .errors import (
     ConvresError,
     DomainError,
     InputError,
+    InvariantError,
     PolyParseError,
     PreconditionError,
     StructuralError,

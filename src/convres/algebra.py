@@ -426,24 +426,8 @@ def parse_poly(text: str, ring: Ring) -> Poly:
 
 ModElem = tuple
 
-def vec_zero(ring: Ring, rank: int) -> ModElem:
-    return tuple(Poly.zero(ring) for _ in range(rank))
-
-
 def vec_is_zero(vec: ModElem) -> bool:
     return all(f.is_zero for f in vec)
-
-
-def vec_add(a: ModElem, b: ModElem) -> ModElem:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: ModElem, b: ModElem) -> ModElem:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(a: ModElem, c: int) -> ModElem:
-    return tuple(x.scale(c) for x in a)
 
 
 def vec_mul_poly(a: ModElem, f: Poly) -> ModElem:

@@ -8,7 +8,8 @@ in the documented grammar (`2*D1^3*D2 + 1`).
 
 Reports are JSON on stdout, byte-identical across runs for identical
 inputs.  Exit status: 0 on success, 1 when a checked property is false
-and --strict was given, 2 on input errors.
+and --strict was given, 2 on input errors and on failed internal checks
+(``InvariantError``), which print no report.
 """
 
 from __future__ import annotations

@@ -38,3 +38,10 @@ class InputError(ConvresError):
     def __init__(self, message, location=""):
         super().__init__(f"{message}" + (f" [at {location}]" if location else ""))
         self.location = location
+
+
+class InvariantError(ConvresError):
+    """An internal consistency check on a computed result failed.
+
+    Raised instead of returning a result that could not be verified.
+    """

@@ -9,8 +9,13 @@ membership and module equality, syzygies via Schreyer's construction
 with coordinates converted back to the caller's generators, and
 extraction of minimal homogeneous generating sets of graded submodules.
 
-Everything is plain Buchberger; no signature-based or Hilbert-driven
-shortcuts.  Inputs at desk scale keep this comfortably fast.
+Everything is plain Buchberger (normal strategy, no pair criteria); no
+signature-based or Hilbert-driven shortcuts.  Terms are packed into
+single integers whose natural order is the module order, after Monagan
+and Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors" (CASC 2007): the leading term of a dict of terms is
+its ``max``, multiplying by a monomial is one integer addition, and a
+divisibility test is one subtraction and one mask.
 """
 
 from __future__ import annotations
@@ -28,9 +33,29 @@ from .algebra import (
     twisted_degree,
     vec_is_zero,
 )
-from .errors import DomainError, StructuralError
+from .errors import DomainError, InvariantError, StructuralError
 
-# Internally a module element is a flat dict {(position, exponents): coeff}.
+# Internally a module element is a flat dict {packed term: coeff}, with
+# coefficients in [1, p).  A packed term is an int of base-2^32 digits,
+# most significant first: the weight deg + twist[pos], the degree, then
+# _C - e for every exponent in the order in which ``Ring.mono_key``
+# compares them, and _C - pos last.  Every digit but the weight lies in
+# [0, _C], so integer order is digit-by-digit order, which is exactly
+# ``ModuleOrder.key``; a digit's top bit (its guard bit) stays clear.
+# Multiplying by a monomial adds its packed shift (see
+# ``ModuleOrder.shift``), which never carries while digits stay in range.
+# Terms are accepted up to weight _LIMIT, half the digit range, so the
+# product of an accepted term and an accepted shift never leaves it;
+# results are held to _LIMIT again before they are multiplied further.
+_BITS = 32
+_MASK = (1 << _BITS) - 1
+_C = (1 << (_BITS - 1)) - 1
+_LIMIT = (1 << (_BITS - 2)) - 1
+
+
+def _check_weight(weight: int):
+    if weight > _LIMIT:
+        raise DomainError(f"term weight {weight} exceeds the supported {_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -39,6 +64,7 @@ class ModuleOrder:
 
     The weight of a monomial m at position i is deg(m) + twist[i];
     comparison is weight, then grevlex on m, then smaller position.
+    ``pack`` maps a term to an int with the same order.
     """
 
     ring: Ring
@@ -46,6 +72,20 @@ class ModuleOrder:
 
     def __post_init__(self):
         check_twist(self.twist, len(self.twist))
+        nv = self.ring.nvars
+        # Bit offset of each exponent slot's digit: mono_key compares the
+        # last slot first, and over T the slot of D0 before all others.
+        if self.ring.homog:
+            at = (_BITS * nv,) + tuple(_BITS * s for s in range(1, nv))
+        else:
+            at = tuple(_BITS * (s + 1) for s in range(nv))
+        setattr_ = object.__setattr__
+        setattr_(self, "_at", at)
+        setattr_(self, "_deg_at", _BITS * (nv + 1))
+        setattr_(self, "_weight_at", _BITS * (nv + 2))
+        setattr_(self, "_base", sum(_C << a for a in at) + _C)
+        setattr_(self, "_tail", sum(_MASK << a for a in at))
+        setattr_(self, "_guard", sum(1 << (a + _BITS - 1) for a in at))
 
     @property
     def rank(self) -> int:
@@ -55,6 +95,33 @@ class ModuleOrder:
         pos, exps = term
         deg, tail = self.ring.mono_key(exps)
         return (deg + self.twist[pos], deg, tail, -pos)
+
+    def pack(self, term) -> int:
+        """The term (position, exponents) as an int ordered like ``key``."""
+        pos, exps = term
+        deg = sum(exps)
+        weight = deg + self.twist[pos]
+        _check_weight(weight)
+        if min(exps) < 0:
+            raise DomainError(f"negative exponent in {exps}")
+        return ((weight << self._weight_at) + (deg << self._deg_at) + self._base - pos
+                - sum(e << a for e, a in zip(exps, self._at)))
+
+    def unpack(self, packed: int):
+        """Inverse of ``pack``: the term (position, exponents)."""
+        return (_C - (packed & _MASK),
+                tuple(_C - ((packed >> a) & _MASK) for a in self._at))
+
+    def shift(self, exps) -> int:
+        """The int s with pack(t) + s == pack(t times D^exps) for every t."""
+        deg = sum(exps)
+        return ((deg << self._weight_at) + (deg << self._deg_at)
+                - sum(e << a for e, a in zip(exps, self._at)))
+
+    def divides(self, lead: int, packed: int) -> bool:
+        """Whether the packed term ``lead`` divides the packed term ``packed``."""
+        return ((lead & _MASK) == (packed & _MASK)
+                and not ((lead & self._tail) - (packed & self._tail)) & self._guard)
 
 
 def zero_order(ring: Ring, rank: int) -> ModuleOrder:
@@ -92,40 +159,44 @@ class SubmodulePresentation:
 
 # -- flat representation helpers ----------------------------------------
 
-def _to_flat(vec: ModElem) -> dict:
-    return {(i, e): c for i, poly in enumerate(vec) for e, c in poly.terms}
+def _to_flat(vec: ModElem, order: ModuleOrder) -> dict:
+    pack = order.pack
+    return {pack((i, e)): c for i, poly in enumerate(vec) for e, c in poly.terms}
 
 
-def _from_flat(ring: Ring, rank: int, flat: dict) -> ModElem:
-    per_pos = [dict() for _ in range(rank)]
-    for (pos, e), c in flat.items():
-        per_pos[pos][e] = c
-    return tuple(Poly.from_dict(ring, d) for d in per_pos)
+def _from_flat(order: ModuleOrder, rank: int, flat: dict) -> ModElem:
+    # Within one position, descending packed order is descending grevlex,
+    # which is the canonical order of Poly terms.
+    per_pos = [[] for _ in range(rank)]
+    unpack = order.unpack
+    for t in sorted(flat, reverse=True):
+        pos, e = unpack(t)
+        per_pos[pos].append((e, flat[t]))
+    return tuple(Poly(order.ring, tuple(terms)) for terms in per_pos)
 
 
-def _addmul(target: dict, src: dict, coeff: int, shift: tuple[int, ...], p: int):
-    """target += coeff * D^shift * src, in place."""
-    if coeff % p == 0:
+def _addmul(target: dict, src: dict, coeff: int, shift: int, p: int):
+    """target += coeff * D^shift * src, in place; ``shift`` is packed."""
+    coeff %= p
+    if not coeff:
         return
-    for (pos, e), c in src.items():
-        key = (pos, tuple(a + b for a, b in zip(e, shift)))
-        v = (target.get(key, 0) + coeff * c) % p
+    get = target.get
+    for t, c in src.items():
+        t += shift
+        v = (get(t, 0) + coeff * c) % p
         if v:
-            target[key] = v
-        else:
-            target.pop(key, None)
-
-
-def _divides(e1: tuple[int, ...], e2: tuple[int, ...]) -> bool:
-    return all(a <= b for a, b in zip(e1, e2))
+            target[t] = v
+        else:           # coeff and c are units, so t was present
+            del target[t]
 
 
 class _GBItem:
-    __slots__ = ("flat", "lead", "expr")
+    __slots__ = ("flat", "lead", "pos", "exps", "expr")
 
-    def __init__(self, flat, lead, expr=None):
+    def __init__(self, flat, lead, order, expr=None):
         self.flat = flat      # monic: coefficient of lead is 1
-        self.lead = lead      # (position, exponents)
+        self.lead = lead      # packed leading term
+        self.pos, self.exps = order.unpack(lead)
         self.expr = expr      # flat dict over input indices, or None
 
 
@@ -133,33 +204,50 @@ def _reduce_flat(f: dict, items, order: ModuleOrder, want_quotients=False):
     """Full normal form of ``f`` against monic ``items``.
 
     Returns (remainder, quotients) where quotients[k] is the flat dict
-    of the multiplier applied to items[k] (only when requested).
+    of the multiplier applied to items[k] (only when requested), keyed
+    by packed shifts.  Each step divides the leading term by the first
+    item whose lead divides it.
     """
     p = order.ring.p
+    tail, guard = order._tail, order._guard
+    # Items by the position digit of their lead, in item order, with the
+    # exponent digits of the lead for the guard-bit divisibility test.
+    reducers: dict = {}
+    for k, item in enumerate(items):
+        reducers.setdefault(item.lead & _MASK, []).append((item.lead & tail, k, item))
     work = dict(f)
     rem: dict = {}
     quotients = [dict() for _ in items] if want_quotients else None
     while work:
-        t = max(work, key=order.key)
+        t = max(work)
         c = work[t]
-        pos, exps = t
-        for k, item in enumerate(items):
-            lpos, lexps = item.lead
-            if lpos == pos and _divides(lexps, exps):
-                shift = tuple(a - b for a, b in zip(exps, lexps))
+        t_tail = t & tail
+        for lead_tail, k, item in reducers.get(t & _MASK, ()):
+            if not (lead_tail - t_tail) & guard:
+                shift = t - item.lead
                 _addmul(work, item.flat, -c, shift, p)
                 if want_quotients:
-                    key = shift
-                    v = (quotients[k].get(key, 0) + c) % p
+                    quot = quotients[k]
+                    v = (quot.get(shift, 0) + c) % p
                     if v:
-                        quotients[k][key] = v
+                        quot[shift] = v
                     else:
-                        quotients[k].pop(key, None)
+                        del quot[shift]
                 break
         else:
             rem[t] = c
             del work[t]
     return rem, quotients
+
+
+def _lcm_shifts(gi: _GBItem, gj: _GBItem, order: ModuleOrder):
+    """Weight of lcm(lead gi, lead gj) and the packed shifts onto it."""
+    lcm = tuple(max(a, b) for a, b in zip(gi.exps, gj.exps))
+    weight = sum(lcm) + order.twist[gi.pos]
+    _check_weight(weight)
+    return (weight,
+            order.shift(tuple(a - b for a, b in zip(lcm, gi.exps))),
+            order.shift(tuple(a - b for a, b in zip(lcm, gj.exps))))
 
 
 def _spair_parts(gi: _GBItem, gj: _GBItem, order: ModuleOrder):
@@ -169,53 +257,46 @@ def _spair_parts(gi: _GBItem, gj: _GBItem, order: ModuleOrder):
     spair = D^shift_i * gi - D^shift_j * gj.
     """
     p = order.ring.p
-    (pos, ei), (_, ej) = gi.lead, gj.lead
-    lcm = tuple(max(a, b) for a, b in zip(ei, ej))
-    ui = tuple(a - b for a, b in zip(lcm, ei))
-    uj = tuple(a - b for a, b in zip(lcm, ej))
+    _, ui, uj = _lcm_shifts(gi, gj, order)
     s: dict = {}
     _addmul(s, gi.flat, 1, ui, p)
     _addmul(s, gj.flat, -1, uj, p)
     return s, ui, uj
 
 
-def _monic(flat: dict, order: ModuleOrder):
+def _monic(flat: dict, p: int):
     """Scale to leading coefficient 1; returns (flat, lead, applied inverse)."""
-    p = order.ring.p
-    lead = max(flat, key=order.key)
+    lead = max(flat)
     inv = pow(flat[lead], p - 2, p)
     if inv != 1:
         flat = {t: (c * inv) % p for t, c in flat.items()}
     return flat, lead, inv
 
 
-def _pair_weight(gi: _GBItem, gj: _GBItem, order: ModuleOrder) -> int:
-    (pos, ei), (_, ej) = gi.lead, gj.lead
-    lcm = tuple(max(a, b) for a, b in zip(ei, ej))
-    return sum(lcm) + order.twist[pos]
-
-
-def _buchberger(gens_flat, order: ModuleOrder, track=False):
+def _buchberger(gens_flat, order: ModuleOrder, expr_order: ModuleOrder = None):
     """Complete ``gens_flat`` to a Groebner basis (normal strategy).
 
-    With ``track`` each basis element carries its expression in the
-    input generators, so syzygies can be pulled back to the caller's
-    coordinates afterwards.
+    With ``expr_order`` each basis element carries its expression in
+    the input generators, packed by that order (of rank len(gens_flat)),
+    so syzygies can be pulled back to the caller's coordinates
+    afterwards.
     """
     p = order.ring.p
+    track = expr_order is not None
+    one = (0,) * order.ring.nvars
     items: list[_GBItem] = []
     for j, flat in enumerate(gens_flat):
         if not flat:
             raise DomainError("zero generator")
-        flat, lead, inv = _monic(dict(flat), order)
-        expr = {(j, (0,) * order.ring.nvars): inv} if track else None
-        items.append(_GBItem(flat, lead, expr))
+        flat, lead, inv = _monic(dict(flat), p)
+        expr = {expr_order.pack((j, one)): inv} if track else None
+        items.append(_GBItem(flat, lead, order, expr))
 
     heap = []
     for i in range(len(items)):
         for j in range(i):
-            if items[i].lead[0] == items[j].lead[0]:
-                heapq.heappush(heap, (_pair_weight(items[i], items[j], order), j, i))
+            if items[i].pos == items[j].pos:
+                heapq.heappush(heap, (_lcm_shifts(items[i], items[j], order)[0], j, i))
 
     while heap:
         _, i, j = heapq.heappop(heap)
@@ -230,39 +311,43 @@ def _buchberger(gens_flat, order: ModuleOrder, track=False):
             for k, q in enumerate(quots):
                 for shift, c in q.items():
                     _addmul(expr, items[k].expr, -c, shift, p)
+            # Expressions are multiplied further; hold them to the limit.
+            if expr:
+                _check_weight(max(expr) >> expr_order._weight_at)
         else:
             expr = None
-        rem, lead, inv = _monic(rem, order)
+        rem, lead, inv = _monic(rem, p)
         if track and inv != 1:
             expr = {t: (c * inv) % p for t, c in expr.items()}
-        new = _GBItem(rem, lead, expr)
+        new = _GBItem(rem, lead, order, expr)
         items.append(new)
         hi = len(items) - 1
         for k in range(hi):
-            if items[k].lead[0] == new.lead[0]:
-                heapq.heappush(heap, (_pair_weight(items[k], new, order), k, hi))
+            if items[k].pos == new.pos:
+                heapq.heappush(heap, (_lcm_shifts(items[k], new, order)[0], k, hi))
     return items
 
 
 def _interreduce(items, order: ModuleOrder):
     """Canonical reduced basis: minimal leads, fully tail-reduced, sorted."""
-    keyed = sorted(items, key=lambda it: order.key(it.lead))
+    keyed = sorted(items, key=lambda it: it.lead)
     kept: list[_GBItem] = []
     for it in keyed:
-        pos, exps = it.lead
-        if any(k.lead[0] == pos and _divides(k.lead[1], exps) for k in kept):
+        if any(order.divides(k.lead, it.lead) for k in kept):
             continue
         kept.append(it)
     # Leads are now pairwise non-divisible; one tail-reduction pass is
     # enough because divisibility only looks at leads, which are fixed.
+    p = order.ring.p
     reduced = []
     for idx, it in enumerate(kept):
         others = kept[:idx] + kept[idx + 1:]
         rem, _ = _reduce_flat(it.flat, others, order)
-        rem, lead, _ = _monic(rem, order)
-        assert lead == it.lead
-        reduced.append(_GBItem(rem, lead))
-    reduced.sort(key=lambda it: order.key(it.lead), reverse=True)
+        rem, lead, _ = _monic(rem, p)
+        if lead != it.lead:
+            raise InvariantError("tail reduction changed a leading term")
+        reduced.append(_GBItem(rem, lead, order))
+    reduced.sort(key=lambda it: it.lead, reverse=True)
     return reduced
 
 
@@ -276,7 +361,7 @@ class GroebnerBasis:
         self.rank = rank
         self.order = order
         self._items = items
-        self.elements = tuple(_from_flat(ring, rank, it.flat) for it in items)
+        self.elements = tuple(_from_flat(order, rank, it.flat) for it in items)
         self.reduced = reduced
 
     def __len__(self):
@@ -298,7 +383,7 @@ def groebner_basis(module: SubmodulePresentation,
         order = ModuleOrder(module.ring, module.twist)
     if order.rank != module.rank or order.ring != module.ring:
         raise StructuralError("order does not match the presentation")
-    items = _buchberger([_to_flat(g) for g in module.generators], order)
+    items = _buchberger([_to_flat(g, order) for g in module.generators], order)
     items = _interreduce(items, order)
     return GroebnerBasis(module.ring, module.rank, order, items, reduced=True)
 
@@ -310,8 +395,8 @@ def normal_form(f: ModElem, basis: GroebnerBasis) -> ModElem:
     for poly in f:
         if poly.ring != basis.ring:
             raise StructuralError("element ring does not match basis ring")
-    rem, _ = _reduce_flat(_to_flat(f), basis._items, basis.order)
-    return _from_flat(basis.ring, basis.rank, rem)
+    rem, _ = _reduce_flat(_to_flat(f, basis.order), basis._items, basis.order)
+    return _from_flat(basis.order, basis.rank, rem)
 
 
 def membership(f: ModElem, module: SubmodulePresentation) -> bool:
@@ -353,23 +438,27 @@ def syzygy_basis(matrix: PolyMatrix, row_twist=None) -> PolyMatrix:
     if matrix.has_zero_column():
         raise DomainError("matrix has a zero column")
     order = ModuleOrder(ring, (0,) * q if row_twist is None else check_twist(row_twist, q))
+    # Expressions in the columns are packed by the order the syzygies
+    # are finally sorted in.
+    syz_order = ModuleOrder(ring, matrix.column_degrees(row_twist))
     p = ring.p
+    one = (0,) * ring.nvars
 
-    gens_flat = [_to_flat(col) for col in matrix.columns()]
-    items = _buchberger(gens_flat, order, track=True)
+    gens_flat = [_to_flat(col, order) for col in matrix.columns()]
+    items = _buchberger(gens_flat, order, syz_order)
 
-    # Schreyer relations of the completed basis.
+    # Schreyer relations of the completed basis, as dicts keyed by
+    # (basis index, packed shift).
     raw: list[dict] = []
     for j in range(len(items)):
         for i in range(j):
-            if items[i].lead[0] != items[j].lead[0]:
+            if items[i].pos != items[j].pos:
                 continue
             s, ui, uj = _spair_parts(items[i], items[j], order)
             rem, quots = _reduce_flat(s, items, order, want_quotients=True)
-            assert not rem, "S-pair of a completed basis must reduce to zero"
-            sigma: dict = {}
-            _addmul(sigma, {(i, (0,) * ring.nvars): 1}, 1, ui, p)
-            _addmul(sigma, {(j, (0,) * ring.nvars): 1}, -1, uj, p)
+            if rem:
+                raise InvariantError("S-pair of a completed basis must reduce to zero")
+            sigma: dict = {(i, ui): 1, (j, uj): p - 1}
             for k, quot in enumerate(quots):
                 for shift, c in quot.items():
                     v = (sigma.get((k, shift), 0) - c) % p
@@ -392,27 +481,26 @@ def syzygy_basis(matrix: PolyMatrix, row_twist=None) -> PolyMatrix:
     # Unit relations from re-dividing the originals by the basis.
     for j, flat in enumerate(gens_flat):
         rem, quots = _reduce_flat(flat, items, order, want_quotients=True)
-        assert not rem, "original generator must reduce to zero against its basis"
-        col: dict = {(j, (0,) * ring.nvars): 1}
+        if rem:
+            raise InvariantError("original generator must reduce to zero against its basis")
+        col: dict = {syz_order.pack((j, one)): 1}
         for k, quot in enumerate(quots):
             for shift, c in quot.items():
                 _addmul(col, items[k].expr, -c, shift, p)
         if col:
             candidates.append(col)
 
-    col_twist = matrix.column_degrees(row_twist)
-    syz_order = ModuleOrder(ring, col_twist)
     seen = set()
     cleaned = []
     for flat in candidates:
-        flat, lead, _ = _monic(flat, syz_order)
+        flat, lead, _ = _monic(flat, p)
         key = tuple(sorted(flat.items()))
         if key in seen:
             continue
         seen.add(key)
-        cleaned.append((syz_order.key(lead), flat))
+        cleaned.append((lead, flat))
     cleaned.sort(key=lambda pair: pair[0])
-    columns = [_from_flat(ring, t, flat) for _, flat in cleaned]
+    columns = [_from_flat(syz_order, t, flat) for _, flat in cleaned]
     return PolyMatrix.from_columns(ring, t, columns)
 
 

@@ -221,7 +221,7 @@ def test_every_generator_reduces_to_zero_and_spairs_too():
         order = basis.order
         for j in range(len(items)):
             for i in range(j):
-                if items[i].lead[0] != items[j].lead[0]:
+                if items[i].pos != items[j].pos:
                     continue
                 s, _, _ = _spair_parts(items[i], items[j], order)
                 rem, _ = _reduce_flat(s, items, order)

@@ -1,0 +1,207 @@
+"""Second ways to check the Groebner engine.
+
+* Properties of the packed-integer term encoding (hypothesis).
+* Guards: oversized terms raise DomainError, failed self-checks raise
+  InvariantError (never a bare assert, which ``python -O`` drops).
+* Differential test for ideals against sympy's Groebner bases.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from convres import Poly, Ring
+from convres.cli import main
+from convres.errors import DomainError, InvariantError
+from convres import groebner
+from convres.groebner import (
+    ModuleOrder,
+    SubmodulePresentation,
+    groebner_basis,
+    syzygy_basis,
+)
+
+from helpers import mat, random_poly
+
+LIMIT = groebner._LIMIT
+checked = settings(derandomize=True, deadline=None, max_examples=200)
+
+# Small exponents make ties and near-ties likely; large ones exercise
+# every bit of a digit.  Four of them plus a twist stay below LIMIT,
+# and so does the product of two such terms.
+small_or_large = st.one_of(st.integers(0, 3), st.integers(0, 2**26))
+
+
+@st.composite
+def orders(draw):
+    ring = Ring(draw(st.sampled_from([2, 3, 5, 101])), draw(st.integers(1, 3)),
+                homog=draw(st.booleans()))
+    rank = draw(st.integers(1, 3))
+    twist = tuple(draw(small_or_large) for _ in range(rank))
+    return ModuleOrder(ring, twist)
+
+
+def terms(order, exps=small_or_large):
+    return st.tuples(st.integers(0, order.rank - 1),
+                     st.tuples(*[exps] * order.ring.nvars))
+
+
+def monomials(order):
+    return st.tuples(*[small_or_large] * order.ring.nvars)
+
+
+@checked
+@given(st.data())
+def test_packed_order_is_module_order(data):
+    order = data.draw(orders())
+    ts = data.draw(st.lists(terms(order), min_size=2, max_size=8))
+    a, b = ts[0], ts[1]
+    assert (order.pack(a) < order.pack(b)) == (order.key(a) < order.key(b))
+    assert (order.pack(a) == order.pack(b)) == (a == b)
+    assert sorted(ts, key=order.pack) == sorted(ts, key=order.key)
+
+
+@checked
+@given(st.data())
+def test_pack_unpack_round_trip(data):
+    order = data.draw(orders())
+    term = data.draw(terms(order))
+    assert order.unpack(order.pack(term)) == term
+
+
+@checked
+@given(st.data())
+def test_shift_is_monomial_multiplication(data):
+    order = data.draw(orders())
+    pos, exps = data.draw(terms(order))
+    m = data.draw(monomials(order))
+    product = (pos, tuple(a + b for a, b in zip(exps, m)))
+    assert order.pack((pos, exps)) + order.shift(m) == order.pack(product)
+
+
+@checked
+@given(st.data())
+def test_divides_matches_exponent_comparison(data):
+    order = data.draw(orders())
+    small = st.integers(0, 3)
+    (pa, ea), (pb, eb) = data.draw(terms(order, small)), data.draw(terms(order, small))
+    expected = pa == pb and all(x <= y for x, y in zip(ea, eb))
+    assert order.divides(order.pack((pa, ea)), order.pack((pb, eb))) == expected
+
+
+@checked
+@given(st.data())
+def test_weight_beyond_limit_raises(data):
+    order = data.draw(orders())
+    pos, exps = data.draw(terms(order))
+    slot = data.draw(st.integers(0, order.ring.nvars - 1))
+    base = sum(exps) - exps[slot] + order.twist[pos]
+    at_limit = exps[:slot] + (LIMIT - base,) + exps[slot + 1:]
+    assert order.unpack(order.pack((pos, at_limit))) == (pos, at_limit)
+    big = data.draw(st.integers(LIMIT - base + 1, 2**70))
+    with pytest.raises(DomainError):
+        order.pack((pos, exps[:slot] + (big,) + exps[slot + 1:]))
+
+
+def test_oversized_exponent_raises_instead_of_wrapping():
+    r = Ring(5, 2)
+    huge = Poly.from_dict(r, {(2**31, 0): 1})
+    with pytest.raises(DomainError):
+        groebner_basis(SubmodulePresentation(r, 1, ((huge,),)))
+    with pytest.raises(DomainError):
+        ModuleOrder(r, (0,)).pack((0, (1, -1)))
+    with pytest.raises(DomainError):
+        ModuleOrder(r, (2**31,)).pack((0, (0, 0)))
+
+
+def test_spair_beyond_limit_raises():
+    # Both generators are in range; their lcm is not.
+    r = Ring(5, 2)
+    half = (LIMIT + 1) // 2
+    gens = ((Poly.monomial(r, (half, 0)),), (Poly.monomial(r, (0, half)),))
+    with pytest.raises(DomainError):
+        groebner_basis(SubmodulePresentation(r, 1, gens))
+
+
+# -- self-checks raise InvariantError ------------------------------------
+
+def _uncompleted(gens_flat, order, expr_order, keep=None):
+    """The generators as basis items, without Buchberger completion."""
+    one = (0,) * order.ring.nvars
+    items = []
+    for j, flat in enumerate(gens_flat[:keep]):
+        flat, lead, inv = groebner._monic(dict(flat), order.ring.p)
+        items.append(groebner._GBItem(flat, lead, order, {expr_order.pack((j, one)): inv}))
+    return items
+
+
+def test_unreduced_spair_raises_invariant_error(monkeypatch):
+    r = Ring(101, 2)
+    monkeypatch.setattr(groebner, "_buchberger", _uncompleted)
+    # The S-pair of D1^2 + D2 and D1*D2 leaves D2^2.
+    with pytest.raises(InvariantError):
+        syzygy_basis(mat(r, [["D1^2 + D2", "D1*D2"]]))
+
+
+def test_unreduced_original_raises_invariant_error(monkeypatch):
+    r = Ring(101, 2)
+    monkeypatch.setattr(groebner, "_buchberger",
+                        lambda g, o, e: _uncompleted(g, o, e, keep=1))
+    with pytest.raises(InvariantError):
+        syzygy_basis(mat(r, [["D1", "D2"]]))
+
+
+def test_failed_self_check_exits_2_without_a_report(tmp_path, capsys, monkeypatch):
+    real = groebner._buchberger
+    monkeypatch.setattr(groebner, "_buchberger", lambda g, o, e=None:
+                        real(g, o) if e is None else _uncompleted(g, o, e, keep=1))
+    path = tmp_path / "code.json"
+    path.write_text('{"p": 2, "n": 2, "kind": "code", "matrix": [["D1", "D2"]]}')
+    assert main(["resolve", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "must reduce to zero" in err
+
+
+def test_changed_lead_raises_invariant_error():
+    order = ModuleOrder(Ring(5, 1), (0,))
+    big, small = order.pack((0, (2,))), order.pack((0, (1,)))
+    # An item whose recorded lead is not its largest term.
+    item = groebner._GBItem({big: 1, small: 1}, small, order)
+    with pytest.raises(InvariantError):
+        groebner._interreduce([item], order)
+
+
+# -- differential test against sympy -------------------------------------
+
+def _to_sympy(sympy, f, symbols):
+    return sum(c * sympy.Mul(*[s**e for s, e in zip(symbols, exps)])
+               for exps, c in f.terms)
+
+
+def _sympy_basis(sympy, polys, ring):
+    symbols = sympy.symbols(" ".join(f"D{i + 1}" for i in range(ring.n)), seq=True)
+    basis = sympy.groebner([_to_sympy(sympy, f, symbols) for f in polys], *symbols,
+                           modulus=ring.p, order="grevlex")
+    out = set()
+    for g in basis.polys:
+        # Monic on the grevlex leading term; terms() is in lex order.
+        inv = pow(int(g.LC(order="grevlex")) % ring.p, ring.p - 2, ring.p)
+        out.add(Poly.from_dict(ring, {e: int(c) * inv for e, c in g.terms()}))
+    return out
+
+
+def test_ideal_bases_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(43)
+    compared = 0
+    while compared < 60:
+        ring = Ring(rng.choice([2, 3, 101]), rng.randint(1, 3))
+        polys = [f for f in (random_poly(rng, ring, 3) for _ in range(rng.randint(1, 4)))
+                 if not f.is_zero]
+        if not polys:
+            continue
+        ours = groebner_basis(SubmodulePresentation(ring, 1, tuple((f,) for f in polys)))
+        assert {g[0] for g in ours.elements} == _sympy_basis(sympy, polys, ring), polys
+        compared += 1
