@@ -20,6 +20,7 @@ All values are immutable; all operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .errors import DomainError, PolyParseError, StructuralError
 
@@ -94,6 +95,14 @@ class Ring:
 def _check_same_ring(a: "Poly", b: "Poly"):
     if a.ring != b.ring:
         raise StructuralError(f"ring mismatch: {a.ring} vs {b.ring}")
+
+
+def _add_product(acc: dict, f: "Poly", g: "Poly"):
+    """acc += f * g, on a dict {exponents: coefficient} left unreduced mod p."""
+    for e1, c1 in f.terms:
+        for e2, c2 in g.terms:
+            e = tuple(map(add, e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
 
 
 class Poly:
@@ -198,23 +207,18 @@ class Poly:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        _check_same_ring(self, other)
-        acc = dict(self.terms)
-        p = self.ring.p
-        for e, c in other.terms:
-            v = (acc.get(e, 0) + c) % p
-            if v:
-                acc[e] = v
-            else:
-                acc.pop(e, None)
-        return Poly.from_dict(self.ring, acc)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other."""
         _check_same_ring(self, other)
         acc = dict(self.terms)
         p = self.ring.p
         for e, c in other.terms:
-            v = (acc.get(e, 0) - c) % p
+            v = (acc.get(e, 0) + sign * c) % p
             if v:
                 acc[e] = v
             else:
@@ -226,16 +230,8 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         _check_same_ring(self, other)
-        p = self.ring.p
         acc: dict = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = (acc.get(e, 0) + c1 * c2) % p
-                if v:
-                    acc[e] = v
-                else:
-                    acc.pop(e, None)
+        _add_product(acc, self, other)
         return Poly.from_dict(self.ring, acc)
 
     def __pow__(self, k: int) -> "Poly":
@@ -529,15 +525,15 @@ class PolyMatrix:
         if self.ncols != other.nrows:
             raise StructuralError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        zero = Poly.zero(self.ring)
+        # One accumulator per entry, put in canonical form once.
         rows = []
-        for i in range(self.nrows):
+        for left in self.entries:
             row = []
             for j in range(other.ncols):
-                acc = zero
-                for k in range(self.ncols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
+                acc: dict = {}
+                for a, right in zip(left, other.entries):
+                    _add_product(acc, a, right[j])
+                row.append(Poly.from_dict(self.ring, acc))
             rows.append(tuple(row))
         return PolyMatrix(self.ring, self.nrows, other.ncols, tuple(rows))
 

@@ -28,7 +28,7 @@ from .algebra import (
     twisted_degree,
     vec_is_zero,
 )
-from .errors import DomainError, PreconditionError, StructuralError
+from .errors import DomainError, InvariantError, PreconditionError, StructuralError
 from .groebner import (
     ModuleOrder,
     SubmodulePresentation,
@@ -266,45 +266,59 @@ def _graded_pipeline(code: CodePresentation):
     return lifted
 
 
+def _syzygy_chain(g1: PolyMatrix, max_levels: int, prune: bool):
+    """Iterated syzygies over T of the homogeneous matrix ``g1``.
+
+    With ``prune`` every syzygy module is cut down to minimal homogeneous
+    generators before the next level is taken.  Returns the matrices and
+    their twists: ``twists[0]`` is the zero ambient twist and
+    ``twists[k]`` the column twist of ``mats[k - 1]``.
+    """
+    zero = (0,) * g1.nrows
+    mats, twists = [g1], [zero, _graded_column_degrees(g1, zero)]
+    for _ in range(max_levels):
+        syz = syzygy_basis(mats[-1], row_twist=twists[-2])
+        if syz.ncols == 0:
+            return mats, twists
+        if prune:
+            syz = minimal_generators(SubmodulePresentation.from_matrix(syz, twists[-1]))
+        mats.append(syz)
+        twists.append(_graded_column_degrees(syz, twists[-1]))
+    raise InvariantError(f"syzygy chain did not end within {max_levels} levels")
+
+
 def minimal_resolution(code: CodePresentation) -> ResolutionReport:
     """Minimal reduced polynomial resolution of a nontrivial code.
 
     Route: lift the code to its graded companion over T via a
     degree-compatible reduced basis homogenized element by element,
-    extract minimal homogeneous generators, iterate syzygies over T
-    while pruning with ``minimalize_graded``, then set D0 = 1.  The
-    result passes all four checks and its degree table equals the
-    graded twists carried through the construction; the length is at
-    most n.
+    extract minimal homogeneous generators, then repeatedly take the
+    syzygies of the last matrix and prune them to minimal homogeneous
+    generators (``minimal_generators``) before going one level deeper;
+    finally set D0 = 1.  Minimal generators at every level make the
+    graded resolution minimal, so no pivoting is needed afterwards.  The
+    result is checked to pass all four checks and its degree table to
+    equal the graded twists carried through the construction; the length
+    is at most n.  A failed check raises ``InvariantError``.
     """
     if code.generators.is_zero:
         raise DomainError("the zero code has no resolution")
     tring = code.ring.homogeneous_companion()
     lifted = _graded_pipeline(code)
     pres = SubmodulePresentation(tring, code.q, tuple(lifted))
-    g1 = minimal_generators(pres)
-    twists = [(0,) * code.q, _graded_column_degrees(g1, (0,) * code.q)]
-    mats = [g1]
-    for _ in range(code.ring.n + 2):
-        syz = syzygy_basis(mats[-1], row_twist=twists[len(mats) - 1])
-        if syz.ncols == 0:
-            break
-        mats.append(syz)
-        twists.append(_graded_column_degrees(syz, twists[-1]))
-        mats, twists = _minimalize_grids(mats, twists)
-    else:
-        raise AssertionError("syzygy chain exceeded the variable-count bound")
-
-    assert 1 <= len(mats) <= code.ring.n, "homological dimension out of range"
+    mats, twists = _syzygy_chain(minimal_generators(pres), code.ring.n + 2, prune=True)
+    if not 1 <= len(mats) <= code.ring.n:
+        raise InvariantError(f"homological dimension {len(mats)} outside 1..{code.ring.n}")
     dehom = [m.map_entries(lambda f: f.dehomogenize(), code.ring) for m in mats]
     cx = validate_complex(dehom)
     table = column_degree_table(cx)
-    assert table == tuple(twists[1:]), "degree table drifted from the graded twists"
+    if table != tuple(twists[1:]):
+        raise InvariantError("degree table drifted from the graded twists")
     is_resolution = check_resolution(cx)
     is_reduced = check_reduced(cx)
     is_minimal = (cx.length == 1 or minimality_witness(cx) is None)
-    assert is_resolution and is_reduced and is_minimal, \
-        "construction must yield a minimal reduced resolution"
+    if not (is_resolution and is_reduced and is_minimal):
+        raise InvariantError("construction must yield a minimal reduced resolution")
     return ResolutionReport(cx, table, is_resolution, is_reduced,
                             is_resolution and is_reduced, is_minimal)
 
@@ -326,16 +340,7 @@ def resolution_without_minimalization(code: CodePresentation,
             d = twisted_degree(g, (0,) * code.q)
             lifted.append(tuple(f.homogenize(d) for f in g))
     g1 = PolyMatrix.from_columns(tring, code.q, lifted)
-    twists = [(0,) * code.q, _graded_column_degrees(g1, (0,) * code.q)]
-    mats = [g1]
-    for _ in range(code.ring.n + 1 + g1.ncols):
-        syz = syzygy_basis(mats[-1], row_twist=twists[len(mats) - 1])
-        if syz.ncols == 0:
-            break
-        mats.append(syz)
-        twists.append(_graded_column_degrees(syz, twists[-1]))
-    else:
-        raise AssertionError("unpruned syzygy chain failed to terminate")
+    mats, _ = _syzygy_chain(g1, code.ring.n + 1 + g1.ncols, prune=False)
     dehom = [m.map_entries(lambda f: f.dehomogenize(), code.ring) for m in mats]
     cx = validate_complex(dehom)
     table = column_degree_table(cx)

@@ -558,21 +558,40 @@ def homogeneous_column_degree(vec: ModElem, twist: tuple[int, ...]):
 def minimal_generators(module: SubmodulePresentation, twist=None) -> PolyMatrix:
     """Extract a minimal homogeneous generating set of a graded submodule.
 
-    Generators are inspected in increasing degree; one is kept exactly
-    when it is not a combination of those already kept.  Over a graded
-    module this greedy pass realizes the (unique) minimal number of
-    generators per degree, so the size and the degree multiset of the
-    output are invariants of the module.
+    One pass per degree (graded Nakayama): the generators of degree d are
+    taken in index order, reduced to normal form against a reduced basis
+    of the generators already kept (all of degree < d), and kept exactly
+    when that normal form is linearly independent over F_p of the normal
+    forms kept before it in degree d.  This keeps the same generators as
+    testing each one for membership in the span of those kept so far, in
+    increasing degree; over a graded module it realizes the (unique)
+    minimal number of generators per degree, so the size and the degree
+    multiset of the output are invariants of the module.
     """
     twist = module.twist if twist is None else check_twist(twist, module.rank)
     degrees = [homogeneous_column_degree(g, twist) for g in module.generators]
-    indexed = sorted(range(len(degrees)), key=lambda k: (degrees[k], k))
+    order = ModuleOrder(module.ring, twist)
+    p = module.ring.p
+    by_degree: dict = {}
+    for k, d in enumerate(degrees):
+        by_degree.setdefault(d, []).append(k)
     kept: list = []
-    for k in indexed:
-        g = module.generators[k]
-        if kept:
-            pres = SubmodulePresentation(module.ring, module.rank, tuple(kept), twist)
-            if membership(g, pres):
-                continue
-        kept.append(g)
+    for d in sorted(by_degree):
+        basis = (_interreduce(_buchberger([_to_flat(g, order) for g in kept], order), order)
+                 if kept else [])
+        # Incremental echelon of the degree-d normal forms, keyed by lead.
+        pivots: dict = {}
+        for k in by_degree[d]:
+            g = module.generators[k]
+            rem, _ = _reduce_flat(_to_flat(g, order), basis, order)
+            while rem:
+                lead = max(rem)
+                row = pivots.get(lead)
+                if row is None:
+                    break
+                _addmul(rem, row, -rem[lead], 0, p)
+            if rem:
+                rem, lead, _ = _monic(rem, p)
+                pivots[lead] = rem
+                kept.append(g)
     return PolyMatrix.from_columns(module.ring, module.rank, kept)

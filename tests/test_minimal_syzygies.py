@@ -1,0 +1,225 @@
+"""Minimal syzygies at every level of ``minimal_resolution``.
+
+* ``minimal_generators`` (one pass per degree) keeps exactly the
+  generators of the greedy membership pass it replaced, which stays here
+  as the reference.
+* Pruning each syzygy module inside the loop gives the Forney table of
+  the older route: all Schreyer syzygies first, then graded pivoting
+  with ``minimalize_graded``.
+* The n = 3 canary, whose resolution did not finish in minutes before
+  the pruning, resolves quickly and agrees with the oracle.
+* The checks that guard the result raise ``InvariantError``.
+"""
+
+import random
+import time
+
+import pytest
+
+from convres import Poly, PolyMatrix, Ring
+from convres.algebra import CodePresentation
+from convres.cli import main
+from convres.complexes import (
+    column_degree_table,
+    homogenize_complex,
+    minimal_resolution,
+    minimalize_graded,
+    resolution_without_minimalization,
+)
+from convres import complexes
+from convres.errors import InvariantError
+from convres.groebner import (
+    SubmodulePresentation,
+    homogeneous_column_degree,
+    membership,
+    minimal_generators,
+)
+from convres.invariants import forney_table, hilbert_values
+from convres.oracle import hilbert_oracle
+
+from helpers import koszul_code, random_code
+
+
+def greedy_minimal_generators(module, twist=None):
+    """The former ``minimal_generators``: one membership test per generator."""
+    twist = module.twist if twist is None else twist
+    degrees = [homogeneous_column_degree(g, twist) for g in module.generators]
+    kept = []
+    for k in sorted(range(len(degrees)), key=lambda k: (degrees[k], k)):
+        g = module.generators[k]
+        if kept and membership(g, SubmodulePresentation(module.ring, module.rank,
+                                                        tuple(kept), twist)):
+            continue
+        kept.append(g)
+    return PolyMatrix.from_columns(module.ring, module.rank, kept)
+
+
+# -- minimal_generators against the greedy reference ----------------------
+
+def _monomial(rng, nvars, d):
+    exps = [0] * nvars
+    for _ in range(d):
+        exps[rng.randrange(nvars)] += 1
+    return tuple(exps)
+
+
+def _homogeneous_element(rng, ring, twist, d):
+    """A nonzero element of degree d for ``twist``; needs d >= min(twist)."""
+    while True:
+        elem = []
+        for pos, a in enumerate(twist):
+            if a > d or rng.random() < 0.3:
+                elem.append(Poly.zero(ring))
+                continue
+            coeffs = {}
+            for _ in range(rng.randint(1, 3)):
+                e = _monomial(rng, ring.nvars, d - a)
+                coeffs[e] = coeffs.get(e, 0) + rng.randrange(1, ring.p)
+            elem.append(Poly.from_dict(ring, coeffs))
+        if any(not f.is_zero for f in elem):
+            return tuple(elem)
+
+
+def _planted_combination(rng, ring, gens, degrees, d):
+    """sum c * m * g over generators of degree <= d, m a monomial of the gap."""
+    out = None
+    for g, dg in zip(gens, degrees):
+        if dg > d or rng.random() < 0.4:
+            continue
+        m = _monomial(rng, ring.nvars, d - dg)
+        term = tuple(f.mul_term(rng.randrange(1, ring.p), m) for f in g)
+        out = term if out is None else tuple(a + b for a, b in zip(out, term))
+    if out is None or all(f.is_zero for f in out):
+        return None
+    return out
+
+
+def _generator_corpus(rng):
+    ring = Ring(rng.choice([2, 3, 101]), rng.randint(1, 2)).homogeneous_companion()
+    rank = rng.randint(1, 3)
+    twist = tuple(rng.randint(0, 2) for _ in range(rank))
+    lo = min(twist)
+    gens, degrees = [], []
+    # Few distinct degrees, so degrees repeat.
+    for _ in range(rng.randint(1, 5)):
+        d = rng.randint(lo, lo + 2)
+        gens.append(_homogeneous_element(rng, ring, twist, d))
+        degrees.append(d)
+    # Planted redundancy: scalar multiples, combinations in the same
+    # degree and combinations reaching a higher degree.
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            k = rng.randrange(len(gens))
+            planted = tuple(f.scale(rng.randrange(1, ring.p)) for f in gens[k])
+            d = degrees[k]
+        else:
+            d = max(degrees) + (kind == 2) * rng.randint(1, 2)
+            planted = _planted_combination(rng, ring, gens, degrees, d)
+            if planted is None:
+                continue
+        at = rng.randrange(len(gens) + 1)
+        gens.insert(at, planted)
+        degrees.insert(at, d)
+    return SubmodulePresentation(ring, rank, tuple(gens), twist)
+
+
+def test_minimal_generators_equals_greedy_membership_pass():
+    rng = random.Random(404)
+    primes = set()
+    pruned = 0
+    for _ in range(80):
+        module = _generator_corpus(rng)
+        primes.add(module.ring.p)
+        new = minimal_generators(module)
+        assert new == greedy_minimal_generators(module), module
+        pruned += len(module.generators) - new.ncols
+    assert primes == {2, 3, 101}
+    assert pruned > 80  # the planted redundancy was found
+
+
+def test_minimal_generators_with_an_explicit_twist():
+    t = Ring(5, 2).homogeneous_companion()
+    gens = ((Poly.variable(t, "D1"), Poly.zero(t)),
+            (Poly.zero(t), Poly.variable(t, "D2")),
+            (Poly.variable(t, "D1"), Poly.variable(t, "D2")),
+            (Poly.variable(t, "D1") * Poly.variable(t, "D2"), Poly.zero(t)))
+    module = SubmodulePresentation(t, 2, gens)
+    twist = (1, 1)
+    assert minimal_generators(module, twist) == greedy_minimal_generators(module, twist)
+    assert minimal_generators(module, twist).columns() == [gens[0], gens[1]]
+
+
+# -- in-loop pruning against the pivoting route --------------------------
+
+def _linear_code(rng):
+    """A generic 3x5 code of linear forms over F_101 with n = 3."""
+    r = Ring(101, 3)
+    rows = [[Poly.from_dict(r, {e: rng.randrange(1, 101)
+                                for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))})
+             for _ in range(5)] for _ in range(3)]
+    return CodePresentation(r, PolyMatrix.from_rows(r, rows))
+
+
+def _differential_corpus():
+    codes = [koszul_code()]
+    rng = random.Random(101)  # acceptance criterion 3
+    codes += [random_code(rng) for _ in range(12)]
+    rng = random.Random(66)   # acceptance criterion 6
+    codes += [random_code(rng, n=2), random_code(rng, n=1), random_code(rng, n=2)]
+    rng = random.Random(77)   # acceptance criterion 7
+    codes += [random_code(rng, n=rng.randint(1, 2)) for _ in range(10)]
+    rng = random.Random(99)   # acceptance criterion 9
+    codes += [random_code(rng) for _ in range(40)]
+    rng = random.Random(303)
+    codes += [_linear_code(rng) for _ in range(20)]
+    return codes
+
+
+def test_forney_table_matches_the_pivoting_route():
+    for c in _differential_corpus():
+        rep = minimal_resolution(c)
+        raw = resolution_without_minimalization(c)
+        pivoted = minimalize_graded(homogenize_complex(raw.complex))
+        old = tuple(tuple(sorted(level)) for level in column_degree_table(pivoted))
+        assert forney_table(rep).levels == old, c.generators
+
+
+# -- the n = 3 canary ------------------------------------------------------
+
+# The 2x4 code over F_101 with n = 3 whose resolution took minutes when
+# syzygy modules were pruned only after the next level was computed.
+CANARY_ROWS = [
+    ["73*D1^2 + 23*D1", "93*D2^2 + 77*D2", "65", "62*D1 + 96"],
+    ["81", "11*D1*D2 + 88*D2^2 + 63*D3", "85*D3 + 7", "91*D2^2 + 73*D2*D3 + 44*D3"],
+]
+
+
+def test_canary_resolves_quickly_and_agrees_with_the_oracle():
+    c = CodePresentation.from_strings(p=101, n=3, rows=CANARY_ROWS)
+    start = time.monotonic()
+    rep = minimal_resolution(c)
+    elapsed = time.monotonic() - start
+    assert elapsed < 10.0, f"canary took {elapsed:.1f} s"
+    assert rep.complex.sizes == (7, 8, 3)
+    assert rep.degree_table == ((1, 2, 2, 2, 2, 2, 2), (3, 3, 3, 3, 4, 4, 4, 4), (5, 5, 5))
+    assert rep.is_pd and rep.is_minimal
+    values = hilbert_values(rep, 5)
+    assert [values[d] for d in range(6)] == [hilbert_oracle(c, d) for d in range(6)]
+
+
+# -- result guards ---------------------------------------------------------
+
+def test_failed_resolution_check_raises_invariant_error(monkeypatch):
+    monkeypatch.setattr(complexes, "check_resolution", lambda cx: False)
+    with pytest.raises(InvariantError, match="minimal reduced resolution"):
+        minimal_resolution(koszul_code())
+
+
+def test_failed_resolution_check_exits_2_without_a_report(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(complexes, "check_resolution", lambda cx: False)
+    path = tmp_path / "code.json"
+    path.write_text('{"p": 2, "n": 2, "kind": "code", "matrix": [["D1", "D2"]]}')
+    assert main(["resolve", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "minimal reduced resolution" in err
