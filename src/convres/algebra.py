@@ -234,14 +234,6 @@ class Poly:
         _add_product(acc, self, other)
         return Poly.from_dict(self.ring, acc)
 
-    def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise DomainError("negative polynomial power")
-        out = Poly.const(self.ring, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def scale(self, c: int) -> "Poly":
         c %= self.ring.p
         if not c:
@@ -386,14 +378,15 @@ def parse_poly(text: str, ring: Ring) -> Poly:
         if kind == "VAR":
             take("VAR")
             try:
-                var = Poly.variable(ring, value)
+                slot = ring.var_slot(value)
             except DomainError as exc:
                 raise PolyParseError(str(exc), at) from None
+            exps = [0] * ring.nvars
+            exps[slot] = 1
             if peek()[0] == "^":
                 take("^")
-                etok = take("INT")
-                return var ** int(etok[1])
-            return var
+                exps[slot] = int(take("INT")[1])
+            return Poly.monomial(ring, exps)
         raise PolyParseError(f"expected a coefficient or variable, found {value!r}", at)
 
     def parse_term() -> Poly:

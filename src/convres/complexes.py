@@ -10,11 +10,14 @@ on the ambient S^q.  From the table one forms:
 * the leading part complex G^L over S, keeping of each entry only the
   top-degree part the table prescribes (equivalently, G^H at D0 = 0).
 
-The checks offered here: being a resolution (exact as modules), being
-column reduced (G^L is a resolution), the predictable degree property
-(both at once) and minimality (no scalar survives in G_2^L..G_l^L).
+Both come from one walk over the table.  The checks offered here: being
+a resolution (exact as modules), being column reduced (G^L is a
+resolution), the predictable degree property (both at once) and
+minimality (no scalar survives in G_2^L..G_l^L).
 ``minimal_resolution`` constructs the minimal reduced resolution of a
-code through the graded route and is the source of all invariants.
+code through the graded route and is the source of all invariants.  It
+and ``resolution_without_minimalization`` share one report builder,
+which builds G^L once for the reducedness and minimality checks.
 """
 
 from __future__ import annotations
@@ -99,59 +102,38 @@ def column_degree_table(cx: PolyComplex) -> DegreeTable:
     return tuple(table)
 
 
+def _lift_by_table(cx: PolyComplex, ring, lift) -> PolyComplex:
+    """Apply ``lift(entry, a_k(j) - a_{k-1}(i))`` to every entry of G_k.
+
+    The degree table recursion makes a_k(j) - a_{k-1}(i) an upper bound
+    for the degree of entry (i, j) of G_k; the lifted matrices live over
+    ``ring`` and are validated as a complex.
+    """
+    table = ((0,) * cx.q,) + column_degree_table(cx)
+    mats = []
+    for k, mat in enumerate(cx.matrices):
+        rows = [[lift(mat.entry(i, j), table[k + 1][j] - table[k][i])
+                 for j in range(mat.ncols)] for i in range(mat.nrows)]
+        mats.append(PolyMatrix.from_rows(ring, rows))
+    return validate_complex(mats)
+
+
 def homogenize_complex(cx: PolyComplex) -> PolyComplex:
     """Entrywise degree-exact lift of the complex into T.
 
-    Entry (i, j) of G_k is homogenized in degree a_k(j) - a_{k-1}(i),
-    which the table recursion guarantees is an upper bound for its
-    degree.  Columns of the result are homogeneous for the previous
-    level's twist, and substituting D0 = 1 recovers the input.
+    Entry (i, j) of G_k is homogenized in degree a_k(j) - a_{k-1}(i).
+    Columns of the result are homogeneous for the previous level's
+    twist, and substituting D0 = 1 recovers the input.
     """
-    table = ((0,) * cx.q,) + column_degree_table(cx)
-    tring = cx.ring.homogeneous_companion()
-    mats = []
-    for k, mat in enumerate(cx.matrices):
-        rows = []
-        for i in range(mat.nrows):
-            row = []
-            for j in range(mat.ncols):
-                d = table[k + 1][j] - table[k][i]
-                entry = mat.entry(i, j)
-                if d < 0:
-                    # Degree recursion forces entries below the diagonal
-                    # of twists to vanish.
-                    assert entry.is_zero
-                    row.append(Poly.zero(tring))
-                else:
-                    row.append(entry.homogenize(d))
-            rows.append(row)
-        mats.append(PolyMatrix.from_rows(tring, rows))
-    return validate_complex(mats)
+    return _lift_by_table(cx, cx.ring.homogeneous_companion(), Poly.homogenize)
 
 
 def leading_term_complex(cx: PolyComplex) -> PolyComplex:
     """Keep of each entry only its table-prescribed top-degree part.
 
-    Identical to homogenizing, substituting D0 = 0 and dropping D0,
-    which is asserted.
+    Identical to homogenizing, substituting D0 = 0 and dropping D0.
     """
-    table = ((0,) * cx.q,) + column_degree_table(cx)
-    mats = []
-    for k, mat in enumerate(cx.matrices):
-        rows = []
-        for i in range(mat.nrows):
-            row = []
-            for j in range(mat.ncols):
-                d = table[k + 1][j] - table[k][i]
-                row.append(mat.entry(i, j).homogeneous_part(d))
-            rows.append(row)
-        mats.append(PolyMatrix.from_rows(cx.ring, rows))
-    lead = validate_complex(mats)
-    homog = homogenize_complex(cx)
-    for lmat, hmat in zip(lead.matrices, homog.matrices):
-        via_d0 = hmat.map_entries(lambda f: f.set_d0_zero().dehomogenize(), cx.ring)
-        assert via_d0 == lmat, "leading parts disagree with G^H at D0 = 0"
-    return lead
+    return _lift_by_table(cx, cx.ring, Poly.homogeneous_part)
 
 
 # -- checks ---------------------------------------------------------------
@@ -223,11 +205,10 @@ def check_minimal(cx: PolyComplex) -> bool:
     """
     if not check_resolution(cx):
         raise PreconditionError("check_minimal needs a polynomial resolution")
-    if not check_reduced(cx):
+    lead = leading_term_complex(cx)
+    if not check_resolution(lead):
         raise PreconditionError("check_minimal needs a column reduced complex")
-    if cx.length == 1:
-        return True
-    return minimality_witness(cx) is None
+    return not _scalar_positions(lead)
 
 
 # -- reports and construction ----------------------------------------------
@@ -238,11 +219,11 @@ class ResolutionReport:
     degree_table: DegreeTable
     is_resolution: bool
     is_reduced: bool
-    is_pd: bool
     is_minimal: bool
 
-    def __post_init__(self):
-        assert self.is_pd == (self.is_resolution and self.is_reduced)
+    @property
+    def is_pd(self) -> bool:
+        return self.is_resolution and self.is_reduced
 
 
 def _graded_column_degrees(mat: PolyMatrix, row_twist) -> tuple[int, ...]:
@@ -287,6 +268,21 @@ def _syzygy_chain(g1: PolyMatrix, max_levels: int, prune: bool):
     raise InvariantError(f"syzygy chain did not end within {max_levels} levels")
 
 
+def _report(mats, ring) -> ResolutionReport:
+    """Set D0 = 1 in the graded matrices and check the complex over ``ring``.
+
+    The leading part complex is built once and serves both the
+    reducedness check and the scan for scalar entries.
+    """
+    cx = validate_complex([m.map_entries(lambda f: f.dehomogenize(), ring) for m in mats])
+    lead = leading_term_complex(cx)
+    is_resolution = check_resolution(cx)
+    is_reduced = check_resolution(lead)
+    is_minimal = is_resolution and is_reduced and not _scalar_positions(lead)
+    return ResolutionReport(cx, column_degree_table(cx), is_resolution, is_reduced,
+                            is_minimal)
+
+
 def minimal_resolution(code: CodePresentation) -> ResolutionReport:
     """Minimal reduced polynomial resolution of a nontrivial code.
 
@@ -297,9 +293,11 @@ def minimal_resolution(code: CodePresentation) -> ResolutionReport:
     generators (``minimal_generators``) before going one level deeper;
     finally set D0 = 1.  Minimal generators at every level make the
     graded resolution minimal, so no pivoting is needed afterwards.  The
-    result is checked to pass all four checks and its degree table to
-    equal the graded twists carried through the construction; the length
-    is at most n.  A failed check raises ``InvariantError``.
+    length is checked to be at most n, the degree table to equal the
+    graded twists carried through the construction, and the result to be
+    a resolution whose leading part complex (built once) is a resolution
+    without scalar entries past level 1.  A failed check raises
+    ``InvariantError``.
     """
     if code.generators.is_zero:
         raise DomainError("the zero code has no resolution")
@@ -309,18 +307,12 @@ def minimal_resolution(code: CodePresentation) -> ResolutionReport:
     mats, twists = _syzygy_chain(minimal_generators(pres), code.ring.n + 2, prune=True)
     if not 1 <= len(mats) <= code.ring.n:
         raise InvariantError(f"homological dimension {len(mats)} outside 1..{code.ring.n}")
-    dehom = [m.map_entries(lambda f: f.dehomogenize(), code.ring) for m in mats]
-    cx = validate_complex(dehom)
-    table = column_degree_table(cx)
-    if table != tuple(twists[1:]):
+    report = _report(mats, code.ring)
+    if report.degree_table != tuple(twists[1:]):
         raise InvariantError("degree table drifted from the graded twists")
-    is_resolution = check_resolution(cx)
-    is_reduced = check_reduced(cx)
-    is_minimal = (cx.length == 1 or minimality_witness(cx) is None)
-    if not (is_resolution and is_reduced and is_minimal):
+    if not report.is_minimal:
         raise InvariantError("construction must yield a minimal reduced resolution")
-    return ResolutionReport(cx, table, is_resolution, is_reduced,
-                            is_resolution and is_reduced, is_minimal)
+    return report
 
 
 def resolution_without_minimalization(code: CodePresentation,
@@ -341,15 +333,7 @@ def resolution_without_minimalization(code: CodePresentation,
             lifted.append(tuple(f.homogenize(d) for f in g))
     g1 = PolyMatrix.from_columns(tring, code.q, lifted)
     mats, _ = _syzygy_chain(g1, code.ring.n + 1 + g1.ncols, prune=False)
-    dehom = [m.map_entries(lambda f: f.dehomogenize(), code.ring) for m in mats]
-    cx = validate_complex(dehom)
-    table = column_degree_table(cx)
-    is_resolution = check_resolution(cx)
-    is_reduced = check_reduced(cx)
-    is_minimal = bool(is_resolution and is_reduced and
-                      (cx.length == 1 or minimality_witness(cx) is None))
-    return ResolutionReport(cx, table, is_resolution, is_reduced,
-                            is_resolution and is_reduced, is_minimal)
+    return _report(mats, code.ring)
 
 
 # -- graded minimalization ---------------------------------------------------
@@ -430,9 +414,10 @@ def _minimalize_grids(mats, twists):
             for row in prev:
                 row[i] = row[i] + h * row[ii]
         # The companion column and row must now vanish.
-        assert all(row[i].is_zero for row in prev), "pivot companion column not zero"
-        if k + 1 < len(grids):
-            assert all(f.is_zero for f in grids[k + 1][j]), "pivot companion row not zero"
+        if not all(row[i].is_zero for row in prev):
+            raise InvariantError("pivot companion column not zero")
+        if k + 1 < len(grids) and not all(f.is_zero for f in grids[k + 1][j]):
+            raise InvariantError("pivot companion row not zero")
         # Delete row i / column i at level k-1 and column j / row j at level k+1.
         for row in prev:
             del row[i]
@@ -449,17 +434,16 @@ def _minimalize_grids(mats, twists):
             tw.pop()
 
     if not grids:
-        raise AssertionError("minimalization emptied the complex")
+        raise InvariantError("minimalization emptied the complex")
     out_mats = [PolyMatrix.from_rows(ring, g) for g in grids]
     out_twists = [tuple(t) for t in tw]
-    for mat in out_mats:
-        assert mat.nrows >= 1 and mat.ncols >= 1
+    if any(mat.nrows < 1 or mat.ncols < 1 for mat in out_mats):
+        raise InvariantError("minimalization left an empty matrix")
     # Zero columns cannot survive in the interior; in the final matrix
     # they could only stem from redundant syzygy generators and are
     # dropped together with their twist entries.
-    for idx, mat in enumerate(out_mats[:-1]):
-        if mat.has_zero_column():
-            raise AssertionError("zero column left in the interior of the complex")
+    if any(mat.has_zero_column() for mat in out_mats[:-1]):
+        raise InvariantError("zero column left in the interior of the complex")
     last = out_mats[-1]
     if last.has_zero_column():
         keep = [j for j in range(last.ncols) if not vec_is_zero(last.column(j))]

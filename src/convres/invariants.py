@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .complexes import DegreeTable, ResolutionReport
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 
 
 def _binom_dim(d: int, n: int) -> int:
@@ -42,7 +42,8 @@ class ForneyTable:
 
     def __post_init__(self):
         for level in self.levels:
-            assert tuple(sorted(level)) == level
+            if tuple(sorted(level)) != level:
+                raise InvariantError(f"Forney table level {level} is not sorted")
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,6 @@ class CodeInvariants:
     q: int
     memory: int
     homological_dimension: int
-    hilbert_values: dict | None = None
 
 
 def forney_table(report: ResolutionReport) -> ForneyTable:

@@ -20,7 +20,7 @@ from itertools import product
 
 from .algebra import CodePresentation, ModElem, Poly, PolyMatrix, vec_mul_poly
 from .complexes import PolyComplex
-from .errors import DomainError, UnsupportedDimensionError
+from .errors import DomainError, InvariantError, UnsupportedDimensionError
 from .groebner import (
     SubmodulePresentation,
     left_kernel,
@@ -73,7 +73,8 @@ def is_observable(code: CodePresentation) -> ObservabilityReport:
         kernel_cols = PolyMatrix.identity(ring, q).columns()
     else:
         kernel_cols = matrix_kernel(parity).columns()
-    assert kernel_cols, "the code embeds in the kernel of its left kernel"
+    if not kernel_cols:
+        raise InvariantError("the kernel of the left kernel must contain the code")
     kernel_pres = SubmodulePresentation(ring, q, tuple(kernel_cols))
     code_pres = SubmodulePresentation.from_matrix(code.generators)
     if module_equal(code_pres, kernel_pres):
@@ -81,9 +82,10 @@ def is_observable(code: CodePresentation) -> ObservabilityReport:
     for g in kernel_cols:
         if not membership(g, code_pres):
             s = _torsion_multiplier(code, g)
-            assert membership(vec_mul_poly(g, s), code_pres)
+            if not membership(vec_mul_poly(g, s), code_pres):
+                raise InvariantError("torsion multiple of the witness is outside the code")
             return ObservabilityReport(False, None, TorsionWitness(g, s))
-    raise AssertionError("kernel differs from the code but has no outside generator")
+    raise InvariantError("kernel differs from the code but has no outside generator")
 
 
 # -- univariate spot check -----------------------------------------------
@@ -146,7 +148,8 @@ def _field_inv(a: list, lam: list, p: int) -> list:
         q, r = _poly_divmod(r0, r1, p)
         r0, r1 = r1, r
         t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1, p), p)
-    assert len(r0) == 1, "element not invertible: the modulus is reducible"
+    if len(r0) != 1:
+        raise InvariantError("element not invertible: the modulus is reducible")
     c = pow(r0[0], p - 2, p)
     return _poly_trim([(x * c) % p for x in t0])
 

@@ -1,5 +1,6 @@
 """Shared fixtures: tiny constructors, seeded generators, slice oracles."""
 
+import random
 from itertools import product
 
 import numpy as np
@@ -77,6 +78,32 @@ def random_code(rng, p=None, n=None, q=None, max_cols=3, max_deg=2):
         m = PolyMatrix.from_rows(ring, rows)
         if not m.has_zero_column():
             return CodePresentation(ring, m)
+
+
+def linear_code(rng):
+    """A generic 3x5 code of linear forms over F_101 with n = 3."""
+    r = Ring(101, 3)
+    rows = [[Poly.from_dict(r, {e: rng.randrange(1, 101)
+                                for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))})
+             for _ in range(5)] for _ in range(3)]
+    return CodePresentation(r, PolyMatrix.from_rows(r, rows))
+
+
+def acceptance_corpus():
+    """The Koszul code, the seeded codes of acceptance criteria 3, 6, 7
+    and 9, and 20 seeded generic linear codes with n = 3."""
+    codes = [koszul_code()]
+    rng = random.Random(101)  # acceptance criterion 3
+    codes += [random_code(rng) for _ in range(12)]
+    rng = random.Random(66)   # acceptance criterion 6
+    codes += [random_code(rng, n=2), random_code(rng, n=1), random_code(rng, n=2)]
+    rng = random.Random(77)   # acceptance criterion 7
+    codes += [random_code(rng, n=rng.randint(1, 2)) for _ in range(10)]
+    rng = random.Random(99)   # acceptance criterion 9
+    codes += [random_code(rng) for _ in range(40)]
+    rng = random.Random(303)
+    codes += [linear_code(rng) for _ in range(20)]
+    return codes
 
 
 def random_complex(rng):

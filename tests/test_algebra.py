@@ -1,4 +1,5 @@
 import random
+import time
 from math import comb
 
 import pytest
@@ -201,3 +202,12 @@ def test_str_parse_round_trip():
                       rng.randrange(ring.p) for _ in range(4)}
             f = Poly.from_dict(ring, coeffs)
             assert parse_poly(str(f), ring) == f
+
+
+def test_large_power_parses_quickly_into_one_monomial():
+    r = Ring(101, 3)
+    start = time.monotonic()
+    f = parse_poly("D1^100000", r)
+    assert time.monotonic() - start < 0.05
+    assert f == Poly.monomial(r, (100000, 0, 0))
+    assert parse_poly("-2*D3^0*D2^3", r) == Poly.monomial(r, (0, 3, 0), -2)

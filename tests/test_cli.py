@@ -151,3 +151,11 @@ def test_out_writes_the_report_verbatim(tmp_path, capsys):
     main(["resolve", path, "--out", str(target)])
     printed = capsys.readouterr().out
     assert target.read_text() == printed
+
+
+def test_resolve_rejects_an_exponent_beyond_the_engine_limit(tmp_path, capsys):
+    path = write(tmp_path, "huge.json",
+                 '{"p": 2, "n": 2, "kind": "code", "matrix": [["D1^2147483648"]]}')
+    assert main(["resolve", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "exceeds" in err

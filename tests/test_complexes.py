@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from convres import PolyMatrix, Ring
+from convres import PolyMatrix, Ring, complexes
 from convres.complexes import (
     check_minimal,
     check_pd,
@@ -24,6 +24,7 @@ from convres.oracle import truncated_exactness
 
 from helpers import (
     P,
+    acceptance_corpus,
     code,
     koszul_code,
     koszul_complex,
@@ -124,6 +125,34 @@ def test_leading_term_complex_fixed_points():
     r = Ring(2, 2)
     ident = validate_complex([PolyMatrix.identity(r, 2)])
     assert leading_term_complex(ident).matrices == ident.matrices
+
+
+def _homogenized_at_d0_zero(cx):
+    """G^H with D0 := 0, then dehomogenized back to S."""
+    return tuple(m.map_entries(lambda f: f.set_d0_zero().dehomogenize(), cx.ring)
+                 for m in homogenize_complex(cx).matrices)
+
+
+def test_leading_term_complex_is_the_homogenization_at_d0_zero():
+    rng = random.Random(59)
+    cases = [koszul_complex(), validate_complex([paper_matrix()]), bad_f2_matrix()]
+    cases += [random_complex(rng) for _ in range(40)]
+    for c in acceptance_corpus():
+        cases += [validate_complex([c.generators]), minimal_resolution(c).complex]
+    for cx in cases:
+        assert leading_term_complex(cx).matrices == _homogenized_at_d0_zero(cx), cx
+
+
+def test_minimal_resolution_builds_the_leading_part_complex_once(monkeypatch):
+    calls = {"leading_term_complex": 0, "homogenize_complex": 0}
+    for name in calls:
+        def counted(cx, name=name, original=getattr(complexes, name)):
+            calls[name] += 1
+            return original(cx)
+        monkeypatch.setattr(complexes, name, counted)
+    rep = minimal_resolution(koszul_code())
+    assert rep.complex.length == 2
+    assert calls == {"leading_term_complex": 1, "homogenize_complex": 0}
 
 
 def test_check_resolution():

@@ -1,8 +1,12 @@
 import random
 
+import pytest
+
 from convres import Ring
 from convres.complexes import minimal_resolution
+from convres.errors import InvariantError
 from convres.invariants import (
+    ForneyTable,
     forney_table,
     hilbert_formula,
     hilbert_values,
@@ -97,3 +101,9 @@ def test_hilbert_values_helper():
     rep = minimal_resolution(koszul_code())
     vals = hilbert_values(rep, 4)
     assert [vals[d] for d in range(5)] == [0, 2, 5, 9, 14]
+
+
+def test_forney_table_rejects_an_unsorted_level():
+    assert ForneyTable(((1, 1), (2,))).levels == ((1, 1), (2,))
+    with pytest.raises(InvariantError, match="not sorted"):
+        ForneyTable(((2, 1),))

@@ -37,7 +37,7 @@ from convres.groebner import (
 from convres.invariants import forney_table, hilbert_values
 from convres.oracle import hilbert_oracle
 
-from helpers import koszul_code, random_code
+from helpers import acceptance_corpus, koszul_code
 
 
 def greedy_minimal_generators(module, twist=None):
@@ -152,32 +152,8 @@ def test_minimal_generators_with_an_explicit_twist():
 
 # -- in-loop pruning against the pivoting route --------------------------
 
-def _linear_code(rng):
-    """A generic 3x5 code of linear forms over F_101 with n = 3."""
-    r = Ring(101, 3)
-    rows = [[Poly.from_dict(r, {e: rng.randrange(1, 101)
-                                for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))})
-             for _ in range(5)] for _ in range(3)]
-    return CodePresentation(r, PolyMatrix.from_rows(r, rows))
-
-
-def _differential_corpus():
-    codes = [koszul_code()]
-    rng = random.Random(101)  # acceptance criterion 3
-    codes += [random_code(rng) for _ in range(12)]
-    rng = random.Random(66)   # acceptance criterion 6
-    codes += [random_code(rng, n=2), random_code(rng, n=1), random_code(rng, n=2)]
-    rng = random.Random(77)   # acceptance criterion 7
-    codes += [random_code(rng, n=rng.randint(1, 2)) for _ in range(10)]
-    rng = random.Random(99)   # acceptance criterion 9
-    codes += [random_code(rng) for _ in range(40)]
-    rng = random.Random(303)
-    codes += [_linear_code(rng) for _ in range(20)]
-    return codes
-
-
 def test_forney_table_matches_the_pivoting_route():
-    for c in _differential_corpus():
+    for c in acceptance_corpus():
         rep = minimal_resolution(c)
         raw = resolution_without_minimalization(c)
         pivoted = minimalize_graded(homogenize_complex(raw.complex))

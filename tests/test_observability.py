@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from convres import Ring
+from convres import Ring, observability
 from convres.algebra import CodePresentation, PolyMatrix, vec_mul_poly
 from convres.complexes import minimal_resolution, validate_complex
-from convres.errors import UnsupportedDimensionError
+from convres.cli import main
+from convres.errors import InvariantError, UnsupportedDimensionError
 from convres.groebner import (
     SubmodulePresentation,
     matrix_kernel,
@@ -103,3 +104,20 @@ def test_observability_agrees_with_univariate_spot_check():
         assert prop3_spot_check(rep.complex, bound) == verdict
         hits[verdict] += 1
     assert hits[True] and hits[False]
+
+
+# -- result guards ---------------------------------------------------------
+
+def test_failed_torsion_membership_raises_invariant_error(monkeypatch):
+    monkeypatch.setattr(observability, "membership", lambda elem, module: False)
+    with pytest.raises(InvariantError, match="torsion multiple"):
+        is_observable(koszul_code())
+
+
+def test_failed_torsion_membership_exits_2_without_a_report(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(observability, "membership", lambda elem, module: False)
+    path = tmp_path / "code.json"
+    path.write_text('{"p": 2, "n": 2, "kind": "code", "matrix": [["D1", "D2"]]}')
+    assert main(["observable", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "torsion multiple" in err
