@@ -6,18 +6,48 @@ monomial bases and handled with dense row reduction modulo p.  This is
 the second route against which the exact machinery is checked: Hilbert
 values, exactness of degree slices, kernels of truncated maps, and the
 memory recursion.
+
+Codeword dimensions come from one reduced echelon form per code
+(``_CodeEchelon``).  The shifts x^e * g of the generators are added one
+block per degree cap, in increasing cap order, over columns ordered by
+descending degree, so a row's pivot is its top-degree term and the
+echelon after the block of cap c is the echelon of every shift of
+degree <= c.  The dimension of the degree-<= d slice at cap c is then
+the number of pivots of degree <= d present at cap c.
+
+No dense matrix above ``MAX_CELLS`` entries is built: its size is
+computed from binomials first, and a larger one raises ``InputError``.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from math import comb
+from operator import add
 
 import numpy as np
 
 from .algebra import CodePresentation, ModElem, Poly, PolyMatrix, Ring, check_twist
-from .errors import StructuralError
+from .errors import InputError, InvariantError, StructuralError
+
+# Largest dense matrix (rows x columns) the oracle handles; a code's
+# echelon counts as its full matrix of generator shifts at the cap.
+MAX_CELLS = 2 ** 24
+
+# _matmul_mod splits its right factor into 16-bit limbs and its inner
+# dimension into chunks of 2^15, so for p < 2^31 every partial sum stays
+# below 2^31 * 2^16 * 2^15 = 2^62.
+_LIMB_BITS = 16
+_CHUNK = 2 ** 15
+
+
+def _check_cells(rows: int, cols: int):
+    """Raise InputError when a rows x cols matrix is over the size limit."""
+    if max(rows, 1) * cols > MAX_CELLS:
+        raise InputError(f"the oracle would need a {rows} x {cols} matrix, "
+                         f"above its limit of {MAX_CELLS} entries")
 
 
 def rref_mod_p(mat: np.ndarray, p: int):
@@ -47,26 +77,40 @@ def rref_mod_p(mat: np.ndarray, p: int):
     return m[:r], pivots
 
 
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for entries in [0, p) with p < 2^31, exact in int64."""
+    lo = b & ((1 << _LIMB_BITS) - 1)
+    hi = b >> _LIMB_BITS
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for s in range(0, a.shape[1], _CHUNK):
+        part = a[:, s:s + _CHUNK]
+        high = (part @ hi[s:s + _CHUNK]) % p
+        out = (out + (part @ lo[s:s + _CHUNK]) % p + (high << _LIMB_BITS) % p) % p
+    return out
+
+
 def nullspace_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
     """Basis of {x : mat @ x = 0} as rows, from the RREF free columns."""
     rref, pivots = rref_mod_p(mat, p)
     cols = mat.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for idx, c in enumerate(free):
-        basis[idx, c] = 1
-        for r, pc in enumerate(pivots):
-            basis[idx, pc] = (-rref[r, c]) % p
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-rref[:, free].T) % p
     return basis
+
+
+def _compositions(n: int, k: int) -> list:
+    """Exponent vectors of n entries summing to k, in ascending order."""
+    if n == 1:
+        return [(k,)]
+    return [(a,) + rest for a in range(k + 1) for rest in _compositions(n - 1, k - a)]
 
 
 def monomials_up_to(n: int, d: int):
     """All exponent vectors in n variables of total degree <= d, sorted."""
-    if d < 0:
-        return []
-    out = [e for e in product(range(d + 1), repeat=n) if sum(e) <= d]
-    out.sort()
-    return out
+    return sorted(e for k in range(d + 1) for e in _compositions(n, k))
 
 
 @dataclass(frozen=True)
@@ -83,6 +127,7 @@ class _SliceBasis:
     @classmethod
     def build(cls, ring: Ring, rank: int, twist, d: int):
         twist = check_twist(twist, rank)
+        _check_cells(1, sum(comb(d - t + ring.n, ring.n) for t in twist if t <= d))
         monos = []
         for pos in range(rank):
             for e in monomials_up_to(ring.n, d - twist[pos]):
@@ -102,11 +147,11 @@ class _SliceBasis:
         return v
 
     def element(self, row: np.ndarray) -> ModElem:
+        p = self.ring.p
         per_pos = [dict() for _ in range(self.rank)]
-        for i, c in enumerate(row):
-            if c % self.ring.p:
-                pos, e = self.monos[i]
-                per_pos[pos][e] = int(c) % self.ring.p
+        for i in np.nonzero(row % p)[0]:
+            pos, e = self.monos[i]
+            per_pos[pos][e] = int(row[i]) % p
         return tuple(Poly.from_dict(self.ring, d) for d in per_pos)
 
 
@@ -129,88 +174,202 @@ class TruncatedSpace:
                 and self.d == other.d and self.basis == other.basis)
 
 
-@lru_cache(maxsize=128)
-def _echelon_at_cap(code: CodePresentation, cap: int):
-    """Echelonized span of all generator shifts of degree <= cap.
+def _generator_terms(code: CodePresentation) -> list:
+    """(terms, degree) of every generator column, terms as (pos, exps, coeff)."""
+    mat = code.generators
+    return [([(pos, e, c) for pos, f in enumerate(col) for e, c in f.terms], deg)
+            for col, deg in zip(mat.columns(), mat.column_degrees())]
 
-    Columns are permuted so total degree decreases left to right; the
-    "degree > d" column blocks then nest over d, and a single echelon
-    form answers every degree cut: a row lies in the degree-<= d slice
-    exactly when its pivot falls past the "> d" block.
 
-    Returns (rref, pivot_degrees, big_basis, perm) with pivot_degrees
-    the column degree at every pivot.
+def _shift_count(gens: list, n: int, cap: int) -> int:
+    """Number of generator shifts of degree <= cap."""
+    return sum(comb(cap - deg + n, n) for _, deg in gens if deg <= cap)
+
+
+def _shift_rows(gens: list, n: int, lo: int, hi: int, column: dict, width: int) -> np.ndarray:
+    """Dense rows of the shifts x^e * g with lo <= deg g + |e| <= hi.
+
+    ``column`` maps (pos, exps) to a column index below ``width``.
     """
-    ring = code.ring
-    q = code.q
-    big = _SliceBasis.build(ring, q, (0,) * q, cap)
-    perm = sorted(range(big.dim), key=lambda i: (-sum(big.monos[i][1]), i))
-    rows = []
-    for g in code.generators.columns():
-        gdeg = max(int(f.degree) for f in g if not f.is_zero)
-        for e in monomials_up_to(ring.n, cap - gdeg):
-            shifted = tuple(f.mul_term(1, e) for f in g)
-            rows.append(big.vector(shifted)[perm])
-    if not rows:
-        return (np.zeros((0, big.dim), dtype=np.int64), [], big, perm)
-    rref, pivots = rref_mod_p(np.array(rows, dtype=np.int64), ring.p)
-    pivot_degrees = [sum(big.monos[perm[c]][1]) for c in pivots]
-    return rref, pivot_degrees, big, perm
+    rows, cols, vals = [], [], []
+    r = 0
+    for terms, deg in gens:
+        for k in range(max(lo - deg, 0), hi - deg + 1):
+            for e in _compositions(n, k):
+                for pos, exps, c in terms:
+                    rows.append(r)
+                    cols.append(column[(pos, tuple(map(add, exps, e)))])
+                    vals.append(c)
+                r += 1
+    out = np.zeros((r, width), dtype=np.int64)
+    out[rows, cols] = vals
+    return out
 
 
-def _slice_from_echelon(code: CodePresentation, d: int, cap: int):
-    rref, pivot_degrees, big, perm = _echelon_at_cap(code, cap)
-    keep = [r for r, deg in enumerate(pivot_degrees) if deg <= d]
-    return rref, keep, big, perm
+class _CodeEchelon:
+    """Reduced echelon form of the generator shifts of one code, grown by cap.
+
+    Columns are numbered as they are added, one degree at a time, so read
+    from the highest number down they list the degrees from the top,
+    with (pos, exps) ascending within a degree: the column order of a
+    from-scratch echelon at the current cap.  Every pivot keeps its
+    degree and the cap whose block added it; pivots are never removed,
+    because each block is reduced against the existing rows first.
+    A lock serializes growth and counting, since echelons are shared, and
+    an exception while growing empties the echelon.
+    """
+
+    def __init__(self, code: CodePresentation):
+        self.p, self.n, self.q = code.ring.p, code.ring.n, code.q
+        self.gens = _generator_terms(code)
+        self._lock = threading.Lock()
+        self._clear()
+
+    def _clear(self):
+        self.cap = -1
+        self.column: dict = {}
+        self.col_deg = np.zeros(0, dtype=np.int64)
+        self.rows = np.zeros((0, 0), dtype=np.int64)
+        self.pivots = np.zeros(0, dtype=np.int64)
+        self.pivot_deg = np.zeros(0, dtype=np.int64)
+        self.pivot_cap = np.zeros(0, dtype=np.int64)
+
+    def dim(self, cap: int, d: int) -> int:
+        """dim of the degree-<= d part of the span of the shifts of degree <= cap."""
+        with self._lock:
+            if cap > self.cap:
+                _check_cells(_shift_count(self.gens, self.n, cap),
+                             self.q * comb(cap + self.n, self.n))
+                try:
+                    for c in range(self.cap + 1, cap + 1):
+                        self._add_block(c)
+                except BaseException:
+                    # A block cut short (a timeout, an interrupt) would
+                    # leave later counts wrong; start again next time.
+                    self._clear()
+                    raise
+            return int(np.count_nonzero((self.pivot_cap <= cap) & (self.pivot_deg <= d)))
+
+    def _add_block(self, c: int):
+        p = self.p
+        base = len(self.col_deg)
+        fresh = [(pos, e) for pos in range(self.q) for e in _compositions(self.n, c)]
+        for i, key in enumerate(fresh):
+            self.column[key] = base + len(fresh) - 1 - i
+        width = base + len(fresh)
+        self.col_deg = np.concatenate([self.col_deg, np.full(len(fresh), c)])
+        self.rows = np.hstack([self.rows, np.zeros((len(self.rows), len(fresh)), np.int64)])
+        self.cap = c
+        block = _shift_rows(self.gens, self.n, c, c, self.column, width)
+        if not block.shape[0]:
+            return
+        # Reduce the block against the pivots and echelonize what is left,
+        # on the free columns in descending degree.
+        is_pivot = np.zeros(width, dtype=bool)
+        is_pivot[self.pivots] = True
+        free = np.nonzero(~is_pivot)[0][::-1]
+        rest = (block[:, free]
+                - _matmul_mod(block[:, self.pivots], self.rows[:, free], p)) % p
+        rest = rest[rest.any(axis=1)]
+        if not rest.shape[0]:
+            return
+        reduced, cols = rref_mod_p(rest, p)
+        new = free[cols]
+        self.rows[:, free] = (self.rows[:, free]
+                              - _matmul_mod(self.rows[:, new], reduced, p)) % p
+        added = np.zeros((len(new), width), dtype=np.int64)
+        added[:, free] = reduced
+        self.rows = np.vstack([self.rows, added])
+        self.pivots = np.concatenate([self.pivots, new])
+        self.pivot_deg = np.concatenate([self.pivot_deg, self.col_deg[new]])
+        self.pivot_cap = np.concatenate([self.pivot_cap, np.full(len(new), c)])
+
+
+@lru_cache(maxsize=4)
+def _echelon(code: CodePresentation) -> _CodeEchelon:
+    """The shared, growing echelon of a code.
+
+    Callers ask about one code at a time, for ascending d, so a few
+    live echelons are enough; each grows only to the largest cap asked.
+    """
+    return _CodeEchelon(code)
+
+
+def _stable_dim(code: CodePresentation, d: int, cap: int = None):
+    """(dimension, cap_used, stabilized) for the codewords of degree <= d.
+
+    Shifts are truncated at a cap, by default d + 2 * max generator
+    degree, raised by one until three consecutive caps give the same
+    dimension; ``cap_used`` is the first of the three.  After 13 caps
+    without that, ``stabilized`` is False and ``cap_used`` the last cap.
+    """
+    echelon = _echelon(code)
+    maxdeg = max(1, max(deg for _, deg in echelon.gens))
+    c = max(cap if cap is not None else d + 2 * maxdeg, d)
+    dims = []
+    while True:
+        dims.append(echelon.dim(c, d))
+        if len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3]:
+            return dims[-1], c - 2, True
+        if len(dims) > 12:
+            return dims[-1], c, False
+        c += 1
+
+
+def _slice_basis(code: CodePresentation, d: int, cap: int) -> tuple:
+    """RREF basis, in ``_SliceBasis`` order, of the degree-<= d part of
+    the span of the shifts of degree <= cap.
+
+    One echelon: the columns of degree in (d, cap] come first, so the
+    rows pivoting in the slice columns after them span the slice, and
+    are already reduced in the slice's own column order.
+    """
+    ring, q, n = code.ring, code.q, code.ring.n
+    gens = _generator_terms(code)
+    _check_cells(_shift_count(gens, n, cap), q * comb(cap + n, n))
+    small = _SliceBasis.build(ring, q, (0,) * q, d)
+    high = [(pos, e) for k in range(d + 1, cap + 1) for pos in range(q)
+            for e in _compositions(n, k)]
+    column = {key: i for i, key in enumerate(high)}
+    column.update((key, len(high) + i) for key, i in small.index.items())
+    rows = _shift_rows(gens, n, 0, cap, column, len(high) + small.dim)
+    reduced, pivots = rref_mod_p(rows, ring.p)
+    return tuple(small.element(reduced[r, len(high):])
+                 for r, c in enumerate(pivots) if c >= len(high))
 
 
 def truncated_code_space(code: CodePresentation, d: int, cap: int = None) -> TruncatedSpace:
     """Macaulay-style basis of the codewords of degree <= d.
 
-    The generating products are truncated at ``cap`` (default
-    d + 2 * max generator degree) and the cap is raised until the
-    dimension is unchanged for two consecutive increments; the
-    ``stabilized`` flag records that the heuristic converged.
+    ``dimension``, ``cap_used`` and ``stabilized`` follow the cap rule of
+    ``_stable_dim`` (``cap`` sets the first cap tried).  The basis comes
+    from one echelon of the generator shifts at ``cap_used`` and must
+    have the incremental echelon's dimension.
     """
     ring = code.ring
     if d < 0:
         return TruncatedSpace(ring, code.q, (0,) * code.q, d, (), 0, cap or 0, True)
-    maxdeg = max(1, max(code.generators.column_degrees()))
-    c = max(cap if cap is not None else d + 2 * maxdeg, d)
-    dims = []
-    while True:
-        _, keep, _, _ = _slice_from_echelon(code, d, c)
-        dims.append(len(keep))
-        if len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3]:
-            stabilized = True
-            c -= 2
-            break
-        if len(dims) > 12:
-            stabilized = False
-            break
-        c += 1
-    rref, keep, big, perm = _slice_from_echelon(code, d, c)
-    small = _SliceBasis.build(ring, code.q, (0,) * code.q, d)
-    if keep:
-        unperm = np.zeros((len(keep), big.dim), dtype=np.int64)
-        unperm[:, perm] = rref[keep]
-        elems = [big.element(unperm[r]) for r in range(len(keep))]
-        mat2 = np.array([small.vector(e) for e in elems], dtype=np.int64)
-        rref2, _ = rref_mod_p(mat2, ring.p)
-        basis = tuple(small.element(rref2[r]) for r in range(rref2.shape[0]))
-    else:
-        basis = ()
-    return TruncatedSpace(ring, code.q, (0,) * code.q, d, basis, len(basis),
-                          c, stabilized)
+    dimension, cap_used, stabilized = _stable_dim(code, d, cap)
+    basis = _slice_basis(code, d, cap_used)
+    if len(basis) != dimension:
+        raise InvariantError(f"oracle slice at d={d}, cap {cap_used}: basis of "
+                             f"{len(basis)} elements, incremental dimension {dimension}")
+    return TruncatedSpace(ring, code.q, (0,) * code.q, d, basis, dimension,
+                          cap_used, stabilized)
 
 
 def hilbert_oracle(code: CodePresentation, d: int) -> int:
-    """dim of the space of codewords of degree <= d, by brute force."""
-    return truncated_code_space(code, d).dimension
+    """dim of the space of codewords of degree <= d, by brute force.
+
+    A count read from the code's incremental echelon under the cap rule
+    of ``_stable_dim``; no basis is built.
+    """
+    return _stable_dim(code, d)[0] if d >= 0 else 0
 
 
 def _truncated_map(mat: PolyMatrix, src: _SliceBasis, dst: _SliceBasis) -> np.ndarray:
     """Matrix of the F_p-linear map between two degree slices."""
+    _check_cells(dst.dim, src.dim)
     out = np.zeros((dst.dim, src.dim), dtype=np.int64)
     for j, (pos, e) in enumerate(src.monos):
         col = tuple(mat.entry(i, pos).mul_term(1, e) for i in range(mat.nrows))
@@ -223,7 +382,7 @@ def truncated_exactness(cx, d: int) -> bool:
 
     Checks injectivity of the last map, rank complementarity at every
     inner level, and surjectivity of the first map onto the truncated
-    span of its image columns.
+    span of its image columns (the ``hilbert_oracle`` count).
     """
     ring = cx.ring
     p = ring.p
@@ -238,8 +397,7 @@ def truncated_exactness(cx, d: int) -> bool:
     for k in range(cx.length - 1):
         if ranks[k] + ranks[k + 1] != slices[k + 1].dim:
             return False
-    code = CodePresentation(ring, cx.matrices[0])
-    return ranks[0] == truncated_code_space(code, d).dimension
+    return ranks[0] == hilbert_oracle(CodePresentation(ring, cx.matrices[0]), d)
 
 
 def truncated_kernel(mat: PolyMatrix, row_twist, col_twist, d: int):
@@ -267,6 +425,7 @@ def memory_recovery_check(code: CodePresentation, m: int, d_max: int) -> bool:
     current = list(truncated_code_space(code, m).basis)
     for d in range(m + 1, d_max + 1):
         basis = _SliceBasis.build(ring, code.q, (0,) * code.q, d)
+        _check_cells(len(current) * (ring.n + 1), basis.dim)
         rows = []
         for elem in current:
             rows.append(basis.vector(elem))

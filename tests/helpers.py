@@ -218,3 +218,65 @@ def graded_minimal_generator_count(generators, rank, twist, ring):
         total += m_d - triv
         prev_basis_elems = basis_elems
     return total
+
+
+# -- from-scratch code-slice oracle (reference for the incremental echelon) --
+
+def _monomials_up_to(nvars, d):
+    return sorted(e for e in product(range(d + 1), repeat=nvars) if sum(e) <= d)
+
+
+def reference_slice(code, d, cap):
+    """RREF basis of the degree-<= d part of the span of the generator
+    shifts of degree <= cap, computed from scratch.
+
+    The oracle's former per-cap route: one echelon of every shift over
+    columns in descending degree, whose rows pivoting at degree <= d
+    span the slice, then a second echelon of those rows in the slice's
+    own column order (position, then sorted exponent vectors).
+    """
+    ring, q, p = code.ring, code.q, code.ring.p
+    big = [(pos, e) for pos in range(q) for e in _monomials_up_to(ring.n, cap)]
+    big.sort(key=lambda t: -sum(t[1]))
+    index = {t: i for i, t in enumerate(big)}
+    rows = []
+    for g in code.generators.columns():
+        gdeg = max(int(f.degree) for f in g if not f.is_zero)
+        for e in _monomials_up_to(ring.n, cap - gdeg):
+            v = np.zeros(len(big), dtype=np.int64)
+            for pos, f in enumerate(g):
+                for e2, c in f.mul_term(1, e).terms:
+                    v[index[(pos, e2)]] = c
+            rows.append(v)
+    if not rows:
+        return []
+    rref, pivots = rref_mod_p(np.array(rows), p)
+    keep = [r for r, c in enumerate(pivots) if sum(big[c][1]) <= d]
+    if not keep:
+        return []
+    small = [(pos, e) for pos in range(q) for e in _monomials_up_to(ring.n, d)]
+    rref2, _ = rref_mod_p(rref[np.ix_(keep, [index[t] for t in small])], p)
+    return [tuple(Poly.from_dict(ring, {e: int(c) for (at, e), c in zip(small, row)
+                                        if at == pos and c})
+                  for pos in range(q))
+            for row in rref2]
+
+
+def reference_code_space(code, d, cap=None):
+    """(dimension, cap_used, stabilized, basis) by the former oracle rule:
+    from-scratch slices at caps cap, cap + 1, ... (default first cap
+    d + 2 * max generator degree) until three consecutive dimensions
+    agree, cap_used being the first of them, or 13 caps are tried."""
+    if d < 0:
+        return 0, cap or 0, True, ()
+    maxdeg = max(1, max(code.generators.column_degrees()))
+    c = max(cap if cap is not None else d + 2 * maxdeg, d)
+    dims = []
+    while True:
+        dims.append(len(reference_slice(code, d, c)))
+        if len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3]:
+            c -= 2
+            return dims[-1], c, True, tuple(reference_slice(code, d, c))
+        if len(dims) > 12:
+            return dims[-1], c, False, tuple(reference_slice(code, d, c))
+        c += 1
