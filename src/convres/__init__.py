@@ -4,9 +4,9 @@ A code is a submodule of S^q over S = F_p[D1..Dn].  The package
 computes its minimal reduced polynomial resolution and everything that
 falls out of it: degree and Forney tables, rate, memory, homological
 dimension, Hilbert function, structural checks (resolution, column
-reducedness, predictable degree property, minimality), observability
-with parity-check extraction, and an independent linear-algebra oracle
-for verification.
+reducedness, which is the predictable degree property, and
+minimality), observability with parity-check extraction, and an
+independent linear-algebra oracle for verification.
 """
 
 from .algebra import (
@@ -23,14 +23,12 @@ from .complexes import (
     PolyComplex,
     ResolutionReport,
     check_minimal,
-    check_pd,
     check_reduced,
     check_resolution,
     column_degree_table,
     homogenize_complex,
     leading_term_complex,
     minimal_resolution,
-    minimalize_graded,
     validate_complex,
 )
 from .errors import (

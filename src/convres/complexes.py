@@ -12,12 +12,13 @@ on the ambient S^q.  From the table one forms:
 
 Both come from one walk over the table.  The checks offered here: being
 a resolution (exact as modules), being column reduced (G^L is a
-resolution), the predictable degree property (both at once) and
-minimality (no scalar survives in G_2^L..G_l^L).
-``minimal_resolution`` constructs the minimal reduced resolution of a
-code through the graded route and is the source of all invariants.  It
-and ``resolution_without_minimalization`` share one report builder,
-which builds G^L once for the reducedness and minimality checks.
+resolution) and minimality (no scalar survives in G_2^L..G_l^L).  By
+the paper's main theorem, column reducedness is the predictable degree
+property: if G^L is a resolution then so is G, so one exactness proof
+on G^L serves both.  ``minimal_resolution`` constructs the minimal
+reduced resolution of a code through the graded route and is the
+source of all invariants; it builds G^L once, for the exactness and
+minimality checks.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .algebra import (
     Poly,
     PolyMatrix,
     twisted_degree,
-    vec_is_zero,
 )
 from .errors import DomainError, InvariantError, PreconditionError, StructuralError
 from .groebner import (
@@ -155,13 +155,12 @@ def check_resolution(cx: PolyComplex) -> bool:
 
 
 def check_reduced(cx: PolyComplex) -> bool:
-    """Column reducedness: the leading part complex is a resolution."""
+    """Column reducedness: the leading part complex is a resolution.
+
+    By the paper's main theorem a complex whose G^L is a resolution is
+    itself one, so this is also the predictable degree property.
+    """
     return check_resolution(leading_term_complex(cx))
-
-
-def check_pd(cx: PolyComplex) -> bool:
-    """Predictable degree property: resolution and reduced at once."""
-    return check_resolution(cx) and check_reduced(cx)
 
 
 def pd_failure_witness(cx: PolyComplex):
@@ -199,15 +198,14 @@ def minimality_witness(cx: PolyComplex):
 def check_minimal(cx: PolyComplex) -> bool:
     """Minimality test for reduced resolutions.
 
-    Requires the complex to be a reduced resolution; then a length-1
-    complex is always minimal, and otherwise minimality holds exactly
-    when no entry of G_2^L, ..., G_l^L is a nonzero scalar.
+    Requires the complex to be column reduced, hence a resolution by the
+    paper's main theorem; then a length-1 complex is always minimal, and
+    otherwise minimality holds exactly when no entry of G_2^L, ...,
+    G_l^L is a nonzero scalar.
     """
-    if not check_resolution(cx):
-        raise PreconditionError("check_minimal needs a polynomial resolution")
     lead = leading_term_complex(cx)
     if not check_resolution(lead):
-        raise PreconditionError("check_minimal needs a column reduced complex")
+        raise PreconditionError("check_minimal needs a column reduced resolution")
     return not _scalar_positions(lead)
 
 
@@ -221,10 +219,6 @@ class ResolutionReport:
     is_reduced: bool
     is_minimal: bool
 
-    @property
-    def is_pd(self) -> bool:
-        return self.is_resolution and self.is_reduced
-
 
 def _graded_column_degrees(mat: PolyMatrix, row_twist) -> tuple[int, ...]:
     return tuple(homogeneous_column_degree(mat.column(j), row_twist)
@@ -232,11 +226,10 @@ def _graded_column_degrees(mat: PolyMatrix, row_twist) -> tuple[int, ...]:
 
 
 def _graded_pipeline(code: CodePresentation):
-    """Steps shared by minimal and deliberately non-minimal construction.
+    """Homogeneous generators of the code lifted to its graded companion.
 
-    Returns the homogeneous generators of the lifted code: the reduced
-    basis of the code under the degree-compatible order, each element
-    homogenized in its own degree.
+    They are the reduced basis of the code under the degree-compatible
+    order, each element homogenized in its own degree.
     """
     order = ModuleOrder(code.ring, (0,) * code.q)
     basis = groebner_basis(SubmodulePresentation.from_matrix(code.generators), order)
@@ -247,13 +240,13 @@ def _graded_pipeline(code: CodePresentation):
     return lifted
 
 
-def _syzygy_chain(g1: PolyMatrix, max_levels: int, prune: bool):
-    """Iterated syzygies over T of the homogeneous matrix ``g1``.
+def _syzygy_chain(g1: PolyMatrix, max_levels: int):
+    """Iterated minimal syzygies over T of the homogeneous matrix ``g1``.
 
-    With ``prune`` every syzygy module is cut down to minimal homogeneous
-    generators before the next level is taken.  Returns the matrices and
-    their twists: ``twists[0]`` is the zero ambient twist and
-    ``twists[k]`` the column twist of ``mats[k - 1]``.
+    Every syzygy module is cut down to minimal homogeneous generators
+    before the next level is taken.  Returns the matrices and their
+    twists: ``twists[0]`` is the zero ambient twist and ``twists[k]``
+    the column twist of ``mats[k - 1]``.
     """
     zero = (0,) * g1.nrows
     mats, twists = [g1], [zero, _graded_column_degrees(g1, zero)]
@@ -261,8 +254,7 @@ def _syzygy_chain(g1: PolyMatrix, max_levels: int, prune: bool):
         syz = syzygy_basis(mats[-1], row_twist=twists[-2])
         if syz.ncols == 0:
             return mats, twists
-        if prune:
-            syz = minimal_generators(SubmodulePresentation.from_matrix(syz, twists[-1]))
+        syz = minimal_generators(SubmodulePresentation.from_matrix(syz, twists[-1]))
         mats.append(syz)
         twists.append(_graded_column_degrees(syz, twists[-1]))
     raise InvariantError(f"syzygy chain did not end within {max_levels} levels")
@@ -271,16 +263,19 @@ def _syzygy_chain(g1: PolyMatrix, max_levels: int, prune: bool):
 def _report(mats, ring) -> ResolutionReport:
     """Set D0 = 1 in the graded matrices and check the complex over ``ring``.
 
-    The leading part complex is built once and serves both the
-    reducedness check and the scan for scalar entries.
+    Exactness is proved once, on the leading part complex G^L, which
+    also serves the scan for scalar entries.  By the paper's main
+    theorem a complex whose G^L is a resolution is itself one, so G is
+    not checked again.  A G^L that is not a resolution raises
+    ``InvariantError``.
     """
     cx = validate_complex([m.map_entries(lambda f: f.dehomogenize(), ring) for m in mats])
     lead = leading_term_complex(cx)
-    is_resolution = check_resolution(cx)
-    is_reduced = check_resolution(lead)
-    is_minimal = is_resolution and is_reduced and not _scalar_positions(lead)
-    return ResolutionReport(cx, column_degree_table(cx), is_resolution, is_reduced,
-                            is_minimal)
+    if not check_resolution(lead):
+        raise InvariantError("construction must yield a minimal reduced resolution, "
+                             "but its leading part complex is not exact")
+    return ResolutionReport(cx, column_degree_table(cx), True, True,
+                            not _scalar_positions(lead))
 
 
 def minimal_resolution(code: CodePresentation) -> ResolutionReport:
@@ -294,17 +289,18 @@ def minimal_resolution(code: CodePresentation) -> ResolutionReport:
     finally set D0 = 1.  Minimal generators at every level make the
     graded resolution minimal, so no pivoting is needed afterwards.  The
     length is checked to be at most n, the degree table to equal the
-    graded twists carried through the construction, and the result to be
-    a resolution whose leading part complex (built once) is a resolution
-    without scalar entries past level 1.  A failed check raises
-    ``InvariantError``.
+    graded twists carried through the construction, and the leading
+    part complex (built once) to be a resolution without scalar entries
+    past level 1.  By the paper's main theorem that makes the result a
+    resolution too, so it is not checked separately.  A failed check
+    raises ``InvariantError``.
     """
     if code.generators.is_zero:
         raise DomainError("the zero code has no resolution")
     tring = code.ring.homogeneous_companion()
     lifted = _graded_pipeline(code)
     pres = SubmodulePresentation(tring, code.q, tuple(lifted))
-    mats, twists = _syzygy_chain(minimal_generators(pres), code.ring.n + 2, prune=True)
+    mats, twists = _syzygy_chain(minimal_generators(pres), code.ring.n + 2)
     if not 1 <= len(mats) <= code.ring.n:
         raise InvariantError(f"homological dimension {len(mats)} outside 1..{code.ring.n}")
     report = _report(mats, code.ring)
@@ -314,143 +310,3 @@ def minimal_resolution(code: CodePresentation) -> ResolutionReport:
         raise InvariantError("construction must yield a minimal reduced resolution")
     return report
 
-
-def resolution_without_minimalization(code: CodePresentation,
-                                      extra_generators=None) -> ResolutionReport:
-    """Iterated syzygies with no pruning; generally reduced but not minimal.
-
-    ``extra_generators`` (columns over S) are appended to the lifted
-    generating set after homogenizing each in its own degree, which is
-    how redundancy is injected on purpose in tests.
-    """
-    if code.generators.is_zero:
-        raise DomainError("the zero code has no resolution")
-    tring = code.ring.homogeneous_companion()
-    lifted = _graded_pipeline(code)
-    if extra_generators:
-        for g in extra_generators:
-            d = twisted_degree(g, (0,) * code.q)
-            lifted.append(tuple(f.homogenize(d) for f in g))
-    g1 = PolyMatrix.from_columns(tring, code.q, lifted)
-    mats, _ = _syzygy_chain(g1, code.ring.n + 1 + g1.ncols, prune=False)
-    return _report(mats, code.ring)
-
-
-# -- graded minimalization ---------------------------------------------------
-
-def minimalize_graded(cx: PolyComplex) -> PolyComplex:
-    """Remove scalar entries of a graded complex over T by pivoting.
-
-    Repeatedly picks the lexicographically first scalar entry in levels
-    2.., clears its row and column (propagating the basis changes to
-    the neighbouring matrices), and deletes the now-trivial pair of
-    coordinates.  On an exact graded complex this produces the minimal
-    resolution.
-    """
-    if not cx.ring.homog:
-        raise StructuralError("minimalize_graded expects a complex over T")
-    twists = [(0,) * cx.q]
-    for mat in cx.matrices:
-        twists.append(_graded_column_degrees(mat, twists[-1]))
-    mats, twists = _minimalize_grids(list(cx.matrices), twists)
-    return validate_complex(mats)
-
-
-def _minimalize_grids(mats, twists):
-    """Pivot away scalar entries; works on PolyMatrix lists plus twists.
-
-    ``twists[0]`` is the ambient twist; ``twists[k]`` the column twist
-    of ``mats[k-1]``.  Matrices that lose all columns are dropped from
-    the tail.  Returns new (mats, twists).
-    """
-    grids = [[list(row) for row in m.entries] for m in mats]
-    ring = mats[0].ring
-    tw = [list(t) for t in twists]
-
-    def find_pivot():
-        for k in range(1, len(grids)):  # levels 2.. in 1-based numbering
-            grid = grids[k]
-            for i in range(len(grid)):
-                for j in range(len(grid[0]) if grid else 0):
-                    if grid[i][j].is_nonzero_scalar:
-                        return k, i, j
-        return None
-
-    while True:
-        hit = find_pivot()
-        if hit is None:
-            break
-        k, i, j = hit
-        grid = grids[k]
-        nrows, ncols = len(grid), len(grid[0])
-        # Monic pivot: scale column j (a basis change at level k+1,
-        # propagated as the inverse scaling of the next matrix's row j).
-        cval = grid[i][j].constant_value()
-        if cval != 1:
-            inv = pow(cval, ring.p - 2, ring.p)
-            for r in range(nrows):
-                grid[r][j] = grid[r][j].scale(inv)
-            if k + 1 < len(grids):
-                nxt = grids[k + 1]
-                nxt[j] = [f.scale(cval) for f in nxt[j]]
-        # Clear row i by column operations; mirror on the next matrix's rows.
-        for jj in range(ncols):
-            if jj == j or grid[i][jj].is_zero:
-                continue
-            h = grid[i][jj]
-            for r in range(nrows):
-                grid[r][jj] = grid[r][jj] - h * grid[r][j]
-            if k + 1 < len(grids):
-                nxt = grids[k + 1]
-                nxt[j] = [a + h * b for a, b in zip(nxt[j], nxt[jj])]
-        # Clear column j by row operations; mirror on the previous matrix's columns.
-        prev = grids[k - 1]
-        for ii in range(nrows):
-            if ii == i or grid[ii][j].is_zero:
-                continue
-            h = grid[ii][j]
-            for c in range(ncols):
-                grid[ii][c] = grid[ii][c] - h * grid[i][c]
-            for row in prev:
-                row[i] = row[i] + h * row[ii]
-        # The companion column and row must now vanish.
-        if not all(row[i].is_zero for row in prev):
-            raise InvariantError("pivot companion column not zero")
-        if k + 1 < len(grids) and not all(f.is_zero for f in grids[k + 1][j]):
-            raise InvariantError("pivot companion row not zero")
-        # Delete row i / column i at level k-1 and column j / row j at level k+1.
-        for row in prev:
-            del row[i]
-        del tw[k][i]
-        for row in grid:
-            del row[j]
-        del grid[i]
-        del tw[k + 1][j]
-        if k + 1 < len(grids):
-            del grids[k + 1][j]
-        # Drop emptied tail matrices.
-        while grids and (not grids[-1] or not grids[-1][0]):
-            grids.pop()
-            tw.pop()
-
-    if not grids:
-        raise InvariantError("minimalization emptied the complex")
-    out_mats = [PolyMatrix.from_rows(ring, g) for g in grids]
-    out_twists = [tuple(t) for t in tw]
-    if any(mat.nrows < 1 or mat.ncols < 1 for mat in out_mats):
-        raise InvariantError("minimalization left an empty matrix")
-    # Zero columns cannot survive in the interior; in the final matrix
-    # they could only stem from redundant syzygy generators and are
-    # dropped together with their twist entries.
-    if any(mat.has_zero_column() for mat in out_mats[:-1]):
-        raise InvariantError("zero column left in the interior of the complex")
-    last = out_mats[-1]
-    if last.has_zero_column():
-        keep = [j for j in range(last.ncols) if not vec_is_zero(last.column(j))]
-        out_mats[-1] = PolyMatrix.from_columns(last.ring, last.nrows,
-                                               [last.column(j) for j in keep])
-        out_twists[-1] = tuple(out_twists[-1][j] for j in keep)
-        if out_mats[-1].ncols == 0:
-            out_mats.pop()
-            out_twists.pop()
-    return out_mats, out_twists

@@ -1,4 +1,5 @@
-"""Shared fixtures: tiny constructors, seeded generators, slice oracles."""
+"""Shared fixtures: tiny constructors, seeded generators, slice oracles
+and the reference resolution routes."""
 
 import random
 from itertools import product
@@ -8,11 +9,23 @@ import numpy as np
 from convres import (
     CodePresentation,
     Poly,
+    PolyComplex,
     PolyMatrix,
     Ring,
     parse_poly,
     validate_complex,
 )
+from convres.algebra import twisted_degree, vec_is_zero
+from convres.complexes import (
+    ResolutionReport,
+    _graded_column_degrees,
+    _graded_pipeline,
+    check_reduced,
+    check_resolution,
+    column_degree_table,
+    minimality_witness,
+)
+from convres.errors import InvariantError, StructuralError
 from convres.groebner import syzygy_basis
 from convres.oracle import rref_mod_p
 
@@ -280,3 +293,156 @@ def reference_code_space(code, d, cap=None):
         if len(dims) > 12:
             return dims[-1], c, False, tuple(reference_slice(code, d, c))
         c += 1
+
+
+# -- reference routes: unpruned syzygies and graded pivoting ----------------
+
+def resolution_without_minimalization(code, extra_generators=()):
+    """Iterated syzygies with no pruning; generally reduced but not minimal.
+
+    The route ``minimal_resolution`` took before it pruned every level,
+    kept as the reference for in-loop pruning.  ``extra_generators``
+    (columns over S) are appended to the lifted generating set after
+    homogenizing each in its own degree, which injects redundancy on
+    purpose.  Each verdict of the report is computed on its own: G is
+    checked by ``check_resolution`` itself, not through the theorem.
+    """
+    lifted = _graded_pipeline(code)
+    for g in extra_generators:
+        d = twisted_degree(g, (0,) * code.q)
+        lifted.append(tuple(f.homogenize(d) for f in g))
+    tring = code.ring.homogeneous_companion()
+    mats, twists = [PolyMatrix.from_columns(tring, code.q, lifted)], [(0,) * code.q]
+    for _ in range(code.ring.n + 1 + len(lifted)):
+        twists.append(_graded_column_degrees(mats[-1], twists[-1]))
+        syz = syzygy_basis(mats[-1], row_twist=twists[-2])
+        if syz.ncols == 0:
+            break
+        mats.append(syz)
+    else:
+        raise InvariantError("syzygy chain did not end")
+    cx = validate_complex([m.map_entries(lambda f: f.dehomogenize(), code.ring)
+                           for m in mats])
+    is_resolution = check_resolution(cx)
+    is_reduced = check_reduced(cx)
+    is_minimal = is_resolution and is_reduced and minimality_witness(cx) is None
+    return ResolutionReport(cx, column_degree_table(cx), is_resolution, is_reduced,
+                            is_minimal)
+
+
+def minimalize_graded(cx: PolyComplex) -> PolyComplex:
+    """Remove scalar entries of a graded complex over T by pivoting.
+
+    Repeatedly picks the lexicographically first scalar entry in levels
+    2.., clears its row and column (propagating the basis changes to
+    the neighbouring matrices), and deletes the now-trivial pair of
+    coordinates.  On an exact graded complex this produces the minimal
+    resolution.
+    """
+    if not cx.ring.homog:
+        raise StructuralError("minimalize_graded expects a complex over T")
+    twists = [(0,) * cx.q]
+    for mat in cx.matrices:
+        twists.append(_graded_column_degrees(mat, twists[-1]))
+    mats, twists = _minimalize_grids(list(cx.matrices), twists)
+    return validate_complex(mats)
+
+
+def _minimalize_grids(mats, twists):
+    """Pivot away scalar entries; works on PolyMatrix lists plus twists.
+
+    ``twists[0]`` is the ambient twist; ``twists[k]`` the column twist
+    of ``mats[k-1]``.  Matrices that lose all columns are dropped from
+    the tail.  Returns new (mats, twists).
+    """
+    grids = [[list(row) for row in m.entries] for m in mats]
+    ring = mats[0].ring
+    tw = [list(t) for t in twists]
+
+    def find_pivot():
+        for k in range(1, len(grids)):  # levels 2.. in 1-based numbering
+            grid = grids[k]
+            for i in range(len(grid)):
+                for j in range(len(grid[0]) if grid else 0):
+                    if grid[i][j].is_nonzero_scalar:
+                        return k, i, j
+        return None
+
+    while True:
+        hit = find_pivot()
+        if hit is None:
+            break
+        k, i, j = hit
+        grid = grids[k]
+        nrows, ncols = len(grid), len(grid[0])
+        # Monic pivot: scale column j (a basis change at level k+1,
+        # propagated as the inverse scaling of the next matrix's row j).
+        cval = grid[i][j].constant_value()
+        if cval != 1:
+            inv = pow(cval, ring.p - 2, ring.p)
+            for r in range(nrows):
+                grid[r][j] = grid[r][j].scale(inv)
+            if k + 1 < len(grids):
+                nxt = grids[k + 1]
+                nxt[j] = [f.scale(cval) for f in nxt[j]]
+        # Clear row i by column operations; mirror on the next matrix's rows.
+        for jj in range(ncols):
+            if jj == j or grid[i][jj].is_zero:
+                continue
+            h = grid[i][jj]
+            for r in range(nrows):
+                grid[r][jj] = grid[r][jj] - h * grid[r][j]
+            if k + 1 < len(grids):
+                nxt = grids[k + 1]
+                nxt[j] = [a + h * b for a, b in zip(nxt[j], nxt[jj])]
+        # Clear column j by row operations; mirror on the previous matrix's columns.
+        prev = grids[k - 1]
+        for ii in range(nrows):
+            if ii == i or grid[ii][j].is_zero:
+                continue
+            h = grid[ii][j]
+            for c in range(ncols):
+                grid[ii][c] = grid[ii][c] - h * grid[i][c]
+            for row in prev:
+                row[i] = row[i] + h * row[ii]
+        # The companion column and row must now vanish.
+        if not all(row[i].is_zero for row in prev):
+            raise InvariantError("pivot companion column not zero")
+        if k + 1 < len(grids) and not all(f.is_zero for f in grids[k + 1][j]):
+            raise InvariantError("pivot companion row not zero")
+        # Delete row i / column i at level k-1 and column j / row j at level k+1.
+        for row in prev:
+            del row[i]
+        del tw[k][i]
+        for row in grid:
+            del row[j]
+        del grid[i]
+        del tw[k + 1][j]
+        if k + 1 < len(grids):
+            del grids[k + 1][j]
+        # Drop emptied tail matrices.
+        while grids and (not grids[-1] or not grids[-1][0]):
+            grids.pop()
+            tw.pop()
+
+    if not grids:
+        raise InvariantError("minimalization emptied the complex")
+    out_mats = [PolyMatrix.from_rows(ring, g) for g in grids]
+    out_twists = [tuple(t) for t in tw]
+    if any(mat.nrows < 1 or mat.ncols < 1 for mat in out_mats):
+        raise InvariantError("minimalization left an empty matrix")
+    # Zero columns cannot survive in the interior; in the final matrix
+    # they could only stem from redundant syzygy generators and are
+    # dropped together with their twist entries.
+    if any(mat.has_zero_column() for mat in out_mats[:-1]):
+        raise InvariantError("zero column left in the interior of the complex")
+    last = out_mats[-1]
+    if last.has_zero_column():
+        keep = [j for j in range(last.ncols) if not vec_is_zero(last.column(j))]
+        out_mats[-1] = PolyMatrix.from_columns(last.ring, last.nrows,
+                                               [last.column(j) for j in keep])
+        out_twists[-1] = tuple(out_twists[-1][j] for j in keep)
+        if out_mats[-1].ncols == 0:
+            out_mats.pop()
+            out_twists.pop()
+    return out_mats, out_twists

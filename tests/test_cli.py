@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -110,6 +111,19 @@ def test_observable_prop3_bound(tmp_path, capsys):
     path = write(tmp_path, "koszul.json", KOSZUL_CODE)
     assert main(["observable", path, "--prop3-bound", "2"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("bound, message", [("6", "candidate polynomials"),
+                                             ("-3", "at least 1")])
+def test_observable_rejects_a_prop3_bound_before_sieving(tmp_path, capsys, bound, message):
+    path = write(tmp_path, "uni.json",
+                 '{"p": 101, "n": 1, "kind": "code", "matrix": [["D1"], ["1"]]}')
+    start = time.monotonic()
+    assert main(["observable", path, "--prop3-bound", bound]) == 2
+    elapsed = time.monotonic() - start
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+    assert elapsed < 5.0, f"took {elapsed:.1f} s"
 
 
 def test_oracle_verify_command(tmp_path, capsys):

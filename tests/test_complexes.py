@@ -5,7 +5,6 @@ import pytest
 from convres import PolyMatrix, Ring, complexes
 from convres.complexes import (
     check_minimal,
-    check_pd,
     check_reduced,
     check_resolution,
     column_degree_table,
@@ -13,9 +12,7 @@ from convres.complexes import (
     leading_term_complex,
     minimal_resolution,
     minimality_witness,
-    minimalize_graded,
     pd_failure_witness,
-    resolution_without_minimalization,
     validate_complex,
 )
 from convres.errors import DomainError, PreconditionError, StructuralError
@@ -29,8 +26,10 @@ from helpers import (
     koszul_code,
     koszul_complex,
     mat,
+    minimalize_graded,
     paper_matrix,
     random_complex,
+    resolution_without_minimalization,
 )
 
 
@@ -155,6 +154,39 @@ def test_minimal_resolution_builds_the_leading_part_complex_once(monkeypatch):
     assert calls == {"leading_term_complex": 1, "homogenize_complex": 0}
 
 
+def test_minimal_resolution_checks_exactness_once(monkeypatch):
+    # Only G^L is checked; the paper's theorem carries exactness to G.
+    checked = []
+
+    def counted(cx, original=complexes.check_resolution):
+        checked.append(cx)
+        return original(cx)
+    monkeypatch.setattr(complexes, "check_resolution", counted)
+    rep = minimal_resolution(koszul_code())
+    assert rep.is_resolution and rep.is_reduced and rep.is_minimal
+    assert len(checked) == 1
+    assert checked[0].matrices == leading_term_complex(rep.complex).matrices
+
+
+def test_reduced_implies_resolution_on_the_probe_corpus():
+    """The paper's theorem: G^L a resolution forces G to be one.
+
+    The corpus is the Koszul complex, 200 seeded random complexes
+    (damaged ones included) and the unpruned route over the acceptance
+    corpus; the three classes the theorem allows all occur.
+    """
+    rng = random.Random(2024)
+    cases = [koszul_complex()] + [random_complex(rng) for _ in range(200)]
+    cases += [resolution_without_minimalization(c).complex for c in acceptance_corpus()]
+    classes = {}
+    for cx in cases:
+        key = (check_reduced(cx), check_resolution(cx))
+        assert key != (True, False), cx
+        classes[key] = classes.get(key, 0) + 1
+    assert len(cases) == 287
+    assert set(classes) == {(True, True), (False, True), (False, False)}, classes
+
+
 def test_check_resolution():
     assert check_resolution(koszul_complex())
     r = Ring(2, 2)
@@ -171,9 +203,9 @@ def test_check_reduced():
 
 
 def test_check_pd_and_witness():
-    assert check_pd(koszul_complex())
+    assert check_reduced(koszul_complex())
     bad = bad_f2_matrix()
-    assert not check_pd(bad)
+    assert not check_reduced(bad)
     witness = pd_failure_witness(bad)
     r = Ring(2, 1)
     assert witness == (P("1", r), P("1", r))
@@ -183,7 +215,7 @@ def test_check_pd_and_witness():
                   for i in range(2))
     assert image == (P("1", r), P("0", r))
     ident = validate_complex([PolyMatrix.identity(r, 2)])
-    assert check_pd(ident)
+    assert check_resolution(ident) and check_reduced(ident)
 
 
 def test_check_minimal_on_koszul_and_l1():
@@ -194,6 +226,9 @@ def test_check_minimal_on_koszul_and_l1():
 def test_check_minimal_requires_reduced_resolution():
     with pytest.raises(PreconditionError):
         check_minimal(bad_f2_matrix())
+    r = Ring(2, 2)
+    with pytest.raises(PreconditionError):
+        check_minimal(validate_complex([mat(r, [["D1", "D2"]])]))
 
 
 def test_check_minimal_flags_redundant_generator():
@@ -213,7 +248,7 @@ def test_minimal_resolution_koszul():
     assert rep.complex.length == 2
     assert rep.complex.q == 1 and rep.complex.sizes == (2, 1)
     assert rep.degree_table == ((1, 1), (2,))
-    assert rep.is_resolution and rep.is_reduced and rep.is_pd and rep.is_minimal
+    assert rep.is_resolution and rep.is_reduced and rep.is_minimal
     r = Ring(2, 2)
     assert rep.complex.matrices[0] == mat(r, [["D1", "D2"]])
     assert rep.complex.matrices[1] == mat(r, [["D2"], ["D1"]])
@@ -259,7 +294,7 @@ def test_minimalize_graded_examples():
     assert out.sizes == (2, 1)
     back = validate_complex([m.map_entries(lambda f: f.dehomogenize(), Ring(101, 2))
                              for m in out.matrices])
-    assert check_pd(back) and check_minimal(back)
+    assert check_resolution(back) and check_reduced(back) and check_minimal(back)
 
 
 def test_minimalize_graded_requires_t():
@@ -310,6 +345,6 @@ def test_pd_agrees_with_truncated_exactness_on_random_complexes():
     rng = random.Random(53)
     for _ in range(25):
         cx = random_complex(rng)
-        verdict = check_pd(cx)
+        verdict = check_reduced(cx)
         truncated = all(truncated_exactness(cx, d) for d in range(0, 7))
         assert verdict == truncated

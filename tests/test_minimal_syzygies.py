@@ -23,8 +23,6 @@ from convres.complexes import (
     column_degree_table,
     homogenize_complex,
     minimal_resolution,
-    minimalize_graded,
-    resolution_without_minimalization,
 )
 from convres import complexes
 from convres.errors import InvariantError
@@ -37,7 +35,12 @@ from convres.groebner import (
 from convres.invariants import forney_table, hilbert_values
 from convres.oracle import hilbert_oracle
 
-from helpers import acceptance_corpus, koszul_code
+from helpers import (
+    acceptance_corpus,
+    koszul_code,
+    minimalize_graded,
+    resolution_without_minimalization,
+)
 
 
 def greedy_minimal_generators(module, twist=None):
@@ -179,7 +182,7 @@ def test_canary_resolves_quickly_and_agrees_with_the_oracle():
     assert elapsed < 10.0, f"canary took {elapsed:.1f} s"
     assert rep.complex.sizes == (7, 8, 3)
     assert rep.degree_table == ((1, 2, 2, 2, 2, 2, 2), (3, 3, 3, 3, 4, 4, 4, 4), (5, 5, 5))
-    assert rep.is_pd and rep.is_minimal
+    assert rep.is_resolution and rep.is_reduced and rep.is_minimal
     values = hilbert_values(rep, 5)
     assert [values[d] for d in range(6)] == [hilbert_oracle(c, d) for d in range(6)]
 

@@ -6,7 +6,7 @@ from convres import Ring, observability
 from convres.algebra import CodePresentation, PolyMatrix, vec_mul_poly
 from convres.complexes import minimal_resolution, validate_complex
 from convres.cli import main
-from convres.errors import InvariantError, UnsupportedDimensionError
+from convres.errors import InputError, InvariantError, UnsupportedDimensionError
 from convres.groebner import (
     SubmodulePresentation,
     matrix_kernel,
@@ -14,6 +14,7 @@ from convres.groebner import (
     module_equal,
 )
 from convres.observability import (
+    MAX_PROP3_CANDIDATES,
     is_observable,
     monic_irreducibles,
     prop3_spot_check,
@@ -83,6 +84,17 @@ def test_prop3_rejects_multivariate_input():
     cx = validate_complex([mat(r, [["D1", "D2"]])])
     with pytest.raises(UnsupportedDimensionError):
         prop3_spot_check(cx, 2)
+
+
+def test_prop3_bound_limits():
+    r = Ring(2, 1)
+    cx = validate_complex([mat(r, [["D1"], ["1"]])])
+    # 2 + 4 + ... + 2^11 = 4094 candidates fit, 2^12 more do not
+    assert MAX_PROP3_CANDIDATES == 4096
+    assert prop3_spot_check(cx, 11)
+    for bound in (12, 0, -3):
+        with pytest.raises(InputError):
+            prop3_spot_check(cx, bound)
 
 
 def test_monic_irreducibles_over_f2():
