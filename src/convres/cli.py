@@ -21,9 +21,11 @@ import sys
 from .algebra import CodePresentation, PolyMatrix, Ring, is_prime, parse_poly
 from .complexes import (
     PolyComplex,
+    check_graded_resolution,
     check_minimal,
     check_reduced,
     check_resolution,
+    leading_term_complex,
     minimal_resolution,
     minimality_witness,
     pd_failure_witness,
@@ -180,17 +182,20 @@ def run_command(cmd: str, doc: InputDocument, options) -> tuple[dict, int]:
         out = {"command": "check", "property": prop}
         if prop == "resolution":
             result = check_resolution(cx)
-        elif prop == "minimal":
-            result = check_minimal(cx)
-            if not result:
-                out["scalar_entry"] = list(minimality_witness(cx))
         else:
-            # "pd" and "reduced" are one property by the paper's main theorem.
-            result = check_reduced(cx)
-            if prop == "pd" and not result:
-                witness = pd_failure_witness(cx)
-                if witness is not None:
-                    out["witness_column"] = [str(f) for f in witness]
+            # One G^L per check serves the verdict and the witness.
+            lead = leading_term_complex(cx)
+            if prop == "minimal":
+                result = check_minimal(cx, lead)
+                if not result:
+                    out["scalar_entry"] = list(minimality_witness(cx, lead))
+            else:
+                # "pd" and "reduced" are one property by the paper's main theorem.
+                result = check_graded_resolution(lead)
+                if prop == "pd" and not result:
+                    witness = pd_failure_witness(cx, lead)
+                    if witness is not None:
+                        out["witness_column"] = [str(f) for f in witness]
         out[prop] = result
         out["result"] = result
         status = 1 if (options.strict and not result) else 0

@@ -15,10 +15,17 @@ a resolution (exact as modules), being column reduced (G^L is a
 resolution) and minimality (no scalar survives in G_2^L..G_l^L).  By
 the paper's main theorem, column reducedness is the predictable degree
 property: if G^L is a resolution then so is G, so one exactness proof
-on G^L serves both.  ``minimal_resolution`` constructs the minimal
-reduced resolution of a code through the graded route and is the
-source of all invariants; it builds G^L once, for the exactness and
-minimality checks.
+on G^L serves both.
+
+Exactness is proved in two independent ways.  ``check_resolution``
+works on any complex with Schreyer syzygies and module equality; it
+serves ``check resolution`` and the tests.  G^L is graded by the
+degree table, so ``check_graded_resolution`` proves its exactness from
+Hilbert series of lead-term modules alone, which is what reducedness,
+minimality and ``minimal_resolution`` use.  ``minimal_resolution``
+constructs the minimal reduced resolution of a code through the graded
+route and is the source of all invariants; it builds G^L once, for the
+exactness and minimality checks.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from .groebner import (
     ModuleOrder,
     SubmodulePresentation,
     groebner_basis,
+    hilbert_numerator,
     homogeneous_column_degree,
     minimal_generators,
     module_equal,
@@ -154,24 +162,64 @@ def check_resolution(cx: PolyComplex) -> bool:
     return True
 
 
+def _poly_sum(*polys) -> dict:
+    """Sum of polynomials in t given as {exponent: coefficient} dicts."""
+    out: dict = {}
+    for poly in polys:
+        for k, c in poly.items():
+            out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def check_graded_resolution(cx: PolyComplex) -> bool:
+    """Exactness of a complex graded by its own degree table, by Hilbert series.
+
+    Every column j of G_k must be homogeneous of twisted degree a_k(j)
+    for the row twist a_{k-1}, as in any leading part complex
+    (``DomainError`` otherwise).  Then G_k maps F_k = sum_j S(-a_k(j))
+    into F_{k-1} in degree 0, and ``validate_complex`` has proved
+    im G_{k+1} inside ker G_k, so the complex is exact exactly when
+    HS(im G_{k+1}) + HS(im G_k) = HS(F_k) for k < l and
+    HS(im G_l) = HS(F_l).  The numerators over (1 - t)^n are compared
+    (``hilbert_numerator``, after Bayer & Stillman, "Computation of
+    Hilbert functions", JSC 14, 1992); no syzygies are computed.
+    """
+    table = ((0,) * cx.q,) + column_degree_table(cx)
+
+    def image(k):
+        if k == cx.length:
+            return {}
+        return hilbert_numerator(SubmodulePresentation.from_matrix(cx.matrices[k], table[k]))
+
+    prev = image(0)
+    for k in range(1, cx.length + 1):
+        nxt = image(k)
+        if _poly_sum(prev, nxt) != _poly_sum(*({a: 1} for a in table[k])):
+            return False
+        prev = nxt
+    return True
+
+
 def check_reduced(cx: PolyComplex) -> bool:
     """Column reducedness: the leading part complex is a resolution.
 
     By the paper's main theorem a complex whose G^L is a resolution is
-    itself one, so this is also the predictable degree property.
+    itself one, so this is also the predictable degree property.  G^L is
+    graded, so its exactness is proved by ``check_graded_resolution``.
     """
-    return check_resolution(leading_term_complex(cx))
+    return check_graded_resolution(leading_term_complex(cx))
 
 
-def pd_failure_witness(cx: PolyComplex):
+def pd_failure_witness(cx: PolyComplex, lead: PolyComplex = None):
     """A degree-dropping element when level 1 breaks reducedness.
 
     Any nonzero homogeneous kernel element y of G_1^L has twisted degree
     strictly above deg(G_1 @ y), so it certifies the failure.  Returns
     None when level 1 of the leading part complex has no kernel (the
-    failure, if any, sits deeper).
+    failure, if any, sits deeper).  ``lead`` is G^L of ``cx`` when the
+    caller has built it already.
     """
-    lead = leading_term_complex(cx)
+    lead = leading_term_complex(cx) if lead is None else lead
     ker = syzygy_basis(lead.matrices[0])
     if ker.ncols == 0:
         return None
@@ -189,22 +237,27 @@ def _scalar_positions(lead: PolyComplex):
     return out
 
 
-def minimality_witness(cx: PolyComplex):
-    """First (level, row, col) of a scalar entry in G_2^L.., or None."""
-    scalars = _scalar_positions(leading_term_complex(cx))
+def minimality_witness(cx: PolyComplex, lead: PolyComplex = None):
+    """First (level, row, col) of a scalar entry in G_2^L.., or None.
+
+    ``lead`` is G^L of ``cx`` when the caller has built it already.
+    """
+    scalars = _scalar_positions(leading_term_complex(cx) if lead is None else lead)
     return scalars[0] if scalars else None
 
 
-def check_minimal(cx: PolyComplex) -> bool:
+def check_minimal(cx: PolyComplex, lead: PolyComplex = None) -> bool:
     """Minimality test for reduced resolutions.
 
     Requires the complex to be column reduced, hence a resolution by the
-    paper's main theorem; then a length-1 complex is always minimal, and
-    otherwise minimality holds exactly when no entry of G_2^L, ...,
-    G_l^L is a nonzero scalar.
+    paper's main theorem; reducedness is proved on G^L by
+    ``check_graded_resolution``.  Then a length-1 complex is always
+    minimal, and otherwise minimality holds exactly when no entry of
+    G_2^L, ..., G_l^L is a nonzero scalar.  ``lead`` is G^L of ``cx``
+    when the caller has built it already.
     """
-    lead = leading_term_complex(cx)
-    if not check_resolution(lead):
+    lead = leading_term_complex(cx) if lead is None else lead
+    if not check_graded_resolution(lead):
         raise PreconditionError("check_minimal needs a column reduced resolution")
     return not _scalar_positions(lead)
 
@@ -263,15 +316,15 @@ def _syzygy_chain(g1: PolyMatrix, max_levels: int):
 def _report(mats, ring) -> ResolutionReport:
     """Set D0 = 1 in the graded matrices and check the complex over ``ring``.
 
-    Exactness is proved once, on the leading part complex G^L, which
-    also serves the scan for scalar entries.  By the paper's main
-    theorem a complex whose G^L is a resolution is itself one, so G is
-    not checked again.  A G^L that is not a resolution raises
-    ``InvariantError``.
+    Exactness is proved once, on the leading part complex G^L, by
+    Hilbert series (``check_graded_resolution``); G^L also serves the
+    scan for scalar entries.  By the paper's main theorem a complex
+    whose G^L is a resolution is itself one, so G is not checked again.
+    A G^L that is not a resolution raises ``InvariantError``.
     """
     cx = validate_complex([m.map_entries(lambda f: f.dehomogenize(), ring) for m in mats])
     lead = leading_term_complex(cx)
-    if not check_resolution(lead):
+    if not check_graded_resolution(lead):
         raise InvariantError("construction must yield a minimal reduced resolution, "
                              "but its leading part complex is not exact")
     return ResolutionReport(cx, column_degree_table(cx), True, True,
@@ -290,8 +343,8 @@ def minimal_resolution(code: CodePresentation) -> ResolutionReport:
     graded resolution minimal, so no pivoting is needed afterwards.  The
     length is checked to be at most n, the degree table to equal the
     graded twists carried through the construction, and the leading
-    part complex (built once) to be a resolution without scalar entries
-    past level 1.  By the paper's main theorem that makes the result a
+    part complex (built once) to be a resolution, by Hilbert series,
+    without scalar entries past level 1.  By the paper's main theorem that makes the result a
     resolution too, so it is not checked separately.  A failed check
     raises ``InvariantError``.
     """

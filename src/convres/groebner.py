@@ -6,8 +6,10 @@ of R^p, terms are compared by twisted weight first, then by grevlex on
 the monomial, then by position (lower position wins).  The engine
 provides normal forms, Buchberger completion, reduced (canonical) bases,
 membership and module equality, syzygies via Schreyer's construction
-with coordinates converted back to the caller's generators, and
-extraction of minimal homogeneous generating sets of graded submodules.
+with coordinates converted back to the caller's generators,
+extraction of minimal homogeneous generating sets of graded submodules,
+and Hilbert series numerators of graded submodules, read off the lead
+terms of a Groebner basis by a pivot algorithm on monomial ideals.
 
 Everything is plain Buchberger (normal strategy, no pair criteria); no
 signature-based or Hilbert-driven shortcuts.  Terms are packed into
@@ -595,3 +597,121 @@ def minimal_generators(module: SubmodulePresentation, twist=None) -> PolyMatrix:
                 pivots[lead] = rem
                 kept.append(g)
     return PolyMatrix.from_columns(module.ring, module.rank, kept)
+
+
+# -- Hilbert series of lead-term modules ------------------------------------
+
+def _minimal_monomials(monos, deg_at: int, guard: int) -> list:
+    """Minimal generators of a monomial ideal given by packed monomials.
+
+    A packed monomial holds its degree in the top digit, so ascending
+    int order is ascending degree, and a monomial can only be divided by
+    one of lower degree (or by itself, which the set removes).
+    """
+    kept: list = []
+    below: list = []
+    deg = None
+    for m in sorted(set(monos)):
+        if m >> deg_at != deg:
+            deg, below = m >> deg_at, list(kept)
+        for k in below:
+            if not (m - k) & guard:
+                break
+        else:
+            kept.append(m)
+    return kept
+
+
+def monomial_hilbert_numerator(gens, nvars: int) -> dict:
+    """K with HS(S/I) = K(t) / (1 - t)^nvars for the monomial ideal I.
+
+    ``gens`` are the exponent tuples of generators of I; the result maps
+    powers of t to nonzero coefficients.  Pivot algorithm after Bigatti,
+    "Computation of Hilbert-Poincare series", JPAA 119 (1997): the exact
+    sequence 0 -> S/(I:m)(-deg m) -> S/I -> S/(I+m) -> 0 gives
+    K(I) = K(I + m) + t^deg(m) K(I : m).  The pivot is m = x^e, x the
+    variable in most generators and e the lower median of its positive
+    exponents, so m is not in I, both ideals are strictly larger, and
+    each keeps about half of the generators that contain x.  Generators
+    are kept minimal at every step; pairwise coprime generators
+    m_1..m_k give K = prod (1 - t^deg m_i).  Work is kept on an explicit
+    stack, so deep splits cannot exhaust Python's recursion limit.
+    """
+    gens = [tuple(e) for e in gens]
+    for e in gens:
+        if len(e) != nvars or min(e, default=0) < 0:
+            raise DomainError(f"{e} is not an exponent vector in {nvars} variables")
+    # Digits of ``width`` bits, exponents low and the degree on top; no
+    # digit reaches its guard bit, so a | b iff b - a borrows nowhere.
+    width = max((sum(e) for e in gens), default=0).bit_length() + 1
+    mask = (1 << width) - 1
+    offsets = [width * i for i in range(nvars)]
+    deg_at = width * nvars
+    guard = sum(1 << (width * i + width - 1) for i in range(nvars + 1))
+    packed = [(sum(e) << deg_at) + sum(x << o for x, o in zip(e, offsets)) for e in gens]
+
+    out: dict = {}
+    stack = [(_minimal_monomials(packed, deg_at, guard), 0)]
+    while stack:
+        ideal, shift = stack.pop()
+        count = [0] * nvars
+        seen = 0
+        coprime = True
+        for m in ideal:
+            support = 0
+            for i, o in enumerate(offsets):
+                if (m >> o) & mask:
+                    support |= 1 << i
+                    count[i] += 1
+            coprime = coprime and not support & seen
+            seen |= support
+        if coprime:
+            term = {shift: 1}
+            for m in ideal:
+                d = m >> deg_at
+                step = dict(term)
+                for k, c in term.items():
+                    step[k + d] = step.get(k + d, 0) - c
+                term = step
+            for k, c in term.items():
+                out[k] = out.get(k, 0) + c
+            continue
+        o = offsets[max(range(nvars), key=count.__getitem__)]
+        exps = sorted(x for x in ((m >> o) & mask for m in ideal) if x)
+        e = exps[(len(exps) - 1) // 2]
+        unit = (1 << deg_at) + (1 << o)
+        stack.append(([m for m in ideal if (m >> o) & mask < e] + [e * unit], shift))
+        colon = [m - min(e, (m >> o) & mask) * unit for m in ideal]
+        stack.append((_minimal_monomials(colon, deg_at, guard), shift + e))
+    return {k: c for k, c in out.items() if c}
+
+
+def hilbert_numerator(module: SubmodulePresentation) -> dict:
+    """N with HS(M) = N(t) / (1 - t)^nvars for a graded submodule M.
+
+    M lies in the direct sum of R(-a_i) with a = ``module.twist``, and
+    every generator must be homogeneous for that twist (``DomainError``
+    otherwise).  By Macaulay's theorem M and its lead-term module under
+    ``ModuleOrder(ring, a)`` have one Hilbert function, and the leads of
+    any Groebner basis generate the lead-term module, so one untracked
+    Buchberger run without interreduction serves:
+    N = sum_i t^a_i (1 - K(S/I_i)), with I_i the ideal of the lead
+    monomials at position i (``monomial_hilbert_numerator``).
+    """
+    twist = module.twist
+    order = ModuleOrder(module.ring, twist)
+    gens_flat = [_to_flat(g, order) for g in module.generators]
+    for flat in gens_flat:
+        # The top digit of a packed term is its weight, deg + twist[pos].
+        if len({t >> order._weight_at for t in flat}) != 1:
+            raise DomainError("element is not homogeneous for the given twist")
+    leads: dict = {}
+    for it in _buchberger(gens_flat, order):
+        leads.setdefault(it.pos, []).append(it.exps)
+    out: dict = {}
+    for pos, exps in leads.items():
+        a = twist[pos]
+        out[a] = out.get(a, 0) + 1
+        for k, c in monomial_hilbert_numerator(exps, module.ring.nvars).items():
+            out[a + k] = out.get(a + k, 0) - c
+    return {k: c for k, c in out.items() if c}

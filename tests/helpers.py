@@ -5,6 +5,8 @@ import random
 from itertools import product
 
 import numpy as np
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from convres import (
     CodePresentation,
@@ -91,6 +93,20 @@ def random_code(rng, p=None, n=None, q=None, max_cols=3, max_deg=2):
         m = PolyMatrix.from_rows(ring, rows)
         if not m.has_zero_column():
             return CodePresentation(ring, m)
+
+
+@st.composite
+def codes(draw):
+    """A hypothesis strategy: small codes with p in {2, 3, 101}, n, q and
+    columns <= 3, entries of degree <= 2 with at most three terms."""
+    ring = Ring(draw(st.sampled_from([2, 3, 101])), draw(st.integers(1, 3)))
+    q, t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 2)] * ring.n).filter(lambda e: sum(e) <= 2)
+    poly = st.dictionaries(exps, st.integers(1, ring.p - 1), max_size=3)
+    rows = [[Poly.from_dict(ring, draw(poly)) for _ in range(t)] for _ in range(q)]
+    generators = PolyMatrix.from_rows(ring, rows)
+    assume(not generators.has_zero_column())
+    return CodePresentation(ring, generators)
 
 
 def linear_code(rng):

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from convres import cli, complexes
 from convres.cli import main, parse_input
 from convres.errors import InputError
 
@@ -11,6 +12,9 @@ KOSZUL_COMPLEX = ('{"p": 2, "n": 2, "kind": "complex", '
                   '"matrices": [[["D1", "D2"]], [["D2"], ["D1"]]]}')
 BAD_F2 = ('{"p": 2, "n": 1, "kind": "complex", '
           '"matrices": [[["D1+1", "D1"], ["D1", "D1"]]]}')
+# A reduced resolution whose second leading matrix keeps the scalar 1.
+NOT_MINIMAL = ('{"p": 101, "n": 2, "kind": "complex", "matrices": '
+               '[[["D1", "D2", "D1"]], [["D2", "1"], ["-D1", "0"], ["0", "-1"]]]}')
 
 
 def write(tmp_path, name, text):
@@ -66,6 +70,35 @@ def test_resolve_round_trips_through_check(tmp_path, capsys):
         assert main(["check", prop, path2]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["result"] is True
+
+
+def test_check_resolution_accepts_an_exact_complex_that_is_not_reduced(tmp_path, capsys):
+    # G_1 = [[D1+1, D1], [D1, D1]] has determinant D1, so it is injective,
+    # but its leading part [[D1, D1], [D1, D1]] is not.
+    path = write(tmp_path, "bad.json", BAD_F2)
+    assert main(["check", "resolution", path, "--strict"]) == 0
+    assert json.loads(capsys.readouterr().out)["resolution"] is True
+    assert main(["check", "reduced", path]) == 0
+    assert json.loads(capsys.readouterr().out)["reduced"] is False
+
+
+@pytest.mark.parametrize("prop, text, key", [("pd", BAD_F2, "witness_column"),
+                                             ("minimal", NOT_MINIMAL, "scalar_entry")],
+                         ids=["pd", "minimal"])
+def test_failing_check_builds_the_leading_part_complex_once(
+        tmp_path, capsys, monkeypatch, prop, text, key):
+    calls = []
+
+    def counted(cx, original=complexes.leading_term_complex):
+        calls.append(cx)
+        return original(cx)
+    monkeypatch.setattr(complexes, "leading_term_complex", counted)
+    monkeypatch.setattr(cli, "leading_term_complex", counted, raising=False)
+    path = write(tmp_path, "doc.json", text)
+    assert main(["check", prop, path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["result"] is False and key in out
+    assert len(calls) == 1
 
 
 def test_check_pd_failure_reports_witness(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from convres import PolyMatrix, Ring, complexes
 from convres.complexes import (
+    check_graded_resolution,
     check_minimal,
     check_reduced,
     check_resolution,
@@ -155,17 +156,20 @@ def test_minimal_resolution_builds_the_leading_part_complex_once(monkeypatch):
 
 
 def test_minimal_resolution_checks_exactness_once(monkeypatch):
-    # Only G^L is checked; the paper's theorem carries exactness to G.
-    checked = []
-
-    def counted(cx, original=complexes.check_resolution):
-        checked.append(cx)
-        return original(cx)
-    monkeypatch.setattr(complexes, "check_resolution", counted)
+    # Only G^L is checked, by Hilbert series; the paper's theorem carries
+    # exactness to G, and no syzygy-based check runs.
+    checked = {"check_graded_resolution": [], "check_resolution": []}
+    for name, calls in checked.items():
+        def counted(cx, calls=calls, original=getattr(complexes, name)):
+            calls.append(cx)
+            return original(cx)
+        monkeypatch.setattr(complexes, name, counted)
     rep = minimal_resolution(koszul_code())
     assert rep.is_resolution and rep.is_reduced and rep.is_minimal
-    assert len(checked) == 1
-    assert checked[0].matrices == leading_term_complex(rep.complex).matrices
+    assert len(checked["check_graded_resolution"]) == 1
+    assert checked["check_resolution"] == []
+    lead = checked["check_graded_resolution"][0]
+    assert lead.matrices == leading_term_complex(rep.complex).matrices
 
 
 def test_reduced_implies_resolution_on_the_probe_corpus():
@@ -173,7 +177,9 @@ def test_reduced_implies_resolution_on_the_probe_corpus():
 
     The corpus is the Koszul complex, 200 seeded random complexes
     (damaged ones included) and the unpruned route over the acceptance
-    corpus; the three classes the theorem allows all occur.
+    corpus; the three classes the theorem allows all occur.  On G^L the
+    Hilbert-series proof behind ``check_reduced`` agrees with the
+    syzygy proof of ``check_resolution``.
     """
     rng = random.Random(2024)
     cases = [koszul_complex()] + [random_complex(rng) for _ in range(200)]
@@ -181,10 +187,29 @@ def test_reduced_implies_resolution_on_the_probe_corpus():
     classes = {}
     for cx in cases:
         key = (check_reduced(cx), check_resolution(cx))
+        assert key[0] == check_resolution(leading_term_complex(cx)), cx
         assert key != (True, False), cx
         classes[key] = classes.get(key, 0) + 1
     assert len(cases) == 287
     assert set(classes) == {(True, True), (False, True), (False, False)}, classes
+
+
+def test_hilbert_certificate_rejects_planted_non_exact_complexes():
+    r = Ring(101, 2)
+    # image (D1*D2, -D1^2) = D1 * (D2, -D1) strictly inside the kernel of [D1 D2]
+    inside = validate_complex([mat(r, [["D1", "D2"]]), mat(r, [["D1*D2"], ["-D1^2"]])])
+    # [D1 D2] alone has a kernel at the end
+    tail = validate_complex([mat(r, [["D1", "D2"]])])
+    for cx in (inside, tail):
+        assert leading_term_complex(cx).matrices == cx.matrices
+        assert not check_graded_resolution(cx) and not check_resolution(cx)
+        assert not check_reduced(cx)
+    assert check_graded_resolution(koszul_complex())
+
+
+def test_hilbert_certificate_needs_a_graded_complex():
+    with pytest.raises(DomainError):
+        check_graded_resolution(bad_f2_matrix())
 
 
 def test_check_resolution():

@@ -20,8 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from convres import CodePresentation, Poly, PolyMatrix, Ring, validate_complex
 from convres.complexes import minimal_resolution
@@ -39,24 +38,13 @@ from convres.oracle import (
 from helpers import (
     acceptance_corpus,
     code,
+    codes,
     reference_code_space,
     reference_slice,
 )
 
 checked = settings(derandomize=True, deadline=None, max_examples=40)
 BIG_P = 2**31 - 1
-
-
-@st.composite
-def codes(draw):
-    ring = Ring(draw(st.sampled_from([2, 3, 101])), draw(st.integers(1, 3)))
-    q, t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    exps = st.tuples(*[st.integers(0, 2)] * ring.n).filter(lambda e: sum(e) <= 2)
-    poly = st.dictionaries(exps, st.integers(1, ring.p - 1), max_size=3)
-    rows = [[Poly.from_dict(ring, draw(poly)) for _ in range(t)] for _ in range(q)]
-    generators = PolyMatrix.from_rows(ring, rows)
-    assume(not generators.has_zero_column())
-    return CodePresentation(ring, generators)
 
 
 def degrees(c):
