@@ -54,15 +54,19 @@ DegreeTable = tuple  # (a_1, ..., a_l), each a tuple[int, ...] of length p_i
 
 
 class PolyComplex:
-    """A validated chain (G_1, ..., G_l); build via ``validate_complex``."""
+    """A chain (G_1, ..., G_l) known to be a complex.
 
-    __slots__ = ("ring", "matrices", "q", "sizes")
+    Built by ``validate_complex``, or from one by ``_lift_by_table``.
+    """
 
-    def __init__(self, ring, matrices, q, sizes):
+    __slots__ = ("ring", "matrices", "q", "sizes", "_table")
+
+    def __init__(self, ring, matrices, q, sizes, table=None):
         self.ring = ring
         self.matrices = matrices
         self.q = q
         self.sizes = sizes  # (p_1, ..., p_l)
+        self._table = table  # column degree table, once computed
 
     @property
     def length(self) -> int:
@@ -101,21 +105,33 @@ def validate_complex(matrices) -> PolyComplex:
 
 
 def column_degree_table(cx: PolyComplex) -> DegreeTable:
-    """The recursive degree table: a_0 = 0, a_{i+1} = twisted column degrees."""
-    twist = (0,) * cx.q
-    table = []
-    for mat in cx.matrices:
-        twist = mat.column_degrees(twist)
-        table.append(twist)
-    return tuple(table)
+    """The recursive degree table: a_0 = 0, a_{i+1} = twisted column degrees.
+
+    Computed once per complex and kept on it.
+    """
+    if cx._table is None:
+        twist = (0,) * cx.q
+        table = []
+        for mat in cx.matrices:
+            twist = mat.column_degrees(twist)
+            table.append(twist)
+        cx._table = tuple(table)
+    return cx._table
 
 
 def _lift_by_table(cx: PolyComplex, ring, lift) -> PolyComplex:
     """Apply ``lift(entry, a_k(j) - a_{k-1}(i))`` to every entry of G_k.
 
-    The degree table recursion makes a_k(j) - a_{k-1}(i) an upper bound
-    for the degree of entry (i, j) of G_k; the lifted matrices live over
-    ``ring`` and are validated as a complex.
+    The degree table recursion makes e = a_k(j) - a_{k-1}(i) an upper
+    bound for the degree of entry (i, j) of G_k, attained in every
+    column; ``lift`` is the degree-e homogenization or the degree-e
+    part, so the lifted matrices, over ``ring``, have no zero column and
+    the same degree table.  They form a complex because ``cx`` does,
+    so ``validate_complex`` is not run again: entry (i, j) of
+    G_k G_{k+1} has degree <= e' = a_{k+1}(j) - a_{k-1}(i), and its
+    degree-e' part is entry (i, j) of G^L_k G^L_{k+1}, which is
+    therefore zero; the same entry of G^H_k G^H_{k+1} is homogeneous of
+    degree e' and becomes zero at D0 = 1, so it is zero too.
     """
     table = ((0,) * cx.q,) + column_degree_table(cx)
     mats = []
@@ -123,7 +139,7 @@ def _lift_by_table(cx: PolyComplex, ring, lift) -> PolyComplex:
         rows = [[lift(mat.entry(i, j), table[k + 1][j] - table[k][i])
                  for j in range(mat.ncols)] for i in range(mat.nrows)]
         mats.append(PolyMatrix.from_rows(ring, rows))
-    return validate_complex(mats)
+    return PolyComplex(ring, tuple(mats), cx.q, cx.sizes, table[1:])
 
 
 def homogenize_complex(cx: PolyComplex) -> PolyComplex:
@@ -177,8 +193,8 @@ def check_graded_resolution(cx: PolyComplex) -> bool:
     Every column j of G_k must be homogeneous of twisted degree a_k(j)
     for the row twist a_{k-1}, as in any leading part complex
     (``DomainError`` otherwise).  Then G_k maps F_k = sum_j S(-a_k(j))
-    into F_{k-1} in degree 0, and ``validate_complex`` has proved
-    im G_{k+1} inside ker G_k, so the complex is exact exactly when
+    into F_{k-1} in degree 0, and im G_{k+1} lies inside ker G_k
+    because the chain is a complex, so it is exact exactly when
     HS(im G_{k+1}) + HS(im G_k) = HS(F_k) for k < l and
     HS(im G_l) = HS(F_l).  The numerators over (1 - t)^n are compared
     (``hilbert_numerator``, after Bayer & Stillman, "Computation of

@@ -11,8 +11,14 @@ extraction of minimal homogeneous generating sets of graded submodules,
 and Hilbert series numerators of graded submodules, read off the lead
 terms of a Groebner basis by a pivot algorithm on monomial ideals.
 
-Everything is plain Buchberger (normal strategy, no pair criteria); no
-signature-based or Hilbert-driven shortcuts.  Terms are packed into
+One resumable Buchberger completion (``_Completion``, normal strategy)
+serves every caller.  Untracked runs (reduced bases, Hilbert series,
+minimal generators, which stops each run at the current degree) skip
+pairs by the Gebauer-Moeller chain criteria; tracked runs (syzygies)
+reduce every pair and keep the relation of each reduction to zero, so
+Schreyer's construction reduces again only the pairs that produced a
+basis element.  There are no signature-based or Hilbert-driven
+shortcuts.  Terms are packed into
 single integers whose natural order is the module order, after Monagan
 and Pearce, "Polynomial division using dynamic arrays, heaps, and packed
 exponent vectors" (CASC 2007): the leading term of a dict of terms is
@@ -193,13 +199,16 @@ def _addmul(target: dict, src: dict, coeff: int, shift: int, p: int):
 
 
 class _GBItem:
-    __slots__ = ("flat", "lead", "pos", "exps", "expr")
+    __slots__ = ("flat", "lead", "pos", "exps", "expr", "relations")
 
     def __init__(self, flat, lead, order, expr=None):
         self.flat = flat      # monic: coefficient of lead is 1
         self.lead = lead      # packed leading term
         self.pos, self.exps = order.unpack(lead)
         self.expr = expr      # flat dict over input indices, or None
+        # i -> relation (see ``_relation``) of the S-pair (i, self) when a
+        # tracked completion reduced it to zero.
+        self.relations = {}
 
 
 def _reduce_flat(f: dict, items, order: ModuleOrder, want_quotients=False):
@@ -275,59 +284,152 @@ def _monic(flat: dict, p: int):
     return flat, lead, inv
 
 
-def _buchberger(gens_flat, order: ModuleOrder, expr_order: ModuleOrder = None):
-    """Complete ``gens_flat`` to a Groebner basis (normal strategy).
+def _relation(i, ui, j, uj, quotients, p) -> dict:
+    """The basis-coordinate relation of a reduction of an S-pair to zero.
 
-    With ``expr_order`` each basis element carries its expression in
-    the input generators, packed by that order (of rank len(gens_flat)),
-    so syzygies can be pulled back to the caller's coordinates
-    afterwards.
+    D^ui g_i - D^uj g_j - sum_k quotients[k] g_k = 0, as a dict keyed
+    by (item index, packed shift).
     """
-    p = order.ring.p
-    track = expr_order is not None
+    sigma: dict = {(i, ui): 1, (j, uj): p - 1}
+    for k, quot in enumerate(quotients):
+        for shift, c in quot.items():
+            v = (sigma.get((k, shift), 0) - c) % p
+            if v:
+                sigma[(k, shift)] = v
+            else:
+                sigma.pop((k, shift), None)
+    return sigma
+
+
+def _pull_back(sigma: dict, items, p) -> dict:
+    """A relation among tracked items as an expression in the inputs."""
+    out: dict = {}
+    for (k, shift), c in sigma.items():
+        _addmul(out, items[k].expr, c, shift, p)
+    return out
+
+
+def _exps_divide(a, b) -> bool:
+    """Whether the monomial with exponents ``a`` divides the one with ``b``."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+class _Completion:
+    """A resumable Buchberger completion (normal strategy).
+
+    Items are only ever appended, each monic.  Same-position pairs wait
+    on a heap keyed by (lcm weight, i, j); ``run(weight)`` reduces the
+    waiting pairs up to that weight and appends every nonzero remainder,
+    so over homogeneous input the items are then a Groebner basis up to
+    that weight, and ``run()`` completes them.
+
+    Untracked, each new item applies the chain criteria of Gebauer and
+    Moeller, "On an installation of Buchberger's algorithm", JSC 6
+    (1988): B drops a waiting pair whose lcm the new lead divides with
+    both new lcms differing from it, M drops a new pair whose lcm is a
+    multiple of another new pair's, F keeps one new pair per lcm, and
+    items whose lead the new lead divides form no further pairs.  The
+    product criterion is left out: coprime leads at one position do not
+    make an S-pair of module elements reduce to zero.
+
+    Tracked (``expr_order`` given), every pair is reduced, each item
+    carries its expression in the input generators, packed by
+    ``expr_order``, and each pair (i, j) that reduces to zero leaves its
+    relation in ``items[j].relations[i]``.  Division takes the first
+    item whose lead divides, and items are only appended, so such a
+    reduction takes the same path against every later item list.
+    """
+
+    def __init__(self, order: ModuleOrder, expr_order: ModuleOrder = None):
+        self.order = order
+        self.expr_order = expr_order
+        self.items: list[_GBItem] = []
+        self._heap: list = []
+        self._pairs: dict = {}     # untracked: waiting (i, j) -> lcm exponents
+        self._active: list = []    # untracked: items that still form pairs
+
+    def add(self, flat: dict, expr: dict = None):
+        """Append the nonzero ``flat`` (made monic) and queue its pairs."""
+        p = self.order.ring.p
+        flat, lead, inv = _monic(flat, p)
+        if expr is not None and inv != 1:
+            expr = {t: (c * inv) % p for t, c in expr.items()}
+        new = _GBItem(flat, lead, self.order, expr)
+        hi = len(self.items)
+        self.items.append(new)
+        if self.expr_order is None:
+            self._update(hi)
+            return
+        for k in range(hi):
+            if self.items[k].pos == new.pos:
+                heapq.heappush(self._heap, (_lcm_shifts(self.items[k], new, self.order)[0], k, hi))
+
+    def _update(self, hi: int):
+        items = self.items
+        h = items[hi]
+        he = h.exps
+
+        def lcm(g):
+            return tuple(max(a, b) for a, b in zip(g.exps, he))
+
+        for (i, j), lcm_ij in list(self._pairs.items()):       # criterion B
+            if (items[i].pos == h.pos and _exps_divide(he, lcm_ij)
+                    and lcm(items[i]) != lcm_ij and lcm(items[j]) != lcm_ij):
+                del self._pairs[(i, j)]
+        fresh = [(k, lcm(items[k])) for k in self._active if items[k].pos == h.pos]
+        kept: list = []
+        for idx, (k, lcm_k) in enumerate(fresh):                # criteria M and F
+            if not any(_exps_divide(other, lcm_k)
+                       for _, other in fresh[idx + 1:] + kept):
+                kept.append((k, lcm_k))
+        for k, lcm_k in kept:
+            weight = sum(lcm_k) + self.order.twist[h.pos]
+            _check_weight(weight)
+            self._pairs[(k, hi)] = lcm_k
+            heapq.heappush(self._heap, (weight, k, hi))
+        self._active = [k for k in self._active
+                        if items[k].pos != h.pos or not _exps_divide(he, items[k].exps)]
+        self._active.append(hi)
+
+    def run(self, weight: int = None):
+        """Reduce the waiting pairs of lcm weight <= ``weight`` (all if None)."""
+        order, items, heap = self.order, self.items, self._heap
+        p = order.ring.p
+        track = self.expr_order is not None
+        while heap and (weight is None or heap[0][0] <= weight):
+            _, i, j = heapq.heappop(heap)
+            if not track and self._pairs.pop((i, j), None) is None:
+                continue    # dropped by criterion B
+            s, ui, uj = _spair_parts(items[i], items[j], order)
+            rem, quots = _reduce_flat(s, items, order, want_quotients=track)
+            sigma = _relation(i, ui, j, uj, quots, p) if track else None
+            if not rem:
+                if track:
+                    items[j].relations[i] = sigma
+                continue
+            # sigma applied to the items is rem: its pull-back expresses rem.
+            expr = None if sigma is None else _pull_back(sigma, items, p)
+            if expr:    # multiplied further, so held to the limit
+                _check_weight(max(expr) >> self.expr_order._weight_at)
+            self.add(rem, expr)
+
+
+def _buchberger(gens_flat, order: ModuleOrder, expr_order: ModuleOrder = None):
+    """The items of a completed ``_Completion`` of ``gens_flat``.
+
+    With ``expr_order`` the run is tracked: every pair is reduced and
+    each item carries its expression in the input generators, so
+    syzygies can be pulled back to the caller's coordinates afterwards.
+    """
+    completion = _Completion(order, expr_order)
     one = (0,) * order.ring.nvars
-    items: list[_GBItem] = []
     for j, flat in enumerate(gens_flat):
         if not flat:
             raise DomainError("zero generator")
-        flat, lead, inv = _monic(dict(flat), p)
-        expr = {expr_order.pack((j, one)): inv} if track else None
-        items.append(_GBItem(flat, lead, order, expr))
-
-    heap = []
-    for i in range(len(items)):
-        for j in range(i):
-            if items[i].pos == items[j].pos:
-                heapq.heappush(heap, (_lcm_shifts(items[i], items[j], order)[0], j, i))
-
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        s, ui, uj = _spair_parts(items[i], items[j], order)
-        rem, quots = _reduce_flat(s, items, order, want_quotients=track)
-        if not rem:
-            continue
-        if track:
-            expr: dict = {}
-            _addmul(expr, items[i].expr, 1, ui, p)
-            _addmul(expr, items[j].expr, -1, uj, p)
-            for k, q in enumerate(quots):
-                for shift, c in q.items():
-                    _addmul(expr, items[k].expr, -c, shift, p)
-            # Expressions are multiplied further; hold them to the limit.
-            if expr:
-                _check_weight(max(expr) >> expr_order._weight_at)
-        else:
-            expr = None
-        rem, lead, inv = _monic(rem, p)
-        if track and inv != 1:
-            expr = {t: (c * inv) % p for t, c in expr.items()}
-        new = _GBItem(rem, lead, order, expr)
-        items.append(new)
-        hi = len(items) - 1
-        for k in range(hi):
-            if items[k].pos == new.pos:
-                heapq.heappush(heap, (_lcm_shifts(items[k], new, order)[0], k, hi))
-    return items
+        completion.add(dict(flat), None if expr_order is None
+                       else {expr_order.pack((j, one)): 1})
+    completion.run()
+    return completion.items
 
 
 def _interreduce(items, order: ModuleOrder):
@@ -423,11 +525,14 @@ def syzygy_basis(matrix: PolyMatrix, row_twist=None) -> PolyMatrix:
     """Generators of {y : matrix @ y = 0}, as columns over the matrix's ring.
 
     Schreyer's construction: complete the columns to a Groebner basis
-    while tracking expressions in the original columns, reduce every
-    same-position S-pair of the final basis to zero, and pull the
-    resulting relations back to the original coordinates.  The columns
-    of (I - A B), with A the tracked expressions and B the division of
-    the originals by the basis, complete the generating set.
+    while tracking expressions in the original columns (a tracked
+    ``_Completion``, which reduces every pair), take the relation of
+    every same-position S-pair of the final basis reduced to zero, and
+    pull the relations back to the original coordinates.  A pair that
+    the completion reduced to zero keeps the relation it left; only the
+    pairs that produced a new item are reduced again.  The columns of
+    (I - A B), with A the tracked expressions and B the division of the
+    originals by the basis, complete the generating set.
 
     A 0-column result means the matrix is injective.  For a matrix that
     is homogeneous with respect to ``row_twist`` the returned syzygies
@@ -450,35 +555,24 @@ def syzygy_basis(matrix: PolyMatrix, row_twist=None) -> PolyMatrix:
     items = _buchberger(gens_flat, order, syz_order)
 
     # Schreyer relations of the completed basis, as dicts keyed by
-    # (basis index, packed shift).
-    raw: list[dict] = []
-    for j in range(len(items)):
-        for i in range(j):
-            if items[i].pos != items[j].pos:
-                continue
-            s, ui, uj = _spair_parts(items[i], items[j], order)
-            rem, quots = _reduce_flat(s, items, order, want_quotients=True)
-            if rem:
-                raise InvariantError("S-pair of a completed basis must reduce to zero")
-            sigma: dict = {(i, ui): 1, (j, uj): p - 1}
-            for k, quot in enumerate(quots):
-                for shift, c in quot.items():
-                    v = (sigma.get((k, shift), 0) - c) % p
-                    if v:
-                        sigma[(k, shift)] = v
-                    else:
-                        sigma.pop((k, shift), None)
-            if sigma:
-                raw.append(sigma)
-
-    # Pull basis-coordinate relations back to the original columns.
+    # (basis index, packed shift), pulled back to the original columns.
+    # Pairs the completion reduced to zero left their relation on the
+    # item; the others are reduced here.
     candidates: list[dict] = []
-    for sigma in raw:
-        out: dict = {}
-        for (k, shift), c in sigma.items():
-            _addmul(out, items[k].expr, c, shift, p)
-        if out:
-            candidates.append(out)
+    for j, item in enumerate(items):
+        for i in range(j):
+            if items[i].pos != item.pos:
+                continue
+            sigma = item.relations.get(i)
+            if sigma is None:
+                s, ui, uj = _spair_parts(items[i], item, order)
+                rem, quots = _reduce_flat(s, items, order, want_quotients=True)
+                if rem:
+                    raise InvariantError("S-pair of a completed basis must reduce to zero")
+                sigma = _relation(i, ui, j, uj, quots, p)
+            out = _pull_back(sigma, items, p)
+            if out:
+                candidates.append(out)
 
     # Unit relations from re-dividing the originals by the basis.
     for j, flat in enumerate(gens_flat):
@@ -560,41 +654,34 @@ def homogeneous_column_degree(vec: ModElem, twist: tuple[int, ...]):
 def minimal_generators(module: SubmodulePresentation, twist=None) -> PolyMatrix:
     """Extract a minimal homogeneous generating set of a graded submodule.
 
-    One pass per degree (graded Nakayama): the generators of degree d are
-    taken in index order, reduced to normal form against a reduced basis
-    of the generators already kept (all of degree < d), and kept exactly
-    when that normal form is linearly independent over F_p of the normal
-    forms kept before it in degree d.  This keeps the same generators as
-    testing each one for membership in the span of those kept so far, in
-    increasing degree; over a graded module it realizes the (unique)
-    minimal number of generators per degree, so the size and the degree
-    multiset of the output are invariants of the module.
+    One pass per degree (graded Nakayama) over one ``_Completion`` of
+    the generators kept so far: before degree d it is run up to weight
+    d, so its items are a Groebner basis of the kept span up to degree
+    d.  The generators of degree d are taken in index order and reduced
+    to normal form against the items; a generator is kept exactly when
+    its normal form is nonzero, and that normal form joins the items.
+    Normal forms against a Groebner basis are unique, so this keeps the
+    same generators as testing each one for membership in the span of
+    those kept so far, in increasing degree; over a graded module it
+    realizes the (unique) minimal number of generators per degree, so
+    the size and the degree multiset of the output are invariants of
+    the module.
     """
     twist = module.twist if twist is None else check_twist(twist, module.rank)
     degrees = [homogeneous_column_degree(g, twist) for g in module.generators]
     order = ModuleOrder(module.ring, twist)
-    p = module.ring.p
     by_degree: dict = {}
     for k, d in enumerate(degrees):
         by_degree.setdefault(d, []).append(k)
+    completion = _Completion(order)
     kept: list = []
     for d in sorted(by_degree):
-        basis = (_interreduce(_buchberger([_to_flat(g, order) for g in kept], order), order)
-                 if kept else [])
-        # Incremental echelon of the degree-d normal forms, keyed by lead.
-        pivots: dict = {}
+        completion.run(d)
         for k in by_degree[d]:
             g = module.generators[k]
-            rem, _ = _reduce_flat(_to_flat(g, order), basis, order)
-            while rem:
-                lead = max(rem)
-                row = pivots.get(lead)
-                if row is None:
-                    break
-                _addmul(rem, row, -rem[lead], 0, p)
+            rem, _ = _reduce_flat(_to_flat(g, order), completion.items, order)
             if rem:
-                rem, lead, _ = _monic(rem, p)
-                pivots[lead] = rem
+                completion.add(rem)
                 kept.append(g)
     return PolyMatrix.from_columns(module.ring, module.rank, kept)
 

@@ -1,6 +1,7 @@
-"""Shared fixtures: tiny constructors, seeded generators, slice oracles
-and the reference resolution routes."""
+"""Shared fixtures: tiny constructors, seeded generators, slice oracles,
+the reference resolution routes and the criteria-free Groebner routes."""
 
+import heapq
 import random
 from itertools import product
 
@@ -17,7 +18,7 @@ from convres import (
     parse_poly,
     validate_complex,
 )
-from convres.algebra import twisted_degree, vec_is_zero
+from convres.algebra import check_twist, twisted_degree, vec_is_zero
 from convres.complexes import (
     ResolutionReport,
     _graded_column_degrees,
@@ -27,8 +28,24 @@ from convres.complexes import (
     column_degree_table,
     minimality_witness,
 )
-from convres.errors import InvariantError, StructuralError
-from convres.groebner import syzygy_basis
+from convres.errors import DomainError, InvariantError, StructuralError
+from convres.groebner import (
+    GroebnerBasis,
+    ModuleOrder,
+    _GBItem,
+    _addmul,
+    _check_weight,
+    _from_flat,
+    _interreduce,
+    _lcm_shifts,
+    _monic,
+    _reduce_flat,
+    _spair_parts,
+    _to_flat,
+    homogeneous_column_degree,
+    monomial_hilbert_numerator,
+    syzygy_basis,
+)
 from convres.oracle import rref_mod_p
 
 
@@ -116,6 +133,14 @@ def linear_code(rng):
                                 for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))})
              for _ in range(5)] for _ in range(3)]
     return CodePresentation(r, PolyMatrix.from_rows(r, rows))
+
+
+# The 2x4 code over F_101 with n = 3 whose resolution took minutes when
+# syzygy modules were pruned only after the next level was computed.
+CANARY_ROWS = [
+    ["73*D1^2 + 23*D1", "93*D2^2 + 77*D2", "65", "62*D1 + 96"],
+    ["81", "11*D1*D2 + 88*D2^2 + 63*D3", "85*D3 + 7", "91*D2^2 + 73*D2*D3 + 44*D3"],
+]
 
 
 def acceptance_corpus():
@@ -462,3 +487,209 @@ def _minimalize_grids(mats, twists):
             out_mats.pop()
             out_twists.pop()
     return out_mats, out_twists
+
+
+# -- reference Groebner routes: no pair criteria, all pairs re-reduced ------
+
+def reference_buchberger(gens_flat, order: ModuleOrder, expr_order: ModuleOrder = None):
+    """Complete ``gens_flat`` to a Groebner basis (normal strategy).
+
+    The engine's completion before pair criteria: every same-position
+    pair is reduced.
+
+    With ``expr_order`` each basis element carries its expression in
+    the input generators, packed by that order (of rank len(gens_flat)),
+    so syzygies can be pulled back to the caller's coordinates
+    afterwards.
+    """
+    p = order.ring.p
+    track = expr_order is not None
+    one = (0,) * order.ring.nvars
+    items: list[_GBItem] = []
+    for j, flat in enumerate(gens_flat):
+        if not flat:
+            raise DomainError("zero generator")
+        flat, lead, inv = _monic(dict(flat), p)
+        expr = {expr_order.pack((j, one)): inv} if track else None
+        items.append(_GBItem(flat, lead, order, expr))
+
+    heap = []
+    for i in range(len(items)):
+        for j in range(i):
+            if items[i].pos == items[j].pos:
+                heapq.heappush(heap, (_lcm_shifts(items[i], items[j], order)[0], j, i))
+
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        s, ui, uj = _spair_parts(items[i], items[j], order)
+        rem, quots = _reduce_flat(s, items, order, want_quotients=track)
+        if not rem:
+            continue
+        if track:
+            expr: dict = {}
+            _addmul(expr, items[i].expr, 1, ui, p)
+            _addmul(expr, items[j].expr, -1, uj, p)
+            for k, q in enumerate(quots):
+                for shift, c in q.items():
+                    _addmul(expr, items[k].expr, -c, shift, p)
+            # Expressions are multiplied further; hold them to the limit.
+            if expr:
+                _check_weight(max(expr) >> expr_order._weight_at)
+        else:
+            expr = None
+        rem, lead, inv = _monic(rem, p)
+        if track and inv != 1:
+            expr = {t: (c * inv) % p for t, c in expr.items()}
+        new = _GBItem(rem, lead, order, expr)
+        items.append(new)
+        hi = len(items) - 1
+        for k in range(hi):
+            if items[k].pos == new.pos:
+                heapq.heappush(heap, (_lcm_shifts(items[k], new, order)[0], k, hi))
+    return items
+
+
+def reference_syzygy_basis(matrix: PolyMatrix, row_twist=None) -> PolyMatrix:
+    """Generators of {y : matrix @ y = 0}, as columns over the matrix's ring.
+
+    The engine's construction before relations were kept from the
+    completion.  Schreyer's construction: complete the columns to a
+    Groebner basis while tracking expressions in the original columns, reduce every
+    same-position S-pair of the final basis to zero, and pull the
+    resulting relations back to the original coordinates.  The columns
+    of (I - A B), with A the tracked expressions and B the division of
+    the originals by the basis, complete the generating set.
+
+    A 0-column result means the matrix is injective.  For a matrix that
+    is homogeneous with respect to ``row_twist`` the returned syzygies
+    are homogeneous as well.
+    """
+    ring = matrix.ring
+    q, t = matrix.nrows, matrix.ncols
+    if t == 0:
+        return PolyMatrix.from_columns(ring, 0, [])
+    if matrix.has_zero_column():
+        raise DomainError("matrix has a zero column")
+    order = ModuleOrder(ring, (0,) * q if row_twist is None else check_twist(row_twist, q))
+    # Expressions in the columns are packed by the order the syzygies
+    # are finally sorted in.
+    syz_order = ModuleOrder(ring, matrix.column_degrees(row_twist))
+    p = ring.p
+    one = (0,) * ring.nvars
+
+    gens_flat = [_to_flat(col, order) for col in matrix.columns()]
+    items = reference_buchberger(gens_flat, order, syz_order)
+
+    # Schreyer relations of the completed basis, as dicts keyed by
+    # (basis index, packed shift).
+    raw: list[dict] = []
+    for j in range(len(items)):
+        for i in range(j):
+            if items[i].pos != items[j].pos:
+                continue
+            s, ui, uj = _spair_parts(items[i], items[j], order)
+            rem, quots = _reduce_flat(s, items, order, want_quotients=True)
+            if rem:
+                raise InvariantError("S-pair of a completed basis must reduce to zero")
+            sigma: dict = {(i, ui): 1, (j, uj): p - 1}
+            for k, quot in enumerate(quots):
+                for shift, c in quot.items():
+                    v = (sigma.get((k, shift), 0) - c) % p
+                    if v:
+                        sigma[(k, shift)] = v
+                    else:
+                        sigma.pop((k, shift), None)
+            if sigma:
+                raw.append(sigma)
+
+    # Pull basis-coordinate relations back to the original columns.
+    candidates: list[dict] = []
+    for sigma in raw:
+        out: dict = {}
+        for (k, shift), c in sigma.items():
+            _addmul(out, items[k].expr, c, shift, p)
+        if out:
+            candidates.append(out)
+
+    # Unit relations from re-dividing the originals by the basis.
+    for j, flat in enumerate(gens_flat):
+        rem, quots = _reduce_flat(flat, items, order, want_quotients=True)
+        if rem:
+            raise InvariantError("original generator must reduce to zero against its basis")
+        col: dict = {syz_order.pack((j, one)): 1}
+        for k, quot in enumerate(quots):
+            for shift, c in quot.items():
+                _addmul(col, items[k].expr, -c, shift, p)
+        if col:
+            candidates.append(col)
+
+    seen = set()
+    cleaned = []
+    for flat in candidates:
+        flat, lead, _ = _monic(flat, p)
+        key = tuple(sorted(flat.items()))
+        if key in seen:
+            continue
+        seen.add(key)
+        cleaned.append((lead, flat))
+    cleaned.sort(key=lambda pair: pair[0])
+    columns = [_from_flat(syz_order, t, flat) for _, flat in cleaned]
+    return PolyMatrix.from_columns(ring, t, columns)
+
+
+def reference_minimal_generators(module, twist=None):
+    """The per-degree pass before the engine resumed one completion.
+
+    Before degree d, a full criteria-free completion of the generators
+    kept so far, interreduced; the degree-d normal forms are then
+    echelonized by lead.
+    """
+    twist = module.twist if twist is None else check_twist(twist, module.rank)
+    degrees = [homogeneous_column_degree(g, twist) for g in module.generators]
+    order = ModuleOrder(module.ring, twist)
+    p = module.ring.p
+    by_degree: dict = {}
+    for k, d in enumerate(degrees):
+        by_degree.setdefault(d, []).append(k)
+    kept: list = []
+    for d in sorted(by_degree):
+        basis = (_interreduce(reference_buchberger([_to_flat(g, order) for g in kept], order),
+                              order) if kept else [])
+        pivots: dict = {}
+        for k in by_degree[d]:
+            g = module.generators[k]
+            rem, _ = _reduce_flat(_to_flat(g, order), basis, order)
+            while rem:
+                lead = max(rem)
+                row = pivots.get(lead)
+                if row is None:
+                    break
+                _addmul(rem, row, -rem[lead], 0, p)
+            if rem:
+                rem, lead, _ = _monic(rem, p)
+                pivots[lead] = rem
+                kept.append(g)
+    return PolyMatrix.from_columns(module.ring, module.rank, kept)
+
+
+def reference_groebner_basis(module):
+    """Reduced basis of the criteria-free completion, in the module's order."""
+    order = ModuleOrder(module.ring, module.twist)
+    items = reference_buchberger([_to_flat(g, order) for g in module.generators], order)
+    return GroebnerBasis(module.ring, module.rank, order, _interreduce(items, order),
+                         reduced=True)
+
+
+def reference_hilbert_numerator(module):
+    """``hilbert_numerator`` from the leads of the criteria-free completion."""
+    order = ModuleOrder(module.ring, module.twist)
+    leads: dict = {}
+    for it in reference_buchberger([_to_flat(g, order) for g in module.generators], order):
+        leads.setdefault(it.pos, []).append(it.exps)
+    out: dict = {}
+    for pos, exps in leads.items():
+        a = module.twist[pos]
+        out[a] = out.get(a, 0) + 1
+        for k, c in monomial_hilbert_numerator(exps, module.ring.nvars).items():
+            out[a + k] = out.get(a + k, 0) - c
+    return {k: c for k, c in out.items() if c}

@@ -143,6 +143,33 @@ def test_leading_term_complex_is_the_homogenization_at_d0_zero():
         assert leading_term_complex(cx).matrices == _homogenized_at_d0_zero(cx), cx
 
 
+def test_validate_complex_accepts_every_lifted_corpus_complex():
+    """G^L and G^H are built without re-multiplying their matrices: G
+    being a complex forces both to be one, with the degree table of G."""
+    rng = random.Random(2024)
+    cases = [koszul_complex(), validate_complex([paper_matrix()]), bad_f2_matrix()]
+    cases += [random_complex(rng) for _ in range(200)]
+    for c in acceptance_corpus():
+        cases += [validate_complex([c.generators]), minimal_resolution(c).complex]
+    for cx in cases:
+        for lifted in (leading_term_complex(cx), homogenize_complex(cx)):
+            checked = validate_complex(lifted.matrices)
+            assert (checked.q, checked.sizes) == (lifted.q, lifted.sizes)
+            assert column_degree_table(checked) == column_degree_table(cx), cx
+
+
+def test_report_computes_the_degree_table_once(monkeypatch):
+    c = koszul_code()
+    mats = homogenize_complex(minimal_resolution(c).complex).matrices
+    calls = []
+    real = PolyMatrix.column_degrees
+    monkeypatch.setattr(PolyMatrix, "column_degrees",
+                        lambda self, twist=None: calls.append(self) or real(self, twist))
+    report = complexes._report(mats, c.ring)
+    assert report.degree_table == ((1, 1), (2,))
+    assert len(calls) == len(mats) == 2
+
+
 def test_minimal_resolution_builds_the_leading_part_complex_once(monkeypatch):
     calls = {"leading_term_complex": 0, "homogenize_complex": 0}
     for name in calls:

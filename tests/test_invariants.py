@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from convres import Ring
+from convres import Poly, PolyMatrix, Ring
+from convres.algebra import CodePresentation
 from convres.complexes import minimal_resolution
 from convres.errors import InvariantError
 from convres.invariants import (
@@ -15,7 +18,7 @@ from convres.invariants import (
 )
 from convres.oracle import hilbert_oracle
 
-from helpers import code, koszul_code, random_code
+from helpers import code, codes, koszul_code, random_code
 
 
 def test_hilbert_formula_koszul_values():
@@ -107,3 +110,29 @@ def test_forney_table_rejects_an_unsorted_level():
     assert ForneyTable(((1, 1), (2,))).levels == ((1, 1), (2,))
     with pytest.raises(InvariantError, match="not sorted"):
         ForneyTable(((2, 1),))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(codes(), st.data())
+def test_tables_survive_unimodular_column_operations(c, data):
+    """Permuting the generator columns, or adding to one column a
+    polynomial multiple of another, keeps the module, so the degree and
+    Forney tables stay; the length l stays within 1..n."""
+    rep = minimal_resolution(c)
+    assert 1 <= rep.complex.length <= c.ring.n
+    cols = c.generators.columns()
+    perm = data.draw(st.permutations(range(len(cols))))
+    cols = [cols[k] for k in perm]
+    if len(cols) > 1:
+        j, k = data.draw(st.lists(st.integers(0, len(cols) - 1), min_size=2, max_size=2,
+                                  unique=True))
+        exps = st.tuples(*[st.integers(0, 2)] * c.ring.n)
+        h = Poly.from_dict(c.ring, data.draw(
+            st.dictionaries(exps, st.integers(1, c.ring.p - 1), max_size=3)))
+        cols[j] = tuple(a + h * b for a, b in zip(cols[j], cols[k]))
+        assume(any(not f.is_zero for f in cols[j]))
+    moved = minimal_resolution(
+        CodePresentation(c.ring, PolyMatrix.from_columns(c.ring, c.q, cols)))
+    assert moved.degree_table == rep.degree_table
+    assert forney_table(moved) == forney_table(rep)
+    assert 1 <= moved.complex.length <= c.ring.n

@@ -36,6 +36,7 @@ from convres.invariants import forney_table, hilbert_values
 from convres.oracle import hilbert_oracle
 
 from helpers import (
+    CANARY_ROWS,
     acceptance_corpus,
     koszul_code,
     minimalize_graded,
@@ -165,14 +166,6 @@ def test_forney_table_matches_the_pivoting_route():
 
 
 # -- the n = 3 canary ------------------------------------------------------
-
-# The 2x4 code over F_101 with n = 3 whose resolution took minutes when
-# syzygy modules were pruned only after the next level was computed.
-CANARY_ROWS = [
-    ["73*D1^2 + 23*D1", "93*D2^2 + 77*D2", "65", "62*D1 + 96"],
-    ["81", "11*D1*D2 + 88*D2^2 + 63*D3", "85*D3 + 7", "91*D2^2 + 73*D2*D3 + 44*D3"],
-]
-
 
 def test_canary_resolves_quickly_and_agrees_with_the_oracle():
     c = CodePresentation.from_strings(p=101, n=3, rows=CANARY_ROWS)
