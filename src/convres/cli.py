@@ -40,14 +40,13 @@ from .oracle import hilbert_oracle, truncated_exactness
 class InputDocument:
     """A parsed and validated input file."""
 
-    __slots__ = ("p", "n", "kind", "ring", "matrices", "code", "complex")
+    __slots__ = ("p", "n", "kind", "ring", "code", "complex")
 
-    def __init__(self, p, n, kind, ring, matrices, code, complex_):
+    def __init__(self, p, n, kind, ring, code, complex_):
         self.p = p
         self.n = n
         self.kind = kind
         self.ring = ring
-        self.matrices = matrices
         self.code = code
         self.complex = complex_
 
@@ -105,7 +104,7 @@ def parse_input(text: str) -> InputDocument:
             raise InputError("a code document needs a 'matrix' field", "matrix")
         mat = _parse_matrix(ring, doc["matrix"], "matrix")
         code = CodePresentation(ring, mat)
-        return InputDocument(p, n, kind, ring, [mat], code, None)
+        return InputDocument(p, n, kind, ring, code, None)
     if "matrices" not in doc:
         raise InputError("a complex document needs a 'matrices' field", "matrices")
     if not isinstance(doc["matrices"], list) or not doc["matrices"]:
@@ -116,7 +115,7 @@ def parse_input(text: str) -> InputDocument:
         cx = validate_complex(mats)
     except ConvresError as exc:
         raise InputError(f"matrices do not form a complex: {exc}", "matrices") from None
-    return InputDocument(p, n, kind, ring, mats, None, cx)
+    return InputDocument(p, n, kind, ring, None, cx)
 
 
 def _complex_document(doc: InputDocument, cx: PolyComplex) -> dict:

@@ -7,36 +7,43 @@ K the kernel of H; the code is observable exactly when it equals K, and
 any generator of K outside the code is a torsion element of S^q/C.
 
 The reduction-modulo-irreducibles criterion is implemented as a
-univariate spot check only: for n = 1 the quotient by an irreducible is
-a field and exactness becomes finite linear algebra.  Enumerating the
-irreducibles is exponential in the degree bound, so a bound whose
-candidate count exceeds ``MAX_PROP3_CANDIDATES`` is refused before any
-work.
+univariate spot check only: for n = 1 the quotient by an irreducible
+lam is a field, and exactness becomes rank counting.  A matrix over
+F_p[x]/(lam) is ranked over F_p, with each entry replaced by its block
+in the companion matrix of lam, by ``oracle.rref_mod_p``; entries are
+read sparsely by exponent, so a huge degree costs only squarings.  The
+irreducibles come from a product sieve.  Their number is exponential in
+the degree bound, so a bound whose candidate count exceeds
+``MAX_PROP3_CANDIDATES`` is refused before any work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
-from .algebra import CodePresentation, ModElem, Poly, PolyMatrix, vec_mul_poly
+import numpy as np
+
+from .algebra import CodePresentation, ModElem, Poly, PolyMatrix, vec_is_zero, vec_mul_poly
 from .complexes import PolyComplex
 from .errors import DomainError, InputError, InvariantError, UnsupportedDimensionError
 from .groebner import (
     SubmodulePresentation,
+    groebner_basis,
     left_kernel,
     matrix_kernel,
-    membership,
-    module_equal,
+    normal_form,
     syzygy_basis,
 )
+from .oracle import rref_mod_p
 
 
 # Largest number of monic candidates, sum of p^k for k = 1..B, that the
-# spot check sieves.  At this count the sieve takes up to about 0.6 s
-# (p = 61, B = 2; 2-core x86 VM, Python 3.11), against 2.7 s for p = 101,
-# B = 2 (10302 candidates).  The tests and the small-mix benchmark reach
-# at most 155 (p = 5, B = 3).
+# spot check sieves.  Within it the product sieve takes at most about
+# 5 ms (p = 2, B = 11; 2-core Xeon VM, Python 3.11, numpy), and a whole
+# check of a 2 x 1 complex at most about 0.1 s (p = 2, B = 11 and p = 61,
+# B = 2), one block rank per irreducible.  It also keeps p <= 4093 < 2^12,
+# which the int64 ranks rely on.  The tests and the small-mix benchmark
+# reach at most 155 (p = 5, B = 3).
 MAX_PROP3_CANDIDATES = 4096
 
 
@@ -84,14 +91,16 @@ def is_observable(code: CodePresentation) -> ObservabilityReport:
         kernel_cols = matrix_kernel(parity).columns()
     if not kernel_cols:
         raise InvariantError("the kernel of the left kernel must contain the code")
+    # Both presentations have the zero twist, so their default orders are
+    # the shared order of ``module_equal``: equal reduced bases, equal modules.
+    code_basis = groebner_basis(SubmodulePresentation.from_matrix(code.generators))
     kernel_pres = SubmodulePresentation(ring, q, tuple(kernel_cols))
-    code_pres = SubmodulePresentation.from_matrix(code.generators)
-    if module_equal(code_pres, kernel_pres):
+    if code_basis.elements == groebner_basis(kernel_pres).elements:
         return ObservabilityReport(True, parity, None)
     for g in kernel_cols:
-        if not membership(g, code_pres):
+        if not vec_is_zero(normal_form(g, code_basis)):
             s = _torsion_multiplier(code, g)
-            if not membership(vec_mul_poly(g, s), code_pres):
+            if not vec_is_zero(normal_form(vec_mul_poly(g, s), code_basis)):
                 raise InvariantError("torsion multiple of the witness is outside the code")
             return ObservabilityReport(False, None, TorsionWitness(g, s))
     raise InvariantError("kernel differs from the code but has no outside generator")
@@ -99,116 +108,90 @@ def is_observable(code: CodePresentation) -> ObservabilityReport:
 
 # -- univariate spot check -----------------------------------------------
 
-def _coeffs(f: Poly) -> list:
-    """Ascending coefficient list of a univariate polynomial."""
-    if f.is_zero:
-        return []
-    out = [0] * (int(f.degree) + 1)
-    for e, c in f.terms:
-        out[e[0]] = c
-    return out
+def _monics(p: int, k: int) -> np.ndarray:
+    """Ascending coefficient rows of all monic polynomials of degree k.
 
-
-def _poly_trim(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mul(a: list, b: list, p: int) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _poly_trim(out)
-
-
-def _poly_sub(a: list, b: list, p: int) -> list:
-    width = max(len(a), len(b))
-    a = a + [0] * (width - len(a))
-    b = b + [0] * (width - len(b))
-    return _poly_trim([(x - y) % p for x, y in zip(a, b)])
-
-
-def _poly_divmod(a: list, b: list, p: int):
-    a = list(a)
-    inv = pow(b[-1], p - 2, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        k = len(a) - len(b)
-        c = (a[-1] * inv) % p
-        q[k] = c
-        for i, x in enumerate(b):
-            a[i + k] = (a[i + k] - c * x) % p
-        _poly_trim(a)
-        if not a:
-            break
-    return _poly_trim(q), a
-
-
-def _field_inv(a: list, lam: list, p: int) -> list:
-    """Inverse in F_p[x]/(lam) by the extended Euclidean algorithm."""
-    r0, r1 = list(lam), list(a)
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1, p), p)
-    if len(r0) != 1:
-        raise InvariantError("element not invertible: the modulus is reducible")
-    c = pow(r0[0], p - 2, p)
-    return _poly_trim([(x * c) % p for x in t0])
+    Row m has the base-p digits of m, most significant first, as its
+    coefficients 0..k-1: the order of ``itertools.product(range(p),
+    repeat=k)``.
+    """
+    tails = np.indices((p,) * k).reshape(k, -1).T
+    return np.hstack([tails, np.ones((len(tails), 1), dtype=tails.dtype)])
 
 
 def monic_irreducibles(p: int, max_deg: int):
     """All monic irreducible polynomials of degree 1..max_deg over F_p.
 
-    Exhaustive sieve by trial division; exponential in max_deg, intended
-    for tiny degrees.
+    Ascending coefficient lists, by degree and then in the row order of
+    ``_monics``.  A product sieve: for each split i <= k/2 every product
+    of monics of degrees i and k - i is marked reducible.  Exponential in
+    max_deg, intended for tiny degrees.
     """
     found = []
-    for deg in range(1, max_deg + 1):
-        for tail in product(range(p), repeat=deg):
-            cand = list(tail) + [1]
-            divisible = False
-            for g in found:
-                if (len(g) - 1) * 2 > deg:
-                    break
-                if not _poly_divmod(cand, g, p)[1]:
-                    divisible = True
-                    break
-            if not divisible:
-                found.append(cand)
+    for k in range(1, max_deg + 1):
+        place = p ** np.arange(k - 1, -1, -1)
+        reducible = np.zeros(p ** k, dtype=bool)
+        for i in range(1, k // 2 + 1):
+            a, b = _monics(p, i), _monics(p, k - i)
+            prod = np.zeros((len(a), len(b), k + 1), dtype=np.int64)
+            for s in range(i + 1):
+                prod[:, :, s:s + k - i + 1] += a[:, None, s, None] * b[None]
+            reducible[(prod[:, :, :k] % p) @ place] = True
+        found.extend(_monics(p, k)[~reducible].tolist())
     return found
 
 
-def _rank_mod_lambda(mat: PolyMatrix, lam: list, p: int) -> int:
-    """Rank of the matrix over the field F_p[x]/(lam)."""
+def _matpow(m: np.ndarray, e: int, p: int) -> np.ndarray:
+    """m^e mod p by square-and-multiply."""
+    out = np.eye(len(m), dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out @ m % p
+        e >>= 1
+        if e:
+            m = m @ m % p
+    return out
 
-    def red(coeffs):
-        return _poly_divmod(coeffs, lam, p)[1]
 
-    grid = [[red(_coeffs(mat.entry(i, j))) for j in range(mat.ncols)]
-            for i in range(mat.nrows)]
-    rank = 0
-    rows = list(range(mat.nrows))
-    for col in range(mat.ncols):
-        pivot = next((r for r in rows if grid[r][col]), None)
-        if pivot is None:
-            continue
-        rows.remove(pivot)
-        inv = _field_inv(grid[pivot][col], lam, p)
-        prow = [red(_poly_mul(e, inv, p)) for e in grid[pivot]]
-        for r in rows:
-            f = grid[r][col]
-            if f:
-                for c in range(mat.ncols):
-                    grid[r][c] = _poly_sub(grid[r][c], red(_poly_mul(f, prow[c], p)), p)
-        rank += 1
-    return rank
+def _ranks_modulo(matrices, irreducibles, p: int):
+    """Per irreducible lam, the ranks of univariate matrices over F_p[x]/(lam).
+
+    Restriction of scalars: with C the companion matrix of lam and
+    k = deg lam, each entry f becomes the k x k block f(C), which is
+    multiplication by f on the field, and the F_p-rank of the block
+    matrix is k times the rank over the field.  The coefficients are
+    laid out over the distinct exponents of all entries only, and C^e is
+    reached by square-and-multiply from the previous exponent.
+    """
+    # int64 is exact: MAX_PROP3_CANDIDATES keeps p <= 4093 < 2^12, so a
+    # product of two residues is below 2^24 and a sum of fewer than 2^39
+    # of them (matrix products, the einsum over exponents) is below 2^63.
+    exps = sorted({e for mat in matrices for row in mat.entries
+                   for f in row for (e,), _ in f.terms})
+    slot = {e: t for t, e in enumerate(exps)}
+    cubes = []
+    for mat in matrices:
+        cube = np.zeros((len(exps), mat.nrows, mat.ncols), dtype=np.int64)
+        for i, row in enumerate(mat.entries):
+            for j, f in enumerate(row):
+                for (e,), c in f.terms:
+                    cube[slot[e], i, j] = c
+        cubes.append(cube)
+    for lam in irreducibles:
+        k = len(lam) - 1
+        companion = np.eye(k, k, -1, dtype=np.int64)
+        companion[:, -1] = np.negative(lam[:k]) % p
+        powers = np.empty((len(exps), k, k), dtype=np.int64)
+        acc, prev = np.eye(k, dtype=np.int64), 0
+        for t, e in enumerate(exps):
+            acc = acc @ _matpow(companion, e - prev, p) % p
+            powers[t], prev = acc, e
+        ranks = []
+        for cube in cubes:
+            _, rows, cols = cube.shape
+            blocks = np.einsum("tij,tab->iajb", cube, powers).reshape(rows * k, cols * k)
+            ranks.append(len(rref_mod_p(blocks, p)[1]) // k)
+        yield ranks
 
 
 def prop3_spot_check(cx: PolyComplex, degree_bound: int) -> bool:
@@ -236,8 +219,7 @@ def prop3_spot_check(cx: PolyComplex, degree_bound: int) -> bool:
                 f"degree bound {degree_bound} over F_{p} needs more than "
                 f"{MAX_PROP3_CANDIDATES} candidate polynomials", "--prop3-bound")
     sizes = cx.sizes
-    for lam in monic_irreducibles(p, degree_bound):
-        ranks = [_rank_mod_lambda(mat, lam, p) for mat in cx.matrices]
+    for ranks in _ranks_modulo(cx.matrices, monic_irreducibles(p, degree_bound), p):
         if ranks[-1] != sizes[-1]:
             return False
         for k in range(cx.length - 1):

@@ -1,5 +1,6 @@
 """Shared fixtures: tiny constructors, seeded generators, slice oracles,
-the reference resolution routes and the criteria-free Groebner routes."""
+the reference resolution routes, the criteria-free Groebner routes and
+the list-based univariate spot check."""
 
 import heapq
 import random
@@ -693,3 +694,135 @@ def reference_hilbert_numerator(module):
         for k, c in monomial_hilbert_numerator(exps, module.ring.nvars).items():
             out[a + k] = out.get(a + k, 0) - c
     return {k: c for k, c in out.items() if c}
+
+
+# -- list-based univariate spot check --------------------------------------
+# F_p[x] arithmetic on ascending coefficient lists, a trial-division sieve
+# and Gaussian elimination over each field F_p[x]/(lam): an independent
+# route that the companion-block ranks and the product sieve of
+# ``convres.observability`` are compared against.
+
+def _coeffs(f: Poly) -> list:
+    """Ascending coefficient list of a univariate polynomial."""
+    if f.is_zero:
+        return []
+    out = [0] * (int(f.degree) + 1)
+    for e, c in f.terms:
+        out[e[0]] = c
+    return out
+
+
+def _poly_trim(a: list) -> list:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_mul(a: list, b: list, p: int) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+    return _poly_trim(out)
+
+
+def _poly_sub(a: list, b: list, p: int) -> list:
+    width = max(len(a), len(b))
+    a = a + [0] * (width - len(a))
+    b = b + [0] * (width - len(b))
+    return _poly_trim([(x - y) % p for x, y in zip(a, b)])
+
+
+def _poly_divmod(a: list, b: list, p: int):
+    a = list(a)
+    inv = pow(b[-1], p - 2, p)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        k = len(a) - len(b)
+        c = (a[-1] * inv) % p
+        q[k] = c
+        for i, x in enumerate(b):
+            a[i + k] = (a[i + k] - c * x) % p
+        _poly_trim(a)
+        if not a:
+            break
+    return _poly_trim(q), a
+
+
+def _field_inv(a: list, lam: list, p: int) -> list:
+    """Inverse in F_p[x]/(lam) by the extended Euclidean algorithm."""
+    r0, r1 = list(lam), list(a)
+    t0, t1 = [], [1]
+    while r1:
+        q, r = _poly_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1, p), p)
+    if len(r0) != 1:
+        raise InvariantError("element not invertible: the modulus is reducible")
+    c = pow(r0[0], p - 2, p)
+    return _poly_trim([(x * c) % p for x in t0])
+
+
+def reference_monic_irreducibles(p: int, max_deg: int):
+    """All monic irreducible polynomials of degree 1..max_deg over F_p.
+
+    Exhaustive sieve by trial division; exponential in max_deg, intended
+    for tiny degrees.
+    """
+    found = []
+    for deg in range(1, max_deg + 1):
+        for tail in product(range(p), repeat=deg):
+            cand = list(tail) + [1]
+            divisible = False
+            for g in found:
+                if (len(g) - 1) * 2 > deg:
+                    break
+                if not _poly_divmod(cand, g, p)[1]:
+                    divisible = True
+                    break
+            if not divisible:
+                found.append(cand)
+    return found
+
+
+def reference_rank_mod_lambda(mat: PolyMatrix, lam: list, p: int) -> int:
+    """Rank of the matrix over the field F_p[x]/(lam)."""
+
+    def red(coeffs):
+        return _poly_divmod(coeffs, lam, p)[1]
+
+    grid = [[red(_coeffs(mat.entry(i, j))) for j in range(mat.ncols)]
+            for i in range(mat.nrows)]
+    rank = 0
+    rows = list(range(mat.nrows))
+    for col in range(mat.ncols):
+        pivot = next((r for r in rows if grid[r][col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        inv = _field_inv(grid[pivot][col], lam, p)
+        prow = [red(_poly_mul(e, inv, p)) for e in grid[pivot]]
+        for r in rows:
+            f = grid[r][col]
+            if f:
+                for c in range(mat.ncols):
+                    grid[r][c] = _poly_sub(grid[r][c], red(_poly_mul(f, prow[c], p)), p)
+        rank += 1
+    return rank
+
+
+def reference_prop3_spot_check(cx, degree_bound):
+    """The former ``prop3_spot_check`` verdict, without its bound checks."""
+    p = cx.ring.p
+    sizes = cx.sizes
+    for lam in reference_monic_irreducibles(p, degree_bound):
+        ranks = [reference_rank_mod_lambda(mat, lam, p) for mat in cx.matrices]
+        if ranks[-1] != sizes[-1]:
+            return False
+        for k in range(cx.length - 1):
+            if ranks[k] + ranks[k + 1] != sizes[k]:
+                return False
+    return True
