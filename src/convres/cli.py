@@ -32,6 +32,7 @@ from .complexes import (
     validate_complex,
 )
 from .errors import ConvresError, InputError, PolyParseError
+from .groebner import _LIMIT as MAX_TERM_DEGREE
 from .invariants import forney_table, hilbert_values, memory, rate_and_dimension
 from .observability import is_observable, prop3_spot_check
 from .oracle import hilbert_oracle, truncated_exactness
@@ -72,6 +73,9 @@ def _parse_matrix(ring: Ring, rows, where: str) -> PolyMatrix:
             except PolyParseError as exc:
                 raise InputError(f"bad polynomial {text!r}: {exc}",
                                  f"{where}[{i}][{j}]") from None
+            if out[-1].degree > MAX_TERM_DEGREE:
+                raise InputError(f"degree {out[-1].degree} exceeds the engine's limit "
+                                 f"of {MAX_TERM_DEGREE}", f"{where}[{i}][{j}]")
         grid.append(out)
     mat = PolyMatrix.from_rows(ring, grid)
     for j in range(mat.ncols):
@@ -165,12 +169,12 @@ def run_command(cmd: str, doc: InputDocument, options) -> tuple[dict, int]:
     if cmd == "hilbert":
         _require_kind(doc, "code", cmd)
         d_max = options.max_d
+        table = hilbert_values(minimal_resolution(doc.code), d_max)
+        values = [table[d] for d in range(d_max + 1)]
         if options.oracle:
-            values = [hilbert_oracle(doc.code, d) for d in range(d_max + 1)]
-        else:
-            report = minimal_resolution(doc.code)
-            table = hilbert_values(report, d_max)
-            values = [table[d] for d in range(d_max + 1)]
+            # The oracle counts up to the formula's value: exactly it when
+            # the engine is right, more when it undercounts.
+            values = [hilbert_oracle(doc.code, d, value) for d, value in enumerate(values)]
         return {"command": "hilbert", "max_d": d_max, "oracle": bool(options.oracle),
                 "values": values}, 0
 
@@ -228,7 +232,8 @@ def run_command(cmd: str, doc: InputDocument, options) -> tuple[dict, int]:
                     "agreement": all(per_d.values()) == verdict}, 0
         report = minimal_resolution(doc.code)
         formula = hilbert_values(report, d_max)
-        per_d = [hilbert_oracle(doc.code, d) == formula[d] for d in range(d_max + 1)]
+        per_d = [hilbert_oracle(doc.code, d, formula[d]) == formula[d]
+                 for d in range(d_max + 1)]
         return {"command": "oracle-verify", "kind": "code",
                 "hilbert_agreement": per_d, "all": all(per_d)}, 0
 

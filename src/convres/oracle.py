@@ -1,22 +1,28 @@
 """Brute-force verification by degree-truncated linear algebra.
 
-Everything here is deliberately independent of the Groebner engine:
-spaces of bounded-degree module elements are laid out over explicit
-monomial bases and handled with dense row reduction modulo p.  This is
-the second route against which the exact machinery is checked: Hilbert
-values, exactness of degree slices, kernels of truncated maps, and the
-memory recursion.
+Every count and basis here is computed without the Groebner engine,
+over explicit monomial bases by dense row reduction modulo p: the second
+route against which Hilbert values, exactness of degree slices, kernels
+of truncated maps and the memory recursion are checked.
 
 Codeword dimensions come from one reduced echelon form per code
-(``_CodeEchelon``).  The shifts x^e * g of the generators are added one
-block per degree cap, in increasing cap order, over columns ordered by
-descending degree, so a row's pivot is its top-degree term and the
-echelon after the block of cap c is the echelon of every shift of
-degree <= c.  The dimension of the degree-<= d slice at cap c is then
-the number of pivots of degree <= d present at cap c.
+(``_CodeEchelon``), grown by one block of generator shifts x^e * g per
+degree cap.  Its count D(c, d) of the codewords of degree <= d spanned
+by the shifts of degree <= c never exceeds F(d) = dim C_{<=d} and never
+falls as c rises, but no cap where it reaches F(d) is known in advance.
+So from the first cap tried (at least d) the cap rises by one until
+D(c, d) reaches a target: the value the caller claims, by default F(d)
+by the Hilbert formula on the engine's minimal resolution.  Hence:
 
-No dense matrix above ``MAX_CELLS`` entries is built: its size is
-computed from binomials first, and a larger one raises ``InputError``.
+* D = F(d): the oracle has exhibited F(d) independent codewords of degree <= d.
+* An overcounting engine never agrees: the count never reaches its
+  target, so the cap rises until ``MAX_CELLS`` raises ``InputError``.
+* An undercounting engine shows as a disagreement when the count
+  passes F(d) at the cap where it first reaches it.
+
+``MAX_CELLS`` is the only ceiling: no dense matrix above it is built,
+its size being computed from binomials first.  A code too large at cap
+max(d, max generator degree) is refused before the target is taken.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from operator import add
 
 import numpy as np
 
@@ -128,12 +133,9 @@ class _SliceBasis:
     def build(cls, ring: Ring, rank: int, twist, d: int):
         twist = check_twist(twist, rank)
         _check_cells(1, sum(comb(d - t + ring.n, ring.n) for t in twist if t <= d))
-        monos = []
-        for pos in range(rank):
-            for e in monomials_up_to(ring.n, d - twist[pos]):
-                monos.append((pos, e))
-        index = {t: i for i, t in enumerate(monos)}
-        return cls(ring, rank, twist, d, index, tuple(monos))
+        monos = tuple((pos, e) for pos in range(rank)
+                      for e in monomials_up_to(ring.n, d - twist[pos]))
+        return cls(ring, rank, twist, d, {t: i for i, t in enumerate(monos)}, monos)
 
     @property
     def dim(self):
@@ -166,7 +168,6 @@ class TruncatedSpace:
     basis: tuple
     dimension: int
     cap_used: int
-    stabilized: bool
 
     def __eq__(self, other):
         return (isinstance(other, TruncatedSpace) and self.ring == other.ring
@@ -175,48 +176,58 @@ class TruncatedSpace:
 
 
 def _generator_terms(code: CodePresentation) -> list:
-    """(terms, degree) of every generator column, terms as (pos, exps, coeff)."""
+    """(positions, exponents, coefficients, degree) per generator column."""
     mat = code.generators
-    return [([(pos, e, c) for pos, f in enumerate(col) for e, c in f.terms], deg)
-            for col, deg in zip(mat.columns(), mat.column_degrees())]
-
-
-def _shift_count(gens: list, n: int, cap: int) -> int:
-    """Number of generator shifts of degree <= cap."""
-    return sum(comb(cap - deg + n, n) for _, deg in gens if deg <= cap)
-
-
-def _shift_rows(gens: list, n: int, lo: int, hi: int, column: dict, width: int) -> np.ndarray:
-    """Dense rows of the shifts x^e * g with lo <= deg g + |e| <= hi.
-
-    ``column`` maps (pos, exps) to a column index below ``width``.
-    """
-    rows, cols, vals = [], [], []
-    r = 0
-    for terms, deg in gens:
-        for k in range(max(lo - deg, 0), hi - deg + 1):
-            for e in _compositions(n, k):
-                for pos, exps, c in terms:
-                    rows.append(r)
-                    cols.append(column[(pos, tuple(map(add, exps, e)))])
-                    vals.append(c)
-                r += 1
-    out = np.zeros((r, width), dtype=np.int64)
-    out[rows, cols] = vals
+    out = []
+    for col, deg in zip(mat.columns(), mat.column_degrees()):
+        terms = [(pos, e, c) for pos, f in enumerate(col) for e, c in f.terms]
+        out.append((*(np.array(a, dtype=np.int64) for a in zip(*terms)), deg))
     return out
+
+
+def _keys(pos, exps: np.ndarray, q: int) -> np.ndarray:
+    """Index of each term (pos, exps) when the terms of S^q are ordered by
+    degree, then position, then exponent vector as in ``_compositions``."""
+    n = exps.shape[-1]
+    deg = exps.sum(axis=-1)
+    binom = np.array([[comb(r + m, m) for m in range(n + 1)]   # C(r + m, m)
+                      for r in range(int(deg.max(initial=0)) + 1)], dtype=np.int64)
+    key = q * (binom[deg, n] - binom[deg, n - 1]) + pos * binom[deg, n - 1]
+    rest = deg
+    for i in range(n - 1):
+        # Vectors of sum ``rest`` in n - i entries with a smaller first entry.
+        key = key + binom[rest, n - 1 - i] - binom[rest - exps[..., i], n - 1 - i]
+        rest = rest - exps[..., i]
+    return key
+
+
+def _shift_rows(gens: list, q: int, lo: int, hi: int, column: np.ndarray,
+                width: int) -> np.ndarray:
+    """Dense rows of the shifts x^e * g with lo <= deg g + |e| <= hi, by g,
+    then by e in ``_compositions`` order of each degree; ``column`` maps
+    the ``_keys`` of S^q to column indices below ``width``."""
+    blocks = []
+    for pos, exps, coeffs, deg in gens:
+        shifts = np.array([e for k in range(max(lo - deg, 0), hi - deg + 1)
+                           for e in _compositions(exps.shape[1], k)],
+                          dtype=np.int64).reshape(-1, exps.shape[1])
+        block = np.zeros((len(shifts), width), dtype=np.int64)
+        block[np.arange(len(shifts))[:, None],
+              column[_keys(pos, shifts[:, None, :] + exps, q)]] = coeffs
+        blocks.append(block)
+    return np.vstack(blocks)
 
 
 class _CodeEchelon:
     """Reduced echelon form of the generator shifts of one code, grown by cap.
 
-    Columns are numbered as they are added, one degree at a time, so read
-    from the highest number down they list the degrees from the top,
-    with (pos, exps) ascending within a degree: the column order of a
-    from-scratch echelon at the current cap.  Every pivot keeps its
-    degree and the cap whose block added it; pivots are never removed,
-    because each block is reduced against the existing rows first.
-    A lock serializes growth and counting, since echelons are shared, and
-    an exception while growing empties the echelon.
+    Column k holds the term of ``_keys`` k, so the columns read from the
+    highest number down list the degrees from the top; each block adds
+    the columns of its degree.  Every pivot keeps its degree and the cap
+    whose block added it; pivots are never removed, because each block
+    is reduced against the existing rows first.  A lock serializes
+    growth and counting, since echelons are shared, and an exception
+    while growing empties the echelon.
     """
 
     def __init__(self, code: CodePresentation):
@@ -227,19 +238,22 @@ class _CodeEchelon:
 
     def _clear(self):
         self.cap = -1
-        self.column: dict = {}
         self.col_deg = np.zeros(0, dtype=np.int64)
         self.rows = np.zeros((0, 0), dtype=np.int64)
         self.pivots = np.zeros(0, dtype=np.int64)
         self.pivot_deg = np.zeros(0, dtype=np.int64)
         self.pivot_cap = np.zeros(0, dtype=np.int64)
 
+    def check(self, cap: int):
+        """Raise InputError when the shifts of degree <= cap are too many."""
+        shifts = sum(comb(cap - deg + self.n, self.n) for *_, deg in self.gens if deg <= cap)
+        _check_cells(shifts, self.q * comb(cap + self.n, self.n))
+
     def dim(self, cap: int, d: int) -> int:
         """dim of the degree-<= d part of the span of the shifts of degree <= cap."""
         with self._lock:
             if cap > self.cap:
-                _check_cells(_shift_count(self.gens, self.n, cap),
-                             self.q * comb(cap + self.n, self.n))
+                self.check(cap)
                 try:
                     for c in range(self.cap + 1, cap + 1):
                         self._add_block(c)
@@ -252,15 +266,12 @@ class _CodeEchelon:
 
     def _add_block(self, c: int):
         p = self.p
-        base = len(self.col_deg)
-        fresh = [(pos, e) for pos in range(self.q) for e in _compositions(self.n, c)]
-        for i, key in enumerate(fresh):
-            self.column[key] = base + len(fresh) - 1 - i
-        width = base + len(fresh)
-        self.col_deg = np.concatenate([self.col_deg, np.full(len(fresh), c)])
-        self.rows = np.hstack([self.rows, np.zeros((len(self.rows), len(fresh)), np.int64)])
+        fresh = self.q * comb(c + self.n - 1, self.n - 1)
+        width = len(self.col_deg) + fresh
+        self.col_deg = np.concatenate([self.col_deg, np.full(fresh, c)])
+        self.rows = np.hstack([self.rows, np.zeros((len(self.rows), fresh), np.int64)])
         self.cap = c
-        block = _shift_rows(self.gens, self.n, c, c, self.column, width)
+        block = _shift_rows(self.gens, self.q, c, c, np.arange(width), width)
         if not block.shape[0]:
             return
         # Reduce the block against the pivots and echelonize what is left,
@@ -287,84 +298,77 @@ class _CodeEchelon:
 
 @lru_cache(maxsize=4)
 def _echelon(code: CodePresentation) -> _CodeEchelon:
-    """The shared, growing echelon of a code.
-
-    Callers ask about one code at a time, for ascending d, so a few
-    live echelons are enough; each grows only to the largest cap asked.
-    """
+    """The shared, growing echelon of a code.  Callers ask about one code
+    at a time, for ascending d, so a few live echelons are enough."""
     return _CodeEchelon(code)
 
 
-def _stable_dim(code: CodePresentation, d: int, cap: int = None):
-    """(dimension, cap_used, stabilized) for the codewords of degree <= d.
+@lru_cache(maxsize=4)
+def _resolution(code: CodePresentation):
+    """The engine's minimal resolution of a code, for the targets of its slices."""
+    from .complexes import minimal_resolution
+    return minimal_resolution(code)
 
-    Shifts are truncated at a cap, by default d + 2 * max generator
-    degree, raised by one until three consecutive caps give the same
-    dimension; ``cap_used`` is the first of the three.  After 13 caps
-    without that, ``stabilized`` is False and ``cap_used`` the last cap.
-    """
+
+def _count(code: CodePresentation, d: int, cap: int = None, target: int = None):
+    """(D(c, d), c) at the first cap c >= max(cap, d) where D(c, d) >= target;
+    ``cap`` defaults to d and ``target`` to the engine's F(d)."""
     echelon = _echelon(code)
-    maxdeg = max(1, max(deg for _, deg in echelon.gens))
-    c = max(cap if cap is not None else d + 2 * maxdeg, d)
-    dims = []
-    while True:
-        dims.append(echelon.dim(c, d))
-        if len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3]:
-            return dims[-1], c - 2, True
-        if len(dims) > 12:
-            return dims[-1], c, False
+    echelon.check(max(d, max(deg for *_, deg in echelon.gens)))
+    if target is None:
+        from .invariants import hilbert_formula
+        target = hilbert_formula(_resolution(code).degree_table, code.ring.n, d)
+    c = d if cap is None else max(cap, d)
+    while (dim := echelon.dim(c, d)) < target:
         c += 1
+    return dim, c
 
 
 def _slice_basis(code: CodePresentation, d: int, cap: int) -> tuple:
     """RREF basis, in ``_SliceBasis`` order, of the degree-<= d part of
-    the span of the shifts of degree <= cap.
-
-    One echelon: the columns of degree in (d, cap] come first, so the
-    rows pivoting in the slice columns after them span the slice, and
-    are already reduced in the slice's own column order.
+    the span of the shifts of degree <= cap, from one echelon: the
+    columns of degree in (d, cap] come first, so the rows pivoting in
+    the slice columns after them span the slice, reduced in its order.
     """
     ring, q, n = code.ring, code.q, code.ring.n
-    gens = _generator_terms(code)
-    _check_cells(_shift_count(gens, n, cap), q * comb(cap + n, n))
+    echelon = _echelon(code)
+    echelon.check(cap)
     small = _SliceBasis.build(ring, q, (0,) * q, d)
-    high = [(pos, e) for k in range(d + 1, cap + 1) for pos in range(q)
-            for e in _compositions(n, k)]
-    column = {key: i for i, key in enumerate(high)}
-    column.update((key, len(high) + i) for key, i in small.index.items())
-    rows = _shift_rows(gens, n, 0, cap, column, len(high) + small.dim)
+    # Keys above degree d come first, in key order, then the slice's in its order.
+    high = q * comb(cap + n, n) - small.dim
+    column = np.arange(-small.dim, high)
+    pos, exps = zip(*small.monos)
+    column[_keys(np.array(pos), np.array(exps), q)] = high + np.arange(small.dim)
+    rows = _shift_rows(echelon.gens, q, 0, cap, column, high + small.dim)
     reduced, pivots = rref_mod_p(rows, ring.p)
-    return tuple(small.element(reduced[r, len(high):])
-                 for r, c in enumerate(pivots) if c >= len(high))
+    return tuple(small.element(reduced[r, high:])
+                 for r, c in enumerate(pivots) if c >= high)
 
 
 def truncated_code_space(code: CodePresentation, d: int, cap: int = None) -> TruncatedSpace:
     """Macaulay-style basis of the codewords of degree <= d.
 
-    ``dimension``, ``cap_used`` and ``stabilized`` follow the cap rule of
-    ``_stable_dim`` (``cap`` sets the first cap tried).  The basis comes
-    from one echelon of the generator shifts at ``cap_used`` and must
-    have the incremental echelon's dimension.
+    ``dimension`` is the count D(c, d) at the first cap c >= max(cap, d)
+    where it reaches the engine's F(d), and ``cap_used`` that cap.  The
+    basis comes from one from-scratch echelon of the shifts at
+    ``cap_used`` and must have the incremental echelon's dimension.
     """
     ring = code.ring
     if d < 0:
-        return TruncatedSpace(ring, code.q, (0,) * code.q, d, (), 0, cap or 0, True)
-    dimension, cap_used, stabilized = _stable_dim(code, d, cap)
+        return TruncatedSpace(ring, code.q, (0,) * code.q, d, (), 0, cap or 0)
+    dimension, cap_used = _count(code, d, cap)
     basis = _slice_basis(code, d, cap_used)
     if len(basis) != dimension:
         raise InvariantError(f"oracle slice at d={d}, cap {cap_used}: basis of "
                              f"{len(basis)} elements, incremental dimension {dimension}")
-    return TruncatedSpace(ring, code.q, (0,) * code.q, d, basis, dimension,
-                          cap_used, stabilized)
+    return TruncatedSpace(ring, code.q, (0,) * code.q, d, basis, dimension, cap_used)
 
 
-def hilbert_oracle(code: CodePresentation, d: int) -> int:
-    """dim of the space of codewords of degree <= d, by brute force.
-
-    A count read from the code's incremental echelon under the cap rule
-    of ``_stable_dim``; no basis is built.
-    """
-    return _stable_dim(code, d)[0] if d >= 0 else 0
+def hilbert_oracle(code: CodePresentation, d: int, target: int = None) -> int:
+    """dim of the codewords of degree <= d, by brute force: the count
+    D(c, d) at the first cap c >= d where it reaches ``target`` (by default
+    the engine's F(d)).  A target above the truth raises ``InputError``."""
+    return _count(code, d, None, target)[0] if d >= 0 else 0
 
 
 def _truncated_map(mat: PolyMatrix, src: _SliceBasis, dst: _SliceBasis) -> np.ndarray:
@@ -382,16 +386,18 @@ def truncated_exactness(cx, d: int) -> bool:
 
     Checks injectivity of the last map, rank complementarity at every
     inner level, and surjectivity of the first map onto the truncated
-    span of its image columns (the ``hilbert_oracle`` count).
+    span of its image columns (the ``hilbert_oracle`` count).  That
+    count stops at the engine's F(d) for the code of the first map, so
+    the level-1 comparison can refute the predictable degree property
+    there, but cannot prove it independently of the engine.
     """
     ring = cx.ring
-    p = ring.p
     from .complexes import column_degree_table
     table = ((0,) * cx.q,) + column_degree_table(cx)
     slices = [_SliceBasis.build(ring, len(tw), tw, d) for tw in table]
     maps = [_truncated_map(cx.matrices[k], slices[k + 1], slices[k])
             for k in range(cx.length)]
-    ranks = [len(rref_mod_p(m, p)[1]) for m in maps]
+    ranks = [len(rref_mod_p(m, ring.p)[1]) for m in maps]
     if ranks[-1] != slices[-1].dim:
         return False
     for k in range(cx.length - 1):
@@ -419,26 +425,19 @@ def memory_recovery_check(code: CodePresentation, m: int, d_max: int) -> bool:
     the oracle slice exactly.
     """
     ring = code.ring
-    p = ring.p
     if d_max <= m:
         raise StructuralError("d_max must exceed the starting degree")
-    current = list(truncated_code_space(code, m).basis)
+    shifts = [(0,) * ring.n] + [tuple(int(t == s) for t in range(ring.n)) for s in range(ring.n)]
+    current = truncated_code_space(code, m).basis
     for d in range(m + 1, d_max + 1):
         basis = _SliceBasis.build(ring, code.q, (0,) * code.q, d)
-        _check_cells(len(current) * (ring.n + 1), basis.dim)
-        rows = []
-        for elem in current:
-            rows.append(basis.vector(elem))
-            for slot in range(ring.n):
-                shift = tuple(1 if t == slot else 0 for t in range(ring.n))
-                rows.append(basis.vector(tuple(f.mul_term(1, shift) for f in elem)))
-        if rows:
-            rref, _ = rref_mod_p(np.array(rows, dtype=np.int64), p)
-            candidate = [basis.element(rref[r]) for r in range(rref.shape[0])]
-        else:
-            candidate = []
-        truth = list(truncated_code_space(code, d).basis)
-        if candidate != truth:
+        _check_cells(len(current) * len(shifts), basis.dim)
+        rows = [basis.vector(tuple(f.mul_term(1, e) for f in elem))
+                for elem in current for e in shifts]
+        rref, _ = rref_mod_p(np.array(rows, dtype=np.int64).reshape(len(rows), basis.dim),
+                             ring.p)
+        candidate = tuple(basis.element(row) for row in rref)
+        if candidate != truncated_code_space(code, d).basis:
             return False
         current = candidate
     return True

@@ -5,6 +5,7 @@ the list-based univariate spot check."""
 import heapq
 import random
 from itertools import product
+from operator import add
 
 import numpy as np
 from hypothesis import assume
@@ -27,6 +28,7 @@ from convres.complexes import (
     check_reduced,
     check_resolution,
     column_degree_table,
+    minimal_resolution,
     minimality_witness,
 )
 from convres.errors import DomainError, InvariantError, StructuralError
@@ -47,7 +49,8 @@ from convres.groebner import (
     monomial_hilbert_numerator,
     syzygy_basis,
 )
-from convres.oracle import rref_mod_p
+from convres.invariants import hilbert_formula
+from convres.oracle import _compositions, rref_mod_p
 
 
 def ring2():
@@ -317,24 +320,44 @@ def reference_slice(code, d, cap):
             for row in rref2]
 
 
+def engine_hilbert(code, d):
+    """F(d) by the Hilbert formula on the engine's minimal resolution."""
+    return hilbert_formula(minimal_resolution(code).degree_table, code.ring.n, d)
+
+
 def reference_code_space(code, d, cap=None):
-    """(dimension, cap_used, stabilized, basis) by the former oracle rule:
-    from-scratch slices at caps cap, cap + 1, ... (default first cap
-    d + 2 * max generator degree) until three consecutive dimensions
-    agree, cap_used being the first of them, or 13 caps are tried."""
+    """(dimension, cap_used, basis) by the oracle's stop rule, from scratch:
+    the first from-scratch slice at caps max(cap, d), max(cap, d) + 1, ...
+    (cap defaulting to d) with at least F(d) elements."""
     if d < 0:
-        return 0, cap or 0, True, ()
-    maxdeg = max(1, max(code.generators.column_degrees()))
-    c = max(cap if cap is not None else d + 2 * maxdeg, d)
-    dims = []
-    while True:
-        dims.append(len(reference_slice(code, d, c)))
-        if len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3]:
-            c -= 2
-            return dims[-1], c, True, tuple(reference_slice(code, d, c))
-        if len(dims) > 12:
-            return dims[-1], c, False, tuple(reference_slice(code, d, c))
+        return 0, cap or 0, ()
+    target = engine_hilbert(code, d)
+    c = d if cap is None else max(cap, d)
+    while len(basis := reference_slice(code, d, c)) < target:
         c += 1
+    return len(basis), c, tuple(basis)
+
+
+def reference_shift_rows(gens, n, lo, hi, column, width):
+    """The oracle's former loop form of ``_shift_rows``: dense rows of the
+    shifts x^e * g with lo <= deg g + |e| <= hi, one Python step per term.
+
+    ``gens`` lists (terms, degree) per generator, terms as (pos, exps,
+    coeff); ``column`` maps (pos, exps) to a column index below ``width``.
+    """
+    rows, cols, vals = [], [], []
+    r = 0
+    for terms, deg in gens:
+        for k in range(max(lo - deg, 0), hi - deg + 1):
+            for e in _compositions(n, k):
+                for pos, exps, c in terms:
+                    rows.append(r)
+                    cols.append(column[(pos, tuple(map(add, exps, e)))])
+                    vals.append(c)
+                r += 1
+    out = np.zeros((r, width), dtype=np.int64)
+    out[rows, cols] = vals
+    return out
 
 
 # -- reference routes: unpruned syzygies and graded pivoting ----------------

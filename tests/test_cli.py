@@ -12,6 +12,10 @@ KOSZUL_COMPLEX = ('{"p": 2, "n": 2, "kind": "complex", '
                   '"matrices": [[["D1", "D2"]], [["D2"], ["D1"]]]}')
 BAD_F2 = ('{"p": 2, "n": 1, "kind": "complex", '
           '"matrices": [[["D1+1", "D1"], ["D1", "D1"]]]}')
+# A small-mix benchmark code (seed 304): its degree-0 codeword is spanned
+# only by shifts of degree 11 and up.
+LATE_CODEWORD = ('{"p": 3, "n": 2, "kind": "code", "matrix": [["2*D2^2 + 2*D1 + 2*D2", '
+                 '"2*D1^2 + 2*D2^2 + D2", "2*D2"], ["2*D1*D2 + 2*D2^2", "2", "2*D2^2"]]}')
 # A reduced resolution whose second leading matrix keeps the scalar 1.
 NOT_MINIMAL = ('{"p": 101, "n": 2, "kind": "complex", "matrices": '
                '[[["D1", "D2", "D1"]], [["D2", "1"], ["-D1", "0"], ["0", "-1"]]]}')
@@ -169,6 +173,15 @@ def test_oracle_verify_command(tmp_path, capsys):
     assert out["truncated_exactness"] == [True] * 4 and out["agreement"] is True
 
 
+def test_oracle_reaches_a_codeword_that_needs_a_high_cap(tmp_path, capsys):
+    path = write(tmp_path, "late.json", LATE_CODEWORD)
+    assert main(["hilbert", path, "--max-d", "3", "--oracle"]) == 0
+    assert json.loads(capsys.readouterr().out)["values"] == [1, 5, 11, 19]
+    assert main(["oracle-verify", path, "--max-d", "3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["hilbert_agreement"] == [True] * 4 and out["all"] is True
+
+
 def test_kind_mismatch_is_an_input_error(tmp_path, capsys):
     path = write(tmp_path, "koszul.json", KOSZUL_CODE)
     assert main(["check", "pd", path]) == 2
@@ -198,6 +211,15 @@ def test_out_writes_the_report_verbatim(tmp_path, capsys):
     main(["resolve", path, "--out", str(target)])
     printed = capsys.readouterr().out
     assert target.read_text() == printed
+
+
+def test_parse_rejects_a_term_degree_beyond_the_engine_limit():
+    top = '{"p": 2, "n": 2, "kind": "code", "matrix": [["D1^1073741823 + 1"]]}'
+    assert parse_input(top).code.generators.entry(0, 0).degree == 2**30 - 1
+    over = ('{"p": 2, "n": 2, "kind": "complex", "matrices": '
+            '[[["D1", "D1^536870912*D2^536870912"]]]}')
+    with pytest.raises(InputError, match=r"exceeds .*limit.*matrices\[0\]\[0\]\[1\]"):
+        parse_input(over)
 
 
 def test_resolve_rejects_an_exponent_beyond_the_engine_limit(tmp_path, capsys):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from convres import PolyMatrix, Ring
-from convres.complexes import validate_complex
+from convres.complexes import minimal_resolution, validate_complex
 from convres.errors import StructuralError
+from convres.invariants import hilbert_formula
 from convres.oracle import (
     hilbert_oracle,
     memory_recovery_check,
@@ -34,7 +35,10 @@ def test_truncated_code_space_dimensions():
     space = truncated_code_space(c, 1)
     assert space.dimension == 2
     assert truncated_code_space(c, 0).dimension == 0
-    assert space.stabilized
+    report = minimal_resolution(c)
+    for d in range(4):
+        assert truncated_code_space(c, d).dimension == hilbert_formula(
+            report.degree_table, c.ring.n, d)
 
 
 def test_truncated_code_space_full_module():

@@ -1,9 +1,12 @@
 """The oracle's incremental echelon against the from-scratch route.
 
-* Dimensions, caps, stabilization and bases equal the per-cap
-  from-scratch reference in ``helpers`` (hypothesis and the acceptance
+* Dimensions, caps and bases equal the per-cap from-scratch reference
+  in ``helpers`` under the same stop rule (hypothesis and the acceptance
   corpus), also at p = 2^31 - 1, where a plain int64 product overflows.
-* The Hilbert formula on the minimal resolution equals the oracle.
+* The count never falls as the cap rises and never exceeds the Hilbert
+  value; the Hilbert formula on the minimal resolution equals the
+  oracle, and a planted wrong target is refuted or refused.
+* The vectorized shift rows equal the former per-term loop.
 * Oversized oracle input raises ``InputError`` before allocating, and
   the CLI exits 2 under a memory limit.
 """
@@ -16,6 +19,7 @@ import subprocess
 import sys
 import threading
 from itertools import product
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +43,9 @@ from helpers import (
     acceptance_corpus,
     code,
     codes,
+    engine_hilbert,
     reference_code_space,
+    reference_shift_rows,
     reference_slice,
 )
 
@@ -53,9 +59,8 @@ def degrees(c):
 
 def assert_matches_reference(c, d, cap=None):
     space = truncated_code_space(c, d, cap)
-    dimension, cap_used, stabilized, basis = reference_code_space(c, d, cap)
-    assert (space.dimension, space.cap_used, space.stabilized) == (
-        dimension, cap_used, stabilized)
+    dimension, cap_used, basis = reference_code_space(c, d, cap)
+    assert (space.dimension, space.cap_used) == (dimension, cap_used)
     assert space.basis == basis
     if cap is None:
         assert hilbert_oracle(c, d) == dimension
@@ -155,6 +160,62 @@ def test_hilbert_formula_of_the_minimal_resolution_equals_the_oracle(c):
     report = minimal_resolution(c)
     for d in range(5 if c.ring.n < 3 else 3):
         assert hilbert_formula(report.degree_table, c.ring.n, d) == hilbert_oracle(c, d)
+
+
+@checked
+@given(codes())
+def test_the_count_rises_with_the_cap_and_stays_below_the_hilbert_value(c):
+    echelon = oracle._CodeEchelon(c)
+    n = c.ring.n
+    for d in degrees(c):
+        bound = min(engine_hilbert(c, d), c.q * comb(d + n, n))
+        counts = [echelon.dim(cap, d) for cap in range(d, d + 5)]
+        assert counts == sorted(counts)
+        assert counts[-1] <= bound
+
+
+def test_a_target_below_the_truth_is_refuted():
+    c = code(Ring(2, 2), [["D1", "D2"]])
+    for d in range(1, 4):
+        truth = engine_hilbert(c, d)
+        assert oracle._CodeEchelon(c).dim(d, d) == truth
+        assert hilbert_oracle(c, d, truth - 1) == truth
+
+
+def test_a_target_above_the_truth_raises_instead_of_agreeing():
+    # Repeated generators make the shift count, and with it the cells,
+    # grow faster than the rank, so the ceiling comes at a small cap.
+    c = code(Ring(2, 2), [["D1"] * 8 + ["D2^2"]])
+    with pytest.raises(InputError):
+        hilbert_oracle(c, 2, engine_hilbert(c, 2) + 1)
+
+
+def old_generator_terms(c):
+    mat = c.generators
+    return [([(pos, e, coeff) for pos, f in enumerate(col) for e, coeff in f.terms], deg)
+            for col, deg in zip(mat.columns(), mat.column_degrees())]
+
+
+def test_vectorized_shift_rows_equal_the_loop_reference():
+    rng = random.Random(13)
+    cases = [dense_code(rng, p, n, q, t)
+             for p in (2, 101, BIG_P) for n, q, t in ((1, 2, 3), (2, 2, 2), (3, 1, 2))]
+    cases += [c for c in acceptance_corpus() if c.ring.n <= 3]
+    for c in cases:
+        n, q = c.ring.n, c.q
+        for lo, hi in ((0, 4), (2, 2), (3, 5), (6, 5)):
+            terms = [(pos, e) for pos in range(q) for e in oracle.monomials_up_to(n, hi)]
+            order = list(range(len(terms)))
+            rng.shuffle(order)
+            keys = oracle._keys(np.array([pos for pos, _ in terms]),
+                                np.array([e for _, e in terms]).reshape(len(terms), n), q)
+            column = np.zeros(len(terms), dtype=np.int64)
+            column[keys] = order
+            got = oracle._shift_rows(oracle._generator_terms(c), q, lo, hi, column,
+                                     len(terms))
+            want = reference_shift_rows(old_generator_terms(c), n, lo, hi,
+                                        dict(zip(terms, order)), len(terms))
+            assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def reference_nullspace(mat, p):
