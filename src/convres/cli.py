@@ -35,7 +35,7 @@ from .errors import ConvresError, InputError, PolyParseError
 from .groebner import _LIMIT as MAX_TERM_DEGREE
 from .invariants import forney_table, hilbert_values, memory, rate_and_dimension
 from .observability import is_observable, prop3_spot_check
-from .oracle import hilbert_oracle, truncated_exactness
+from .oracle import engine_resolution, hilbert_oracle, truncated_exactness
 
 
 class InputDocument:
@@ -169,12 +169,12 @@ def run_command(cmd: str, doc: InputDocument, options) -> tuple[dict, int]:
     if cmd == "hilbert":
         _require_kind(doc, "code", cmd)
         d_max = options.max_d
-        table = hilbert_values(minimal_resolution(doc.code), d_max)
-        values = [table[d] for d in range(d_max + 1)]
         if options.oracle:
-            # The oracle counts up to the formula's value: exactly it when
-            # the engine is right, more when it undercounts.
-            values = [hilbert_oracle(doc.code, d, value) for d, value in enumerate(values)]
+            values = [hilbert_oracle(doc.code, d) for d in range(d_max + 1)]
+        else:
+            report = minimal_resolution(doc.code)
+            table = hilbert_values(report, d_max)
+            values = [table[d] for d in range(d_max + 1)]
         return {"command": "hilbert", "max_d": d_max, "oracle": bool(options.oracle),
                 "values": values}, 0
 
@@ -230,10 +230,9 @@ def run_command(cmd: str, doc: InputDocument, options) -> tuple[dict, int]:
                     "truncated_exactness": [per_d[d] for d in range(d_max + 1)],
                     "pd": verdict,
                     "agreement": all(per_d.values()) == verdict}, 0
-        report = minimal_resolution(doc.code)
-        formula = hilbert_values(report, d_max)
-        per_d = [hilbert_oracle(doc.code, d, formula[d]) == formula[d]
-                 for d in range(d_max + 1)]
+        # The resolution whose values the oracle's counts run to: one per op.
+        formula = hilbert_values(engine_resolution(doc.code), d_max)
+        per_d = [hilbert_oracle(doc.code, d) == formula[d] for d in range(d_max + 1)]
         return {"command": "oracle-verify", "kind": "code",
                 "hilbert_agreement": per_d, "all": all(per_d)}, 0
 

@@ -10,19 +10,24 @@ Codeword dimensions come from one reduced echelon form per code
 degree cap.  Its count D(c, d) of the codewords of degree <= d spanned
 by the shifts of degree <= c never exceeds F(d) = dim C_{<=d} and never
 falls as c rises, but no cap where it reaches F(d) is known in advance.
-So from the first cap tried (at least d) the cap rises by one until
-D(c, d) reaches a target: the value the caller claims, by default F(d)
-by the Hilbert formula on the engine's minimal resolution.  Hence:
+So the count stops by a target, F(d) by the Hilbert formula on the
+engine's minimal resolution (``engine_resolution``).  From the first
+cap tried (at least d) the cap rises by one until D(c, d) reaches the
+target, and then by maxdeg more, the largest generator degree (at least
+1); the count there is the answer.  Hence:
 
 * D = F(d): the oracle has exhibited F(d) independent codewords of degree <= d.
-* An overcounting engine never agrees: the count never reaches its
-  target, so the cap rises until ``MAX_CELLS`` raises ``InputError``.
-* An undercounting engine shows as a disagreement when the count
-  passes F(d) at the cap where it first reaches it.
+* An overcounting engine never agrees.  A target above q * C(d + n, n)
+  raises ``InputError`` at once; any other is never reached, so the cap
+  rises until ``MAX_CELLS`` raises ``InputError``.
+* An undercounting engine shows as D > F(d) only when the codewords it
+  misses are spanned by the time the margin of maxdeg caps is counted.
+  A codeword that first appears later is missed by the oracle as well:
+  agreement rules out overcounting, not undercounting.
 
 ``MAX_CELLS`` is the only ceiling: no dense matrix above it is built,
-its size being computed from binomials first.  A code too large at cap
-max(d, max generator degree) is refused before the target is taken.
+its size being computed from binomials first.  A code too large at the
+first cap tried plus the margin is refused before the target is taken.
 """
 
 from __future__ import annotations
@@ -133,9 +138,12 @@ class _SliceBasis:
     def build(cls, ring: Ring, rank: int, twist, d: int):
         twist = check_twist(twist, rank)
         _check_cells(1, sum(comb(d - t + ring.n, ring.n) for t in twist if t <= d))
-        monos = tuple((pos, e) for pos in range(rank)
-                      for e in monomials_up_to(ring.n, d - twist[pos]))
-        return cls(ring, rank, twist, d, {t: i for i, t in enumerate(monos)}, monos)
+        monos = []
+        for pos in range(rank):
+            for e in monomials_up_to(ring.n, d - twist[pos]):
+                monos.append((pos, e))
+        index = {t: i for i, t in enumerate(monos)}
+        return cls(ring, rank, twist, d, index, tuple(monos))
 
     @property
     def dim(self):
@@ -190,8 +198,10 @@ def _keys(pos, exps: np.ndarray, q: int) -> np.ndarray:
     degree, then position, then exponent vector as in ``_compositions``."""
     n = exps.shape[-1]
     deg = exps.sum(axis=-1)
-    binom = np.array([[comb(r + m, m) for m in range(n + 1)]   # C(r + m, m)
-                      for r in range(int(deg.max(initial=0)) + 1)], dtype=np.int64)
+    r = np.arange(int(deg.max(initial=0)) + 1)
+    binom = np.ones((len(r), n + 1), dtype=np.int64)   # C(r + m, m)
+    for m in range(1, n + 1):
+        binom[:, m] = binom[:, m - 1] * (r + m) // m
     key = q * (binom[deg, n] - binom[deg, n - 1]) + pos * binom[deg, n - 1]
     rest = deg
     for i in range(n - 1):
@@ -239,10 +249,33 @@ class _CodeEchelon:
     def _clear(self):
         self.cap = -1
         self.col_deg = np.zeros(0, dtype=np.int64)
-        self.rows = np.zeros((0, 0), dtype=np.int64)
+        self._buf = np.zeros((0, 0), dtype=np.int64)
         self.pivots = np.zeros(0, dtype=np.int64)
         self.pivot_deg = np.zeros(0, dtype=np.int64)
         self.pivot_cap = np.zeros(0, dtype=np.int64)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The echelon rows, one per pivot, as a view of the row buffer."""
+        return self._buf[:len(self.pivots), :len(self.col_deg)]
+
+    def _reserve(self, rows: int, cols: int):
+        """Room for rows x cols entries in the row buffer.
+
+        A short side doubles, within MAX_CELLS, so a long climb of caps
+        copies the rows only now and then; entries outside the rows stay
+        zero, so new columns need no writing.
+        """
+        have_r, have_c = self._buf.shape
+        if rows <= have_r and cols <= have_c:
+            return
+        new_c = max(cols, min(2 * have_c if cols > have_c else have_c,
+                              MAX_CELLS // max(rows, 1)))
+        new_r = max(rows, min(2 * have_r if rows > have_r else have_r, MAX_CELLS // new_c))
+        buf = np.zeros((new_r, new_c), dtype=np.int64)
+        old = self.rows
+        buf[:old.shape[0], :old.shape[1]] = old
+        self._buf = buf
 
     def check(self, cap: int):
         """Raise InputError when the shifts of degree <= cap are too many."""
@@ -268,29 +301,28 @@ class _CodeEchelon:
         p = self.p
         fresh = self.q * comb(c + self.n - 1, self.n - 1)
         width = len(self.col_deg) + fresh
+        self._reserve(len(self.pivots), width)
         self.col_deg = np.concatenate([self.col_deg, np.full(fresh, c)])
-        self.rows = np.hstack([self.rows, np.zeros((len(self.rows), fresh), np.int64)])
         self.cap = c
         block = _shift_rows(self.gens, self.q, c, c, np.arange(width), width)
         if not block.shape[0]:
             return
         # Reduce the block against the pivots and echelonize what is left,
         # on the free columns in descending degree.
+        rows = self.rows
         is_pivot = np.zeros(width, dtype=bool)
         is_pivot[self.pivots] = True
         free = np.nonzero(~is_pivot)[0][::-1]
-        rest = (block[:, free]
-                - _matmul_mod(block[:, self.pivots], self.rows[:, free], p)) % p
+        rest = (block[:, free] - _matmul_mod(block[:, self.pivots], rows[:, free], p)) % p
         rest = rest[rest.any(axis=1)]
         if not rest.shape[0]:
             return
         reduced, cols = rref_mod_p(rest, p)
         new = free[cols]
-        self.rows[:, free] = (self.rows[:, free]
-                              - _matmul_mod(self.rows[:, new], reduced, p)) % p
-        added = np.zeros((len(new), width), dtype=np.int64)
-        added[:, free] = reduced
-        self.rows = np.vstack([self.rows, added])
+        rows[:, free] = (rows[:, free] - _matmul_mod(rows[:, new], reduced, p)) % p
+        rank = len(rows)
+        self._reserve(rank + len(new), width)
+        self._buf[rank:rank + len(new), free] = reduced
         self.pivots = np.concatenate([self.pivots, new])
         self.pivot_deg = np.concatenate([self.pivot_deg, self.col_deg[new]])
         self.pivot_cap = np.concatenate([self.pivot_cap, np.full(len(new), c)])
@@ -298,37 +330,56 @@ class _CodeEchelon:
 
 @lru_cache(maxsize=4)
 def _echelon(code: CodePresentation) -> _CodeEchelon:
-    """The shared, growing echelon of a code.  Callers ask about one code
-    at a time, for ascending d, so a few live echelons are enough."""
+    """The shared, growing echelon of a code.
+
+    Callers ask about one code at a time, for ascending d, so a few
+    live echelons are enough; each grows only to the largest cap asked.
+    """
     return _CodeEchelon(code)
 
 
 @lru_cache(maxsize=4)
-def _resolution(code: CodePresentation):
-    """The engine's minimal resolution of a code, for the targets of its slices."""
+def engine_resolution(code: CodePresentation):
+    """The engine's minimal resolution of a code, cached.
+
+    The oracle's counts run to its Hilbert values; a caller comparing
+    the oracle with them takes the resolution from here, so one
+    resolution serves both.
+    """
     from .complexes import minimal_resolution
     return minimal_resolution(code)
 
 
-def _count(code: CodePresentation, d: int, cap: int = None, target: int = None):
-    """(D(c, d), c) at the first cap c >= max(cap, d) where D(c, d) >= target;
-    ``cap`` defaults to d and ``target`` to the engine's F(d)."""
+def _target(code: CodePresentation, d: int) -> int:
+    """The engine's F(d): the Hilbert formula on ``engine_resolution``."""
+    from .invariants import hilbert_formula
+    return hilbert_formula(engine_resolution(code).degree_table, code.ring.n, d)
+
+
+def _count(code: CodePresentation, d: int, cap: int = None):
+    """(D(c, d), c) where c is maxdeg caps past the first cap >= max(cap, d),
+    ``cap`` defaulting to d, at which D(c, d) reaches the engine's F(d)."""
     echelon = _echelon(code)
-    echelon.check(max(d, max(deg for *_, deg in echelon.gens)))
-    if target is None:
-        from .invariants import hilbert_formula
-        target = hilbert_formula(_resolution(code).degree_table, code.ring.n, d)
+    n = code.ring.n
+    margin = max(1, max(deg for *_, deg in echelon.gens))
     c = d if cap is None else max(cap, d)
-    while (dim := echelon.dim(c, d)) < target:
+    echelon.check(c + margin)
+    target = _target(code, d)
+    if target > code.q * comb(d + n, n):
+        raise InputError(f"claimed F({d}) = {target} exceeds the "
+                         f"{code.q * comb(d + n, n)} monomial vectors of degree <= {d}")
+    while echelon.dim(c, d) < target:
         c += 1
-    return dim, c
+    return echelon.dim(c + margin, d), c + margin
 
 
 def _slice_basis(code: CodePresentation, d: int, cap: int) -> tuple:
     """RREF basis, in ``_SliceBasis`` order, of the degree-<= d part of
-    the span of the shifts of degree <= cap, from one echelon: the
-    columns of degree in (d, cap] come first, so the rows pivoting in
-    the slice columns after them span the slice, reduced in its order.
+    the span of the shifts of degree <= cap.
+
+    One echelon: the columns of degree in (d, cap] come first, so the
+    rows pivoting in the slice columns after them span the slice, and
+    are already reduced in the slice's own column order.
     """
     ring, q, n = code.ring, code.q, code.ring.n
     echelon = _echelon(code)
@@ -348,10 +399,11 @@ def _slice_basis(code: CodePresentation, d: int, cap: int) -> tuple:
 def truncated_code_space(code: CodePresentation, d: int, cap: int = None) -> TruncatedSpace:
     """Macaulay-style basis of the codewords of degree <= d.
 
-    ``dimension`` is the count D(c, d) at the first cap c >= max(cap, d)
-    where it reaches the engine's F(d), and ``cap_used`` that cap.  The
-    basis comes from one from-scratch echelon of the shifts at
-    ``cap_used`` and must have the incremental echelon's dimension.
+    ``dimension`` and ``cap_used`` are the count D(c, d) and its cap c
+    by the stop rule of the module docstring, ``cap`` setting the first
+    cap tried.  The basis comes from one from-scratch echelon of the
+    shifts at ``cap_used`` and must have the incremental echelon's
+    dimension.
     """
     ring = code.ring
     if d < 0:
@@ -364,11 +416,13 @@ def truncated_code_space(code: CodePresentation, d: int, cap: int = None) -> Tru
     return TruncatedSpace(ring, code.q, (0,) * code.q, d, basis, dimension, cap_used)
 
 
-def hilbert_oracle(code: CodePresentation, d: int, target: int = None) -> int:
-    """dim of the codewords of degree <= d, by brute force: the count
-    D(c, d) at the first cap c >= d where it reaches ``target`` (by default
-    the engine's F(d)).  A target above the truth raises ``InputError``."""
-    return _count(code, d, None, target)[0] if d >= 0 else 0
+def hilbert_oracle(code: CodePresentation, d: int) -> int:
+    """dim of the space of codewords of degree <= d, by brute force.
+
+    The count D(c, d) by the stop rule of the module docstring, read
+    from the code's incremental echelon; no basis is built.
+    """
+    return _count(code, d)[0] if d >= 0 else 0
 
 
 def _truncated_map(mat: PolyMatrix, src: _SliceBasis, dst: _SliceBasis) -> np.ndarray:
@@ -387,17 +441,18 @@ def truncated_exactness(cx, d: int) -> bool:
     Checks injectivity of the last map, rank complementarity at every
     inner level, and surjectivity of the first map onto the truncated
     span of its image columns (the ``hilbert_oracle`` count).  That
-    count stops at the engine's F(d) for the code of the first map, so
+    count runs to the engine's F(d) for the code of the first map, so
     the level-1 comparison can refute the predictable degree property
     there, but cannot prove it independently of the engine.
     """
     ring = cx.ring
+    p = ring.p
     from .complexes import column_degree_table
     table = ((0,) * cx.q,) + column_degree_table(cx)
     slices = [_SliceBasis.build(ring, len(tw), tw, d) for tw in table]
     maps = [_truncated_map(cx.matrices[k], slices[k + 1], slices[k])
             for k in range(cx.length)]
-    ranks = [len(rref_mod_p(m, ring.p)[1]) for m in maps]
+    ranks = [len(rref_mod_p(m, p)[1]) for m in maps]
     if ranks[-1] != slices[-1].dim:
         return False
     for k in range(cx.length - 1):
@@ -425,19 +480,26 @@ def memory_recovery_check(code: CodePresentation, m: int, d_max: int) -> bool:
     the oracle slice exactly.
     """
     ring = code.ring
+    p = ring.p
     if d_max <= m:
         raise StructuralError("d_max must exceed the starting degree")
-    shifts = [(0,) * ring.n] + [tuple(int(t == s) for t in range(ring.n)) for s in range(ring.n)]
-    current = truncated_code_space(code, m).basis
+    current = list(truncated_code_space(code, m).basis)
     for d in range(m + 1, d_max + 1):
         basis = _SliceBasis.build(ring, code.q, (0,) * code.q, d)
-        _check_cells(len(current) * len(shifts), basis.dim)
-        rows = [basis.vector(tuple(f.mul_term(1, e) for f in elem))
-                for elem in current for e in shifts]
-        rref, _ = rref_mod_p(np.array(rows, dtype=np.int64).reshape(len(rows), basis.dim),
-                             ring.p)
-        candidate = tuple(basis.element(row) for row in rref)
-        if candidate != truncated_code_space(code, d).basis:
+        _check_cells(len(current) * (ring.n + 1), basis.dim)
+        rows = []
+        for elem in current:
+            rows.append(basis.vector(elem))
+            for slot in range(ring.n):
+                shift = tuple(1 if t == slot else 0 for t in range(ring.n))
+                rows.append(basis.vector(tuple(f.mul_term(1, shift) for f in elem)))
+        if rows:
+            rref, _ = rref_mod_p(np.array(rows, dtype=np.int64), p)
+            candidate = [basis.element(rref[r]) for r in range(rref.shape[0])]
+        else:
+            candidate = []
+        truth = list(truncated_code_space(code, d).basis)
+        if candidate != truth:
             return False
         current = candidate
     return True

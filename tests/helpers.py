@@ -327,14 +327,18 @@ def engine_hilbert(code, d):
 
 def reference_code_space(code, d, cap=None):
     """(dimension, cap_used, basis) by the oracle's stop rule, from scratch:
-    the first from-scratch slice at caps max(cap, d), max(cap, d) + 1, ...
-    (cap defaulting to d) with at least F(d) elements."""
+    the from-scratch slice maxdeg caps past the first of the caps
+    max(cap, d), max(cap, d) + 1, ... (cap defaulting to d) whose slice
+    has at least F(d) elements, maxdeg the largest generator degree (at
+    least 1)."""
     if d < 0:
         return 0, cap or 0, ()
     target = engine_hilbert(code, d)
     c = d if cap is None else max(cap, d)
-    while len(basis := reference_slice(code, d, c)) < target:
+    while len(reference_slice(code, d, c)) < target:
         c += 1
+    c += max(1, *code.generators.column_degrees())
+    basis = reference_slice(code, d, c)
     return len(basis), c, tuple(basis)
 
 

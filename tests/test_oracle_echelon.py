@@ -18,6 +18,7 @@ import resource
 import subprocess
 import sys
 import threading
+import time
 from itertools import product
 from math import comb
 from pathlib import Path
@@ -174,20 +175,50 @@ def test_the_count_rises_with_the_cap_and_stays_below_the_hilbert_value(c):
         assert counts[-1] <= bound
 
 
-def test_a_target_below_the_truth_is_refuted():
+def plant(monkeypatch, shift):
+    """Make the oracle's target the engine's F(d) plus ``shift``."""
+    target = oracle._target
+    monkeypatch.setattr(oracle, "_target", lambda c, d: target(c, d) + shift)
+
+
+def test_a_target_below_the_truth_is_refuted(monkeypatch):
+    plant(monkeypatch, -1)
     c = code(Ring(2, 2), [["D1", "D2"]])
     for d in range(1, 4):
         truth = engine_hilbert(c, d)
         assert oracle._CodeEchelon(c).dim(d, d) == truth
-        assert hilbert_oracle(c, d, truth - 1) == truth
+        assert hilbert_oracle(c, d) == truth
+    # Over F_2[D1], D(1, 1) = 0 meets the planted target 0; the truth
+    # D1 = g1 - g2 is spanned only from cap 2 on, within the margin.
+    c = code(Ring(2, 1), [["D1^2 + D1", "D1^2"]])
+    assert engine_hilbert(c, 1) == 1 and oracle._CodeEchelon(c).dim(1, 1) == 0
+    assert hilbert_oracle(c, 1) == 1
+    assert truncated_code_space(c, 1).dimension == 1
 
 
-def test_a_target_above_the_truth_raises_instead_of_agreeing():
+def test_a_target_above_the_truth_raises_instead_of_agreeing(monkeypatch):
+    plant(monkeypatch, 1)
     # Repeated generators make the shift count, and with it the cells,
     # grow faster than the rank, so the ceiling comes at a small cap.
-    c = code(Ring(2, 2), [["D1"] * 8 + ["D2^2"]])
     with pytest.raises(InputError):
-        hilbert_oracle(c, 2, engine_hilbert(c, 2) + 1)
+        hilbert_oracle(code(Ring(2, 2), [["D1"] * 8 + ["D2^2"]]), 2)
+    # One generator in one variable climbs to the ceiling at cap 4095,
+    # one block of one row per cap.
+    c = code(Ring(2, 1), [["D1"]])
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="limit"):
+        hilbert_oracle(c, 2)
+    assert oracle._echelon(c).cap == 4095
+    assert time.perf_counter() - start < 60
+
+
+def test_a_target_above_the_monomial_count_is_refused_at_once(monkeypatch):
+    plant(monkeypatch, 1)
+    c = code(Ring(2, 1), [["1"]])
+    assert engine_hilbert(c, 2) == 3
+    with pytest.raises(InputError, match="exceeds the 3 monomial vectors"):
+        hilbert_oracle(c, 2)
+    assert oracle._echelon(c).cap == -1
 
 
 def old_generator_terms(c):
