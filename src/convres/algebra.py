@@ -353,7 +353,8 @@ def _tokenize(text: str):
 
 
 def parse_poly(text: str, ring: Ring) -> Poly:
-    """Parse the documented polynomial grammar into canonical form."""
+    """Parse the documented polynomial grammar into canonical form, each
+    term read as one coefficient and exponent vector into one dict."""
     tokens = _tokenize(text)
     if not tokens:
         raise PolyParseError("empty polynomial", 0)
@@ -370,43 +371,44 @@ def parse_poly(text: str, ring: Ring) -> Poly:
         pos += 1
         return tk
 
-    def parse_factor() -> Poly:
+    def parse_factor(coeff: int, exps: list) -> int:
+        """Multiply one factor into (coeff, exps); returns the coefficient."""
         kind, value, at = peek()
         if kind == "INT":
             take("INT")
-            return Poly.const(ring, int(value))
+            return coeff * int(value) % ring.p
         if kind == "VAR":
             take("VAR")
             try:
                 slot = ring.var_slot(value)
             except DomainError as exc:
                 raise PolyParseError(str(exc), at) from None
-            exps = [0] * ring.nvars
-            exps[slot] = 1
             if peek()[0] == "^":
                 take("^")
-                exps[slot] = int(take("INT")[1])
-            return Poly.monomial(ring, exps)
+                exps[slot] += int(take("INT")[1])
+            else:
+                exps[slot] += 1
+            return coeff
         raise PolyParseError(f"expected a coefficient or variable, found {value!r}", at)
 
-    def parse_term() -> Poly:
-        sign = 1
+    acc: dict = {}
+    while True:
+        coeff = 1
         while peek()[0] in ("+", "-"):
             if take(peek()[0])[0] == "-":
-                sign = -sign
-        out = parse_factor()
+                coeff = -coeff
+        exps = [0] * ring.nvars
+        coeff = parse_factor(coeff, exps)
         while peek()[0] == "*":
             take("*")
-            out = out * parse_factor()
-        return out.scale(sign)
-
-    result = parse_term()
-    while pos < len(tokens):
+            coeff = parse_factor(coeff, exps)
+        key = tuple(exps)
+        acc[key] = acc.get(key, 0) + coeff
+        if pos == len(tokens):
+            return Poly.from_dict(ring, acc)
         kind, value, at = peek()
         if kind not in ("+", "-"):
             raise PolyParseError(f"expected '+' or '-', found {value!r}", at)
-        result = result + parse_term()
-    return result
 
 
 # -- module elements ---------------------------------------------------

@@ -138,6 +138,10 @@ def _require_kind(doc: InputDocument, kind: str, cmd: str):
 
 def run_command(cmd: str, doc: InputDocument, options) -> tuple[dict, int]:
     """Dispatch a command; returns (report, exit_status)."""
+    for name in ("max_d", "hilbert_max"):
+        value = getattr(options, name, None)
+        if value is not None and value < 0:
+            raise InputError(f"--{name.replace('_', '-')} must be non-negative, got {value}")
     if cmd == "resolve":
         _require_kind(doc, "code", cmd)
         report = minimal_resolution(doc.code)

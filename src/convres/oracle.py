@@ -5,6 +5,11 @@ over explicit monomial bases by dense row reduction modulo p: the second
 route against which Hilbert values, exactness of degree slices, kernels
 of truncated maps and the memory recursion are checked.
 
+One term order serves every slice, map and echelon: ``_keys`` ranks the
+terms of S^q by degree, then position, then exponents, so a degree-<= d
+slice is a prefix and every basis is in RREF in that order.  Every row
+is built by ``_shift_rows``, the generators a code's columns or a map's.
+
 Codeword dimensions come from one reduced echelon form per code
 (``_CodeEchelon``), grown by one block of generator shifts x^e * g per
 degree cap.  Its count D(c, d) of the codewords of degree <= d spanned
@@ -40,7 +45,7 @@ from math import comb
 import numpy as np
 
 from .algebra import CodePresentation, ModElem, Poly, PolyMatrix, Ring, check_twist
-from .errors import InputError, InvariantError, StructuralError
+from .errors import DomainError, InputError, InvariantError, StructuralError
 
 # Largest dense matrix (rows x columns) the oracle handles; a code's
 # echelon counts as its full matrix of generator shifts at the cap.
@@ -118,51 +123,25 @@ def _compositions(n: int, k: int) -> list:
     return [(a,) + rest for a in range(k + 1) for rest in _compositions(n - 1, k - a)]
 
 
-def monomials_up_to(n: int, d: int):
-    """All exponent vectors in n variables of total degree <= d, sorted."""
-    return sorted(e for k in range(d + 1) for e in _compositions(n, k))
+def _slice(n: int, twist: tuple, d: int):
+    """The terms (pos, e) with |e| + twist[pos] <= d, in ``_keys`` order,
+    and an array mapping each ``_keys`` value below q * C(d + n, n) to
+    the index of its term in that list, or -1 for a term outside it."""
+    q = len(twist)
+    _check_cells(1, q * comb(max(d + n, 0), n))
+    keyed = [(pos, e) for k in range(d + 1) for pos in range(q) for e in _compositions(n, k)]
+    inside = np.array([sum(e) + twist[pos] <= d for pos, e in keyed], dtype=bool)
+    column = np.where(inside, np.cumsum(inside) - 1, -1)
+    return [t for t, keep in zip(keyed, inside) if keep], column
 
 
-@dataclass(frozen=True)
-class _SliceBasis:
-    """Monomial basis of {f in S^rank : deg_twist(f) <= d}."""
-
-    ring: Ring
-    rank: int
-    twist: tuple
-    d: int
-    index: dict
-    monos: tuple
-
-    @classmethod
-    def build(cls, ring: Ring, rank: int, twist, d: int):
-        twist = check_twist(twist, rank)
-        _check_cells(1, sum(comb(d - t + ring.n, ring.n) for t in twist if t <= d))
-        monos = []
-        for pos in range(rank):
-            for e in monomials_up_to(ring.n, d - twist[pos]):
-                monos.append((pos, e))
-        index = {t: i for i, t in enumerate(monos)}
-        return cls(ring, rank, twist, d, index, tuple(monos))
-
-    @property
-    def dim(self):
-        return len(self.monos)
-
-    def vector(self, elem: ModElem) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=np.int64)
-        for pos, poly in enumerate(elem):
-            for e, c in poly.terms:
-                v[self.index[(pos, e)]] = c
-        return v
-
-    def element(self, row: np.ndarray) -> ModElem:
-        p = self.ring.p
-        per_pos = [dict() for _ in range(self.rank)]
-        for i in np.nonzero(row % p)[0]:
-            pos, e = self.monos[i]
-            per_pos[pos][e] = int(row[i]) % p
-        return tuple(Poly.from_dict(self.ring, d) for d in per_pos)
+def _element(ring: Ring, rank: int, terms: list, row: np.ndarray) -> ModElem:
+    """The element of S^rank with coefficient row[i] on the term terms[i]."""
+    per_pos = [dict() for _ in range(rank)]
+    for i in np.nonzero(row % ring.p)[0]:
+        pos, e = terms[i]
+        per_pos[pos][e] = int(row[i])
+    return tuple(Poly.from_dict(ring, t) for t in per_pos)
 
 
 @dataclass(frozen=True)
@@ -183,13 +162,14 @@ class TruncatedSpace:
                 and self.d == other.d and self.basis == other.basis)
 
 
-def _generator_terms(code: CodePresentation) -> list:
-    """(positions, exponents, coefficients, degree) per generator column."""
-    mat = code.generators
+def _generator_terms(columns, degrees) -> list:
+    """(positions, exponents, coefficients, degree) per column, each
+    column a generator of the given degree; a zero column has no terms."""
     out = []
-    for col, deg in zip(mat.columns(), mat.column_degrees()):
-        terms = [(pos, e, c) for pos, f in enumerate(col) for e, c in f.terms]
-        out.append((*(np.array(a, dtype=np.int64) for a in zip(*terms)), deg))
+    for col, deg in zip(columns, degrees):
+        terms = [(pos, *e, c) for pos, f in enumerate(col) for e, c in f.terms]
+        arr = np.array(terms, dtype=np.int64).reshape(len(terms), col[0].ring.n + 2)
+        out.append((arr[:, 0], arr[:, 1:-1], arr[:, -1], deg))
     return out
 
 
@@ -216,7 +196,7 @@ def _shift_rows(gens: list, q: int, lo: int, hi: int, column: np.ndarray,
     """Dense rows of the shifts x^e * g with lo <= deg g + |e| <= hi, by g,
     then by e in ``_compositions`` order of each degree; ``column`` maps
     the ``_keys`` of S^q to column indices below ``width``."""
-    blocks = []
+    blocks = [np.zeros((0, width), dtype=np.int64)]
     for pos, exps, coeffs, deg in gens:
         shifts = np.array([e for k in range(max(lo - deg, 0), hi - deg + 1)
                            for e in _compositions(exps.shape[1], k)],
@@ -242,7 +222,7 @@ class _CodeEchelon:
 
     def __init__(self, code: CodePresentation):
         self.p, self.n, self.q = code.ring.p, code.ring.n, code.q
-        self.gens = _generator_terms(code)
+        self.gens = _generator_terms(code.generators.columns(), code.generators.column_degrees())
         self._lock = threading.Lock()
         self._clear()
 
@@ -374,8 +354,8 @@ def _count(code: CodePresentation, d: int, cap: int = None):
 
 
 def _slice_basis(code: CodePresentation, d: int, cap: int) -> tuple:
-    """RREF basis, in ``_SliceBasis`` order, of the degree-<= d part of
-    the span of the shifts of degree <= cap.
+    """RREF basis, in ``_keys`` order, of the degree-<= d part of the
+    span of the shifts of degree <= cap.
 
     One echelon: the columns of degree in (d, cap] come first, so the
     rows pivoting in the slice columns after them span the slice, and
@@ -384,15 +364,13 @@ def _slice_basis(code: CodePresentation, d: int, cap: int) -> tuple:
     ring, q, n = code.ring, code.q, code.ring.n
     echelon = _echelon(code)
     echelon.check(cap)
-    small = _SliceBasis.build(ring, q, (0,) * q, d)
-    # Keys above degree d come first, in key order, then the slice's in its order.
-    high = q * comb(cap + n, n) - small.dim
-    column = np.arange(-small.dim, high)
-    pos, exps = zip(*small.monos)
-    column[_keys(np.array(pos), np.array(exps), q)] = high + np.arange(small.dim)
-    rows = _shift_rows(echelon.gens, q, 0, cap, column, high + small.dim)
+    terms, _ = _slice(n, (0,) * q, d)
+    # The slice's keys are the prefix below len(terms); the keys above come first.
+    total = q * comb(cap + n, n)
+    high = total - len(terms)
+    rows = _shift_rows(echelon.gens, q, 0, cap, np.roll(np.arange(total), -high), total)
     reduced, pivots = rref_mod_p(rows, ring.p)
-    return tuple(small.element(reduced[r, high:])
+    return tuple(_element(ring, q, terms, reduced[r, high:])
                  for r, c in enumerate(pivots) if c >= high)
 
 
@@ -425,14 +403,22 @@ def hilbert_oracle(code: CodePresentation, d: int) -> int:
     return _count(code, d)[0] if d >= 0 else 0
 
 
-def _truncated_map(mat: PolyMatrix, src: _SliceBasis, dst: _SliceBasis) -> np.ndarray:
-    """Matrix of the F_p-linear map between two degree slices."""
-    _check_cells(dst.dim, src.dim)
-    out = np.zeros((dst.dim, src.dim), dtype=np.int64)
-    for j, (pos, e) in enumerate(src.monos):
-        col = tuple(mat.entry(i, pos).mul_term(1, e) for i in range(mat.nrows))
-        out[:, j] = dst.vector(col)
-    return out
+def _truncated_map(mat: PolyMatrix, row_twist, col_twist, d: int) -> np.ndarray:
+    """The degree-<= d slice of the map, transposed: its rows are the
+    ``_shift_rows`` x^e * column j, |e| + col_twist[j] <= d, of the
+    columns as generators of their twist, its columns the target slice
+    in ``_keys`` order.  Zero columns are allowed; a column above its
+    twisted degree raises DomainError."""
+    n = mat.ring.n
+    row_twist = check_twist(row_twist, mat.nrows)
+    col_twist = check_twist(col_twist, mat.ncols)
+    terms, column = _slice(n, row_twist, d)
+    gens = _generator_terms(mat.columns(), col_twist)
+    for j, (pos, exps, _, deg) in enumerate(gens):
+        if (exps.sum(axis=1) + np.array(row_twist)[pos] > deg).any():
+            raise DomainError(f"column {j} of the map exceeds its twisted degree {deg}")
+    _check_cells(sum(comb(d - t + n, n) for t in col_twist if t <= d), len(terms))
+    return _shift_rows(gens, mat.nrows, 0, d, column, len(terms))
 
 
 def truncated_exactness(cx, d: int) -> bool:
@@ -449,26 +435,29 @@ def truncated_exactness(cx, d: int) -> bool:
     p = ring.p
     from .complexes import column_degree_table
     table = ((0,) * cx.q,) + column_degree_table(cx)
-    slices = [_SliceBasis.build(ring, len(tw), tw, d) for tw in table]
-    maps = [_truncated_map(cx.matrices[k], slices[k + 1], slices[k])
+    maps = [_truncated_map(cx.matrices[k], table[k], table[k + 1], d)
             for k in range(cx.length)]
     ranks = [len(rref_mod_p(m, p)[1]) for m in maps]
-    if ranks[-1] != slices[-1].dim:
+    if ranks[-1] != maps[-1].shape[0]:
         return False
     for k in range(cx.length - 1):
-        if ranks[k] + ranks[k + 1] != slices[k + 1].dim:
+        if ranks[k] + ranks[k + 1] != maps[k].shape[0]:
             return False
     return ranks[0] == hilbert_oracle(CodePresentation(ring, cx.matrices[0]), d)
 
 
 def truncated_kernel(mat: PolyMatrix, row_twist, col_twist, d: int):
-    """Basis of the kernel of the degree-<= d slice of the map."""
+    """Basis of the kernel of the degree-<= d slice of the map.
+
+    The null space of the transposed ``_truncated_map``: each basis
+    vector lists its coefficients on the source terms in the map's row
+    order, by column, then by degree in ``_compositions`` order.
+    """
     ring = mat.ring
-    src = _SliceBasis.build(ring, mat.ncols, check_twist(col_twist, mat.ncols), d)
-    dst = _SliceBasis.build(ring, mat.nrows, check_twist(row_twist, mat.nrows), d)
-    m = _truncated_map(mat, src, dst)
-    rows = nullspace_mod_p(m, ring.p)
-    return [src.element(rows[r]) for r in range(rows.shape[0])]
+    rows = _truncated_map(mat, row_twist, col_twist, d)
+    terms = [(j, e) for j, t in enumerate(col_twist)
+             for k in range(d - t + 1) for e in _compositions(ring.n, k)]
+    return [_element(ring, mat.ncols, terms, v) for v in nullspace_mod_p(rows.T, ring.p)]
 
 
 def memory_recovery_check(code: CodePresentation, m: int, d_max: int) -> bool:
@@ -476,30 +465,21 @@ def memory_recovery_check(code: CodePresentation, m: int, d_max: int) -> bool:
 
     Starting from the oracle basis of the degree-<= m slice, each next
     candidate slice is the span of the previous one and its products
-    with the variables; the check succeeds when every candidate matches
-    the oracle slice exactly.
+    with the variables: the ``_shift_rows`` of degree <= 1 of its
+    elements as degree-0 generators, in RREF in ``_keys`` order.  The
+    check succeeds when every candidate equals the oracle slice.
     """
-    ring = code.ring
-    p = ring.p
+    ring, q, n = code.ring, code.q, code.ring.n
     if d_max <= m:
         raise StructuralError("d_max must exceed the starting degree")
     current = list(truncated_code_space(code, m).basis)
     for d in range(m + 1, d_max + 1):
-        basis = _SliceBasis.build(ring, code.q, (0,) * code.q, d)
-        _check_cells(len(current) * (ring.n + 1), basis.dim)
-        rows = []
-        for elem in current:
-            rows.append(basis.vector(elem))
-            for slot in range(ring.n):
-                shift = tuple(1 if t == slot else 0 for t in range(ring.n))
-                rows.append(basis.vector(tuple(f.mul_term(1, shift) for f in elem)))
-        if rows:
-            rref, _ = rref_mod_p(np.array(rows, dtype=np.int64), p)
-            candidate = [basis.element(rref[r]) for r in range(rref.shape[0])]
-        else:
-            candidate = []
-        truth = list(truncated_code_space(code, d).basis)
-        if candidate != truth:
+        terms, _ = _slice(n, (0,) * q, d)
+        _check_cells(len(current) * (n + 1), len(terms))
+        rows = _shift_rows(_generator_terms(current, [0] * len(current)), q, 0, 1,
+                           np.arange(len(terms)), len(terms))
+        candidate = [_element(ring, q, terms, row) for row in rref_mod_p(rows, ring.p)[0]]
+        if candidate != list(truncated_code_space(code, d).basis):
             return False
         current = candidate
     return True

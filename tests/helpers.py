@@ -20,7 +20,7 @@ from convres import (
     parse_poly,
     validate_complex,
 )
-from convres.algebra import check_twist, twisted_degree, vec_is_zero
+from convres.algebra import _tokenize, check_twist, twisted_degree, vec_is_zero
 from convres.complexes import (
     ResolutionReport,
     _graded_column_degrees,
@@ -31,7 +31,7 @@ from convres.complexes import (
     minimal_resolution,
     minimality_witness,
 )
-from convres.errors import DomainError, InvariantError, StructuralError
+from convres.errors import DomainError, InvariantError, PolyParseError, StructuralError
 from convres.groebner import (
     GroebnerBasis,
     ModuleOrder,
@@ -50,7 +50,12 @@ from convres.groebner import (
     syzygy_basis,
 )
 from convres.invariants import hilbert_formula
-from convres.oracle import _compositions, rref_mod_p
+from convres.oracle import (
+    _compositions,
+    nullspace_mod_p,
+    rref_mod_p,
+    truncated_code_space,
+)
 
 
 def ring2():
@@ -362,6 +367,156 @@ def reference_shift_rows(gens, n, lo, hi, column, width):
     out = np.zeros((r, width), dtype=np.int64)
     out[rows, cols] = vals
     return out
+
+
+# -- the oracle's former slice routes (references for _keys and _shift_rows) --
+
+def reference_slice_terms(n, twist, d):
+    """The former ``_SliceBasis`` order of the terms (pos, e) with
+    |e| + twist[pos] <= d: by position, then sorted exponent vectors."""
+    return [(pos, e) for pos, t in enumerate(twist) for e in _monomials_up_to(n, d - t)]
+
+
+def as_rows(elems, terms):
+    """Elements of S^q as dense rows over the column order ``terms``;
+    a term outside ``terms`` raises KeyError."""
+    index = {t: i for i, t in enumerate(terms)}
+    rows = np.zeros((len(elems), len(terms)), dtype=np.int64)
+    for r, elem in enumerate(elems):
+        for pos, f in enumerate(elem):
+            for e, c in f.terms:
+                rows[r, index[(pos, e)]] = c
+    return rows
+
+
+def span_rref(elems, terms, p):
+    """RREF over F_p of the span of ``elems`` in the column order ``terms``."""
+    return rref_mod_p(as_rows(elems, terms), p)[0]
+
+
+def from_rows(ring, rank, terms, rows):
+    """The elements of S^rank whose coefficients on ``terms`` are the rows."""
+    return [tuple(Poly.from_dict(ring, {e: int(c) for (at, e), c in zip(terms, row)
+                                        if at == pos and c % ring.p})
+                  for pos in range(rank))
+            for row in rows]
+
+
+def reference_truncated_map(mat, row_twist, col_twist, d):
+    """The former ``_truncated_map``: the (target x source) matrix of the
+    slice map in ``reference_slice_terms`` order, one ``mul_term`` per
+    source term; a target term outside the slice raises KeyError."""
+    n = mat.ring.n
+    src = reference_slice_terms(n, check_twist(col_twist, mat.ncols), d)
+    dst = reference_slice_terms(n, check_twist(row_twist, mat.nrows), d)
+    images = [tuple(mat.entry(i, pos).mul_term(1, e) for i in range(mat.nrows))
+              for pos, e in src]
+    return as_rows(images, dst).T
+
+
+def reference_truncated_exactness(cx, d):
+    """The former ``truncated_exactness``, on ``reference_truncated_map``."""
+    from convres.oracle import hilbert_oracle
+    table = ((0,) * cx.q,) + column_degree_table(cx)
+    maps = [reference_truncated_map(cx.matrices[k], table[k], table[k + 1], d)
+            for k in range(cx.length)]
+    ranks = [len(rref_mod_p(m, cx.ring.p)[1]) for m in maps]
+    dims = [m.shape[1] for m in maps]
+    if ranks[-1] != dims[-1]:
+        return False
+    if any(ranks[k] + ranks[k + 1] != dims[k] for k in range(cx.length - 1)):
+        return False
+    return ranks[0] == hilbert_oracle(CodePresentation(cx.ring, cx.matrices[0]), d)
+
+
+def reference_truncated_kernel(mat, row_twist, col_twist, d):
+    """The former ``truncated_kernel``: the null space of
+    ``reference_truncated_map``, in ``reference_slice_terms`` order."""
+    src = reference_slice_terms(mat.ring.n, col_twist, d)
+    basis = nullspace_mod_p(reference_truncated_map(mat, row_twist, col_twist, d), mat.ring.p)
+    return from_rows(mat.ring, mat.ncols, src, basis)
+
+
+def reference_memory_recovery_check(code, m, d_max):
+    """The former ``memory_recovery_check``: each candidate is the span of
+    the previous slice and its ``mul_term`` products with the variables,
+    compared with the oracle slice as RREF in ``reference_slice_terms``
+    order."""
+    ring, q, n = code.ring, code.q, code.ring.n
+    if d_max <= m:
+        raise StructuralError("d_max must exceed the starting degree")
+    units = [tuple(int(i == slot) for i in range(n)) for slot in range(n)]
+    current = list(truncated_code_space(code, m).basis)
+    for d in range(m + 1, d_max + 1):
+        terms = reference_slice_terms(n, (0,) * q, d)
+        shifted = [tuple(f.mul_term(1, e) for f in elem)
+                   for elem in current for e in [(0,) * n] + units]
+        candidate = span_rref(shifted, terms, ring.p)
+        truth = span_rref(truncated_code_space(code, d).basis, terms, ring.p)
+        if not np.array_equal(candidate, truth):
+            return False
+        current = from_rows(ring, q, terms, candidate)
+    return True
+
+
+# -- the former polynomial parser (reference for parse_poly) ----------------
+
+def reference_parse_poly(text, ring):
+    """The former ``parse_poly``: each factor a ``Poly``, multiplied,
+    scaled and added as ``Poly`` values."""
+    tokens = _tokenize(text)
+    if not tokens:
+        raise PolyParseError("empty polynomial", 0)
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else (None, None, len(text))
+
+    def take(kind):
+        nonlocal pos
+        tk = peek()
+        if tk[0] != kind:
+            raise PolyParseError(f"expected {kind}, found {tk[1]!r}", tk[2])
+        pos += 1
+        return tk
+
+    def parse_factor():
+        kind, value, at = peek()
+        if kind == "INT":
+            take("INT")
+            return Poly.const(ring, int(value))
+        if kind == "VAR":
+            take("VAR")
+            try:
+                slot = ring.var_slot(value)
+            except DomainError as exc:
+                raise PolyParseError(str(exc), at) from None
+            exps = [0] * ring.nvars
+            exps[slot] = 1
+            if peek()[0] == "^":
+                take("^")
+                exps[slot] = int(take("INT")[1])
+            return Poly.monomial(ring, exps)
+        raise PolyParseError(f"expected a coefficient or variable, found {value!r}", at)
+
+    def parse_term():
+        sign = 1
+        while peek()[0] in ("+", "-"):
+            if take(peek()[0])[0] == "-":
+                sign = -sign
+        out = parse_factor()
+        while peek()[0] == "*":
+            take("*")
+            out = out * parse_factor()
+        return out.scale(sign)
+
+    result = parse_term()
+    while pos < len(tokens):
+        kind, value, at = peek()
+        if kind not in ("+", "-"):
+            raise PolyParseError(f"expected '+' or '-', found {value!r}", at)
+        result = result + parse_term()
+    return result
 
 
 # -- reference routes: unpruned syzygies and graded pivoting ----------------

@@ -3,11 +3,13 @@ import time
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convres import NEG_INF, Poly, PolyParseError, Ring, parse_poly, twisted_degree
 from convres.errors import DomainError, StructuralError
 
-from helpers import P
+from helpers import P, reference_parse_poly
 
 
 def test_addition_cancels_in_characteristic_two():
@@ -132,12 +134,12 @@ def test_set_d0_zero():
 
 
 def test_low_degree_space_dimensions_match_binomials():
-    # dim S_{<=d} = C(d+n, n), checked by monomial enumeration.
-    from convres.oracle import monomials_up_to
+    # dim S_{<=d} = C(d+n, n), checked by the oracle's slice enumeration.
+    from convres.oracle import _slice
     for n in (1, 2, 3):
         for d in range(0, 9):
-            assert len(monomials_up_to(n, d)) == comb(d + n, n)
-        assert len(monomials_up_to(n, -1)) == 0
+            assert len(_slice(n, (0,), d)[0]) == comb(d + n, n)
+        assert len(_slice(n, (0,), -1)[0]) == 0
 
 
 def test_grevlex_order_in_t_keeps_d0_smallest():
@@ -211,3 +213,56 @@ def test_large_power_parses_quickly_into_one_monomial():
     assert time.monotonic() - start < 0.05
     assert f == Poly.monomial(r, (100000, 0, 0))
     assert parse_poly("-2*D3^0*D2^3", r) == Poly.monomial(r, (0, 3, 0), -2)
+
+
+def parse_outcome(parse, text, ring):
+    """The parsed polynomial, or the error's text and position."""
+    try:
+        return parse(text, ring)
+    except PolyParseError as exc:
+        return str(exc), exc.position
+
+
+PARSE_RINGS = (Ring(5, 2), Ring(5, 2, homog=True), Ring(2, 1))
+TOKENS = ("D0", "D1", "D2", "D3", "D", "0", "1", "2", "4", "13", "+", "-", "*", "^", " ", "x")
+
+
+def test_parse_poly_equals_the_reference_on_edge_cases():
+    cases = ["D1*D1^2", "D1^2*3*D1*4", "2*3*D2", "--+-D1", "-+-2*D1 - -D2", "D1^0",
+             "D1^0*D2^0 + 4", "D1 - D1", "D1 + 4*D1", "2*D1*D2 + 3*D2*D1", "0*D1 + 0",
+             "D1 +", "*D1", "D1^", "D1 D2", "D", "D9", "", "  ", "D1^D2", "3 4", "D1^-1",
+             "D0*D1^3 + D0^2", "+", "D1 ^ 2 * D2", "D12", "x"]
+    for ring in PARSE_RINGS:
+        for text in cases:
+            assert (parse_outcome(parse_poly, text, ring)
+                    == parse_outcome(reference_parse_poly, text, ring)), (text, ring)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.lists(st.sampled_from(TOKENS), max_size=12), st.sampled_from(PARSE_RINGS))
+def test_parse_poly_equals_the_reference_on_token_strings(tokens, ring):
+    text = "".join(tokens)
+    assert parse_outcome(parse_poly, text, ring) == parse_outcome(reference_parse_poly, text, ring)
+
+
+@st.composite
+def well_formed(draw):
+    factor = st.one_of(st.integers(0, 12).map(str),
+                       st.tuples(st.sampled_from(("D1", "D2")), st.integers(0, 3)).map(
+                           lambda t: t[0] if t[1] == 1 else f"{t[0]}^{t[1]}"))
+    terms = draw(st.lists(st.tuples(st.text("+-", max_size=3),
+                                    st.lists(factor, min_size=1, max_size=4)),
+                          min_size=1, max_size=6))
+    text = ""
+    for i, (signs, factors) in enumerate(terms):
+        lead = signs if i == 0 else (signs or "+")
+        text += f" {lead} " + "*".join(factors)
+    return text
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(well_formed())
+def test_parse_poly_equals_the_reference_on_well_formed_polynomials(text):
+    for ring in PARSE_RINGS[:2]:
+        want = reference_parse_poly(text, ring)
+        assert parse_poly(text, ring) == want

@@ -182,6 +182,20 @@ def test_oracle_reaches_a_codeword_that_needs_a_high_cap(tmp_path, capsys):
     assert out["hilbert_agreement"] == [True] * 4 and out["all"] is True
 
 
+@pytest.mark.parametrize("argv, kind", [
+    (["oracle-verify", "--max-d", "-1"], "code"),
+    (["oracle-verify", "--max-d", "-1"], "complex"),
+    (["hilbert", "--max-d", "-3", "--oracle"], "code"),
+    (["hilbert", "--max-d", "-1"], "code"),
+    (["resolve", "--hilbert-max", "-1"], "code"),
+])
+def test_a_negative_degree_bound_is_an_input_error(tmp_path, capsys, argv, kind):
+    path = write(tmp_path, "doc.json", KOSZUL_CODE if kind == "code" else KOSZUL_COMPLEX)
+    assert main(argv[:1] + [path] + argv[1:]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "must be non-negative" in err
+
+
 def test_kind_mismatch_is_an_input_error(tmp_path, capsys):
     path = write(tmp_path, "koszul.json", KOSZUL_CODE)
     assert main(["check", "pd", path]) == 2

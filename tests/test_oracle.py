@@ -7,10 +7,10 @@ from convres import PolyMatrix, Ring
 from convres.complexes import minimal_resolution, validate_complex
 from convres.errors import StructuralError
 from convres.invariants import hilbert_formula
+from convres import oracle
 from convres.oracle import (
     hilbert_oracle,
     memory_recovery_check,
-    monomials_up_to,
     nullspace_mod_p,
     rref_mod_p,
     truncated_code_space,
@@ -96,5 +96,7 @@ def test_memory_recovery():
 
 
 def test_monomial_enumeration_edges():
-    assert monomials_up_to(2, -1) == []
-    assert monomials_up_to(1, 0) == [(0,)]
+    terms, column = oracle._slice(2, (0, 0, 0), -1)
+    assert terms == [] and column.size == 0
+    terms, column = oracle._slice(1, (0, 0), 0)
+    assert terms == [(0, (0,)), (1, (0,))] and list(column) == [0, 1]

@@ -42,12 +42,15 @@ from convres.oracle import (
 
 from helpers import (
     acceptance_corpus,
+    as_rows,
     code,
     codes,
     engine_hilbert,
     reference_code_space,
     reference_shift_rows,
     reference_slice,
+    reference_slice_terms,
+    span_rref,
 )
 
 checked = settings(derandomize=True, deadline=None, max_examples=40)
@@ -62,7 +65,14 @@ def assert_matches_reference(c, d, cap=None):
     space = truncated_code_space(c, d, cap)
     dimension, cap_used, basis = reference_code_space(c, d, cap)
     assert (space.dimension, space.cap_used) == (dimension, cap_used)
-    assert space.basis == basis
+    # The oracle's basis is in RREF in slice-key order, the reference's in
+    # its own order; RREF is unique for a fixed column order.
+    p, q = c.ring.p, c.q
+    keyed = as_rows(space.basis, oracle._slice(c.ring.n, (0,) * q, d)[0])
+    assert np.array_equal(oracle.rref_mod_p(keyed, p)[0], keyed)
+    terms = reference_slice_terms(c.ring.n, (0,) * q, d)
+    assert len(space.basis) == len(basis)
+    assert np.array_equal(span_rref(space.basis, terms, p), as_rows(basis, terms))
     if cap is None:
         assert hilbert_oracle(c, d) == dimension
 
@@ -235,15 +245,16 @@ def test_vectorized_shift_rows_equal_the_loop_reference():
     for c in cases:
         n, q = c.ring.n, c.q
         for lo, hi in ((0, 4), (2, 2), (3, 5), (6, 5)):
-            terms = [(pos, e) for pos in range(q) for e in oracle.monomials_up_to(n, hi)]
+            terms = oracle._slice(n, (0,) * q, hi)[0]
             order = list(range(len(terms)))
             rng.shuffle(order)
             keys = oracle._keys(np.array([pos for pos, _ in terms]),
                                 np.array([e for _, e in terms]).reshape(len(terms), n), q)
             column = np.zeros(len(terms), dtype=np.int64)
             column[keys] = order
-            got = oracle._shift_rows(oracle._generator_terms(c), q, lo, hi, column,
-                                     len(terms))
+            gens = oracle._generator_terms(c.generators.columns(),
+                                           c.generators.column_degrees())
+            got = oracle._shift_rows(gens, q, lo, hi, column, len(terms))
             want = reference_shift_rows(old_generator_terms(c), n, lo, hi,
                                         dict(zip(terms, order)), len(terms))
             assert got.shape == want.shape and np.array_equal(got, want)
