@@ -86,11 +86,6 @@ class Ring:
             raise StructuralError("ring already has the homogenizing variable")
         return Ring(self.p, self.n, homog=True)
 
-    def base(self) -> "Ring":
-        if not self.homog:
-            raise StructuralError("ring has no homogenizing variable to drop")
-        return Ring(self.p, self.n, homog=False)
-
 
 def _check_same_ring(a: "Poly", b: "Poly"):
     if a.ring != b.ring:
@@ -175,11 +170,6 @@ class Poly:
         if not self.terms:
             return NEG_INF
         return max(sum(e) for e, _ in self.terms)
-
-    @property
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e, _ in self.terms}
-        return len(degs) <= 1
 
     @property
     def is_constant(self) -> bool:
@@ -271,17 +261,6 @@ class Poly:
             raise DomainError(f"cannot homogenize degree {deg} polynomial in degree {d}")
         tring = self.ring.homogeneous_companion()
         return Poly(tring, tuple(((d - sum(e),) + e, c) for e, c in self.terms))
-
-    def dehomogenize(self) -> "Poly":
-        """Substitute D0 := 1 and return the result over S."""
-        if not self.ring.homog:
-            raise StructuralError("polynomial has no homogenizing variable")
-        sring = self.ring.base()
-        acc: dict = {}
-        for e, c in self.terms:
-            k = e[1:]
-            acc[k] = (acc.get(k, 0) + c) % self.ring.p
-        return Poly.from_dict(sring, acc)
 
     def set_d0_zero(self) -> "Poly":
         """Substitute D0 := 0, staying in T."""
@@ -549,10 +528,6 @@ class PolyMatrix:
                 raise DomainError(f"column {j} is zero")
             out.append(d)
         return tuple(out)
-
-    def map_entries(self, fn, ring: Ring) -> "PolyMatrix":
-        rows = tuple(tuple(fn(f) for f in row) for row in self.entries)
-        return PolyMatrix(ring, self.nrows, self.ncols, rows)
 
     def to_strings(self) -> list:
         return [[str(f) for f in row] for row in self.entries]

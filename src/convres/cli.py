@@ -136,12 +136,16 @@ def _require_kind(doc: InputDocument, kind: str, cmd: str):
         raise InputError(f"command {cmd!r} needs a {kind!r} document, got {doc.kind!r}")
 
 
+MAX_D = 10_000  # largest --max-d and --hilbert-max; a report lists a value per degree
+
+
 def run_command(cmd: str, doc: InputDocument, options) -> tuple[dict, int]:
     """Dispatch a command; returns (report, exit_status)."""
     for name in ("max_d", "hilbert_max"):
         value = getattr(options, name, None)
-        if value is not None and value < 0:
-            raise InputError(f"--{name.replace('_', '-')} must be non-negative, got {value}")
+        if value is not None and not 0 <= value <= MAX_D:
+            bound = "non-negative" if value < 0 else f"at most {MAX_D}"
+            raise InputError(f"--{name.replace('_', '-')} must be {bound}, got {value}")
     if cmd == "resolve":
         _require_kind(doc, "code", cmd)
         report = minimal_resolution(doc.code)

@@ -42,10 +42,12 @@ from .errors import DomainError, InvariantError, PreconditionError, StructuralEr
 from .groebner import (
     ModuleOrder,
     SubmodulePresentation,
+    _flat_degree,
+    _minimal_flat,
+    _syzygies_flat,
+    _to_flat,
     groebner_basis,
     hilbert_numerator,
-    homogeneous_column_degree,
-    minimal_generators,
     module_equal,
     syzygy_basis,
 )
@@ -289,11 +291,6 @@ class ResolutionReport:
     is_minimal: bool
 
 
-def _graded_column_degrees(mat: PolyMatrix, row_twist) -> tuple[int, ...]:
-    return tuple(homogeneous_column_degree(mat.column(j), row_twist)
-                 for j in range(mat.ncols))
-
-
 def _graded_pipeline(code: CodePresentation):
     """Homogeneous generators of the code lifted to its graded companion.
 
@@ -309,36 +306,55 @@ def _graded_pipeline(code: CodePresentation):
     return lifted
 
 
-def _syzygy_chain(g1: PolyMatrix, max_levels: int):
-    """Iterated minimal syzygies over T of the homogeneous matrix ``g1``.
+def _syzygy_chain(gens, order: ModuleOrder, max_levels: int):
+    """Iterated minimal syzygies over T of homogeneous packed columns.
 
+    ``gens`` are packed by ``order``, whose twist is their row twist.
     Every syzygy module is cut down to minimal homogeneous generators
-    before the next level is taken.  Returns the matrices and their
-    twists: ``twists[0]`` is the zero ambient twist and ``twists[k]``
-    the column twist of ``mats[k - 1]``.
+    (``_minimal_flat``) before the next level is taken.  Level k stays
+    packed by ``ModuleOrder(T, twists[k - 1])``: the order its syzygies
+    were produced in and the one the next level reads them in.  Returns
+    the levels and their twists: ``twists[0]`` is the ambient twist and
+    ``twists[k]`` the column twist of ``levels[k - 1]``.
     """
-    zero = (0,) * g1.nrows
-    mats, twists = [g1], [zero, _graded_column_degrees(g1, zero)]
+    levels, twists = [], [order.twist]
+    cols = [gens[k] for k in _minimal_flat(gens, order)]
     for _ in range(max_levels):
-        syz = syzygy_basis(mats[-1], row_twist=twists[-2])
-        if syz.ncols == 0:
-            return mats, twists
-        syz = minimal_generators(SubmodulePresentation.from_matrix(syz, twists[-1]))
-        mats.append(syz)
-        twists.append(_graded_column_degrees(syz, twists[-1]))
+        levels.append(cols)
+        twists.append(tuple(_flat_degree(c, order) for c in cols))
+        syz_order = ModuleOrder(order.ring, twists[-1])
+        syz = _syzygies_flat(cols, order, syz_order)
+        if not syz:
+            return levels, twists
+        cols = [syz[k] for k in _minimal_flat(syz, syz_order)]
+        order = syz_order
     raise InvariantError(f"syzygy chain did not end within {max_levels} levels")
 
 
-def _report(mats, ring) -> ResolutionReport:
-    """Set D0 = 1 in the graded matrices and check the complex over ``ring``.
+def _report(levels, twists, ring) -> ResolutionReport:
+    """Set D0 = 1 in the packed graded levels and check the complex over ``ring``.
 
-    Exactness is proved once, on the leading part complex G^L, by
-    Hilbert series (``check_graded_resolution``); G^L also serves the
-    scan for scalar entries.  By the paper's main theorem a complex
-    whose G^L is a resolution is itself one, so G is not checked again.
-    A G^L that is not a resolution raises ``InvariantError``.
+    Level k, packed by ``ModuleOrder(T, twists[k - 1])``, is homogeneous,
+    so within one position of a column the D0 digit is fixed by the
+    others: dropping it keeps terms distinct and descending packed order
+    is descending grevlex over S.  Exactness is proved once, on the
+    leading part complex G^L, by Hilbert series
+    (``check_graded_resolution``); G^L also serves the scan for scalar
+    entries.  By the paper's main theorem a complex whose G^L is a
+    resolution is itself one, so G is not checked again.  A G^L that is
+    not a resolution raises ``InvariantError``.
     """
-    cx = validate_complex([m.map_entries(lambda f: f.dehomogenize(), ring) for m in mats])
+    mats = []
+    for cols, twist in zip(levels, twists):
+        unpack = ModuleOrder(ring.homogeneous_companion(), twist).unpack
+        rows = [[[] for _ in cols] for _ in twist]
+        for j, flat in enumerate(cols):
+            for t in sorted(flat, reverse=True):
+                pos, e = unpack(t)
+                rows[pos][j].append((e[1:], flat[t]))
+        mats.append(PolyMatrix(ring, len(twist), len(cols), tuple(
+            tuple(Poly(ring, tuple(terms)) for terms in row) for row in rows)))
+    cx = validate_complex(mats)
     lead = leading_term_complex(cx)
     if not check_graded_resolution(lead):
         raise InvariantError("construction must yield a minimal reduced resolution, "
@@ -353,26 +369,26 @@ def minimal_resolution(code: CodePresentation) -> ResolutionReport:
     Route: lift the code to its graded companion over T via a
     degree-compatible reduced basis homogenized element by element,
     extract minimal homogeneous generators, then repeatedly take the
-    syzygies of the last matrix and prune them to minimal homogeneous
-    generators (``minimal_generators``) before going one level deeper;
-    finally set D0 = 1.  Minimal generators at every level make the
-    graded resolution minimal, so no pivoting is needed afterwards.  The
-    length is checked to be at most n, the degree table to equal the
-    graded twists carried through the construction, and the leading
-    part complex (built once) to be a resolution, by Hilbert series,
-    without scalar entries past level 1.  By the paper's main theorem that makes the result a
-    resolution too, so it is not checked separately.  A failed check
-    raises ``InvariantError``.
+    syzygies of the last level and prune them to minimal homogeneous
+    generators before going one level deeper, all on packed columns
+    (``_syzygy_chain``); finally set D0 = 1.  Minimal generators at
+    every level make the graded resolution minimal, so no pivoting is
+    needed afterwards.  The length is checked to be at most n, the
+    degree table to equal the graded twists carried through the
+    construction, and the leading part complex (built once) to be a
+    resolution, by Hilbert series, without scalar entries past level 1.
+    By the paper's main theorem that makes the result a resolution too,
+    so it is not checked separately.  A failed check raises
+    ``InvariantError``.
     """
     if code.generators.is_zero:
         raise DomainError("the zero code has no resolution")
-    tring = code.ring.homogeneous_companion()
-    lifted = _graded_pipeline(code)
-    pres = SubmodulePresentation(tring, code.q, tuple(lifted))
-    mats, twists = _syzygy_chain(minimal_generators(pres), code.ring.n + 2)
-    if not 1 <= len(mats) <= code.ring.n:
-        raise InvariantError(f"homological dimension {len(mats)} outside 1..{code.ring.n}")
-    report = _report(mats, code.ring)
+    order = ModuleOrder(code.ring.homogeneous_companion(), (0,) * code.q)
+    lifted = [_to_flat(g, order) for g in _graded_pipeline(code)]
+    levels, twists = _syzygy_chain(lifted, order, code.ring.n + 2)
+    if not 1 <= len(levels) <= code.ring.n:
+        raise InvariantError(f"homological dimension {len(levels)} outside 1..{code.ring.n}")
+    report = _report(levels, twists, code.ring)
     if report.degree_table != tuple(twists[1:]):
         raise InvariantError("degree table drifted from the graded twists")
     if not report.is_minimal:

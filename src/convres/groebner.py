@@ -23,7 +23,9 @@ single integers whose natural order is the module order, after Monagan
 and Pearce, "Polynomial division using dynamic arrays, heaps, and packed
 exponent vectors" (CASC 2007): the leading term of a dict of terms is
 its ``max``, multiplying by a monomial is one integer addition, and a
-divisibility test is one subtraction and one mask.
+divisibility test is one subtraction and one mask.  The resolution
+chain of ``complexes`` calls the packed cores of ``syzygy_basis`` and
+``minimal_generators`` itself, so its columns are never unpacked.
 """
 
 from __future__ import annotations
@@ -33,12 +35,10 @@ from dataclasses import dataclass
 
 from .algebra import (
     ModElem,
-    NEG_INF,
     Poly,
     PolyMatrix,
     Ring,
     check_twist,
-    twisted_degree,
     vec_is_zero,
 )
 from .errors import DomainError, InvariantError, StructuralError
@@ -181,6 +181,14 @@ def _from_flat(order: ModuleOrder, rank: int, flat: dict) -> ModElem:
         pos, e = unpack(t)
         per_pos[pos].append((e, flat[t]))
     return tuple(Poly(order.ring, tuple(terms)) for terms in per_pos)
+
+
+def _flat_degree(flat: dict, order: ModuleOrder) -> int:
+    """The weight digit (deg + twist[pos]) all terms share, or DomainError."""
+    weights = {t >> order._weight_at for t in flat}
+    if len(weights) != 1:
+        raise DomainError("element is not homogeneous for the given twist")
+    return weights.pop()
 
 
 def _addmul(target: dict, src: dict, coeff: int, shift: int, p: int):
@@ -524,6 +532,25 @@ def module_equal(m1: SubmodulePresentation, m2: SubmodulePresentation) -> bool:
 def syzygy_basis(matrix: PolyMatrix, row_twist=None) -> PolyMatrix:
     """Generators of {y : matrix @ y = 0}, as columns over the matrix's ring.
 
+    A 0-column result means the matrix is injective.  For a matrix that
+    is homogeneous with respect to ``row_twist`` the returned syzygies
+    are homogeneous as well.  See ``_syzygies_flat``.
+    """
+    ring = matrix.ring
+    q, t = matrix.nrows, matrix.ncols
+    if t == 0:
+        return PolyMatrix.from_columns(ring, 0, [])
+    if matrix.has_zero_column():
+        raise DomainError("matrix has a zero column")
+    order = ModuleOrder(ring, (0,) * q if row_twist is None else check_twist(row_twist, q))
+    syz_order = ModuleOrder(ring, matrix.column_degrees(row_twist))
+    cols = _syzygies_flat([_to_flat(col, order) for col in matrix.columns()], order, syz_order)
+    return PolyMatrix.from_columns(ring, t, [_from_flat(syz_order, t, flat) for flat in cols])
+
+
+def _syzygies_flat(gens_flat, order: ModuleOrder, syz_order: ModuleOrder) -> list:
+    """Syzygies of the packed columns ``gens_flat`` as packed columns.
+
     Schreyer's construction: complete the columns to a Groebner basis
     while tracking expressions in the original columns (a tracked
     ``_Completion``, which reduces every pair), take the relation of
@@ -534,24 +561,12 @@ def syzygy_basis(matrix: PolyMatrix, row_twist=None) -> PolyMatrix:
     (I - A B), with A the tracked expressions and B the division of the
     originals by the basis, complete the generating set.
 
-    A 0-column result means the matrix is injective.  For a matrix that
-    is homogeneous with respect to ``row_twist`` the returned syzygies
-    are homogeneous as well.
+    ``gens_flat`` are packed by ``order``; the syzygies are packed by
+    ``syz_order``, whose twist should be the columns' degrees, and come
+    monic, without repeats, sorted by ascending lead.
     """
-    ring = matrix.ring
-    q, t = matrix.nrows, matrix.ncols
-    if t == 0:
-        return PolyMatrix.from_columns(ring, 0, [])
-    if matrix.has_zero_column():
-        raise DomainError("matrix has a zero column")
-    order = ModuleOrder(ring, (0,) * q if row_twist is None else check_twist(row_twist, q))
-    # Expressions in the columns are packed by the order the syzygies
-    # are finally sorted in.
-    syz_order = ModuleOrder(ring, matrix.column_degrees(row_twist))
-    p = ring.p
-    one = (0,) * ring.nvars
-
-    gens_flat = [_to_flat(col, order) for col in matrix.columns()]
+    p = order.ring.p
+    one = (0,) * order.ring.nvars
     items = _buchberger(gens_flat, order, syz_order)
 
     # Schreyer relations of the completed basis, as dicts keyed by
@@ -596,8 +611,7 @@ def syzygy_basis(matrix: PolyMatrix, row_twist=None) -> PolyMatrix:
         seen.add(key)
         cleaned.append((lead, flat))
     cleaned.sort(key=lambda pair: pair[0])
-    columns = [_from_flat(syz_order, t, flat) for _, flat in cleaned]
-    return PolyMatrix.from_columns(ring, t, columns)
+    return [flat for _, flat in cleaned]
 
 
 def matrix_kernel(matrix: PolyMatrix) -> PolyMatrix:
@@ -638,52 +652,45 @@ def left_kernel(matrix: PolyMatrix) -> PolyMatrix:
 
 # -- minimal homogeneous generators ---------------------------------------
 
-def homogeneous_column_degree(vec: ModElem, twist: tuple[int, ...]):
-    """Common twisted degree of a homogeneous element, or raise DomainError."""
-    d = twisted_degree(vec, twist)
-    if d is NEG_INF:
-        raise DomainError("zero element has no homogeneous degree")
-    for f, a in zip(vec, twist):
-        if f.is_zero:
-            continue
-        if not f.is_homogeneous or f.degree != d - a:
-            raise DomainError("element is not homogeneous for the given twist")
-    return d
-
-
 def minimal_generators(module: SubmodulePresentation, twist=None) -> PolyMatrix:
-    """Extract a minimal homogeneous generating set of a graded submodule.
+    """A minimal homogeneous generating set of a graded submodule, picked
+    by ``_minimal_flat`` under ``twist`` (default: the module's own)."""
+    twist = module.twist if twist is None else check_twist(twist, module.rank)
+    order = ModuleOrder(module.ring, twist)
+    kept = _minimal_flat([_to_flat(g, order) for g in module.generators], order)
+    return PolyMatrix.from_columns(module.ring, module.rank,
+                                   [module.generators[k] for k in kept])
+
+
+def _minimal_flat(gens_flat, order: ModuleOrder) -> list:
+    """Indices of a minimal homogeneous generating set of packed columns.
 
     One pass per degree (graded Nakayama) over one ``_Completion`` of
     the generators kept so far: before degree d it is run up to weight
     d, so its items are a Groebner basis of the kept span up to degree
-    d.  The generators of degree d are taken in index order and reduced
-    to normal form against the items; a generator is kept exactly when
-    its normal form is nonzero, and that normal form joins the items.
-    Normal forms against a Groebner basis are unique, so this keeps the
-    same generators as testing each one for membership in the span of
-    those kept so far, in increasing degree; over a graded module it
-    realizes the (unique) minimal number of generators per degree, so
-    the size and the degree multiset of the output are invariants of
-    the module.
+    d.  The generators of degree d (``_flat_degree``) are taken in index
+    order and reduced to normal form against the items; a generator is
+    kept exactly when its normal form is nonzero, and that normal form
+    joins the items.  Normal forms against a Groebner basis are unique,
+    so this keeps the same generators as testing each one for membership
+    in the span of those kept so far, in increasing degree; over a
+    graded module it realizes the (unique) minimal number of generators
+    per degree, so the size and the degree multiset of the output are
+    invariants of the module.  Indices come by degree, then index.
     """
-    twist = module.twist if twist is None else check_twist(twist, module.rank)
-    degrees = [homogeneous_column_degree(g, twist) for g in module.generators]
-    order = ModuleOrder(module.ring, twist)
     by_degree: dict = {}
-    for k, d in enumerate(degrees):
-        by_degree.setdefault(d, []).append(k)
+    for k, flat in enumerate(gens_flat):
+        by_degree.setdefault(_flat_degree(flat, order), []).append(k)
     completion = _Completion(order)
     kept: list = []
     for d in sorted(by_degree):
         completion.run(d)
         for k in by_degree[d]:
-            g = module.generators[k]
-            rem, _ = _reduce_flat(_to_flat(g, order), completion.items, order)
+            rem, _ = _reduce_flat(gens_flat[k], completion.items, order)
             if rem:
                 completion.add(rem)
-                kept.append(g)
-    return PolyMatrix.from_columns(module.ring, module.rank, kept)
+                kept.append(k)
+    return kept
 
 
 # -- Hilbert series of lead-term modules ------------------------------------
@@ -789,9 +796,7 @@ def hilbert_numerator(module: SubmodulePresentation) -> dict:
     order = ModuleOrder(module.ring, twist)
     gens_flat = [_to_flat(g, order) for g in module.generators]
     for flat in gens_flat:
-        # The top digit of a packed term is its weight, deg + twist[pos].
-        if len({t >> order._weight_at for t in flat}) != 1:
-            raise DomainError("element is not homogeneous for the given twist")
+        _flat_degree(flat, order)
     leads: dict = {}
     for it in _buchberger(gens_flat, order):
         leads.setdefault(it.pos, []).append(it.exps)

@@ -1,6 +1,7 @@
 """Shared fixtures: tiny constructors, seeded generators, slice oracles,
-the reference resolution routes, the criteria-free Groebner routes and
-the list-based univariate spot check."""
+the reference resolution routes, the criteria-free Groebner routes, the
+list-based univariate spot check and the entrywise homogeneity helpers
+that only tests use."""
 
 import heapq
 import random
@@ -20,10 +21,15 @@ from convres import (
     parse_poly,
     validate_complex,
 )
-from convres.algebra import _tokenize, check_twist, twisted_degree, vec_is_zero
+from convres.algebra import (
+    NEG_INF,
+    _tokenize,
+    check_twist,
+    twisted_degree,
+    vec_is_zero,
+)
 from convres.complexes import (
     ResolutionReport,
-    _graded_column_degrees,
     _graded_pipeline,
     check_reduced,
     check_resolution,
@@ -35,6 +41,7 @@ from convres.errors import DomainError, InvariantError, PolyParseError, Structur
 from convres.groebner import (
     GroebnerBasis,
     ModuleOrder,
+    SubmodulePresentation,
     _GBItem,
     _addmul,
     _check_weight,
@@ -45,7 +52,7 @@ from convres.groebner import (
     _reduce_flat,
     _spair_parts,
     _to_flat,
-    homogeneous_column_degree,
+    minimal_generators,
     monomial_hilbert_numerator,
     syzygy_basis,
 )
@@ -519,6 +526,68 @@ def reference_parse_poly(text, ring):
     return result
 
 
+# -- entrywise homogeneity ----------------------------------------------------
+
+def is_homogeneous(f: Poly) -> bool:
+    return len({sum(e) for e, _ in f.terms}) <= 1
+
+
+def dehomogenize(f: Poly) -> Poly:
+    """Substitute D0 := 1 in a polynomial over T; the result lives over S."""
+    if not f.ring.homog:
+        raise StructuralError("polynomial has no homogenizing variable")
+    acc: dict = {}
+    for e, c in f.terms:
+        acc[e[1:]] = (acc.get(e[1:], 0) + c) % f.ring.p
+    return Poly.from_dict(Ring(f.ring.p, f.ring.n), acc)
+
+
+def map_entries(m: PolyMatrix, fn, ring: Ring) -> PolyMatrix:
+    return PolyMatrix(ring, m.nrows, m.ncols, tuple(tuple(fn(f) for f in row)
+                                                   for row in m.entries))
+
+
+def homogeneous_column_degree(vec, twist):
+    """Common twisted degree of a homogeneous element, or raise DomainError."""
+    d = twisted_degree(vec, twist)
+    if d is NEG_INF:
+        raise DomainError("zero element has no homogeneous degree")
+    for f, a in zip(vec, twist):
+        if not f.is_zero and (not is_homogeneous(f) or f.degree != d - a):
+            raise DomainError("element is not homogeneous for the given twist")
+    return d
+
+
+def graded_column_degrees(mat: PolyMatrix, row_twist) -> tuple:
+    return tuple(homogeneous_column_degree(mat.column(j), row_twist)
+                 for j in range(mat.ncols))
+
+
+def reference_minimal_resolution(code):
+    """The ``Poly`` route of ``minimal_resolution`` before its chain stayed packed.
+
+    ``minimal_generators`` of the lifted code, then per level
+    ``syzygy_basis`` and ``minimal_generators`` over T, each packing and
+    unpacking its columns, and D0 := 1 entry by entry at the end.
+    Returns the complex over S and the graded twists of its levels.
+    """
+    zero = (0,) * code.q
+    pres = SubmodulePresentation(code.ring.homogeneous_companion(), code.q,
+                                 tuple(_graded_pipeline(code)))
+    mats = [minimal_generators(pres)]
+    twists = [zero, graded_column_degrees(mats[0], zero)]
+    for _ in range(code.ring.n + 2):
+        syz = syzygy_basis(mats[-1], row_twist=twists[-2])
+        if syz.ncols == 0:
+            break
+        mats.append(minimal_generators(SubmodulePresentation.from_matrix(syz, twists[-1])))
+        twists.append(graded_column_degrees(mats[-1], twists[-1]))
+    else:
+        raise InvariantError("syzygy chain did not end")
+    return (validate_complex([map_entries(m, dehomogenize, code.ring) for m in mats]),
+            tuple(twists[1:]))
+
+
 # -- reference routes: unpruned syzygies and graded pivoting ----------------
 
 def resolution_without_minimalization(code, extra_generators=()):
@@ -538,14 +607,14 @@ def resolution_without_minimalization(code, extra_generators=()):
     tring = code.ring.homogeneous_companion()
     mats, twists = [PolyMatrix.from_columns(tring, code.q, lifted)], [(0,) * code.q]
     for _ in range(code.ring.n + 1 + len(lifted)):
-        twists.append(_graded_column_degrees(mats[-1], twists[-1]))
+        twists.append(graded_column_degrees(mats[-1], twists[-1]))
         syz = syzygy_basis(mats[-1], row_twist=twists[-2])
         if syz.ncols == 0:
             break
         mats.append(syz)
     else:
         raise InvariantError("syzygy chain did not end")
-    cx = validate_complex([m.map_entries(lambda f: f.dehomogenize(), code.ring)
+    cx = validate_complex([map_entries(m, dehomogenize, code.ring)
                            for m in mats])
     is_resolution = check_resolution(cx)
     is_reduced = check_reduced(cx)
@@ -567,7 +636,7 @@ def minimalize_graded(cx: PolyComplex) -> PolyComplex:
         raise StructuralError("minimalize_graded expects a complex over T")
     twists = [(0,) * cx.q]
     for mat in cx.matrices:
-        twists.append(_graded_column_degrees(mat, twists[-1]))
+        twists.append(graded_column_degrees(mat, twists[-1]))
     mats, twists = _minimalize_grids(list(cx.matrices), twists)
     return validate_complex(mats)
 

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from convres import cli, complexes
-from convres.cli import main, parse_input
+from convres.cli import MAX_D, main, parse_input
 from convres.errors import InputError
 
 KOSZUL_CODE = '{"p": 2, "n": 2, "kind": "code", "matrix": [["D1", "D2"]]}'
@@ -194,6 +194,27 @@ def test_a_negative_degree_bound_is_an_input_error(tmp_path, capsys, argv, kind)
     assert main(argv[:1] + [path] + argv[1:]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "must be non-negative" in err
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["oracle-verify", "--max-d", str(MAX_D + 1)], "code"),
+    (["oracle-verify", "--max-d", str(MAX_D + 1)], "complex"),
+    (["hilbert", "--max-d", "30000000", "--oracle"], "code"),
+    (["hilbert", "--max-d", str(MAX_D + 1)], "code"),
+    (["resolve", "--hilbert-max", "30000000"], "code"),
+])
+def test_a_degree_bound_above_max_d_is_an_input_error(tmp_path, capsys, argv, kind):
+    path = write(tmp_path, "doc.json", KOSZUL_CODE if kind == "code" else KOSZUL_COMPLEX)
+    assert main(argv[:1] + [path] + argv[1:]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"must be at most {MAX_D}" in err
+
+
+def test_max_d_itself_is_accepted(tmp_path, capsys):
+    path = write(tmp_path, "koszul.json", KOSZUL_CODE)
+    assert main(["resolve", path, "--hilbert-max", str(MAX_D)]) == 0
+    values = json.loads(capsys.readouterr().out)["hilbert"]
+    assert len(values) == MAX_D + 1 and values[:4] == [0, 2, 5, 9]
 
 
 def test_kind_mismatch_is_an_input_error(tmp_path, capsys):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 
 from convres import groebner
 from convres.algebra import CodePresentation
-from convres.complexes import _graded_column_degrees, _graded_pipeline
+from convres.complexes import _graded_pipeline
 from convres.groebner import (
     SubmodulePresentation,
     groebner_basis,
@@ -28,6 +28,7 @@ from helpers import (
     CANARY_ROWS,
     acceptance_corpus,
     codes,
+    graded_column_degrees,
     random_code,
     reference_groebner_basis,
     reference_hilbert_numerator,
@@ -59,7 +60,7 @@ def _route(code, routines):
     twists = [lifted.twist]
     for _ in range(code.ring.n + 1):
         out.append(mat.entries)
-        twists.append(_graded_column_degrees(mat, twists[-1]))
+        twists.append(graded_column_degrees(mat, twists[-1]))
         syz = syzygies(mat, row_twist=twists[-2])
         out.append(syz.entries)
         if syz.ncols == 0:

@@ -17,6 +17,7 @@ from convres.complexes import (
     validate_complex,
 )
 from convres.errors import DomainError, PreconditionError, StructuralError
+from convres.groebner import ModuleOrder, _to_flat
 from convres.invariants import forney_table, memory, rate_and_dimension
 from convres.oracle import truncated_exactness
 
@@ -24,8 +25,11 @@ from helpers import (
     P,
     acceptance_corpus,
     code,
+    dehomogenize,
+    homogeneous_column_degree,
     koszul_code,
     koszul_complex,
+    map_entries,
     mat,
     minimalize_graded,
     paper_matrix,
@@ -83,7 +87,7 @@ def test_homogenize_complex_golden_entry():
     t = Ring(101, 1, homog=True)
     assert h.matrices[0].entry(1, 1) == P("D0*D1 + 4*D0^2", t)
     # substituting D0 = 1 recovers the input entrywise
-    back = h.matrices[0].map_entries(lambda f: f.dehomogenize(), Ring(101, 1))
+    back = map_entries(h.matrices[0], dehomogenize, Ring(101, 1))
     assert back == cx.matrices[0]
 
 
@@ -91,16 +95,15 @@ def test_homogenize_complex_fixes_homogeneous_input():
     kz = koszul_complex()
     h = homogenize_complex(kz)
     for hm, gm in zip(h.matrices, kz.matrices):
-        assert hm.map_entries(lambda f: f.dehomogenize(), kz.ring) == gm
-        assert hm.map_entries(lambda f: f.set_d0_zero().dehomogenize(), kz.ring) == gm
+        assert map_entries(hm, dehomogenize, kz.ring) == gm
+        assert map_entries(hm, lambda f: dehomogenize(f.set_d0_zero()), kz.ring) == gm
     r = Ring(2, 2)
     ident = validate_complex([PolyMatrix.identity(r, 2)])
     hid = homogenize_complex(ident)
-    assert hid.matrices[0].map_entries(lambda f: f.dehomogenize(), r) == ident.matrices[0]
+    assert map_entries(hid.matrices[0], dehomogenize, r) == ident.matrices[0]
 
 
 def test_homogenized_columns_are_homogeneous():
-    from convres.groebner import homogeneous_column_degree
     cx = validate_complex([paper_matrix()])
     h = homogenize_complex(cx)
     table = ((0,) * cx.q,) + column_degree_table(cx)
@@ -129,7 +132,7 @@ def test_leading_term_complex_fixed_points():
 
 def _homogenized_at_d0_zero(cx):
     """G^H with D0 := 0, then dehomogenized back to S."""
-    return tuple(m.map_entries(lambda f: f.set_d0_zero().dehomogenize(), cx.ring)
+    return tuple(map_entries(m, lambda f: dehomogenize(f.set_d0_zero()), cx.ring)
                  for m in homogenize_complex(cx).matrices)
 
 
@@ -160,14 +163,19 @@ def test_validate_complex_accepts_every_lifted_corpus_complex():
 
 def test_report_computes_the_degree_table_once(monkeypatch):
     c = koszul_code()
-    mats = homogenize_complex(minimal_resolution(c).complex).matrices
+    cx = minimal_resolution(c).complex
+    graded = homogenize_complex(cx)
+    twists = ((0,) * graded.q,) + column_degree_table(graded)
+    levels = [[_to_flat(col, ModuleOrder(graded.ring, twist)) for col in m.columns()]
+              for m, twist in zip(graded.matrices, twists)]
     calls = []
     real = PolyMatrix.column_degrees
     monkeypatch.setattr(PolyMatrix, "column_degrees",
                         lambda self, twist=None: calls.append(self) or real(self, twist))
-    report = complexes._report(mats, c.ring)
+    report = complexes._report(levels, twists, c.ring)
     assert report.degree_table == ((1, 1), (2,))
-    assert len(calls) == len(mats) == 2
+    assert report.complex == cx
+    assert len(calls) == len(levels) == 2
 
 
 def test_minimal_resolution_builds_the_leading_part_complex_once(monkeypatch):
@@ -344,7 +352,7 @@ def test_minimalize_graded_examples():
     g2 = mat(t, [["D2", "-1"], ["-D1", "0"], ["0", "1"]])
     out = minimalize_graded(validate_complex([g1, g2]))
     assert out.sizes == (2, 1)
-    back = validate_complex([m.map_entries(lambda f: f.dehomogenize(), Ring(101, 2))
+    back = validate_complex([map_entries(m, dehomogenize, Ring(101, 2))
                              for m in out.matrices])
     assert check_resolution(back) and check_reduced(back) and check_minimal(back)
 

@@ -28,7 +28,6 @@ from convres import complexes
 from convres.errors import InvariantError
 from convres.groebner import (
     SubmodulePresentation,
-    homogeneous_column_degree,
     membership,
     minimal_generators,
 )
@@ -38,6 +37,7 @@ from convres.oracle import hilbert_oracle
 from helpers import (
     CANARY_ROWS,
     acceptance_corpus,
+    homogeneous_column_degree,
     koszul_code,
     minimalize_graded,
     resolution_without_minimalization,
