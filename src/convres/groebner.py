@@ -12,18 +12,19 @@ and Hilbert series numerators of graded submodules, read off the lead
 terms of a Groebner basis by a pivot algorithm on monomial ideals.
 
 One resumable Buchberger completion (``_Completion``, normal strategy)
-serves every caller.  Untracked runs (reduced bases, Hilbert series,
-minimal generators, which stops each run at the current degree) skip
-pairs by the Gebauer-Moeller chain criteria; tracked runs (syzygies)
-reduce every pair and keep the relation of each reduction to zero, so
-Schreyer's construction reduces again only the pairs that produced a
-basis element.  There are no signature-based or Hilbert-driven
-shortcuts.  Terms are packed into
-single integers whose natural order is the module order, after Monagan
-and Pearce, "Polynomial division using dynamic arrays, heaps, and packed
-exponent vectors" (CASC 2007): the leading term of a dict of terms is
-its ``max``, multiplying by a monomial is one integer addition, and a
-divisibility test is one subtraction and one mask.  The resolution
+serves every caller and skips pairs by the Gebauer-Moeller chain
+criteria: reduced bases, Hilbert series, minimal generators (which stop
+each run at the current degree) and syzygies.  Syzygy runs are tracked:
+they keep the relation of each pair reduced to zero, and Schreyer's
+construction pulls back only those relations, reducing no S-pair again.
+There are no signature-based or Hilbert-driven shortcuts.
+
+Terms are packed into single integers whose natural order is the module
+order, after Monagan and Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors" (CASC 2007): the leading
+term of a dict of terms is its ``max``, multiplying by a monomial is one
+integer addition, and a divisibility test is one subtraction and one
+mask.  The resolution
 chain of ``complexes`` calls the packed cores of ``syzygy_basis`` and
 ``minimal_generators`` itself, so its columns are never unpacked.
 """
@@ -214,8 +215,9 @@ class _GBItem:
         self.lead = lead      # packed leading term
         self.pos, self.exps = order.unpack(lead)
         self.expr = expr      # flat dict over input indices, or None
-        # i -> relation (see ``_relation``) of the S-pair (i, self) when a
-        # tracked completion reduced it to zero.
+        # i -> outcome of the S-pair (i, self) in a ``_Completion``: its
+        # relation (see ``_relation``) if a tracked run reduced it to zero,
+        # else None; a pair not yet decided has no entry.
         self.relations = {}
 
 
@@ -325,27 +327,26 @@ def _exps_divide(a, b) -> bool:
 class _Completion:
     """A resumable Buchberger completion (normal strategy).
 
-    Items are only ever appended, each monic.  Same-position pairs wait
-    on a heap keyed by (lcm weight, i, j); ``run(weight)`` reduces the
-    waiting pairs up to that weight and appends every nonzero remainder,
-    so over homogeneous input the items are then a Groebner basis up to
-    that weight, and ``run()`` completes them.
+    Items are only ever appended, each monic.  Each new item applies the
+    chain criteria of Gebauer and Moeller, "On an installation of
+    Buchberger's algorithm", JSC 6 (1988): B drops a waiting pair whose
+    lcm the new lead divides with both new lcms differing from it, M
+    drops a new pair whose lcm is a multiple of another new pair's, F
+    keeps one new pair per lcm, and items whose lead the new lead divides
+    form no further pairs.  The product criterion is left out: coprime
+    leads at one position do not make an S-pair of module elements
+    reduce to zero.  The surviving pairs wait on a heap keyed by (lcm
+    weight, i, j); ``run(weight)`` reduces the waiting pairs up to that
+    weight and appends every nonzero remainder, so over homogeneous input
+    the items are then a Groebner basis up to that weight, and ``run()``
+    completes them.
 
-    Untracked, each new item applies the chain criteria of Gebauer and
-    Moeller, "On an installation of Buchberger's algorithm", JSC 6
-    (1988): B drops a waiting pair whose lcm the new lead divides with
-    both new lcms differing from it, M drops a new pair whose lcm is a
-    multiple of another new pair's, F keeps one new pair per lcm, and
-    items whose lead the new lead divides form no further pairs.  The
-    product criterion is left out: coprime leads at one position do not
-    make an S-pair of module elements reduce to zero.
-
-    Tracked (``expr_order`` given), every pair is reduced, each item
-    carries its expression in the input generators, packed by
-    ``expr_order``, and each pair (i, j) that reduces to zero leaves its
-    relation in ``items[j].relations[i]``.  Division takes the first
-    item whose lead divides, and items are only appended, so such a
-    reduction takes the same path against every later item list.
+    Every same-position pair (i, j), once decided, leaves its outcome in
+    ``items[j].relations[i]``: the relation of its reduction to zero in a
+    tracked run, else None (dropped by a criterion, produced an item, or
+    reduced to zero untracked).  Tracked (``expr_order`` given), each
+    item also carries its expression in the input generators, packed by
+    ``expr_order``.
     """
 
     def __init__(self, order: ModuleOrder, expr_order: ModuleOrder = None):
@@ -353,8 +354,8 @@ class _Completion:
         self.expr_order = expr_order
         self.items: list[_GBItem] = []
         self._heap: list = []
-        self._pairs: dict = {}     # untracked: waiting (i, j) -> lcm exponents
-        self._active: list = []    # untracked: items that still form pairs
+        self._pairs: dict = {}     # waiting (i, j) -> lcm exponents
+        self._active: list = []    # items that still form pairs
 
     def add(self, flat: dict, expr: dict = None):
         """Append the nonzero ``flat`` (made monic) and queue its pairs."""
@@ -362,15 +363,8 @@ class _Completion:
         flat, lead, inv = _monic(flat, p)
         if expr is not None and inv != 1:
             expr = {t: (c * inv) % p for t, c in expr.items()}
-        new = _GBItem(flat, lead, self.order, expr)
-        hi = len(self.items)
-        self.items.append(new)
-        if self.expr_order is None:
-            self._update(hi)
-            return
-        for k in range(hi):
-            if self.items[k].pos == new.pos:
-                heapq.heappush(self._heap, (_lcm_shifts(self.items[k], new, self.order)[0], k, hi))
+        self.items.append(_GBItem(flat, lead, self.order, expr))
+        self._update(len(self.items) - 1)
 
     def _update(self, hi: int):
         items = self.items
@@ -384,12 +378,16 @@ class _Completion:
             if (items[i].pos == h.pos and _exps_divide(he, lcm_ij)
                     and lcm(items[i]) != lcm_ij and lcm(items[j]) != lcm_ij):
                 del self._pairs[(i, j)]
+                items[j].relations[i] = None
         fresh = [(k, lcm(items[k])) for k in self._active if items[k].pos == h.pos]
         kept: list = []
         for idx, (k, lcm_k) in enumerate(fresh):                # criteria M and F
             if not any(_exps_divide(other, lcm_k)
                        for _, other in fresh[idx + 1:] + kept):
                 kept.append((k, lcm_k))
+        queued = dict(kept)
+        h.relations = {k: None for k in range(hi)
+                       if items[k].pos == h.pos and k not in queued}
         for k, lcm_k in kept:
             weight = sum(lcm_k) + self.order.twist[h.pos]
             _check_weight(weight)
@@ -406,14 +404,13 @@ class _Completion:
         track = self.expr_order is not None
         while heap and (weight is None or heap[0][0] <= weight):
             _, i, j = heapq.heappop(heap)
-            if not track and self._pairs.pop((i, j), None) is None:
+            if self._pairs.pop((i, j), None) is None:
                 continue    # dropped by criterion B
             s, ui, uj = _spair_parts(items[i], items[j], order)
             rem, quots = _reduce_flat(s, items, order, want_quotients=track)
             sigma = _relation(i, ui, j, uj, quots, p) if track else None
+            items[j].relations[i] = None if rem else sigma
             if not rem:
-                if track:
-                    items[j].relations[i] = sigma
                 continue
             # sigma applied to the items is rem: its pull-back expresses rem.
             expr = None if sigma is None else _pull_back(sigma, items, p)
@@ -425,9 +422,10 @@ class _Completion:
 def _buchberger(gens_flat, order: ModuleOrder, expr_order: ModuleOrder = None):
     """The items of a completed ``_Completion`` of ``gens_flat``.
 
-    With ``expr_order`` the run is tracked: every pair is reduced and
-    each item carries its expression in the input generators, so
-    syzygies can be pulled back to the caller's coordinates afterwards.
+    With ``expr_order`` the run is tracked: each item carries its
+    expression in the input generators and each pair reduced to zero its
+    relation, so syzygies can be pulled back to the caller's coordinates
+    afterwards.
     """
     completion = _Completion(order, expr_order)
     one = (0,) * order.ring.nvars
@@ -553,13 +551,15 @@ def _syzygies_flat(gens_flat, order: ModuleOrder, syz_order: ModuleOrder) -> lis
 
     Schreyer's construction: complete the columns to a Groebner basis
     while tracking expressions in the original columns (a tracked
-    ``_Completion``, which reduces every pair), take the relation of
-    every same-position S-pair of the final basis reduced to zero, and
-    pull the relations back to the original coordinates.  A pair that
-    the completion reduced to zero keeps the relation it left; only the
-    pairs that produced a new item are reduced again.  The columns of
-    (I - A B), with A the tracked expressions and B the division of the
-    originals by the basis, complete the generating set.
+    ``_Completion``), and pull back to the original coordinates the
+    relations its pairs that reduced to zero left.  No S-pair is reduced
+    again.  A pair a Gebauer-Moeller criterion dropped has its relation
+    in the span of the kept pairs' relations (Gebauer and Moeller, JSC 6,
+    1988; Moeller, Mora and Traverso, ISSAC 1992), and a pair that
+    produced item h has the relation sigma - c e_h, whose pull-back is
+    zero.  The columns of (I - A B), with A the tracked expressions and
+    B the division of the originals by the basis, complete the
+    generating set.
 
     ``gens_flat`` are packed by ``order``; the syzygies are packed by
     ``syz_order``, whose twist should be the columns' degrees, and come
@@ -569,23 +569,18 @@ def _syzygies_flat(gens_flat, order: ModuleOrder, syz_order: ModuleOrder) -> lis
     one = (0,) * order.ring.nvars
     items = _buchberger(gens_flat, order, syz_order)
 
-    # Schreyer relations of the completed basis, as dicts keyed by
-    # (basis index, packed shift), pulled back to the original columns.
-    # Pairs the completion reduced to zero left their relation on the
-    # item; the others are reduced here.
+    # Relations, keyed by (basis index, packed shift), that the completion
+    # left on its items, pulled back to the original columns.
     candidates: list[dict] = []
     for j, item in enumerate(items):
         for i in range(j):
             if items[i].pos != item.pos:
                 continue
-            sigma = item.relations.get(i)
-            if sigma is None:
-                s, ui, uj = _spair_parts(items[i], item, order)
-                rem, quots = _reduce_flat(s, items, order, want_quotients=True)
-                if rem:
-                    raise InvariantError("S-pair of a completed basis must reduce to zero")
-                sigma = _relation(i, ui, j, uj, quots, p)
-            out = _pull_back(sigma, items, p)
+            if i not in item.relations:
+                raise InvariantError("S-pair of a completed basis has no recorded outcome;"
+                                     " it must reduce to zero")
+            sigma = item.relations[i]
+            out = _pull_back(sigma, items, p) if sigma else None
             if out:
                 candidates.append(out)
 

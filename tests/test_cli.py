@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from convres import cli, complexes
-from convres.cli import MAX_D, main, parse_input
+from convres.cli import MAX_D, MAX_N, main, parse_input
 from convres.errors import InputError
 
 KOSZUL_CODE = '{"p": 2, "n": 2, "kind": "code", "matrix": [["D1", "D2"]]}'
@@ -215,6 +219,34 @@ def test_max_d_itself_is_accepted(tmp_path, capsys):
     assert main(["resolve", path, "--hilbert-max", str(MAX_D)]) == 0
     values = json.loads(capsys.readouterr().out)["hilbert"]
     assert len(values) == MAX_D + 1 and values[:4] == [0, 2, 5, 9]
+
+
+def test_n_above_max_n_is_rejected_before_any_ring_is_built(monkeypatch):
+    def no_ring(*args, **kwargs):
+        raise AssertionError("a ring was built")
+
+    monkeypatch.setattr(cli, "Ring", no_ring)
+    with pytest.raises(InputError, match=f"from 1 to {MAX_N}") as info:
+        parse_input(f'{{"p": 2, "n": {MAX_N + 1}, "kind": "code", "matrix": [["D1"]]}}')
+    assert info.value.location == "n"
+
+
+def test_a_huge_n_exits_2_at_once(tmp_path):
+    path = write(tmp_path, "wide.json", '{"p": 2, "n": 1000000, "kind": "code", '
+                                        '"matrix": [["D1"]]}')
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "convres.cli", "resolve", path],
+                          capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"from 1 to {MAX_N}" in proc.stderr and "[at n]" in proc.stderr
+
+
+def test_max_n_itself_is_accepted(tmp_path, capsys):
+    path = write(tmp_path, "wide.json", f'{{"p": 2, "n": {MAX_N}, "kind": "code", '
+                                        f'"matrix": [["D1"]]}}')
+    assert main(["resolve", path]) == 0
+    assert json.loads(capsys.readouterr().out)["forney_table"] == [[1]]
 
 
 def test_kind_mismatch_is_an_input_error(tmp_path, capsys):

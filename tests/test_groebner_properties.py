@@ -63,6 +63,16 @@ def test_packed_order_is_module_order(data):
     assert sorted(ts, key=order.pack) == sorted(ts, key=order.key)
 
 
+def test_packed_order_is_module_order_over_t_with_unequal_twists():
+    # Equal weights at positions of unequal twist, where the degree and
+    # the D0 exponent disagree: D0*D1 at position 0 against D1 at 1.
+    order = ModuleOrder(Ring(101, 1, homog=True), (0, 1))
+    a, b = (0, (1, 1)), (1, (0, 1))
+    assert (order.pack(a) > order.pack(b)) == (order.key(a) > order.key(b))
+    ts = [(pos, (e0, e1)) for pos in (0, 1) for e0 in range(3) for e1 in range(3)]
+    assert sorted(ts, key=order.pack) == sorted(ts, key=order.key)
+
+
 @checked
 @given(st.data())
 def test_pack_unpack_round_trip(data):
@@ -157,6 +167,33 @@ def test_failed_self_check_exits_2_without_a_report(tmp_path, capsys, monkeypatc
     real = groebner._buchberger
     monkeypatch.setattr(groebner, "_buchberger", lambda g, o, e=None:
                         real(g, o) if e is None else _uncompleted(g, o, e, keep=1))
+    path = tmp_path / "code.json"
+    path.write_text('{"p": 2, "n": 2, "kind": "code", "matrix": [["D1", "D2"]]}')
+    assert main(["resolve", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "must reduce to zero" in err
+
+
+def _one_outcome_lost(real):
+    """``_buchberger`` that loses the first recorded pair outcome of a tracked run."""
+    def run(gens_flat, order, expr_order=None):
+        items = real(gens_flat, order, expr_order)
+        if expr_order is not None:
+            item = next(it for it in items if it.relations)
+            del item.relations[next(iter(item.relations))]
+        return items
+    return run
+
+
+def test_lost_pair_outcome_raises_invariant_error(monkeypatch):
+    r = Ring(101, 2)
+    monkeypatch.setattr(groebner, "_buchberger", _one_outcome_lost(groebner._buchberger))
+    with pytest.raises(InvariantError, match="must reduce to zero"):
+        syzygy_basis(mat(r, [["D1^2 + D2", "D1*D2"]]))
+
+
+def test_lost_pair_outcome_exits_2_without_a_report(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(groebner, "_buchberger", _one_outcome_lost(groebner._buchberger))
     path = tmp_path / "code.json"
     path.write_text('{"p": 2, "n": 2, "kind": "code", "matrix": [["D1", "D2"]]}')
     assert main(["resolve", str(path)]) == 2
