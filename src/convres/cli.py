@@ -91,12 +91,16 @@ def _parse_matrix(ring: Ring, rows, where: str) -> PolyMatrix:
     return mat
 
 
-def parse_input(text: str) -> InputDocument:
-    """Parse a JSON document into a validated code or complex."""
+def parse_input(text) -> InputDocument:
+    """Parse a JSON document (text, or bytes in UTF-8) into a validated code or complex."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"not valid JSON: {exc}", f"line {exc.lineno} column {exc.colno}")
+    except RecursionError:
+        raise InputError("JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise InputError("document must be a JSON object")
     for field in ("p", "n", "kind"):
@@ -306,22 +310,20 @@ def main(argv=None) -> int:
         if not hasattr(args, name):
             setattr(args, name, None)
 
+    # The --out file is written first, so a report reaches stdout only
+    # when the whole command has succeeded.
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
+        with open(args.file, "rb") as fh:
             doc = parse_input(fh.read())
         report, status = run_command(args.command, doc, args)
-    except OSError as exc:
+        text = _render(report)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except (OSError, ConvresError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConvresError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    text = _render(report)
     sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
     return status
 
 

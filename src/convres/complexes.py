@@ -20,17 +20,23 @@ on G^L serves both.
 Exactness is proved in two independent ways.  ``check_resolution``
 works on any complex with Schreyer syzygies and module equality; it
 serves ``check resolution`` and the tests.  G^L is graded by the
-degree table, so ``check_graded_resolution`` proves its exactness from
-Hilbert series of lead-term modules alone, which is what reducedness,
-minimality and ``minimal_resolution`` use.  ``minimal_resolution``
-constructs the minimal reduced resolution of a code through the graded
-route and is the source of all invariants; it builds G^L once, for the
-exactness and minimality checks.
+degree table, so its exactness follows from Hilbert series of
+lead-term modules alone (``_exact_by_numerators``), with the lead terms
+taken from one of two sources.  ``check_graded_resolution`` computes a
+fresh Groebner basis of every image; reducedness and minimality of a
+given complex use it.  ``minimal_resolution``, which constructs the
+minimal reduced resolution of a code through the graded route and is
+the source of all invariants, reads them off the Groebner bases its own
+syzygy runs completed over T: their D0-free leads generate the
+lead-term modules of G^L (see ``groebner.ModuleOrder``).  It checks the
+products and the scalar entries on its packed columns too, so it builds
+no G^L, no G^H and no ``Poly`` product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, pairwise
 
 from .algebra import (
     CodePresentation,
@@ -42,7 +48,9 @@ from .errors import DomainError, InvariantError, PreconditionError, StructuralEr
 from .groebner import (
     ModuleOrder,
     SubmodulePresentation,
+    _addmul,
     _flat_degree,
+    _lead_numerator,
     _minimal_flat,
     _syzygies_flat,
     _to_flat,
@@ -58,7 +66,8 @@ DegreeTable = tuple  # (a_1, ..., a_l), each a tuple[int, ...] of length p_i
 class PolyComplex:
     """A chain (G_1, ..., G_l) known to be a complex.
 
-    Built by ``validate_complex``, or from one by ``_lift_by_table``.
+    Built by ``validate_complex``, from one by ``_lift_by_table``, or by
+    ``_report`` from packed levels it has checked itself.
     """
 
     __slots__ = ("ring", "matrices", "q", "sizes", "_table")
@@ -189,33 +198,36 @@ def _poly_sum(*polys) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
+def _exact_by_numerators(numerators, table) -> bool:
+    """Exactness of a graded complex from the Hilbert numerators of its images.
+
+    ``table`` is (a_0, a_1, ..., a_l), a_0 the ambient twist, and
+    ``numerators`` yields N(im G_1), ..., N(im G_l) over (1 - t)^n; it
+    is read lazily, so a failing level stops the work.  G_k maps
+    F_k = sum_j S(-a_k(j)) into F_{k-1} in degree 0 and im G_{k+1} lies
+    inside ker G_k, so the complex is exact exactly when
+    N(im G_{k+1}) + N(im G_k) = sum_j t^a_k(j) for k < l and
+    N(im G_l) = sum_j t^a_l(j).
+    """
+    pairs = pairwise(chain(numerators, [{}]))
+    return all(_poly_sum(a, b) == _poly_sum(*({d: 1} for d in level))
+               for level, (a, b) in zip(table[1:], pairs))
+
+
 def check_graded_resolution(cx: PolyComplex) -> bool:
     """Exactness of a complex graded by its own degree table, by Hilbert series.
 
     Every column j of G_k must be homogeneous of twisted degree a_k(j)
     for the row twist a_{k-1}, as in any leading part complex
-    (``DomainError`` otherwise).  Then G_k maps F_k = sum_j S(-a_k(j))
-    into F_{k-1} in degree 0, and im G_{k+1} lies inside ker G_k
-    because the chain is a complex, so it is exact exactly when
-    HS(im G_{k+1}) + HS(im G_k) = HS(F_k) for k < l and
-    HS(im G_l) = HS(F_l).  The numerators over (1 - t)^n are compared
-    (``hilbert_numerator``, after Bayer & Stillman, "Computation of
-    Hilbert functions", JSC 14, 1992); no syzygies are computed.
+    (``DomainError`` otherwise).  The numerators of the images come from
+    a fresh Groebner basis per level (``hilbert_numerator``, after Bayer
+    & Stillman, "Computation of Hilbert functions", JSC 14, 1992) and
+    are compared by ``_exact_by_numerators``; no syzygies are computed.
     """
     table = ((0,) * cx.q,) + column_degree_table(cx)
-
-    def image(k):
-        if k == cx.length:
-            return {}
-        return hilbert_numerator(SubmodulePresentation.from_matrix(cx.matrices[k], table[k]))
-
-    prev = image(0)
-    for k in range(1, cx.length + 1):
-        nxt = image(k)
-        if _poly_sum(prev, nxt) != _poly_sum(*({a: 1} for a in table[k])):
-            return False
-        prev = nxt
-    return True
+    return _exact_by_numerators(
+        (hilbert_numerator(SubmodulePresentation.from_matrix(mat, twist))
+         for mat, twist in zip(cx.matrices, table)), table)
 
 
 def check_reduced(cx: PolyComplex) -> bool:
@@ -314,53 +326,76 @@ def _syzygy_chain(gens, order: ModuleOrder, max_levels: int):
     (``_minimal_flat``) before the next level is taken.  Level k stays
     packed by ``ModuleOrder(T, twists[k - 1])``: the order its syzygies
     were produced in and the one the next level reads them in.  Returns
-    the levels and their twists: ``twists[0]`` is the ambient twist and
-    ``twists[k]`` the column twist of ``levels[k - 1]``.
+    the levels, their twists (``twists[0]`` is the ambient twist and
+    ``twists[k]`` the column twist of ``levels[k - 1]``) and the leads:
+    ``leads[k - 1]`` lists as (position, exponents over S) the D0-free
+    leads of the Groebner basis of the span of level k that its syzygy
+    run completed, which generate the lead-term module of im G_k^L (see
+    ``ModuleOrder``).
     """
-    levels, twists = [], [order.twist]
+    levels, twists, leads = [], [order.twist], []
     cols = [gens[k] for k in _minimal_flat(gens, order)]
     for _ in range(max_levels):
         levels.append(cols)
         twists.append(tuple(_flat_degree(c, order) for c in cols))
         syz_order = ModuleOrder(order.ring, twists[-1])
-        syz = _syzygies_flat(cols, order, syz_order)
+        syz, items = _syzygies_flat(cols, order, syz_order)
+        leads.append([(it.pos, it.exps[1:]) for it in items if not it.exps[0]])
         if not syz:
-            return levels, twists
+            return levels, twists, leads
         cols = [syz[k] for k in _minimal_flat(syz, syz_order)]
         order = syz_order
     raise InvariantError(f"syzygy chain did not end within {max_levels} levels")
 
 
-def _report(levels, twists, ring) -> ResolutionReport:
-    """Set D0 = 1 in the packed graded levels and check the complex over ``ring``.
+def _report(levels, twists, leads, ring) -> ResolutionReport:
+    """Check the packed graded levels over T, then set D0 = 1 for the report.
 
-    Level k, packed by ``ModuleOrder(T, twists[k - 1])``, is homogeneous,
-    so within one position of a column the D0 digit is fixed by the
-    others: dropping it keeps terms distinct and descending packed order
-    is descending grevlex over S.  Exactness is proved once, on the
-    leading part complex G^L, by Hilbert series
-    (``check_graded_resolution``); G^L also serves the scan for scalar
-    entries.  By the paper's main theorem a complex whose G^L is a
-    resolution is itself one, so G is not checked again.  A G^L that is
-    not a resolution raises ``InvariantError``.
+    Level k, packed by ``ModuleOrder(T, twists[k - 1])``, is G_k^H, and
+    G_k^L is G_k^H at D0 = 0.  Three checks run on the packed columns:
+
+    * G_k^H G_{k+1}^H = 0: each term of a column of level k + 1 adds one
+      multiple of a column of level k, shifted by the term minus the
+      packed unit at its position (both orders share one digit layout).
+      Zero over T gives zero over S, for G^L and for G.
+    * Exactness of G^L, by ``_exact_by_numerators`` on the Hilbert
+      numerators of the chain's D0-free ``leads``; no Groebner basis is
+      computed again.  By the paper's main theorem a complex whose G^L
+      is a resolution is itself one, so G is not checked again.
+    * Minimality: an entry of G_k^L (k >= 2) is a nonzero scalar exactly
+      when a column of level k has a term of degree 0, the packed unit
+      at its position.
+
+    A failed product or exactness check raises ``InvariantError``.  Then
+    each level becomes ``Poly`` matrices over ``ring``: within one
+    position of a homogeneous column the D0 digit is fixed by the
+    others, so dropping it keeps terms distinct, and descending packed
+    order is descending grevlex over S.
     """
-    mats = []
-    for cols, twist in zip(levels, twists):
-        unpack = ModuleOrder(ring.homogeneous_companion(), twist).unpack
+    tring, p = ring.homogeneous_companion(), ring.p
+    minimal, mats = True, []
+    for k, (cols, twist) in enumerate(zip(levels, twists)):
+        order = ModuleOrder(tring, twist)
+        units = [order.pack((pos, (0,) * tring.nvars)) for pos in range(len(twist))]
         rows = [[[] for _ in cols] for _ in twist]
         for j, flat in enumerate(cols):
+            product: dict = {}
             for t in sorted(flat, reverse=True):
-                pos, e = unpack(t)
+                pos, e = order.unpack(t)
                 rows[pos][j].append((e[1:], flat[t]))
+                if k:
+                    minimal = minimal and any(e)
+                    _addmul(product, levels[k - 1][pos], flat[t], t - units[pos], p)
+            if product:
+                raise InvariantError(f"the constructed G_{k} G_{k + 1} is not zero")
         mats.append(PolyMatrix(ring, len(twist), len(cols), tuple(
             tuple(Poly(ring, tuple(terms)) for terms in row) for row in rows)))
-    cx = validate_complex(mats)
-    lead = leading_term_complex(cx)
-    if not check_graded_resolution(lead):
+    numerators = (_lead_numerator(lv, tw, ring.nvars) for lv, tw in zip(leads, twists))
+    if not _exact_by_numerators(numerators, twists):
         raise InvariantError("construction must yield a minimal reduced resolution, "
                              "but its leading part complex is not exact")
-    return ResolutionReport(cx, column_degree_table(cx), True, True,
-                            not _scalar_positions(lead))
+    cx = PolyComplex(ring, tuple(mats), len(twists[0]), tuple(len(cols) for cols in levels))
+    return ResolutionReport(cx, column_degree_table(cx), True, True, minimal)
 
 
 def minimal_resolution(code: CodePresentation) -> ResolutionReport:
@@ -373,22 +408,24 @@ def minimal_resolution(code: CodePresentation) -> ResolutionReport:
     generators before going one level deeper, all on packed columns
     (``_syzygy_chain``); finally set D0 = 1.  Minimal generators at
     every level make the graded resolution minimal, so no pivoting is
-    needed afterwards.  The length is checked to be at most n, the
+    needed afterwards.  The length is checked to be at most n and the
     degree table to equal the graded twists carried through the
-    construction, and the leading part complex (built once) to be a
-    resolution, by Hilbert series, without scalar entries past level 1.
-    By the paper's main theorem that makes the result a resolution too,
-    so it is not checked separately.  A failed check raises
+    construction.  On the packed levels (``_report``) the products are
+    checked to vanish over T, the leading part complex to be a
+    resolution, by Hilbert series of the leads the chain's own syzygy
+    runs left, and to have no scalar entry past level 1.  By the
+    paper's main theorem that makes the result a resolution too, so it
+    is not checked separately.  A failed check raises
     ``InvariantError``.
     """
     if code.generators.is_zero:
         raise DomainError("the zero code has no resolution")
     order = ModuleOrder(code.ring.homogeneous_companion(), (0,) * code.q)
     lifted = [_to_flat(g, order) for g in _graded_pipeline(code)]
-    levels, twists = _syzygy_chain(lifted, order, code.ring.n + 2)
+    levels, twists, leads = _syzygy_chain(lifted, order, code.ring.n + 2)
     if not 1 <= len(levels) <= code.ring.n:
         raise InvariantError(f"homological dimension {len(levels)} outside 1..{code.ring.n}")
-    report = _report(levels, twists, code.ring)
+    report = _report(levels, twists, leads, code.ring)
     if report.degree_table != tuple(twists[1:]):
         raise InvariantError("degree table drifted from the graded twists")
     if not report.is_minimal:

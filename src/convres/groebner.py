@@ -26,7 +26,9 @@ term of a dict of terms is its ``max``, multiplying by a monomial is one
 integer addition, and a divisibility test is one subtraction and one
 mask.  The resolution
 chain of ``complexes`` calls the packed cores of ``syzygy_basis`` and
-``minimal_generators`` itself, so its columns are never unpacked.
+``minimal_generators`` itself, so its columns are never unpacked, and
+reads the Hilbert series of its leading part complex off the leads of
+the Groebner bases its syzygy runs complete (``_lead_numerator``).
 """
 
 from __future__ import annotations
@@ -46,11 +48,15 @@ from .errors import DomainError, InvariantError, StructuralError
 
 # Internally a module element is a flat dict {packed term: coeff}, with
 # coefficients in [1, p).  A packed term is an int of base-2^32 digits,
-# most significant first: the weight deg + twist[pos], the degree, then
-# _C - e for every exponent in the order in which ``Ring.mono_key``
-# compares them, and _C - pos last.  Every digit but the weight lies in
-# [0, _C], so integer order is digit-by-digit order, which is exactly
-# ``ModuleOrder.key``; a digit's top bit (its guard bit) stays clear.
+# most significant first: the weight deg + twist[pos], over T next
+# _C - e0 (the D0 exponent), the degree, then _C - e for every other
+# exponent in the order in which ``Ring.mono_key`` compares them, and
+# _C - pos last.  Every digit but the weight lies in [0, _C], so integer
+# order is digit-by-digit order, which is exactly ``ModuleOrder.key``; a
+# digit's top bit (its guard bit) stays clear.  With the D0 digit above
+# the degree, D0 is the last variable among terms of one weight even at
+# positions of unequal twist, so a homogeneous element has a lead
+# divisible by D0 only when the element itself is divisible by D0.
 # Multiplying by a monomial adds its packed shift (see
 # ``ModuleOrder.shift``), which never carries while digits stay in range.
 # Terms are accepted up to weight _LIMIT, half the digit range, so the
@@ -72,8 +78,14 @@ class ModuleOrder:
     """Degree-compatible term-over-position order on R^p with a twist.
 
     The weight of a monomial m at position i is deg(m) + twist[i];
-    comparison is weight, then grevlex on m, then smaller position.
-    ``pack`` maps a term to an int with the same order.
+    comparison is weight, then grevlex on m, then smaller position.  Over
+    T a smaller D0 exponent wins right after the weight, before the
+    degree, so among terms of one weight D0 is the last variable of a
+    reverse lexicographic order at every position (Bayer and Stillman,
+    Invent. Math. 87, 1987).  Then the D0-free leads of a Groebner basis
+    of a graded submodule M of T^p generate the lead-term module of M at
+    D0 = 0 (Eisenbud, Commutative Algebra, Prop. 15.12).  ``pack`` maps a
+    term to an int with the same order.
     """
 
     ring: Ring
@@ -83,14 +95,14 @@ class ModuleOrder:
         check_twist(self.twist, len(self.twist))
         nv = self.ring.nvars
         # Bit offset of each exponent slot's digit: mono_key compares the
-        # last slot first, and over T the slot of D0 before all others.
+        # last slot first.  Over T the slot of D0 sits above the degree.
         if self.ring.homog:
-            at = (_BITS * nv,) + tuple(_BITS * s for s in range(1, nv))
+            at = (_BITS * (nv + 1),) + tuple(_BITS * s for s in range(1, nv))
         else:
             at = tuple(_BITS * (s + 1) for s in range(nv))
         setattr_ = object.__setattr__
         setattr_(self, "_at", at)
-        setattr_(self, "_deg_at", _BITS * (nv + 1))
+        setattr_(self, "_deg_at", _BITS * (nv + 1 - self.ring.homog))
         setattr_(self, "_weight_at", _BITS * (nv + 2))
         setattr_(self, "_base", sum(_C << a for a in at) + _C)
         setattr_(self, "_tail", sum(_MASK << a for a in at))
@@ -103,7 +115,8 @@ class ModuleOrder:
     def key(self, term):
         pos, exps = term
         deg, tail = self.ring.mono_key(exps)
-        return (deg + self.twist[pos], deg, tail, -pos)
+        # Over T the D0 exponent comes right after the weight.
+        return (deg + self.twist[pos],) + (-exps[0],) * self.ring.homog + (deg, tail, -pos)
 
     def pack(self, term) -> int:
         """The term (position, exponents) as an int ordered like ``key``."""
@@ -542,11 +555,11 @@ def syzygy_basis(matrix: PolyMatrix, row_twist=None) -> PolyMatrix:
         raise DomainError("matrix has a zero column")
     order = ModuleOrder(ring, (0,) * q if row_twist is None else check_twist(row_twist, q))
     syz_order = ModuleOrder(ring, matrix.column_degrees(row_twist))
-    cols = _syzygies_flat([_to_flat(col, order) for col in matrix.columns()], order, syz_order)
+    cols, _ = _syzygies_flat([_to_flat(c, order) for c in matrix.columns()], order, syz_order)
     return PolyMatrix.from_columns(ring, t, [_from_flat(syz_order, t, flat) for flat in cols])
 
 
-def _syzygies_flat(gens_flat, order: ModuleOrder, syz_order: ModuleOrder) -> list:
+def _syzygies_flat(gens_flat, order: ModuleOrder, syz_order: ModuleOrder):
     """Syzygies of the packed columns ``gens_flat`` as packed columns.
 
     Schreyer's construction: complete the columns to a Groebner basis
@@ -563,7 +576,8 @@ def _syzygies_flat(gens_flat, order: ModuleOrder, syz_order: ModuleOrder) -> lis
 
     ``gens_flat`` are packed by ``order``; the syzygies are packed by
     ``syz_order``, whose twist should be the columns' degrees, and come
-    monic, without repeats, sorted by ascending lead.
+    monic, without repeats, sorted by ascending lead.  Returns them with
+    the items of the completion, a Groebner basis of the columns' span.
     """
     p = order.ring.p
     one = (0,) * order.ring.nvars
@@ -606,7 +620,7 @@ def _syzygies_flat(gens_flat, order: ModuleOrder, syz_order: ModuleOrder) -> lis
         seen.add(key)
         cleaned.append((lead, flat))
     cleaned.sort(key=lambda pair: pair[0])
-    return [flat for _, flat in cleaned]
+    return [flat for _, flat in cleaned], items
 
 
 def matrix_kernel(matrix: PolyMatrix) -> PolyMatrix:
@@ -775,6 +789,25 @@ def monomial_hilbert_numerator(gens, nvars: int) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
+def _lead_numerator(leads, twist, nvars: int) -> dict:
+    """N = sum_i t^a_i (1 - K(S/I_i)) for lead terms given as (position, exponents).
+
+    a = ``twist`` and I_i is the monomial ideal of the exponents at
+    position i (``monomial_hilbert_numerator``), so N(t) / (1 - t)^nvars
+    is the Hilbert series of the monomial submodule the leads generate.
+    """
+    by_pos: dict = {}
+    for pos, exps in leads:
+        by_pos.setdefault(pos, []).append(exps)
+    out: dict = {}
+    for pos, exps in by_pos.items():
+        a = twist[pos]
+        out[a] = out.get(a, 0) + 1
+        for k, c in monomial_hilbert_numerator(exps, nvars).items():
+            out[a + k] = out.get(a + k, 0) - c
+    return {k: c for k, c in out.items() if c}
+
+
 def hilbert_numerator(module: SubmodulePresentation) -> dict:
     """N with HS(M) = N(t) / (1 - t)^nvars for a graded submodule M.
 
@@ -783,22 +816,11 @@ def hilbert_numerator(module: SubmodulePresentation) -> dict:
     otherwise).  By Macaulay's theorem M and its lead-term module under
     ``ModuleOrder(ring, a)`` have one Hilbert function, and the leads of
     any Groebner basis generate the lead-term module, so one untracked
-    Buchberger run without interreduction serves:
-    N = sum_i t^a_i (1 - K(S/I_i)), with I_i the ideal of the lead
-    monomials at position i (``monomial_hilbert_numerator``).
+    Buchberger run without interreduction serves (``_lead_numerator``).
     """
-    twist = module.twist
-    order = ModuleOrder(module.ring, twist)
+    order = ModuleOrder(module.ring, module.twist)
     gens_flat = [_to_flat(g, order) for g in module.generators]
     for flat in gens_flat:
         _flat_degree(flat, order)
-    leads: dict = {}
-    for it in _buchberger(gens_flat, order):
-        leads.setdefault(it.pos, []).append(it.exps)
-    out: dict = {}
-    for pos, exps in leads.items():
-        a = twist[pos]
-        out[a] = out.get(a, 0) + 1
-        for k, c in monomial_hilbert_numerator(exps, module.ring.nvars).items():
-            out[a + k] = out.get(a + k, 0) - c
-    return {k: c for k, c in out.items() if c}
+    return _lead_numerator(((it.pos, it.exps) for it in _buchberger(gens_flat, order)),
+                          module.twist, module.ring.nvars)

@@ -31,6 +31,7 @@ from convres.algebra import (
 from convres.complexes import (
     ResolutionReport,
     _graded_pipeline,
+    _syzygy_chain,
     check_reduced,
     check_resolution,
     column_degree_table,
@@ -561,6 +562,13 @@ def homogeneous_column_degree(vec, twist):
 def graded_column_degrees(mat: PolyMatrix, row_twist) -> tuple:
     return tuple(homogeneous_column_degree(mat.column(j), row_twist)
                  for j in range(mat.ncols))
+
+
+def packed_chain(code):
+    """``minimal_resolution``'s packed chain of a code: levels, twists, leads."""
+    order = ModuleOrder(code.ring.homogeneous_companion(), (0,) * code.q)
+    lifted = [_to_flat(g, order) for g in _graded_pipeline(code)]
+    return _syzygy_chain(lifted, order, code.ring.n + 2)
 
 
 def reference_minimal_resolution(code):

@@ -280,6 +280,30 @@ def test_out_writes_the_report_verbatim(tmp_path, capsys):
     assert target.read_text() == printed
 
 
+def test_unwritable_out_is_an_error_without_a_report(tmp_path, capsys):
+    path = write(tmp_path, "koszul.json", KOSZUL_CODE)
+    assert main(["resolve", path, "--out", str(tmp_path / "missing" / "report.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_non_utf8_input_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + KOSZUL_CODE.encode("utf-16-le"))
+    assert main(["resolve", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: not UTF-8 text")
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    path = write(tmp_path, "deep.json", "[" * 100_000)
+    assert main(["resolve", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: JSON nested too deeply")
+    with pytest.raises(InputError, match="nested too deeply"):
+        parse_input("[" * 100_000)
+
+
 def test_parse_rejects_a_term_degree_beyond_the_engine_limit():
     top = '{"p": 2, "n": 2, "kind": "code", "matrix": [["D1^1073741823 + 1"]]}'
     assert parse_input(top).code.generators.entry(0, 0).degree == 2**30 - 1

@@ -17,7 +17,7 @@ from convres.complexes import (
     validate_complex,
 )
 from convres.errors import DomainError, PreconditionError, StructuralError
-from convres.groebner import ModuleOrder, _to_flat
+from convres.groebner import SubmodulePresentation, hilbert_numerator
 from convres.invariants import forney_table, memory, rate_and_dimension
 from convres.oracle import truncated_exactness
 
@@ -32,6 +32,7 @@ from helpers import (
     map_entries,
     mat,
     minimalize_graded,
+    packed_chain,
     paper_matrix,
     random_complex,
     resolution_without_minimalization,
@@ -164,47 +165,51 @@ def test_validate_complex_accepts_every_lifted_corpus_complex():
 def test_report_computes_the_degree_table_once(monkeypatch):
     c = koszul_code()
     cx = minimal_resolution(c).complex
-    graded = homogenize_complex(cx)
-    twists = ((0,) * graded.q,) + column_degree_table(graded)
-    levels = [[_to_flat(col, ModuleOrder(graded.ring, twist)) for col in m.columns()]
-              for m, twist in zip(graded.matrices, twists)]
+    levels, twists, leads = packed_chain(c)
     calls = []
     real = PolyMatrix.column_degrees
     monkeypatch.setattr(PolyMatrix, "column_degrees",
                         lambda self, twist=None: calls.append(self) or real(self, twist))
-    report = complexes._report(levels, twists, c.ring)
+    report = complexes._report(levels, twists, leads, c.ring)
     assert report.degree_table == ((1, 1), (2,))
     assert report.complex == cx
     assert len(calls) == len(levels) == 2
 
 
-def test_minimal_resolution_builds_the_leading_part_complex_once(monkeypatch):
-    calls = {"leading_term_complex": 0, "homogenize_complex": 0}
+def test_minimal_resolution_builds_no_derived_complex(monkeypatch):
+    # The checks read the packed chain: no G^L, no G^H, no Poly products.
+    calls = dict.fromkeys(("leading_term_complex", "homogenize_complex", "validate_complex",
+                           "check_graded_resolution", "hilbert_numerator"), 0)
     for name in calls:
-        def counted(cx, name=name, original=getattr(complexes, name)):
+        def counted(*args, name=name, original=getattr(complexes, name)):
             calls[name] += 1
-            return original(cx)
+            return original(*args)
         monkeypatch.setattr(complexes, name, counted)
     rep = minimal_resolution(koszul_code())
     assert rep.complex.length == 2
-    assert calls == {"leading_term_complex": 1, "homogenize_complex": 0}
+    assert calls == dict.fromkeys(calls, 0)
 
 
 def test_minimal_resolution_checks_exactness_once(monkeypatch):
-    # Only G^L is checked, by Hilbert series; the paper's theorem carries
-    # exactness to G, and no syzygy-based check runs.
-    checked = {"check_graded_resolution": [], "check_resolution": []}
-    for name, calls in checked.items():
-        def counted(cx, calls=calls, original=getattr(complexes, name)):
-            calls.append(cx)
-            return original(cx)
-        monkeypatch.setattr(complexes, name, counted)
+    # Only G^L is checked, by Hilbert series read off the chain's own
+    # leads; the paper's theorem carries exactness to G, and no
+    # syzygy-based check runs.
+    compared, resolutions = [], []
+    real = complexes._exact_by_numerators
+
+    def spy(numerators, table):
+        compared.append((list(numerators), table))
+        return real(compared[-1][0], table)
+    monkeypatch.setattr(complexes, "_exact_by_numerators", spy)
+    monkeypatch.setattr(complexes, "check_resolution", resolutions.append)
     rep = minimal_resolution(koszul_code())
     assert rep.is_resolution and rep.is_reduced and rep.is_minimal
-    assert len(checked["check_graded_resolution"]) == 1
-    assert checked["check_resolution"] == []
-    lead = checked["check_graded_resolution"][0]
-    assert lead.matrices == leading_term_complex(rep.complex).matrices
+    assert len(compared) == 1 and resolutions == []
+    numerators, table = compared[0]
+    assert tuple(table) == ((0,),) + rep.degree_table
+    lead = leading_term_complex(rep.complex)
+    assert numerators == [hilbert_numerator(SubmodulePresentation.from_matrix(m, twist))
+                          for m, twist in zip(lead.matrices, table)]
 
 
 def test_reduced_implies_resolution_on_the_probe_corpus():

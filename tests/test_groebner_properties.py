@@ -65,10 +65,15 @@ def test_packed_order_is_module_order(data):
 
 def test_packed_order_is_module_order_over_t_with_unequal_twists():
     # Equal weights at positions of unequal twist, where the degree and
-    # the D0 exponent disagree: D0*D1 at position 0 against D1 at 1.
+    # the D0 exponent disagree: D0*D1 at position 0 against D1 at 1, and
+    # D0*D2^2 at position 0 against D1 at 1.  The D0-divisible term has
+    # the higher degree, yet the D0-free one leads, by pack and by key.
+    for twist, a, b in (((0, 1), (0, (1, 1)), (1, (0, 1))),
+                        ((0, 2), (0, (1, 0, 2)), (1, (0, 1, 0)))):
+        order = ModuleOrder(Ring(101, len(a[1]) - 1, homog=True), twist)
+        assert order.pack(b) > order.pack(a)
+        assert order.key(b) > order.key(a)
     order = ModuleOrder(Ring(101, 1, homog=True), (0, 1))
-    a, b = (0, (1, 1)), (1, (0, 1))
-    assert (order.pack(a) > order.pack(b)) == (order.key(a) > order.key(b))
     ts = [(pos, (e0, e1)) for pos in (0, 1) for e0 in range(3) for e1 in range(3)]
     assert sorted(ts, key=order.pack) == sorted(ts, key=order.key)
 

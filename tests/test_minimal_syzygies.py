@@ -183,13 +183,13 @@ def test_canary_resolves_quickly_and_agrees_with_the_oracle():
 # -- result guards ---------------------------------------------------------
 
 def test_failed_resolution_check_raises_invariant_error(monkeypatch):
-    monkeypatch.setattr(complexes, "check_graded_resolution", lambda cx: False)
+    monkeypatch.setattr(complexes, "_exact_by_numerators", lambda numerators, table: False)
     with pytest.raises(InvariantError, match="minimal reduced resolution"):
         minimal_resolution(koszul_code())
 
 
 def test_failed_resolution_check_exits_2_without_a_report(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(complexes, "check_graded_resolution", lambda cx: False)
+    monkeypatch.setattr(complexes, "_exact_by_numerators", lambda numerators, table: False)
     path = tmp_path / "code.json"
     path.write_text('{"p": 2, "n": 2, "kind": "code", "matrix": [["D1", "D2"]]}')
     assert main(["resolve", str(path)]) == 2

@@ -5,19 +5,68 @@ basis to the report and sets D0 = 1 by dropping a digit; the reference
 in ``tests/helpers.py`` packs and unpacks at every public call and
 dehomogenizes entry by entry.  Both must give the same complex, the
 same strings and the same degree table.
+
+The exactness proof reads the Hilbert numerators of G^L off the leads
+the chain's own syzygy runs left; the fresh route (``hilbert_numerator``
+on ``leading_term_complex`` of the report) is its reference.  A chain
+broken on purpose must fail the checks with ``InvariantError``.
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 
-from convres import Ring
-from convres.complexes import _syzygy_chain, column_degree_table, minimal_resolution
-from convres.errors import DomainError
-from convres.groebner import ModuleOrder, _flat_degree, _to_flat
+from convres import Ring, complexes
+from convres.algebra import CodePresentation
+from convres.cli import main
+from convres.complexes import (
+    _syzygy_chain,
+    column_degree_table,
+    leading_term_complex,
+    minimal_resolution,
+)
+from convres.errors import DomainError, InvariantError
+from convres.groebner import (
+    ModuleOrder,
+    SubmodulePresentation,
+    _flat_degree,
+    _lead_numerator,
+    _to_flat,
+    hilbert_numerator,
+)
 
-from helpers import P, acceptance_corpus, codes, linear_code, reference_minimal_resolution
+from helpers import (
+    P,
+    acceptance_corpus,
+    codes,
+    linear_code,
+    packed_chain,
+    reference_minimal_resolution,
+)
+
+# Seeded small-mix benchmark codes (p, n, rows) whose level-2 numerators
+# from the chain's leads disagreed with the fresh route while the D0
+# digit was packed below the degree digit.
+D0_BELOW_DEGREE = [
+    (5, 2, [["3*D1^2 + 3*D2^2 + 4", "0", "D1*D2"],
+            ["2*D1*D2 + D2 + 4", "D1^2 + 4*D1*D2 + 2*D2", "0"]]),
+    (101, 2, [["56*D1^2 + 65*D2^2 + 74*D1", "86", "0"],
+              ["55*D2^2", "21*D1*D2 + 100*D1 + 24*D2", "86*D1^2"]]),
+    (2, 2, [["D2^2 + D1", "D2^2 + 1", "D2^2 + D2"],
+            ["D1 + D2", "D1^2 + D1*D2 + D2", "D1^2 + D1*D2 + D2^2"]]),
+    (3, 2, [["D1 + D2", "2*D1*D2", "D1^2 + 2*D1*D2 + D1"], ["0", "0", "0"],
+            ["D1 + 2*D2", "D1*D2 + 2*D2", "2*D2"]]),
+    (101, 2, [["58*D2", "10*D1*D2 + 48*D1 + 51", "67*D2"],
+              ["72*D1^2 + 71*D2^2 + 67", "46*D1^2 + 44*D2 + 32", "0"]]),
+    (3, 2, [["2*D1*D2 + D2^2 + 2*D1", "0", "2*D1*D2 + D2^2 + 2"],
+            ["D1^2 + D1 + 2", "D2^2 + D1 + 2", "2*D2"]]),
+    (2, 2, [["D1*D2 + D2^2 + D2", "D1^2 + D2^2", "0"],
+            ["D1^2 + D1", "D1^2", "D1*D2 + D2^2"]]),
+    (101, 2, [["0", "24*D1^2 + 20*D2 + 54", "71*D1*D2"],
+              ["14*D1", "14*D1^2 + 58*D1*D2 + 6*D2", "77*D1^2 + 35*D2"]]),
+]
 
 
 def _assert_same_resolution(code):
@@ -56,3 +105,103 @@ def test_degree_reader_rejects_a_column_with_two_weights():
     # The same column is homogeneous once the first row is twisted by 1.
     shifted = ModuleOrder(t, (1, 0))
     assert _flat_degree(_to_flat((P("D1", t), P("D2^2", t)), shifted), shifted) == 2
+
+
+# -- the exactness proof from the chain's own leads ---------------------------
+
+def _assert_chain_numerators_are_fresh(code):
+    levels, twists, leads = packed_chain(code)
+    chain = [_lead_numerator(lv, twist, code.ring.nvars) for lv, twist in zip(leads, twists)]
+    report = minimal_resolution(code)
+    table = ((0,) * code.q,) + report.degree_table
+    fresh = [hilbert_numerator(SubmodulePresentation.from_matrix(m, twist))
+             for m, twist in zip(leading_term_complex(report.complex).matrices, table)]
+    assert chain == fresh, code.generators
+
+
+def test_chain_numerators_match_the_fresh_route_on_the_acceptance_corpus():
+    for code in acceptance_corpus():
+        _assert_chain_numerators_are_fresh(code)
+
+
+def test_chain_numerators_match_the_fresh_route_on_linear_codes():
+    rng = random.Random(15)
+    for _ in range(20):
+        _assert_chain_numerators_are_fresh(linear_code(rng))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(codes())
+def test_chain_numerators_match_the_fresh_route_on_sampled_codes(code):
+    _assert_chain_numerators_are_fresh(code)
+
+
+@pytest.mark.parametrize("p, n, rows", D0_BELOW_DEGREE)
+def test_chain_numerators_match_where_d0_packed_below_the_degree_failed(p, n, rows):
+    _assert_chain_numerators_are_fresh(CodePresentation.from_strings(p=p, n=n, rows=rows))
+
+
+KOSZUL_3 = CodePresentation.from_strings(p=101, n=3, rows=[["D1", "D2", "D3"]])
+
+
+def _drop_syzygy_column(level):
+    real, calls = complexes._minimal_flat, []
+
+    def pruned(gens, order):
+        calls.append(None)
+        kept = real(gens, order)
+        return kept[:-1] if len(calls) == level else kept
+    return "_minimal_flat", pruned
+
+
+def _drop_item(gens, order, syz_order, real=complexes._syzygies_flat):
+    syz, items = real(gens, order, syz_order)
+    return syz, items[1:]
+
+
+def _chain_with(change):
+    def mutated(gens, order, max_levels, real=complexes._syzygy_chain):
+        levels, twists, leads = real(gens, order, max_levels)
+        change(levels, leads)
+        return levels, twists, leads
+    return "_syzygy_chain", mutated
+
+
+def _bump_coefficient(level):
+    def change(levels, leads):
+        col = levels[level - 1][0]
+        t = max(col)
+        col[t] = col[t] % 100 + 1
+    return _chain_with(change)
+
+
+# Each builds a fresh (name in complexes, replacement) pair; the
+# message names the check that must catch it.
+NOT_EXACT, NOT_ZERO = "leading part complex is not exact", "G_1 G_2 is not zero"
+MUTATIONS = {
+    "syzygy column dropped at level 2": (lambda: _drop_syzygy_column(2), NOT_EXACT),
+    "syzygy column dropped at level 3": (lambda: _drop_syzygy_column(3), NOT_EXACT),
+    "completion item dropped": (lambda: ("_syzygies_flat", _drop_item), NOT_EXACT),
+    "lead dropped": (lambda: _chain_with(lambda levels, leads: leads[1].pop(0)), NOT_EXACT),
+    "coefficient changed at level 1": (lambda: _bump_coefficient(1), NOT_ZERO),
+    "coefficient changed at level 2": (lambda: _bump_coefficient(2), NOT_ZERO),
+}
+
+
+@pytest.mark.parametrize("mutation, message", MUTATIONS.values(), ids=MUTATIONS.keys())
+def test_a_broken_chain_raises_invariant_error(mutation, message, monkeypatch):
+    assert minimal_resolution(KOSZUL_3).complex.sizes == (3, 3, 1)
+    monkeypatch.setattr(complexes, *mutation())
+    with pytest.raises(InvariantError, match=message):
+        minimal_resolution(KOSZUL_3)
+
+
+@pytest.mark.parametrize("mutation, message", MUTATIONS.values(), ids=MUTATIONS.keys())
+def test_a_broken_chain_exits_2_without_a_report(mutation, message, monkeypatch, tmp_path,
+                                                 capsys):
+    path = tmp_path / "code.json"
+    path.write_text('{"p": 101, "n": 3, "kind": "code", "matrix": [["D1", "D2", "D3"]]}')
+    monkeypatch.setattr(complexes, *mutation())
+    assert main(["resolve", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and re.search(message, err)
