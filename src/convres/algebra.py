@@ -19,6 +19,7 @@ All values are immutable; all operations are pure functions.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from operator import add
 
@@ -67,9 +68,9 @@ class Ring:
 
     def var_slot(self, name: str) -> int:
         """Slot index of a variable name like ``D2``; raises on unknown names."""
-        if not (len(name) > 1 and name[0] == "D" and name[1:].isdigit()):
+        if not (len(name) > 1 and name[0] == "D" and name[1:].isdecimal()):
             raise DomainError(f"unknown variable {name!r}")
-        k = int(name[1:])
+        k = _integer(name[1:])
         lo = 0 if self.homog else 1
         if not (lo <= k <= self.n):
             raise DomainError(f"variable {name!r} not in ring with n={self.n}"
@@ -296,97 +297,74 @@ class Poly:
 #   term   := ['+' | '-'] factor ('*' factor)*
 #   factor := INT | VAR ['^' INT]
 #
-# with VAR one of D0..Dn (D0 only over T).  Coefficients are reduced
+# with VAR one of D0..Dn (D0 only over T) and INT a run of decimal
+# digits.  Whitespace may separate tokens.  Coefficients are reduced
 # modulo p while parsing.
 
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("INT", text[i:j], i))
-            i = j
-            continue
-        if ch == "D":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise PolyParseError("variable name needs an index", i)
-            tokens.append(("VAR", text[i:j], i))
-            i = j
-            continue
-        raise PolyParseError(f"unexpected character {ch!r}", i)
-    return tokens
+_TOKEN = re.compile(r"(?P<INT>\d+)|(?P<VAR>D\d*)|(?P<OP>[-+*^])|(?P<BAD>\S)")
+
+
+def _integer(digits: str) -> int:
+    """The value of a run of decimal digits, or ``DomainError`` for one
+    longer than ``int`` converts (``sys.get_int_max_str_digits``)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise DomainError(f"number with {len(digits)} digits is too long") from None
 
 
 def parse_poly(text: str, ring: Ring) -> Poly:
-    """Parse the documented polynomial grammar into canonical form, each
-    term read as one coefficient and exponent vector into one dict."""
-    tokens = _tokenize(text)
+    """Parse the documented polynomial grammar into canonical form.
+
+    One pass of ``_TOKEN`` cuts the text into tokens, skipping
+    whitespace; each term is then read as one coefficient and exponent
+    vector into one dict.
+    """
+    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
+    for kind, value, at in tokens:
+        if kind == "BAD":
+            raise PolyParseError(f"unexpected character {value!r}", at)
+        if value == "D":
+            raise PolyParseError("variable name needs an index", at)
     if not tokens:
         raise PolyParseError("empty polynomial", 0)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, None, len(text))
-
-    def take(kind):
-        nonlocal pos
-        tk = peek()
-        if tk[0] != kind:
-            raise PolyParseError(f"expected {kind}, found {tk[1]!r}", tk[2])
-        pos += 1
-        return tk
-
-    def parse_factor(coeff: int, exps: list) -> int:
-        """Multiply one factor into (coeff, exps); returns the coefficient."""
-        kind, value, at = peek()
-        if kind == "INT":
-            take("INT")
-            return coeff * int(value) % ring.p
-        if kind == "VAR":
-            take("VAR")
+    tokens.append((None, None, len(text)))
+    acc: dict = {}
+    i = 0
+    while True:
+        coeff, exps = 1, [0] * ring.nvars
+        while tokens[i][1] in ("+", "-"):
+            coeff = -coeff if tokens[i][1] == "-" else coeff
+            i += 1
+        while True:     # factors joined by '*'
+            kind, value, at = tokens[i]
             try:
-                slot = ring.var_slot(value)
+                if kind == "INT":
+                    coeff = coeff * _integer(value) % ring.p
+                elif kind == "VAR":
+                    slot, power = ring.var_slot(value), 1
+                    if tokens[i + 1][1] == "^":
+                        i += 2
+                        kind, value, at = tokens[i]
+                        if kind != "INT":
+                            raise PolyParseError(f"expected INT, found {value!r}", at)
+                        power = _integer(value)
+                    exps[slot] += power
+                else:
+                    raise PolyParseError(
+                        f"expected a coefficient or variable, found {value!r}", at)
             except DomainError as exc:
                 raise PolyParseError(str(exc), at) from None
-            if peek()[0] == "^":
-                take("^")
-                exps[slot] += int(take("INT")[1])
-            else:
-                exps[slot] += 1
-            return coeff
-        raise PolyParseError(f"expected a coefficient or variable, found {value!r}", at)
-
-    acc: dict = {}
-    while True:
-        coeff = 1
-        while peek()[0] in ("+", "-"):
-            if take(peek()[0])[0] == "-":
-                coeff = -coeff
-        exps = [0] * ring.nvars
-        coeff = parse_factor(coeff, exps)
-        while peek()[0] == "*":
-            take("*")
-            coeff = parse_factor(coeff, exps)
+            i += 1
+            if tokens[i][1] != "*":
+                break
+            i += 1
         key = tuple(exps)
         acc[key] = acc.get(key, 0) + coeff
-        if pos == len(tokens):
+        kind, value, at = tokens[i]
+        if kind is None:
             return Poly.from_dict(ring, acc)
-        kind, value, at = peek()
-        if kind not in ("+", "-"):
+        if value not in ("+", "-"):
             raise PolyParseError(f"expected '+' or '-', found {value!r}", at)
 
 

@@ -107,9 +107,11 @@ def parse_input(text) -> InputDocument:
         if field not in doc:
             raise InputError(f"missing field {field!r}")
     p, n, kind = doc["p"], doc["n"], doc["kind"]
-    if not (isinstance(p, int) and is_prime(p) and p < 2**31):
+    # JSON true and false are ints to Python; the range test comes before
+    # the trial division, which a huge p would keep running.
+    if not (type(p) is int and p < 2**31 and is_prime(p)):
         raise InputError("p must be prime (and below 2^31)", "p")
-    if not (isinstance(n, int) and 1 <= n <= MAX_N):
+    if not (type(n) is int and 1 <= n <= MAX_N):
         raise InputError(f"n must be an integer from 1 to {MAX_N}", "n")
     if kind not in ("code", "complex"):
         raise InputError("kind must be 'code' or 'complex'", "kind")

@@ -38,23 +38,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, pairwise
 
-from .algebra import (
-    CodePresentation,
-    Poly,
-    PolyMatrix,
-    twisted_degree,
-)
+from .algebra import CodePresentation, Poly, PolyMatrix
 from .errors import DomainError, InvariantError, PreconditionError, StructuralError
 from .groebner import (
     ModuleOrder,
     SubmodulePresentation,
     _addmul,
+    _buchberger,
     _flat_degree,
+    _interreduce,
     _lead_numerator,
+    _lift_flat,
     _minimal_flat,
     _syzygies_flat,
     _to_flat,
-    groebner_basis,
     hilbert_numerator,
     module_equal,
     syzygy_basis,
@@ -303,19 +300,17 @@ class ResolutionReport:
     is_minimal: bool
 
 
-def _graded_pipeline(code: CodePresentation):
+def _lifted_code(code: CodePresentation, order: ModuleOrder) -> list:
     """Homogeneous generators of the code lifted to its graded companion.
 
     They are the reduced basis of the code under the degree-compatible
-    order, each element homogenized in its own degree.
+    order over S with ``order``'s twist, each element homogenized in its
+    own degree and packed by ``order`` over T (``_lift_flat``); no term
+    is unpacked on the way.
     """
-    order = ModuleOrder(code.ring, (0,) * code.q)
-    basis = groebner_basis(SubmodulePresentation.from_matrix(code.generators), order)
-    lifted = []
-    for g in basis.elements:
-        d = twisted_degree(g, (0,) * code.q)
-        lifted.append(tuple(f.homogenize(d) for f in g))
-    return lifted
+    s_order = ModuleOrder(code.ring, order.twist)
+    items = _buchberger([_to_flat(g, s_order) for g in code.generators.columns()], s_order)
+    return [_lift_flat(it.flat, s_order, order) for it in _interreduce(items, s_order)]
 
 
 def _syzygy_chain(gens, order: ModuleOrder, max_levels: int):
@@ -324,35 +319,36 @@ def _syzygy_chain(gens, order: ModuleOrder, max_levels: int):
     ``gens`` are packed by ``order``, whose twist is their row twist.
     Every syzygy module is cut down to minimal homogeneous generators
     (``_minimal_flat``) before the next level is taken.  Level k stays
-    packed by ``ModuleOrder(T, twists[k - 1])``: the order its syzygies
-    were produced in and the one the next level reads them in.  Returns
-    the levels, their twists (``twists[0]`` is the ambient twist and
-    ``twists[k]`` the column twist of ``levels[k - 1]``) and the leads:
+    packed by ``orders[k - 1]``: the order its syzygies were produced in
+    and the one the next level reads them in.  Returns the levels, the
+    orders (``orders[0]`` is ``order`` and ``orders[k]`` is twisted by
+    the column degrees of ``levels[k - 1]``) and the leads:
     ``leads[k - 1]`` lists as (position, exponents over S) the D0-free
     leads of the Groebner basis of the span of level k that its syzygy
     run completed, which generate the lead-term module of im G_k^L (see
     ``ModuleOrder``).
     """
-    levels, twists, leads = [], [order.twist], []
+    levels, orders, leads = [], [order], []
     cols = [gens[k] for k in _minimal_flat(gens, order)]
     for _ in range(max_levels):
         levels.append(cols)
-        twists.append(tuple(_flat_degree(c, order) for c in cols))
-        syz_order = ModuleOrder(order.ring, twists[-1])
-        syz, items = _syzygies_flat(cols, order, syz_order)
+        orders.append(ModuleOrder(order.ring, tuple(_flat_degree(c, order) for c in cols)))
+        syz, items = _syzygies_flat(cols, order, orders[-1])
         leads.append([(it.pos, it.exps[1:]) for it in items if not it.exps[0]])
         if not syz:
-            return levels, twists, leads
-        cols = [syz[k] for k in _minimal_flat(syz, syz_order)]
-        order = syz_order
+            return levels, orders, leads
+        order = orders[-1]
+        cols = [syz[k] for k in _minimal_flat(syz, order)]
     raise InvariantError(f"syzygy chain did not end within {max_levels} levels")
 
 
-def _report(levels, twists, leads, ring) -> ResolutionReport:
+def _report(levels, orders, leads, ring) -> ResolutionReport:
     """Check the packed graded levels over T, then set D0 = 1 for the report.
 
-    Level k, packed by ``ModuleOrder(T, twists[k - 1])``, is G_k^H, and
-    G_k^L is G_k^H at D0 = 0.  Three checks run on the packed columns:
+    ``levels``, ``orders`` and ``leads`` are as ``_syzygy_chain`` returns
+    them, so no order is built here.  Level k, packed by
+    ``orders[k - 1]``, is G_k^H, and G_k^L is G_k^H at D0 = 0.  Three
+    checks run on the packed columns:
 
     * G_k^H G_{k+1}^H = 0: each term of a column of level k + 1 adds one
       multiple of a column of level k, shifted by the term minus the
@@ -372,12 +368,10 @@ def _report(levels, twists, leads, ring) -> ResolutionReport:
     others, so dropping it keeps terms distinct, and descending packed
     order is descending grevlex over S.
     """
-    tring, p = ring.homogeneous_companion(), ring.p
     minimal, mats = True, []
-    for k, (cols, twist) in enumerate(zip(levels, twists)):
-        order = ModuleOrder(tring, twist)
-        units = [order.pack((pos, (0,) * tring.nvars)) for pos in range(len(twist))]
-        rows = [[[] for _ in cols] for _ in twist]
+    for k, (cols, order) in enumerate(zip(levels, orders)):
+        units = [order.pack((pos, (0,) * order.ring.nvars)) for pos in range(order.rank)]
+        rows = [[[] for _ in cols] for _ in order.twist]
         for j, flat in enumerate(cols):
             product: dict = {}
             for t in sorted(flat, reverse=True):
@@ -385,16 +379,17 @@ def _report(levels, twists, leads, ring) -> ResolutionReport:
                 rows[pos][j].append((e[1:], flat[t]))
                 if k:
                     minimal = minimal and any(e)
-                    _addmul(product, levels[k - 1][pos], flat[t], t - units[pos], p)
+                    _addmul(product, levels[k - 1][pos], flat[t], t - units[pos], ring.p)
             if product:
                 raise InvariantError(f"the constructed G_{k} G_{k + 1} is not zero")
-        mats.append(PolyMatrix(ring, len(twist), len(cols), tuple(
+        mats.append(PolyMatrix(ring, order.rank, len(cols), tuple(
             tuple(Poly(ring, tuple(terms)) for terms in row) for row in rows)))
+    twists = [order.twist for order in orders]
     numerators = (_lead_numerator(lv, tw, ring.nvars) for lv, tw in zip(leads, twists))
     if not _exact_by_numerators(numerators, twists):
         raise InvariantError("construction must yield a minimal reduced resolution, "
                              "but its leading part complex is not exact")
-    cx = PolyComplex(ring, tuple(mats), len(twists[0]), tuple(len(cols) for cols in levels))
+    cx = PolyComplex(ring, tuple(mats), orders[0].rank, tuple(len(cols) for cols in levels))
     return ResolutionReport(cx, column_degree_table(cx), True, True, minimal)
 
 
@@ -402,8 +397,9 @@ def minimal_resolution(code: CodePresentation) -> ResolutionReport:
     """Minimal reduced polynomial resolution of a nontrivial code.
 
     Route: lift the code to its graded companion over T via a
-    degree-compatible reduced basis homogenized element by element,
-    extract minimal homogeneous generators, then repeatedly take the
+    degree-compatible reduced basis homogenized element by element on
+    packed terms (``_lifted_code``), extract minimal homogeneous
+    generators, then repeatedly take the
     syzygies of the last level and prune them to minimal homogeneous
     generators before going one level deeper, all on packed columns
     (``_syzygy_chain``); finally set D0 = 1.  Minimal generators at
@@ -421,12 +417,11 @@ def minimal_resolution(code: CodePresentation) -> ResolutionReport:
     if code.generators.is_zero:
         raise DomainError("the zero code has no resolution")
     order = ModuleOrder(code.ring.homogeneous_companion(), (0,) * code.q)
-    lifted = [_to_flat(g, order) for g in _graded_pipeline(code)]
-    levels, twists, leads = _syzygy_chain(lifted, order, code.ring.n + 2)
+    levels, orders, leads = _syzygy_chain(_lifted_code(code, order), order, code.ring.n + 2)
     if not 1 <= len(levels) <= code.ring.n:
         raise InvariantError(f"homological dimension {len(levels)} outside 1..{code.ring.n}")
-    report = _report(levels, twists, leads, code.ring)
-    if report.degree_table != tuple(twists[1:]):
+    report = _report(levels, orders, leads, code.ring)
+    if report.degree_table != tuple(order.twist for order in orders[1:]):
         raise InvariantError("degree table drifted from the graded twists")
     if not report.is_minimal:
         raise InvariantError("construction must yield a minimal reduced resolution")

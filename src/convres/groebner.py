@@ -24,11 +24,12 @@ order, after Monagan and Pearce, "Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors" (CASC 2007): the leading
 term of a dict of terms is its ``max``, multiplying by a monomial is one
 integer addition, and a divisibility test is one subtraction and one
-mask.  The resolution
-chain of ``complexes`` calls the packed cores of ``syzygy_basis`` and
-``minimal_generators`` itself, so its columns are never unpacked, and
-reads the Hilbert series of its leading part complex off the leads of
-the Groebner bases its syzygy runs complete (``_lead_numerator``).
+mask.  The resolution chain of ``complexes`` lifts the code's reduced
+basis into T term by term as integers (``_lift_flat``), calls the packed
+cores of ``syzygy_basis`` and ``minimal_generators`` itself, so its
+columns are never unpacked, and reads the Hilbert series of its leading
+part complex off the leads of the Groebner bases its syzygy runs
+complete (``_lead_numerator``).
 """
 
 from __future__ import annotations
@@ -203,6 +204,23 @@ def _flat_degree(flat: dict, order: ModuleOrder) -> int:
     if len(weights) != 1:
         raise DomainError("element is not homogeneous for the given twist")
     return weights.pop()
+
+
+def _lift_flat(flat: dict, order: ModuleOrder, lift: ModuleOrder) -> dict:
+    """A nonzero element packed by ``order`` over S, homogenized into T.
+
+    ``lift`` is the order over T with the same twist.  With W the
+    element's weight (that of its lead, the largest), a term of weight w
+    picks up D0^(W - w), so the lift is homogeneous of weight W.  Below
+    the weight digit the two layouts agree but for the D0 digit, which T
+    keeps where S keeps the weight.  So a packed term t of weight
+    w = t >> w_at lifts to t with weight digit W on top, _C - (W - w) in
+    place of w, and its degree digit raised by W - w.
+    """
+    w_at, deg_at = order._weight_at, order._deg_at
+    top = max(flat) >> w_at
+    shift = (top << lift._weight_at) + ((_C - top) << w_at) + (top << deg_at)
+    return {t - ((t >> w_at) << deg_at) + shift: c for t, c in flat.items()}
 
 
 def _addmul(target: dict, src: dict, coeff: int, shift: int, p: int):
@@ -475,17 +493,16 @@ def _interreduce(items, order: ModuleOrder):
 
 
 class GroebnerBasis:
-    """A (reduced) Groebner basis of a submodule of R^rank."""
+    """The reduced Groebner basis of a submodule of R^rank."""
 
-    __slots__ = ("ring", "rank", "order", "elements", "reduced", "_items")
+    __slots__ = ("ring", "rank", "order", "elements", "_items")
 
-    def __init__(self, ring, rank, order, items, reduced):
+    def __init__(self, ring, rank, order, items):
         self.ring = ring
         self.rank = rank
         self.order = order
         self._items = items
         self.elements = tuple(_from_flat(order, rank, it.flat) for it in items)
-        self.reduced = reduced
 
     def __len__(self):
         return len(self._items)
@@ -508,7 +525,7 @@ def groebner_basis(module: SubmodulePresentation,
         raise StructuralError("order does not match the presentation")
     items = _buchberger([_to_flat(g, order) for g in module.generators], order)
     items = _interreduce(items, order)
-    return GroebnerBasis(module.ring, module.rank, order, items, reduced=True)
+    return GroebnerBasis(module.ring, module.rank, order, items)
 
 
 def normal_form(f: ModElem, basis: GroebnerBasis) -> ModElem:

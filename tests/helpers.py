@@ -23,14 +23,13 @@ from convres import (
 )
 from convres.algebra import (
     NEG_INF,
-    _tokenize,
     check_twist,
     twisted_degree,
     vec_is_zero,
 )
 from convres.complexes import (
     ResolutionReport,
-    _graded_pipeline,
+    _lifted_code,
     _syzygy_chain,
     check_reduced,
     check_resolution,
@@ -53,6 +52,7 @@ from convres.groebner import (
     _reduce_flat,
     _spair_parts,
     _to_flat,
+    groebner_basis,
     minimal_generators,
     monomial_hilbert_numerator,
     syzygy_basis,
@@ -469,6 +469,39 @@ def reference_memory_recovery_check(code, m, d_max):
 
 # -- the former polynomial parser (reference for parse_poly) ----------------
 
+# The hand-written scanner `parse_poly` used before its one regular expression.
+def _tokenize(text: str):
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "+-*^":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(("INT", text[i:j], i))
+            i = j
+            continue
+        if ch == "D":
+            j = i + 1
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            if j == i + 1:
+                raise PolyParseError("variable name needs an index", i)
+            tokens.append(("VAR", text[i:j], i))
+            i = j
+            continue
+        raise PolyParseError(f"unexpected character {ch!r}", i)
+    return tokens
+
+
 def reference_parse_poly(text, ring):
     """The former ``parse_poly``: each factor a ``Poly``, multiplied,
     scaled and added as ``Poly`` values."""
@@ -565,10 +598,26 @@ def graded_column_degrees(mat: PolyMatrix, row_twist) -> tuple:
 
 
 def packed_chain(code):
-    """``minimal_resolution``'s packed chain of a code: levels, twists, leads."""
+    """``minimal_resolution``'s packed chain of a code: levels, orders, leads."""
     order = ModuleOrder(code.ring.homogeneous_companion(), (0,) * code.q)
-    lifted = [_to_flat(g, order) for g in _graded_pipeline(code)]
-    return _syzygy_chain(lifted, order, code.ring.n + 2)
+    return _syzygy_chain(_lifted_code(code, order), order, code.ring.n + 2)
+
+
+def _graded_pipeline(code):
+    """The former ``Poly`` lift of the code to its graded companion
+    (reference for ``complexes._lifted_code``).
+
+    The reduced basis of the code under the degree-compatible order,
+    unpacked to ``Poly`` by ``groebner_basis``, each element homogenized
+    in its own degree.
+    """
+    order = ModuleOrder(code.ring, (0,) * code.q)
+    basis = groebner_basis(SubmodulePresentation.from_matrix(code.generators), order)
+    lifted = []
+    for g in basis.elements:
+        d = twisted_degree(g, (0,) * code.q)
+        lifted.append(tuple(f.homogenize(d) for f in g))
+    return lifted
 
 
 def reference_minimal_resolution(code):
@@ -936,8 +985,7 @@ def reference_groebner_basis(module):
     """Reduced basis of the criteria-free completion, in the module's order."""
     order = ModuleOrder(module.ring, module.twist)
     items = reference_buchberger([_to_flat(g, order) for g in module.generators], order)
-    return GroebnerBasis(module.ring, module.rank, order, _interreduce(items, order),
-                         reduced=True)
+    return GroebnerBasis(module.ring, module.rank, order, _interreduce(items, order))
 
 
 def reference_hilbert_numerator(module):

@@ -231,7 +231,8 @@ def test_parse_poly_equals_the_reference_on_edge_cases():
     cases = ["D1*D1^2", "D1^2*3*D1*4", "2*3*D2", "--+-D1", "-+-2*D1 - -D2", "D1^0",
              "D1^0*D2^0 + 4", "D1 - D1", "D1 + 4*D1", "2*D1*D2 + 3*D2*D1", "0*D1 + 0",
              "D1 +", "*D1", "D1^", "D1 D2", "D", "D9", "", "  ", "D1^D2", "3 4", "D1^-1",
-             "D0*D1^3 + D0^2", "+", "D1 ^ 2 * D2", "D12", "x"]
+             "D0*D1^3 + D0^2", "+", "D1 ^ 2 * D2", "D12", "x",
+             "\u0663*D1", "D\u0661^\u0662", "D1\u00a0+\u20031"]
     for ring in PARSE_RINGS:
         for text in cases:
             assert (parse_outcome(parse_poly, text, ring)

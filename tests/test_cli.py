@@ -242,6 +242,35 @@ def test_a_huge_n_exits_2_at_once(tmp_path):
     assert f"from 1 to {MAX_N}" in proc.stderr and "[at n]" in proc.stderr
 
 
+LONG = "1" * 5000  # more digits than int() converts
+
+
+def _code_text(p=2, n=2, entry="D1"):
+    return json.dumps({"p": p, "n": n, "kind": "code", "matrix": [[entry]]})
+
+
+@pytest.mark.parametrize("text, message", [
+    (_code_text(p=1_000_000_000_000_000_003), "p must be prime (and below 2^31) [at p]"),
+    (_code_text(p=True), "p must be prime (and below 2^31) [at p]"),
+    (_code_text(n=True), f"n must be an integer from 1 to {MAX_N} [at n]"),
+    (_code_text(entry=LONG), "number with 5000 digits is too long (column 0)"),
+    (_code_text(entry=f"D1^{LONG}"), "number with 5000 digits is too long (column 3)"),
+    (_code_text(entry=f"D2 + D{LONG}"), "number with 5000 digits is too long (column 5)"),
+    (_code_text(entry="2\u00b2"), "unexpected character '\u00b2' (column 1)"),
+    (_code_text(entry="D\u00b2"), "variable name needs an index (column 0)"),
+], ids=["huge odd p", "p true", "n true", "long coefficient", "long exponent",
+        "long variable index", "superscript digit", "superscript index"])
+def test_bad_numbers_exit_2_at_once(tmp_path, text, message):
+    path = write(tmp_path, "bad.json", text)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "convres.cli", "resolve", path],
+                          capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert message in proc.stderr
+
+
 def test_max_n_itself_is_accepted(tmp_path, capsys):
     path = write(tmp_path, "wide.json", f'{{"p": 2, "n": {MAX_N}, "kind": "code", '
                                         f'"matrix": [["D1"]]}}')

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 
 from convres import groebner
 from convres.algebra import CodePresentation
-from convres.complexes import _graded_pipeline
 from convres.groebner import (
     ModuleOrder,
     SubmodulePresentation,
@@ -68,7 +67,7 @@ def _route(code, routines):
     call(basis, SubmodulePresentation.from_matrix(code.generators))
     call(syzygies, code.generators, None)
     lifted = SubmodulePresentation(code.ring.homogeneous_companion(), code.q,
-                                   tuple(_graded_pipeline(code)))
+                                   tuple(helpers._graded_pipeline(code)))
     call(basis, lifted)
     call(hilbert, lifted)
     mat = call(mingens, lifted)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from convres import PolyMatrix, Ring, complexes
+from convres import Poly, PolyMatrix, Ring, complexes, groebner
 from convres.complexes import (
     check_graded_resolution,
     check_minimal,
@@ -17,7 +17,7 @@ from convres.complexes import (
     validate_complex,
 )
 from convres.errors import DomainError, PreconditionError, StructuralError
-from convres.groebner import SubmodulePresentation, hilbert_numerator
+from convres.groebner import ModuleOrder, SubmodulePresentation, hilbert_numerator
 from convres.invariants import forney_table, memory, rate_and_dimension
 from convres.oracle import truncated_exactness
 
@@ -165,29 +165,44 @@ def test_validate_complex_accepts_every_lifted_corpus_complex():
 def test_report_computes_the_degree_table_once(monkeypatch):
     c = koszul_code()
     cx = minimal_resolution(c).complex
-    levels, twists, leads = packed_chain(c)
+    levels, orders, leads = packed_chain(c)
     calls = []
     real = PolyMatrix.column_degrees
     monkeypatch.setattr(PolyMatrix, "column_degrees",
                         lambda self, twist=None: calls.append(self) or real(self, twist))
-    report = complexes._report(levels, twists, leads, c.ring)
+    report = complexes._report(levels, orders, leads, c.ring)
     assert report.degree_table == ((1, 1), (2,))
     assert report.complex == cx
     assert len(calls) == len(levels) == 2
 
 
 def test_minimal_resolution_builds_no_derived_complex(monkeypatch):
-    # The checks read the packed chain: no G^L, no G^H, no Poly products.
-    calls = dict.fromkeys(("leading_term_complex", "homogenize_complex", "validate_complex",
-                           "check_graded_resolution", "hilbert_numerator"), 0)
-    for name in calls:
-        def counted(*args, name=name, original=getattr(complexes, name)):
+    # The lift and the checks stay packed: no G^L, no G^H, no Poly
+    # products, no Poly basis and no homogenized Poly; and _report reuses
+    # the chain's module orders.
+    targets = {name: complexes for name in (
+        "leading_term_complex", "homogenize_complex", "validate_complex",
+        "check_graded_resolution", "hilbert_numerator")}
+    targets.update({"_from_flat": groebner, "GroebnerBasis": groebner, "homogenize": Poly})
+    calls = dict.fromkeys(targets, 0)
+    for name, owner in targets.items():
+        def counted(*args, name=name, original=getattr(owner, name)):
             calls[name] += 1
             return original(*args)
-        monkeypatch.setattr(complexes, name, counted)
+        monkeypatch.setattr(owner, name, counted)
+    orders, real_init, real_report = [], ModuleOrder.__post_init__, complexes._report
+    monkeypatch.setattr(ModuleOrder, "__post_init__",
+                        lambda self: orders.append(self) or real_init(self))
+
+    def report(*args):
+        built = len(orders)
+        out = real_report(*args)
+        calls["ModuleOrder in _report"] = len(orders) - built
+        return out
+    monkeypatch.setattr(complexes, "_report", report)
     rep = minimal_resolution(koszul_code())
-    assert rep.complex.length == 2
-    assert calls == dict.fromkeys(calls, 0)
+    assert rep.complex.length == 2 and orders
+    assert calls == dict.fromkeys(calls, 0) and len(calls) == len(targets) + 1
 
 
 def test_minimal_resolution_checks_exactness_once(monkeypatch):

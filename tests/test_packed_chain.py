@@ -1,7 +1,9 @@
 """The packed syzygy chain of ``minimal_resolution`` against its ``Poly`` route.
 
-``_syzygy_chain`` keeps every level as packed columns from the lifted
-basis to the report and sets D0 = 1 by dropping a digit; the reference
+``_lifted_code`` homogenizes the code's reduced basis on packed terms;
+its reference unpacks the basis to ``Poly`` and homogenizes entry by
+entry.  ``_syzygy_chain`` keeps every level as packed columns from the
+lifted basis to the report and sets D0 = 1 by dropping a digit; the reference
 in ``tests/helpers.py`` packs and unpacks at every public call and
 dehomogenizes entry by entry.  Both must give the same complex, the
 same strings and the same degree table.
@@ -22,6 +24,7 @@ from convres import Ring, complexes
 from convres.algebra import CodePresentation
 from convres.cli import main
 from convres.complexes import (
+    _lifted_code,
     _syzygy_chain,
     column_degree_table,
     leading_term_complex,
@@ -31,7 +34,10 @@ from convres.errors import DomainError, InvariantError
 from convres.groebner import (
     ModuleOrder,
     SubmodulePresentation,
+    _buchberger,
     _flat_degree,
+    _from_flat,
+    _interreduce,
     _lead_numerator,
     _to_flat,
     hilbert_numerator,
@@ -39,6 +45,7 @@ from convres.groebner import (
 
 from helpers import (
     P,
+    _graded_pipeline,
     acceptance_corpus,
     codes,
     linear_code,
@@ -67,6 +74,38 @@ D0_BELOW_DEGREE = [
     (101, 2, [["0", "24*D1^2 + 20*D2 + 54", "71*D1*D2"],
               ["14*D1", "14*D1^2 + 58*D1*D2 + 6*D2", "77*D1^2 + 35*D2"]]),
 ]
+
+
+def _assert_same_lift(code):
+    order = ModuleOrder(code.ring.homogeneous_companion(), (0,) * code.q)
+    assert _lifted_code(code, order) == [_to_flat(g, order) for g in _graded_pipeline(code)]
+
+
+def test_packed_lift_matches_the_poly_lift_on_the_acceptance_corpus():
+    for code in acceptance_corpus():
+        _assert_same_lift(code)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(codes())
+def test_packed_lift_matches_the_poly_lift_on_sampled_codes(code):
+    _assert_same_lift(code)
+
+
+def test_packed_lift_keeps_a_twist():
+    # Under a twist the D0 exponent of a term is the element's weight
+    # minus the term's weight.
+    code = CodePresentation.from_strings(p=7, n=2, rows=[["D1^2 + D2", "D1"], ["D2", "1"]])
+    t = code.ring.homogeneous_companion()
+    order = ModuleOrder(t, (1, 0))
+    s_order = ModuleOrder(code.ring, (1, 0))
+    lifted = []
+    for g in _interreduce(_buchberger([_to_flat(c, s_order) for c in code.generators.columns()],
+                                      s_order), s_order):
+        col = _from_flat(s_order, 2, g.flat)
+        d = max(f.degree + a for f, a in zip(col, (1, 0)) if f)
+        lifted.append(_to_flat(tuple(f.homogenize(d - a) for f, a in zip(col, (1, 0))), order))
+    assert _lifted_code(code, order) == lifted
 
 
 def _assert_same_resolution(code):
@@ -110,8 +149,9 @@ def test_degree_reader_rejects_a_column_with_two_weights():
 # -- the exactness proof from the chain's own leads ---------------------------
 
 def _assert_chain_numerators_are_fresh(code):
-    levels, twists, leads = packed_chain(code)
-    chain = [_lead_numerator(lv, twist, code.ring.nvars) for lv, twist in zip(leads, twists)]
+    levels, orders, leads = packed_chain(code)
+    chain = [_lead_numerator(lv, order.twist, code.ring.nvars)
+             for lv, order in zip(leads, orders)]
     report = minimal_resolution(code)
     table = ((0,) * code.q,) + report.degree_table
     fresh = [hilbert_numerator(SubmodulePresentation.from_matrix(m, twist))
@@ -161,9 +201,9 @@ def _drop_item(gens, order, syz_order, real=complexes._syzygies_flat):
 
 def _chain_with(change):
     def mutated(gens, order, max_levels, real=complexes._syzygy_chain):
-        levels, twists, leads = real(gens, order, max_levels)
+        levels, orders, leads = real(gens, order, max_levels)
         change(levels, leads)
-        return levels, twists, leads
+        return levels, orders, leads
     return "_syzygy_chain", mutated
 
 
