@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add
 
 from .errors import DomainError, PolyParseError, StructuralError
@@ -30,7 +31,10 @@ from .errors import DomainError, PolyParseError, StructuralError
 NEG_INF = float("-inf")
 
 
+@lru_cache(maxsize=64)
 def is_prime(p: int) -> bool:
+    """Trial division; cached, since ``cli.parse_input`` and every ``Ring``
+    test the same p again."""
     if p < 2:
         return False
     if p < 4:
@@ -239,35 +243,6 @@ class Poly:
         return Poly.from_dict(self.ring, {
             tuple(a + b for a, b in zip(e, exps)): (c * coeff)
             for e, c in self.terms})
-
-    # -- degree-structure operations ----------------------------------
-
-    def homogeneous_part(self, d: int) -> "Poly":
-        """Sum of the terms of total degree exactly d (zero if none)."""
-        if d < 0:
-            return Poly.zero(self.ring)
-        return Poly(self.ring, tuple((e, c) for e, c in self.terms if sum(e) == d))
-
-    def homogenize(self, d: int) -> "Poly":
-        """Lift into T as a homogeneous polynomial of degree exactly d.
-
-        Every term D^m picks up the factor D0^(d - |m|).  Requires
-        total degree <= d; the map is a bijection from polynomials of
-        degree <= d onto the degree-d homogeneous slice of T.
-        """
-        if self.ring.homog:
-            raise StructuralError("polynomial already lives in the homogeneous ring")
-        deg = self.degree
-        if deg is not NEG_INF and deg > d:
-            raise DomainError(f"cannot homogenize degree {deg} polynomial in degree {d}")
-        tring = self.ring.homogeneous_companion()
-        return Poly(tring, tuple(((d - sum(e),) + e, c) for e, c in self.terms))
-
-    def set_d0_zero(self) -> "Poly":
-        """Substitute D0 := 0, staying in T."""
-        if not self.ring.homog:
-            raise StructuralError("polynomial has no homogenizing variable")
-        return Poly(self.ring, tuple((e, c) for e, c in self.terms if e[0] == 0))
 
     # -- text ----------------------------------------------------------
 

@@ -21,11 +21,9 @@ import sys
 from .algebra import CodePresentation, PolyMatrix, Ring, is_prime, parse_poly
 from .complexes import (
     PolyComplex,
-    check_graded_resolution,
     check_minimal,
     check_reduced,
     check_resolution,
-    leading_term_complex,
     minimal_resolution,
     minimality_witness,
     pd_failure_witness,
@@ -33,8 +31,8 @@ from .complexes import (
 )
 from .errors import ConvresError, InputError, PolyParseError
 from .groebner import _LIMIT as MAX_TERM_DEGREE
-from .invariants import forney_table, hilbert_values, memory, rate_and_dimension
-from .observability import is_observable, prop3_spot_check
+from .invariants import forney_table, hilbert_values, rate_and_dimension
+from .observability import check_prop3_bound, is_observable, prop3_spot_check
 from .oracle import engine_resolution, hilbert_oracle, truncated_exactness
 
 
@@ -204,22 +202,20 @@ def run_command(cmd: str, doc: InputDocument, options) -> tuple[dict, int]:
         prop = options.property
         cx = doc.complex
         out = {"command": "check", "property": prop}
+        # The verdict and the witness share the packed lift kept on ``cx``.
         if prop == "resolution":
             result = check_resolution(cx)
+        elif prop == "minimal":
+            result = check_minimal(cx)
+            if not result:
+                out["scalar_entry"] = list(minimality_witness(cx))
         else:
-            # One G^L per check serves the verdict and the witness.
-            lead = leading_term_complex(cx)
-            if prop == "minimal":
-                result = check_minimal(cx, lead)
-                if not result:
-                    out["scalar_entry"] = list(minimality_witness(cx, lead))
-            else:
-                # "pd" and "reduced" are one property by the paper's main theorem.
-                result = check_graded_resolution(lead)
-                if prop == "pd" and not result:
-                    witness = pd_failure_witness(cx, lead)
-                    if witness is not None:
-                        out["witness_column"] = [str(f) for f in witness]
+            # "pd" and "reduced" are one property by the paper's main theorem.
+            result = check_reduced(cx)
+            if prop == "pd" and not result:
+                witness = pd_failure_witness(cx)
+                if witness is not None:
+                    out["witness_column"] = [str(f) for f in witness]
         out[prop] = result
         out["result"] = result
         status = 1 if (options.strict and not result) else 0
@@ -227,6 +223,8 @@ def run_command(cmd: str, doc: InputDocument, options) -> tuple[dict, int]:
 
     if cmd == "observable":
         _require_kind(doc, "code", cmd)
+        if options.prop3_bound is not None:
+            check_prop3_bound(doc.p, doc.n, options.prop3_bound)
         rep = is_observable(doc.code)
         out = {"command": "observable", "observable": rep.observable}
         if rep.observable:

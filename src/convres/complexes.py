@@ -8,29 +8,30 @@ on the ambient S^q.  From the table one forms:
 * the homogenization G^H over T, lifting every entry into the exact
   degree the table prescribes, and
 * the leading part complex G^L over S, keeping of each entry only the
-  top-degree part the table prescribes (equivalently, G^H at D0 = 0).
+  top-degree part the table prescribes, which is G^H at D0 = 0.
 
-Both come from one walk over the table.  The checks offered here: being
-a resolution (exact as modules), being column reduced (G^L is a
-resolution) and minimality (no scalar survives in G_2^L..G_l^L).  By
-the paper's main theorem, column reducedness is the predictable degree
-property: if G^L is a resolution then so is G, so one exactness proof
-on G^L serves both.
+Given and constructed complexes are checked in one form: G^H as packed
+columns over T, level k packed by the ``ModuleOrder`` over T of its row
+twist.  ``_graded_lift`` builds it for a given complex, and
+``_syzygy_chain`` for the one ``minimal_resolution`` constructs.  The
+checks offered here: being a resolution (exact as modules), being column
+reduced (G^L is a resolution) and minimality (no scalar survives in
+G_2^L..G_l^L).  By the paper's main theorem, column reducedness is the
+predictable degree property: if G^L is a resolution then so is G, so
+one exactness proof on G^L serves both.
 
 Exactness is proved in two independent ways.  ``check_resolution``
 works on any complex with Schreyer syzygies and module equality; it
-serves ``check resolution`` and the tests.  G^L is graded by the
-degree table, so its exactness follows from Hilbert series of
-lead-term modules alone (``_exact_by_numerators``), with the lead terms
-taken from one of two sources.  ``check_graded_resolution`` computes a
-fresh Groebner basis of every image; reducedness and minimality of a
-given complex use it.  ``minimal_resolution``, which constructs the
-minimal reduced resolution of a code through the graded route and is
-the source of all invariants, reads them off the Groebner bases its own
-syzygy runs completed over T: their D0-free leads generate the
-lead-term modules of G^L (see ``groebner.ModuleOrder``).  It checks the
-products and the scalar entries on its packed columns too, so it builds
-no G^L, no G^H and no ``Poly`` product.
+serves ``check resolution`` and the tests.  G^L is graded by the degree
+table, so its exactness follows from Hilbert series of lead-term modules
+alone (``_exact``).  The D0-free leads of a Groebner basis of im G_k^H
+generate the lead-term module of im G_k^L (see ``groebner.ModuleOrder``):
+for a given complex they come from one untracked Buchberger run per
+level on the D0-free part of its lift, and ``minimal_resolution``, the
+source of all invariants, reads them off the bases its own syzygy runs
+completed.  A scalar entry of G^L past level 1 is a degree-0 term of G^H
+(``_scalar_entry``).  G^H and G^L become ``Poly`` matrices only when a
+caller asks for them (``homogenize_complex``, ``leading_term_complex``).
 """
 
 from __future__ import annotations
@@ -38,21 +39,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, pairwise
 
-from .algebra import CodePresentation, Poly, PolyMatrix
+from .algebra import CodePresentation, PolyMatrix
 from .errors import DomainError, InvariantError, PreconditionError, StructuralError
 from .groebner import (
+    _MASK,
     ModuleOrder,
     SubmodulePresentation,
     _addmul,
     _buchberger,
+    _d0_free,
     _flat_degree,
+    _from_flat,
     _interreduce,
     _lead_numerator,
     _lift_flat,
     _minimal_flat,
     _syzygies_flat,
     _to_flat,
-    hilbert_numerator,
     module_equal,
     syzygy_basis,
 )
@@ -63,11 +66,11 @@ DegreeTable = tuple  # (a_1, ..., a_l), each a tuple[int, ...] of length p_i
 class PolyComplex:
     """A chain (G_1, ..., G_l) known to be a complex.
 
-    Built by ``validate_complex``, from one by ``_lift_by_table``, or by
+    Built by ``validate_complex``, as G^H or G^L of one, or by
     ``_report`` from packed levels it has checked itself.
     """
 
-    __slots__ = ("ring", "matrices", "q", "sizes", "_table")
+    __slots__ = ("ring", "matrices", "q", "sizes", "_table", "_lift")
 
     def __init__(self, ring, matrices, q, sizes, table=None):
         self.ring = ring
@@ -75,6 +78,7 @@ class PolyComplex:
         self.q = q
         self.sizes = sizes  # (p_1, ..., p_l)
         self._table = table  # column degree table, once computed
+        self._lift = None    # ``_graded_lift``, once computed
 
     @property
     def length(self) -> int:
@@ -127,27 +131,50 @@ def column_degree_table(cx: PolyComplex) -> DegreeTable:
     return cx._table
 
 
-def _lift_by_table(cx: PolyComplex, ring, lift) -> PolyComplex:
-    """Apply ``lift(entry, a_k(j) - a_{k-1}(i))`` to every entry of G_k.
+def _graded_lift(cx: PolyComplex):
+    """G^H of a complex over S as packed columns over T, with the order of each level.
 
-    The degree table recursion makes e = a_k(j) - a_{k-1}(i) an upper
-    bound for the degree of entry (i, j) of G_k, attained in every
-    column; ``lift`` is the degree-e homogenization or the degree-e
-    part, so the lifted matrices, over ``ring``, have no zero column and
-    the same degree table.  They form a complex because ``cx`` does,
-    so ``validate_complex`` is not run again: entry (i, j) of
-    G_k G_{k+1} has degree <= e' = a_{k+1}(j) - a_{k-1}(i), and its
-    degree-e' part is entry (i, j) of G^L_k G^L_{k+1}, which is
-    therefore zero; the same entry of G^H_k G^H_{k+1} is homogeneous of
-    degree e' and becomes zero at D0 = 1, so it is zero too.
+    Returns ``(levels, orders)`` in the form ``_syzygy_chain`` gives a
+    resolution: ``levels[k]`` holds the columns of G_{k+1}^H packed by
+    ``orders[k]``, the order over T twisted by a_k (a_0 the zero twist),
+    and ``orders[l]`` is twisted by a_l.  Each column of G_{k+1} is
+    packed over S under its row twist a_k and lifted by ``_lift_flat``:
+    its weight is its twisted degree a_{k+1}(j), so entry (i, j) is
+    homogenized in degree e = a_{k+1}(j) - a_k(i).  The table makes e an
+    upper bound for the degree of the entry, attained in every column, so
+    G^H and G^L (its D0-free part) have no zero column and the degree
+    table of G.  They are complexes because G is, so no product is
+    checked again: entry (i, j) of G_k^H G_{k+1}^H is homogeneous of
+    degree a_{k+1}(j) - a_{k-1}(i) and is the same entry of G_k G_{k+1}
+    at D0 = 1, so it is zero, and so is its value at D0 = 0 in G^L.
+    Computed once per complex and kept on it.
     """
-    table = ((0,) * cx.q,) + column_degree_table(cx)
-    mats = []
-    for k, mat in enumerate(cx.matrices):
-        rows = [[lift(mat.entry(i, j), table[k + 1][j] - table[k][i])
-                 for j in range(mat.ncols)] for i in range(mat.nrows)]
-        mats.append(PolyMatrix.from_rows(ring, rows))
-    return PolyComplex(ring, tuple(mats), cx.q, cx.sizes, table[1:])
+    if cx._lift is None:
+        t_ring = cx.ring.homogeneous_companion()
+        orders = [ModuleOrder(t_ring, twist)
+                  for twist in ((0,) * cx.q,) + column_degree_table(cx)]
+        levels = []
+        for mat, order in zip(cx.matrices, orders):
+            s_order = ModuleOrder(cx.ring, order.twist)
+            levels.append([_lift_flat(_to_flat(col, s_order), s_order, order)
+                           for col in mat.columns()])
+        cx._lift = (levels, orders)
+    return cx._lift
+
+
+def _leading_levels(cx: PolyComplex):
+    """G^L as packed columns over T, the D0-free part of the lift, and the lift's orders."""
+    levels, orders = _graded_lift(cx)
+    return ([[_d0_free(flat, order) for flat in cols] for cols, order in zip(levels, orders)],
+            orders)
+
+
+def _complex(levels, orders, ring, table=None) -> PolyComplex:
+    """Packed levels as a complex of ``Poly`` matrices over ``ring``, T or S (``_from_flat``)."""
+    mats = tuple(PolyMatrix.from_columns(ring, order.rank,
+                                         [_from_flat(order, flat, ring) for flat in cols])
+                 for cols, order in zip(levels, orders))
+    return PolyComplex(ring, mats, orders[0].rank, tuple(map(len, levels)), table)
 
 
 def homogenize_complex(cx: PolyComplex) -> PolyComplex:
@@ -157,7 +184,8 @@ def homogenize_complex(cx: PolyComplex) -> PolyComplex:
     Columns of the result are homogeneous for the previous level's
     twist, and substituting D0 = 1 recovers the input.
     """
-    return _lift_by_table(cx, cx.ring.homogeneous_companion(), Poly.homogenize)
+    levels, orders = _graded_lift(cx)
+    return _complex(levels, orders, orders[0].ring, column_degree_table(cx))
 
 
 def leading_term_complex(cx: PolyComplex) -> PolyComplex:
@@ -165,7 +193,7 @@ def leading_term_complex(cx: PolyComplex) -> PolyComplex:
 
     Identical to homogenizing, substituting D0 = 0 and dropping D0.
     """
-    return _lift_by_table(cx, cx.ring, Poly.homogeneous_part)
+    return _complex(*_leading_levels(cx), cx.ring, column_degree_table(cx))
 
 
 # -- checks ---------------------------------------------------------------
@@ -211,20 +239,39 @@ def _exact_by_numerators(numerators, table) -> bool:
                for level, (a, b) in zip(table[1:], pairs))
 
 
-def check_graded_resolution(cx: PolyComplex) -> bool:
-    """Exactness of a complex graded by its own degree table, by Hilbert series.
+def _exact(leads, orders) -> bool:
+    """Exactness of G^L from the leads of a Groebner basis of each image.
 
-    Every column j of G_k must be homogeneous of twisted degree a_k(j)
-    for the row twist a_{k-1}, as in any leading part complex
-    (``DomainError`` otherwise).  The numerators of the images come from
-    a fresh Groebner basis per level (``hilbert_numerator``, after Bayer
-    & Stillman, "Computation of Hilbert functions", JSC 14, 1992) and
-    are compared by ``_exact_by_numerators``; no syzygies are computed.
+    ``leads`` yields, level by level, the leads as (position, exponents
+    over S) that generate the lead-term module of im G_k^L; ``orders``
+    are the orders of the levels.  The numerators come by ``_lead_numerator``
+    (after Bayer & Stillman, "Computation of Hilbert functions", JSC 14,
+    1992) and are compared by ``_exact_by_numerators``; no syzygies are
+    computed.
     """
-    table = ((0,) * cx.q,) + column_degree_table(cx)
+    twists = [order.twist for order in orders]
     return _exact_by_numerators(
-        (hilbert_numerator(SubmodulePresentation.from_matrix(mat, twist))
-         for mat, twist in zip(cx.matrices, table)), table)
+        (_lead_numerator(lv, tw, orders[0].ring.n) for lv, tw in zip(leads, twists)), twists)
+
+
+def _units(order: ModuleOrder) -> list:
+    """The packed unit at every position of ``order``."""
+    one = (0,) * order.ring.nvars
+    return [order.pack((pos, one)) for pos in range(order.rank)]
+
+
+def _scalar_entry(levels, orders):
+    """First (level, row, col), row-major from level 2 on, of a scalar of G^L, or None.
+
+    Entry (i, j) of G_k^L is a nonzero scalar exactly when entry (i, j)
+    of G_k^H has a term of degree 0, the packed unit at position i.
+    """
+    for k in range(1, len(levels)):
+        for i, unit in enumerate(_units(orders[k])):
+            for j, flat in enumerate(levels[k]):
+                if unit in flat:
+                    return (k + 1, i, j)
+    return None
 
 
 def check_reduced(cx: PolyComplex) -> bool:
@@ -232,61 +279,44 @@ def check_reduced(cx: PolyComplex) -> bool:
 
     By the paper's main theorem a complex whose G^L is a resolution is
     itself one, so this is also the predictable degree property.  G^L is
-    graded, so its exactness is proved by ``check_graded_resolution``.
+    graded, so its exactness is proved by Hilbert series (``_exact``),
+    with the leads of one untracked Groebner basis per level of G^L
+    packed over T, which stays D0-free.
     """
-    return check_graded_resolution(leading_term_complex(cx))
+    levels, orders = _leading_levels(cx)
+    return _exact(([(it.pos, it.exps[1:]) for it in _buchberger(cols, order)]
+                   for cols, order in zip(levels, orders)), orders)
 
 
-def pd_failure_witness(cx: PolyComplex, lead: PolyComplex = None):
+def pd_failure_witness(cx: PolyComplex):
     """A degree-dropping element when level 1 breaks reducedness.
 
     Any nonzero homogeneous kernel element y of G_1^L has twisted degree
-    strictly above deg(G_1 @ y), so it certifies the failure.  Returns
-    None when level 1 of the leading part complex has no kernel (the
-    failure, if any, sits deeper).  ``lead`` is G^L of ``cx`` when the
-    caller has built it already.
+    strictly above deg(G_1 @ y), so it certifies the failure: here the
+    first syzygy of G_1^L packed over T, at D0 = 1.  Returns None when
+    G_1^L has no kernel (the failure, if any, sits deeper).
     """
-    lead = leading_term_complex(cx) if lead is None else lead
-    ker = syzygy_basis(lead.matrices[0])
-    if ker.ncols == 0:
-        return None
-    return ker.column(0)
+    levels, orders = _leading_levels(cx)
+    syz, _ = _syzygies_flat(levels[0], orders[0], orders[1])
+    return _from_flat(orders[1], syz[0], cx.ring) if syz else None
 
 
-def _scalar_positions(lead: PolyComplex):
-    out = []
-    for k in range(1, lead.length):
-        mat = lead.matrices[k]
-        for i in range(mat.nrows):
-            for j in range(mat.ncols):
-                if mat.entry(i, j).is_nonzero_scalar:
-                    out.append((k + 1, i, j))
-    return out
+def minimality_witness(cx: PolyComplex):
+    """First (level, row, col), row-major, of a scalar entry in G_2^L.., or None."""
+    return _scalar_entry(*_graded_lift(cx))
 
 
-def minimality_witness(cx: PolyComplex, lead: PolyComplex = None):
-    """First (level, row, col) of a scalar entry in G_2^L.., or None.
-
-    ``lead`` is G^L of ``cx`` when the caller has built it already.
-    """
-    scalars = _scalar_positions(leading_term_complex(cx) if lead is None else lead)
-    return scalars[0] if scalars else None
-
-
-def check_minimal(cx: PolyComplex, lead: PolyComplex = None) -> bool:
+def check_minimal(cx: PolyComplex) -> bool:
     """Minimality test for reduced resolutions.
 
     Requires the complex to be column reduced, hence a resolution by the
-    paper's main theorem; reducedness is proved on G^L by
-    ``check_graded_resolution``.  Then a length-1 complex is always
-    minimal, and otherwise minimality holds exactly when no entry of
-    G_2^L, ..., G_l^L is a nonzero scalar.  ``lead`` is G^L of ``cx``
-    when the caller has built it already.
+    paper's main theorem (``check_reduced``).  Then a length-1 complex is
+    always minimal, and otherwise minimality holds exactly when no entry
+    of G_2^L, ..., G_l^L is a nonzero scalar.
     """
-    lead = leading_term_complex(cx) if lead is None else lead
-    if not check_graded_resolution(lead):
+    if not check_reduced(cx):
         raise PreconditionError("check_minimal needs a column reduced resolution")
-    return not _scalar_positions(lead)
+    return minimality_witness(cx) is None
 
 
 # -- reports and construction ----------------------------------------------
@@ -354,43 +384,32 @@ def _report(levels, orders, leads, ring) -> ResolutionReport:
       multiple of a column of level k, shifted by the term minus the
       packed unit at its position (both orders share one digit layout).
       Zero over T gives zero over S, for G^L and for G.
-    * Exactness of G^L, by ``_exact_by_numerators`` on the Hilbert
-      numerators of the chain's D0-free ``leads``; no Groebner basis is
-      computed again.  By the paper's main theorem a complex whose G^L
-      is a resolution is itself one, so G is not checked again.
-    * Minimality: an entry of G_k^L (k >= 2) is a nonzero scalar exactly
-      when a column of level k has a term of degree 0, the packed unit
-      at its position.
+    * Exactness of G^L (``_exact``) from the chain's D0-free ``leads``;
+      no Groebner basis is computed again.  By the paper's main theorem
+      a complex whose G^L is a resolution is itself one, so G is not
+      checked again.
+    * Minimality: no scalar entry in G_2^L.. (``_scalar_entry``).
 
     A failed product or exactness check raises ``InvariantError``.  Then
-    each level becomes ``Poly`` matrices over ``ring``: within one
-    position of a homogeneous column the D0 digit is fixed by the
-    others, so dropping it keeps terms distinct, and descending packed
-    order is descending grevlex over S.
+    each level becomes a ``Poly`` matrix over ``ring`` (``_complex``).
     """
-    minimal, mats = True, []
-    for k, (cols, order) in enumerate(zip(levels, orders)):
-        units = [order.pack((pos, (0,) * order.ring.nvars)) for pos in range(order.rank)]
-        rows = [[[] for _ in cols] for _ in order.twist]
-        for j, flat in enumerate(cols):
+    for k in range(1, len(levels)):
+        # Each row of level k + 1 by its position digit: its packed unit
+        # and the column of level k that a term there multiplies.
+        rows = {unit & _MASK: (unit, col) for unit, col in zip(_units(orders[k]), levels[k - 1])}
+        for flat in levels[k]:
             product: dict = {}
-            for t in sorted(flat, reverse=True):
-                pos, e = order.unpack(t)
-                rows[pos][j].append((e[1:], flat[t]))
-                if k:
-                    minimal = minimal and any(e)
-                    _addmul(product, levels[k - 1][pos], flat[t], t - units[pos], ring.p)
+            for t, c in flat.items():
+                unit, col = rows[t & _MASK]
+                _addmul(product, col, c, t - unit, ring.p)
             if product:
                 raise InvariantError(f"the constructed G_{k} G_{k + 1} is not zero")
-        mats.append(PolyMatrix(ring, order.rank, len(cols), tuple(
-            tuple(Poly(ring, tuple(terms)) for terms in row) for row in rows)))
-    twists = [order.twist for order in orders]
-    numerators = (_lead_numerator(lv, tw, ring.nvars) for lv, tw in zip(leads, twists))
-    if not _exact_by_numerators(numerators, twists):
+    if not _exact(leads, orders):
         raise InvariantError("construction must yield a minimal reduced resolution, "
                              "but its leading part complex is not exact")
-    cx = PolyComplex(ring, tuple(mats), orders[0].rank, tuple(len(cols) for cols in levels))
-    return ResolutionReport(cx, column_degree_table(cx), True, True, minimal)
+    cx = _complex(levels, orders, ring)
+    return ResolutionReport(cx, column_degree_table(cx), True, True,
+                            _scalar_entry(levels, orders) is None)
 
 
 def minimal_resolution(code: CodePresentation) -> ResolutionReport:

@@ -24,12 +24,14 @@ order, after Monagan and Pearce, "Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors" (CASC 2007): the leading
 term of a dict of terms is its ``max``, multiplying by a monomial is one
 integer addition, and a divisibility test is one subtraction and one
-mask.  The resolution chain of ``complexes`` lifts the code's reduced
-basis into T term by term as integers (``_lift_flat``), calls the packed
-cores of ``syzygy_basis`` and ``minimal_generators`` itself, so its
-columns are never unpacked, and reads the Hilbert series of its leading
-part complex off the leads of the Groebner bases its syzygy runs
-complete (``_lead_numerator``).
+mask.  ``complexes`` lifts columns into T term by term as integers
+(``_lift_flat``): the code's reduced basis for its resolution chain, and
+every column of a given complex.  It calls the packed cores of
+``syzygy_basis`` and ``minimal_generators`` itself, so its columns are
+never unpacked before a report, takes the value at D0 = 0 by dropping
+terms (``_d0_free``), and reads Hilbert series off lead terms
+(``_lead_numerator``): of the Groebner bases the chain's syzygy runs
+complete, or of one untracked run per level of a given complex.
 """
 
 from __future__ import annotations
@@ -187,15 +189,23 @@ def _to_flat(vec: ModElem, order: ModuleOrder) -> dict:
     return {pack((i, e)): c for i, poly in enumerate(vec) for e, c in poly.terms}
 
 
-def _from_flat(order: ModuleOrder, rank: int, flat: dict) -> ModElem:
-    # Within one position, descending packed order is descending grevlex,
-    # which is the canonical order of Poly terms.
-    per_pos = [[] for _ in range(rank)]
+def _from_flat(order: ModuleOrder, flat: dict, ring: Ring = None) -> ModElem:
+    """``flat`` as ``Poly`` over ``order.ring``, or over S at D0 = 1.
+
+    Within one position, descending packed order is descending grevlex,
+    which is the canonical order of Poly terms.  Given ``ring`` S, a
+    homogeneous element packed over T is unpacked with its D0 exponents
+    dropped: within one position they are fixed by the others, so terms
+    stay distinct.
+    """
+    ring = ring or order.ring
+    cut = order.ring.nvars - ring.nvars
+    per_pos = [[] for _ in range(order.rank)]
     unpack = order.unpack
     for t in sorted(flat, reverse=True):
         pos, e = unpack(t)
-        per_pos[pos].append((e, flat[t]))
-    return tuple(Poly(order.ring, tuple(terms)) for terms in per_pos)
+        per_pos[pos].append((e[cut:], flat[t]))
+    return tuple(Poly(ring, tuple(terms)) for terms in per_pos)
 
 
 def _flat_degree(flat: dict, order: ModuleOrder) -> int:
@@ -221,6 +231,12 @@ def _lift_flat(flat: dict, order: ModuleOrder, lift: ModuleOrder) -> dict:
     top = max(flat) >> w_at
     shift = (top << lift._weight_at) + ((_C - top) << w_at) + (top << deg_at)
     return {t - ((t >> w_at) << deg_at) + shift: c for t, c in flat.items()}
+
+
+def _d0_free(flat: dict, order: ModuleOrder) -> dict:
+    """The terms of ``flat``, packed by ``order`` over T, free of D0: its value at D0 = 0."""
+    at = order._at[0]
+    return {t: c for t, c in flat.items() if (t >> at) & _MASK == _C}
 
 
 def _addmul(target: dict, src: dict, coeff: int, shift: int, p: int):
@@ -502,7 +518,7 @@ class GroebnerBasis:
         self.rank = rank
         self.order = order
         self._items = items
-        self.elements = tuple(_from_flat(order, rank, it.flat) for it in items)
+        self.elements = tuple(_from_flat(order, it.flat) for it in items)
 
     def __len__(self):
         return len(self._items)
@@ -536,7 +552,7 @@ def normal_form(f: ModElem, basis: GroebnerBasis) -> ModElem:
         if poly.ring != basis.ring:
             raise StructuralError("element ring does not match basis ring")
     rem, _ = _reduce_flat(_to_flat(f, basis.order), basis._items, basis.order)
-    return _from_flat(basis.order, basis.rank, rem)
+    return _from_flat(basis.order, rem)
 
 
 def membership(f: ModElem, module: SubmodulePresentation) -> bool:
@@ -573,7 +589,7 @@ def syzygy_basis(matrix: PolyMatrix, row_twist=None) -> PolyMatrix:
     order = ModuleOrder(ring, (0,) * q if row_twist is None else check_twist(row_twist, q))
     syz_order = ModuleOrder(ring, matrix.column_degrees(row_twist))
     cols, _ = _syzygies_flat([_to_flat(c, order) for c in matrix.columns()], order, syz_order)
-    return PolyMatrix.from_columns(ring, t, [_from_flat(syz_order, t, flat) for flat in cols])
+    return PolyMatrix.from_columns(ring, t, [_from_flat(syz_order, flat) for flat in cols])
 
 
 def _syzygies_flat(gens_flat, order: ModuleOrder, syz_order: ModuleOrder):

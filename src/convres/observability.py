@@ -194,19 +194,16 @@ def _ranks_modulo(matrices, irreducibles, p: int):
         yield ranks
 
 
-def prop3_spot_check(cx: PolyComplex, degree_bound: int) -> bool:
-    """Exactness of the complex modulo every irreducible up to the bound.
+def check_prop3_bound(p: int, n: int, degree_bound: int):
+    """Refuse a spot check before any work is done for it.
 
-    Univariate only: each quotient is a finite field and exactness of
-    the reduced sequence of free modules is decided by rank counting.
-    Returns the conjunction over all monic irreducibles of degree
-    <= degree_bound.  A bound below 1, or one with more than
-    ``MAX_PROP3_CANDIDATES`` candidates, raises ``InputError``.
+    n other than 1 raises ``UnsupportedDimensionError``; a bound below 1,
+    or one with more than ``MAX_PROP3_CANDIDATES`` candidates, raises
+    ``InputError``.
     """
-    if cx.ring.n != 1:
+    if n != 1:
         raise UnsupportedDimensionError(
             "the irreducible-reduction check is implemented for n = 1 only")
-    p = cx.ring.p
     if degree_bound < 1:
         raise InputError(f"the degree bound must be at least 1, got {degree_bound}",
                          "--prop3-bound")
@@ -218,6 +215,18 @@ def prop3_spot_check(cx: PolyComplex, degree_bound: int) -> bool:
             raise InputError(
                 f"degree bound {degree_bound} over F_{p} needs more than "
                 f"{MAX_PROP3_CANDIDATES} candidate polynomials", "--prop3-bound")
+
+
+def prop3_spot_check(cx: PolyComplex, degree_bound: int) -> bool:
+    """Exactness of the complex modulo every irreducible up to the bound.
+
+    Univariate only: each quotient is a finite field and exactness of
+    the reduced sequence of free modules is decided by rank counting.
+    Returns the conjunction over all monic irreducibles of degree
+    <= degree_bound.  ``check_prop3_bound`` refuses the rest first.
+    """
+    p = cx.ring.p
+    check_prop3_bound(p, cx.ring.n, degree_bound)
     sizes = cx.sizes
     for ranks in _ranks_modulo(cx.matrices, monic_irreducibles(p, degree_bound), p):
         if ranks[-1] != sizes[-1]:

@@ -3,10 +3,13 @@ the reference resolution routes, the criteria-free Groebner routes, the
 list-based univariate spot check and the entrywise homogeneity helpers
 that only tests use."""
 
+import functools
 import heapq
 import random
+import sys
 from itertools import product
 from operator import add
+from pathlib import Path
 
 import numpy as np
 from hypothesis import assume
@@ -29,6 +32,7 @@ from convres.algebra import (
 )
 from convres.complexes import (
     ResolutionReport,
+    _exact_by_numerators,
     _lifted_code,
     _syzygy_chain,
     check_reduced,
@@ -53,6 +57,7 @@ from convres.groebner import (
     _spair_parts,
     _to_flat,
     groebner_basis,
+    hilbert_numerator,
     minimal_generators,
     monomial_hilbert_numerator,
     syzygy_basis,
@@ -212,6 +217,30 @@ def random_complex(rng):
             cols.pop(rng.randrange(len(cols)))
     g2 = PolyMatrix.from_columns(ring, g1.ncols, cols)
     return validate_complex([g1, g2])
+
+
+@functools.cache
+def probe_corpus() -> tuple:
+    """The Koszul complex, 200 seeded random complexes (damaged ones
+    included) and the unpruned resolutions of the acceptance corpus."""
+    rng = random.Random(2024)
+    cases = [koszul_complex()] + [random_complex(rng) for _ in range(200)]
+    cases += [resolution_without_minimalization(c).complex for c in acceptance_corpus()]
+    return tuple(cases)
+
+
+def benchmark_complexes(ops: int) -> list:
+    """The complexes of the ``check`` ops among the first ``ops`` seed-0
+    small-mix benchmark ops: Koszul complexes, many of them damaged."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    from convres.cli import parse_input
+    return [parse_input(text).complex for cmd, _, text in workloads.generate("small-mix", 0, ops)
+            if cmd == "check"]
 
 
 # -- graded slice oracle over T -------------------------------------------
@@ -576,6 +605,32 @@ def dehomogenize(f: Poly) -> Poly:
     return Poly.from_dict(Ring(f.ring.p, f.ring.n), acc)
 
 
+def homogenize(f: Poly, d: int) -> Poly:
+    """Lift f over S into T as a homogeneous polynomial of degree exactly d.
+
+    Every term D^m picks up the factor D0^(d - |m|).  Requires total
+    degree <= d; the map is a bijection from polynomials of degree <= d
+    onto the degree-d homogeneous slice of T.
+    """
+    if f.ring.homog:
+        raise StructuralError("polynomial already lives in the homogeneous ring")
+    if not f.is_zero and f.degree > d:
+        raise DomainError(f"cannot homogenize degree {f.degree} polynomial in degree {d}")
+    return Poly(f.ring.homogeneous_companion(), tuple(((d - sum(e),) + e, c) for e, c in f.terms))
+
+
+def homogeneous_part(f: Poly, d: int) -> Poly:
+    """Sum of the terms of total degree exactly d (zero if none)."""
+    return Poly(f.ring, tuple((e, c) for e, c in f.terms if sum(e) == d))
+
+
+def set_d0_zero(f: Poly) -> Poly:
+    """Substitute D0 := 0, staying in T."""
+    if not f.ring.homog:
+        raise StructuralError("polynomial has no homogenizing variable")
+    return Poly(f.ring, tuple((e, c) for e, c in f.terms if e[0] == 0))
+
+
 def map_entries(m: PolyMatrix, fn, ring: Ring) -> PolyMatrix:
     return PolyMatrix(ring, m.nrows, m.ncols, tuple(tuple(fn(f) for f in row)
                                                    for row in m.entries))
@@ -597,6 +652,57 @@ def graded_column_degrees(mat: PolyMatrix, row_twist) -> tuple:
                  for j in range(mat.ncols))
 
 
+# -- the Poly route of the graded checks of a given complex -------------------
+# G^H and G^L entry by entry as Poly, one fresh ``hilbert_numerator`` per
+# level, ``syzygy_basis`` over S and a scan of Poly entries: the reference
+# of ``complexes._graded_lift`` and of the checks that read it.
+
+def _lift_by_table(cx: PolyComplex, ring, lift) -> PolyComplex:
+    """Apply ``lift(entry, a_k(j) - a_{k-1}(i))`` to every entry of G_k."""
+    table = ((0,) * cx.q,) + column_degree_table(cx)
+    mats = []
+    for k, mat in enumerate(cx.matrices):
+        rows = [[lift(mat.entry(i, j), table[k + 1][j] - table[k][i])
+                 for j in range(mat.ncols)] for i in range(mat.nrows)]
+        mats.append(PolyMatrix.from_rows(ring, rows))
+    return PolyComplex(ring, tuple(mats), cx.q, cx.sizes, table[1:])
+
+
+def reference_homogenize_complex(cx: PolyComplex) -> PolyComplex:
+    return _lift_by_table(cx, cx.ring.homogeneous_companion(), homogenize)
+
+
+def reference_leading_term_complex(cx: PolyComplex) -> PolyComplex:
+    return _lift_by_table(cx, cx.ring, homogeneous_part)
+
+
+def check_graded_resolution(cx: PolyComplex) -> bool:
+    """Exactness of a complex graded by its own degree table, by Hilbert
+    series of a fresh Groebner basis of every image; ``DomainError`` for
+    a column that is not homogeneous for its row twist."""
+    table = ((0,) * cx.q,) + column_degree_table(cx)
+    return _exact_by_numerators(
+        (hilbert_numerator(SubmodulePresentation.from_matrix(mat, twist))
+         for mat, twist in zip(cx.matrices, table)), table)
+
+
+def reference_minimality_witness(lead: PolyComplex):
+    """First (level, row, col), row-major, of a scalar entry of G^L past level 1."""
+    for k in range(1, lead.length):
+        mat = lead.matrices[k]
+        for i in range(mat.nrows):
+            for j in range(mat.ncols):
+                if mat.entry(i, j).is_nonzero_scalar:
+                    return (k + 1, i, j)
+    return None
+
+
+def reference_pd_failure_witness(lead: PolyComplex):
+    """The first syzygy of G_1^L over S, or None."""
+    ker = syzygy_basis(lead.matrices[0])
+    return ker.column(0) if ker.ncols else None
+
+
 def packed_chain(code):
     """``minimal_resolution``'s packed chain of a code: levels, orders, leads."""
     order = ModuleOrder(code.ring.homogeneous_companion(), (0,) * code.q)
@@ -616,7 +722,7 @@ def _graded_pipeline(code):
     lifted = []
     for g in basis.elements:
         d = twisted_degree(g, (0,) * code.q)
-        lifted.append(tuple(f.homogenize(d) for f in g))
+        lifted.append(tuple(homogenize(f, d) for f in g))
     return lifted
 
 
@@ -660,7 +766,7 @@ def resolution_without_minimalization(code, extra_generators=()):
     lifted = _graded_pipeline(code)
     for g in extra_generators:
         d = twisted_degree(g, (0,) * code.q)
-        lifted.append(tuple(f.homogenize(d) for f in g))
+        lifted.append(tuple(homogenize(f, d) for f in g))
     tring = code.ring.homogeneous_companion()
     mats, twists = [PolyMatrix.from_columns(tring, code.q, lifted)], [(0,) * code.q]
     for _ in range(code.ring.n + 1 + len(lifted)):
@@ -942,7 +1048,7 @@ def reference_syzygy_basis(matrix: PolyMatrix, row_twist=None) -> PolyMatrix:
         seen.add(key)
         cleaned.append((lead, flat))
     cleaned.sort(key=lambda pair: pair[0])
-    columns = [_from_flat(syz_order, t, flat) for _, flat in cleaned]
+    columns = [_from_flat(syz_order, flat) for _, flat in cleaned]
     return PolyMatrix.from_columns(ring, t, columns)
 
 

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from convres import cli, complexes
+from convres import Poly, cli, complexes, groebner, observability
+from convres.algebra import is_prime
 from convres.cli import MAX_D, MAX_N, main, parse_input
 from convres.errors import InputError
 
@@ -93,20 +94,23 @@ def test_check_resolution_accepts_an_exact_complex_that_is_not_reduced(tmp_path,
 @pytest.mark.parametrize("prop, text, key", [("pd", BAD_F2, "witness_column"),
                                              ("minimal", NOT_MINIMAL, "scalar_entry")],
                          ids=["pd", "minimal"])
-def test_failing_check_builds_the_leading_part_complex_once(
-        tmp_path, capsys, monkeypatch, prop, text, key):
-    calls = []
-
-    def counted(cx, original=complexes.leading_term_complex):
-        calls.append(cx)
-        return original(cx)
-    monkeypatch.setattr(complexes, "leading_term_complex", counted)
-    monkeypatch.setattr(cli, "leading_term_complex", counted, raising=False)
+def test_failing_check_lifts_the_complex_once(tmp_path, capsys, monkeypatch, prop, text, key):
+    # One packed lift serves the verdict and the witness: every column is
+    # lifted once, and no Poly G^L and no fresh hilbert_numerator is built.
+    calls = {"_lift_flat": 0, "leading_term_complex": 0, "hilbert_numerator": 0}
+    for name, owner in (("_lift_flat", complexes), ("leading_term_complex", complexes),
+                        ("hilbert_numerator", groebner)):
+        def counted(*args, name=name, original=getattr(owner, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(owner, name, counted)
     path = write(tmp_path, "doc.json", text)
     assert main(["check", prop, path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["result"] is False and key in out
-    assert len(calls) == 1
+    assert calls == {"_lift_flat": sum(parse_input(text).complex.sizes),
+                     "leading_term_complex": 0, "hilbert_numerator": 0}
+    assert not hasattr(Poly, "homogenize")
 
 
 def test_check_pd_failure_reports_witness(tmp_path, capsys):
@@ -165,6 +169,35 @@ def test_observable_rejects_a_prop3_bound_before_sieving(tmp_path, capsys, bound
     out, err = capsys.readouterr()
     assert out == "" and message in err
     assert elapsed < 5.0, f"took {elapsed:.1f} s"
+
+
+@pytest.mark.parametrize("n, p, bound, message", [
+    (2, 2, "1", "n = 1 only"), (1, 2, "50", "candidate polynomials"), (1, 2, "0", "at least 1")],
+    ids=["n = 2", "bound 50 over F_2", "bound 0"])
+def test_a_refused_prop3_bound_does_no_work(tmp_path, capsys, monkeypatch, n, p, bound, message):
+    calls, checked = [], []
+    for name in ("is_observable", "minimal_resolution"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+    real = observability.check_prop3_bound
+    monkeypatch.setattr(cli, "check_prop3_bound",
+                        lambda *args: checked.append(args) or real(*args))
+    path = write(tmp_path, "code.json",
+                 json.dumps({"p": p, "n": n, "kind": "code", "matrix": [["D1"], ["1"]]}))
+    assert main(["observable", path, "--prop3-bound", bound]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+    assert calls == [] and checked == [(p, n, int(bound))]
+
+
+def test_resolve_tests_a_prime_once_per_process(tmp_path, capsys):
+    path = write(tmp_path, "code.json",
+                 '{"p": 2147483647, "n": 2, "kind": "code", "matrix": [["D1", "D2"]]}')
+    is_prime.cache_clear()
+    for _ in range(3):
+        assert main(["resolve", path]) == 0
+    capsys.readouterr()
+    info = is_prime.cache_info()
+    assert info.misses == 1 and info.hits >= 6, info
 
 
 def test_oracle_verify_command(tmp_path, capsys):

@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from convres import Poly, PolyMatrix, Ring, complexes, groebner
+from convres import PolyMatrix, Ring, complexes, groebner
 from convres.complexes import (
-    check_graded_resolution,
     check_minimal,
     check_reduced,
     check_resolution,
@@ -24,8 +23,10 @@ from convres.oracle import truncated_exactness
 from helpers import (
     P,
     acceptance_corpus,
+    check_graded_resolution,
     code,
     dehomogenize,
+    graded_column_degrees,
     homogeneous_column_degree,
     koszul_code,
     koszul_complex,
@@ -34,8 +35,10 @@ from helpers import (
     minimalize_graded,
     packed_chain,
     paper_matrix,
+    probe_corpus,
     random_complex,
     resolution_without_minimalization,
+    set_d0_zero,
 )
 
 
@@ -97,7 +100,7 @@ def test_homogenize_complex_fixes_homogeneous_input():
     h = homogenize_complex(kz)
     for hm, gm in zip(h.matrices, kz.matrices):
         assert map_entries(hm, dehomogenize, kz.ring) == gm
-        assert map_entries(hm, lambda f: dehomogenize(f.set_d0_zero()), kz.ring) == gm
+        assert map_entries(hm, lambda f: dehomogenize(set_d0_zero(f)), kz.ring) == gm
     r = Ring(2, 2)
     ident = validate_complex([PolyMatrix.identity(r, 2)])
     hid = homogenize_complex(ident)
@@ -133,7 +136,7 @@ def test_leading_term_complex_fixed_points():
 
 def _homogenized_at_d0_zero(cx):
     """G^H with D0 := 0, then dehomogenized back to S."""
-    return tuple(map_entries(m, lambda f: dehomogenize(f.set_d0_zero()), cx.ring)
+    return tuple(map_entries(m, lambda f: dehomogenize(set_d0_zero(f)), cx.ring)
                  for m in homogenize_complex(cx).matrices)
 
 
@@ -177,13 +180,13 @@ def test_report_computes_the_degree_table_once(monkeypatch):
 
 
 def test_minimal_resolution_builds_no_derived_complex(monkeypatch):
-    # The lift and the checks stay packed: no G^L, no G^H, no Poly
-    # products, no Poly basis and no homogenized Poly; and _report reuses
-    # the chain's module orders.
+    # The lift and the checks stay packed: no G^L, no G^H, no lift of the
+    # report's complex, no Poly products, no fresh Groebner basis and no
+    # Poly basis; and _report reuses the chain's module orders.
     targets = {name: complexes for name in (
-        "leading_term_complex", "homogenize_complex", "validate_complex",
-        "check_graded_resolution", "hilbert_numerator")}
-    targets.update({"_from_flat": groebner, "GroebnerBasis": groebner, "homogenize": Poly})
+        "leading_term_complex", "homogenize_complex", "validate_complex", "_graded_lift")}
+    targets.update({"hilbert_numerator": groebner, "_from_flat": groebner,
+                    "GroebnerBasis": groebner})
     calls = dict.fromkeys(targets, 0)
     for name, owner in targets.items():
         def counted(*args, name=name, original=getattr(owner, name)):
@@ -236,9 +239,7 @@ def test_reduced_implies_resolution_on_the_probe_corpus():
     Hilbert-series proof behind ``check_reduced`` agrees with the
     syzygy proof of ``check_resolution``.
     """
-    rng = random.Random(2024)
-    cases = [koszul_complex()] + [random_complex(rng) for _ in range(200)]
-    cases += [resolution_without_minimalization(c).complex for c in acceptance_corpus()]
+    cases = probe_corpus()
     classes = {}
     for cx in cases:
         key = (check_reduced(cx), check_resolution(cx))
@@ -263,8 +264,14 @@ def test_hilbert_certificate_rejects_planted_non_exact_complexes():
 
 
 def test_hilbert_certificate_needs_a_graded_complex():
+    # The Hilbert-series proof needs homogeneous columns; the packed lift
+    # always hands it G^L, which is graded by the table of G.
+    bad = bad_f2_matrix()
     with pytest.raises(DomainError):
-        check_graded_resolution(bad_f2_matrix())
+        check_graded_resolution(bad)
+    lead = leading_term_complex(bad)
+    assert graded_column_degrees(lead.matrices[0], (0, 0)) == column_degree_table(bad)[0]
+    assert not check_graded_resolution(lead) and not check_reduced(bad)
 
 
 def test_check_resolution():

@@ -1,0 +1,115 @@
+"""The packed lift of a given complex and the graded checks that read it,
+against the ``Poly`` route they replaced.
+
+``complexes._graded_lift`` lifts a complex once into packed columns over
+T; ``check_reduced``, ``check_minimal``, ``minimality_witness``,
+``pd_failure_witness``, ``homogenize_complex`` and
+``leading_term_complex`` read it.  The reference in ``tests/helpers.py``
+builds G^H and G^L entry by entry as ``Poly``, proves exactness by one
+fresh ``hilbert_numerator`` per level, takes the witness from
+``syzygy_basis`` over S and scans the ``Poly`` entries for scalars.
+Verdicts, witnesses, G^H and G^L must be equal on the probe corpus, the
+benchmark's damaged Koszul complexes and the acceptance corpus.
+"""
+
+import json
+
+import pytest
+
+from convres.cli import main
+from convres.complexes import (
+    check_minimal,
+    check_reduced,
+    homogenize_complex,
+    leading_term_complex,
+    minimal_resolution,
+    minimality_witness,
+    pd_failure_witness,
+    validate_complex,
+)
+from convres.errors import PreconditionError
+
+from helpers import (
+    acceptance_corpus,
+    benchmark_complexes,
+    check_graded_resolution,
+    probe_corpus,
+    reference_homogenize_complex,
+    reference_leading_term_complex,
+    reference_minimality_witness,
+    reference_pd_failure_witness,
+)
+
+
+def _assert_routes_agree(cx):
+    """Both routes on one complex; returns (reduced, scalar entry, witness)."""
+    lead = reference_leading_term_complex(cx)
+    assert homogenize_complex(cx).matrices == reference_homogenize_complex(cx).matrices, cx
+    assert leading_term_complex(cx).matrices == lead.matrices, cx
+    reduced = check_graded_resolution(lead)
+    scalar = reference_minimality_witness(lead)
+    witness = reference_pd_failure_witness(lead)
+    assert check_reduced(cx) == reduced, cx
+    assert minimality_witness(cx) == scalar, cx
+    assert pd_failure_witness(cx) == witness, cx
+    if reduced:
+        assert check_minimal(cx) == (scalar is None), cx
+    else:
+        with pytest.raises(PreconditionError):
+            check_minimal(cx)
+    return reduced, scalar, witness
+
+
+def _assert_corpus_agrees(cases):
+    seen = [_assert_routes_agree(cx) for cx in cases]
+    # Each corpus reaches both verdicts, scalars and witnesses.
+    assert {reduced for reduced, _, _ in seen} == {True, False}
+    assert any(scalar for _, scalar, _ in seen) and any(w for _, _, w in seen)
+    return seen
+
+
+def test_graded_checks_equal_the_poly_route_on_the_probe_corpus():
+    seen = _assert_corpus_agrees(probe_corpus())
+    # Some complex has several scalars in a level, where the row-major
+    # first one is not the column-major first one.
+    assert any(scalar and scalar[1] > 0 for _, scalar, _ in seen)
+
+
+def test_graded_checks_equal_the_poly_route_on_damaged_koszul_complexes():
+    cases = benchmark_complexes(1200)
+    assert len(cases) > 250
+    _assert_corpus_agrees(cases)
+
+
+def test_graded_checks_equal_the_poly_route_on_the_acceptance_corpus():
+    for c in acceptance_corpus():
+        # One matrix: reduced exactly when G_1^L is injective.
+        reduced, scalar, witness = _assert_routes_agree(validate_complex([c.generators]))
+        assert scalar is None and reduced == (witness is None)
+        reduced, scalar, _ = _assert_routes_agree(minimal_resolution(c).complex)
+        assert reduced and scalar is None
+
+
+def test_witnesses_reach_the_report(tmp_path, capsys):
+    # The CLI prints the witnesses the reference finds, on the first
+    # failing complexes of the probe corpus.
+    shown = {"pd": 0, "minimal": 0}
+    for cx in probe_corpus():
+        lead = reference_leading_term_complex(cx)
+        reduced = check_graded_resolution(lead)
+        witness = reference_pd_failure_witness(lead)
+        scalar = reference_minimality_witness(lead)
+        prop = "pd" if not reduced and witness else "minimal" if reduced and scalar else None
+        if prop is None or shown[prop] >= 5:
+            continue
+        shown[prop] += 1
+        path = tmp_path / "cx.json"
+        path.write_text(json.dumps({"p": cx.ring.p, "n": cx.ring.n, "kind": "complex",
+                                    "matrices": [m.to_strings() for m in cx.matrices]}))
+        assert main(["check", prop, str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        if prop == "pd":
+            assert out["witness_column"] == [str(f) for f in witness]
+        else:
+            assert out["scalar_entry"] == list(scalar)
+    assert shown == {"pd": 5, "minimal": 5}

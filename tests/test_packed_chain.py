@@ -48,6 +48,7 @@ from helpers import (
     _graded_pipeline,
     acceptance_corpus,
     codes,
+    homogenize,
     linear_code,
     packed_chain,
     reference_minimal_resolution,
@@ -102,9 +103,9 @@ def test_packed_lift_keeps_a_twist():
     lifted = []
     for g in _interreduce(_buchberger([_to_flat(c, s_order) for c in code.generators.columns()],
                                       s_order), s_order):
-        col = _from_flat(s_order, 2, g.flat)
+        col = _from_flat(s_order, g.flat)
         d = max(f.degree + a for f, a in zip(col, (1, 0)) if f)
-        lifted.append(_to_flat(tuple(f.homogenize(d - a) for f, a in zip(col, (1, 0))), order))
+        lifted.append(_to_flat(tuple(homogenize(f, d - a) for f, a in zip(col, (1, 0))), order))
     assert _lifted_code(code, order) == lifted
 
 
