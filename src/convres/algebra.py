@@ -389,13 +389,14 @@ class PolyMatrix:
     genuine matrix validate shape themselves.
     """
 
-    __slots__ = ("ring", "nrows", "ncols", "entries")
+    __slots__ = ("ring", "nrows", "ncols", "entries", "_hash")
 
     def __init__(self, ring: Ring, nrows: int, ncols: int, entries):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_hash", None)    # ``__hash__``, once computed
 
     def __setattr__(self, *_):
         raise AttributeError("PolyMatrix is immutable")
@@ -491,7 +492,10 @@ class PolyMatrix:
                 and self.nrows == other.nrows and self.ncols == other.ncols)
 
     def __hash__(self):
-        return hash((self.ring, self.nrows, self.ncols, self.entries))
+        if self._hash is None:
+            object.__setattr__(self, "_hash",
+                               hash((self.ring, self.nrows, self.ncols, self.entries)))
+        return self._hash
 
     def __repr__(self):
         return f"PolyMatrix({self.nrows}x{self.ncols}, {self.to_strings()})"

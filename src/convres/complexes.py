@@ -26,12 +26,14 @@ serves ``check resolution`` and the tests.  G^L is graded by the degree
 table, so its exactness follows from Hilbert series of lead-term modules
 alone (``_exact``).  The D0-free leads of a Groebner basis of im G_k^H
 generate the lead-term module of im G_k^L (see ``groebner.ModuleOrder``):
-for a given complex they come from one untracked Buchberger run per
-level on the D0-free part of its lift, and ``minimal_resolution``, the
-source of all invariants, reads them off the bases its own syzygy runs
-completed.  A scalar entry of G^L past level 1 is a degree-0 term of G^H
-(``_scalar_entry``).  G^H and G^L become ``Poly`` matrices only when a
-caller asks for them (``homogenize_complex``, ``leading_term_complex``).
+for a given complex they come from one Buchberger run per level on the
+D0-free part of its lift, tracked at level 1 so that the same run gives
+the witness of a failure (``_leading_syzygies``), and
+``minimal_resolution``, the source of all invariants, reads them off the
+bases its own syzygy runs completed.  A scalar entry of G^L past level 1
+is a degree-0 term of G^H (``_scalar_entry``).  G^H and G^L become
+``Poly`` matrices only when a caller asks for them
+(``homogenize_complex``, ``leading_term_complex``).
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class PolyComplex:
     ``_report`` from packed levels it has checked itself.
     """
 
-    __slots__ = ("ring", "matrices", "q", "sizes", "_table", "_lift")
+    __slots__ = ("ring", "matrices", "q", "sizes", "_table", "_lift", "_lead_syz")
 
     def __init__(self, ring, matrices, q, sizes, table=None):
         self.ring = ring
@@ -79,6 +81,7 @@ class PolyComplex:
         self.sizes = sizes  # (p_1, ..., p_l)
         self._table = table  # column degree table, once computed
         self._lift = None    # ``_graded_lift``, once computed
+        self._lead_syz = None    # ``_leading_syzygies``, once computed
 
     @property
     def length(self) -> int:
@@ -167,6 +170,20 @@ def _leading_levels(cx: PolyComplex):
     levels, orders = _graded_lift(cx)
     return ([[_d0_free(flat, order) for flat in cols] for cols, order in zip(levels, orders)],
             orders)
+
+
+def _leading_syzygies(cx: PolyComplex):
+    """The syzygies of G_1^L packed over T and the items of the tracked
+    completion that found them (``_syzygies_flat``), a Groebner basis of
+    im G_1^L.  Computed once per complex and kept on it, so the verdict
+    of ``check_reduced`` and the witness of ``pd_failure_witness`` come
+    from one completion.
+    """
+    if cx._lead_syz is None:
+        levels, orders = _graded_lift(cx)
+        cols = [_d0_free(flat, orders[0]) for flat in levels[0]]
+        cx._lead_syz = _syzygies_flat(cols, orders[0], orders[1])
+    return cx._lead_syz
 
 
 def _complex(levels, orders, ring, table=None) -> PolyComplex:
@@ -280,12 +297,16 @@ def check_reduced(cx: PolyComplex) -> bool:
     By the paper's main theorem a complex whose G^L is a resolution is
     itself one, so this is also the predictable degree property.  G^L is
     graded, so its exactness is proved by Hilbert series (``_exact``),
-    with the leads of one untracked Groebner basis per level of G^L
-    packed over T, which stays D0-free.
+    with the leads of one Groebner basis per level of G^L packed over T,
+    which stays D0-free: for level 1 the tracked completion of
+    ``_leading_syzygies``, which ``pd_failure_witness`` reuses, and for
+    the others one untracked completion each.
     """
-    levels, orders = _leading_levels(cx)
-    return _exact(([(it.pos, it.exps[1:]) for it in _buchberger(cols, order)]
-                   for cols, order in zip(levels, orders)), orders)
+    levels, orders = _graded_lift(cx)
+    bases = chain([_leading_syzygies(cx)[1]],
+                  (_buchberger([_d0_free(flat, order) for flat in cols], order)
+                   for cols, order in zip(levels[1:], orders[1:])))
+    return _exact(([(it.pos, it.exps[1:]) for it in items] for items in bases), orders)
 
 
 def pd_failure_witness(cx: PolyComplex):
@@ -293,11 +314,12 @@ def pd_failure_witness(cx: PolyComplex):
 
     Any nonzero homogeneous kernel element y of G_1^L has twisted degree
     strictly above deg(G_1 @ y), so it certifies the failure: here the
-    first syzygy of G_1^L packed over T, at D0 = 1.  Returns None when
-    G_1^L has no kernel (the failure, if any, sits deeper).
+    first syzygy of G_1^L packed over T (``_leading_syzygies``), at
+    D0 = 1.  Returns None when G_1^L has no kernel (the failure, if any,
+    sits deeper).
     """
-    levels, orders = _leading_levels(cx)
-    syz, _ = _syzygies_flat(levels[0], orders[0], orders[1])
+    syz, _ = _leading_syzygies(cx)
+    _, orders = _graded_lift(cx)
     return _from_flat(orders[1], syz[0], cx.ring) if syz else None
 
 

@@ -12,14 +12,15 @@ is built by ``_shift_rows``, the generators a code's columns or a map's.
 
 Codeword dimensions come from one reduced echelon form per code
 (``_CodeEchelon``), grown by one block of generator shifts x^e * g per
-degree cap.  Its count D(c, d) of the codewords of degree <= d spanned
-by the shifts of degree <= c never exceeds F(d) = dim C_{<=d} and never
-falls as c rises, but no cap where it reaches F(d) is known in advance.
-So the count stops by a target, F(d) by the Hilbert formula on the
-engine's minimal resolution (``engine_resolution``).  From the first
-cap tried (at least d) the cap rises by one until D(c, d) reaches the
-target, and then by maxdeg more, the largest generator degree (at least
-1); the count there is the answer.  Hence:
+degree cap and kept on its free columns only, the rows being the
+identity on their pivots.  Its count D(c, d) of the codewords of degree
+<= d spanned by the shifts of degree <= c never exceeds F(d) = dim
+C_{<=d} and never falls as c rises, but no cap where it reaches F(d) is
+known in advance.  So the count stops by a target, F(d) by the Hilbert
+formula on the engine's minimal resolution (``engine_resolution``).
+From the first cap tried (at least d) the cap rises by one until D(c, d)
+reaches the target, and then by maxdeg more, the largest generator
+degree (at least 1); the count there is the answer.  Hence:
 
 * D = F(d): the oracle has exhibited F(d) independent codewords of degree <= d.
 * An overcounting engine never agrees.  A target above q * C(d + n, n)
@@ -51,9 +52,10 @@ from .errors import DomainError, InputError, InvariantError, StructuralError
 # echelon counts as its full matrix of generator shifts at the cap.
 MAX_CELLS = 2 ** 24
 
-# _matmul_mod splits its right factor into 16-bit limbs and its inner
-# dimension into chunks of 2^15, so for p < 2^31 every partial sum stays
-# below 2^31 * 2^16 * 2^15 = 2^62.
+# _matmul_mod takes one int64 product, one limb over one chunk, when
+# (p - 1)^2 * inner < 2^63.  Otherwise it splits its right factor into
+# limbs of _LIMB_BITS bits and its inner dimension into chunks of _CHUNK,
+# so for p < 2^31 every partial sum stays below 2^31 * 2^16 * 2^15 = 2^62.
 _LIMB_BITS = 16
 _CHUNK = 2 ** 15
 
@@ -94,13 +96,16 @@ def rref_mod_p(mat: np.ndarray, p: int):
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p for entries in [0, p) with p < 2^31, exact in int64."""
-    lo = b & ((1 << _LIMB_BITS) - 1)
-    hi = b >> _LIMB_BITS
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for s in range(0, a.shape[1], _CHUNK):
-        part = a[:, s:s + _CHUNK]
-        high = (part @ hi[s:s + _CHUNK]) % p
-        out = (out + (part @ lo[s:s + _CHUNK]) % p + (high << _LIMB_BITS) % p) % p
+    inner, width = a.shape[1], (p - 1).bit_length()
+    one = (p - 1) ** 2 * inner < 2 ** 63
+    bits, chunk = (width, max(inner, 1)) if one else (_LIMB_BITS, _CHUNK)
+    out = None
+    for s in range(0, max(inner, 1), chunk):
+        part, right = a[:, s:s + chunk], b[s:s + chunk]
+        for shift in range(0, width, bits):
+            limb = right if bits == width else (right >> shift) & ((1 << bits) - 1)
+            term = (part @ limb) % p
+            out = term if out is None else (out + (term << shift)) % p
     return out
 
 
@@ -162,15 +167,15 @@ class TruncatedSpace:
                 and self.d == other.d and self.basis == other.basis)
 
 
-def _generator_terms(columns, degrees) -> list:
-    """(positions, exponents, coefficients, degree) per column, each
-    column a generator of the given degree; a zero column has no terms."""
-    out = []
-    for col, deg in zip(columns, degrees):
-        terms = [(pos, *e, c) for pos, f in enumerate(col) for e, c in f.terms]
-        arr = np.array(terms, dtype=np.int64).reshape(len(terms), col[0].ring.n + 2)
-        out.append((arr[:, 0], arr[:, 1:-1], arr[:, -1], deg))
-    return out
+def _generator_terms(columns, degrees) -> tuple:
+    """The columns as generators of the given degrees, in arrays: position,
+    exponents and coefficient of every term, column by column, then each
+    column's number of terms and degree; a zero column has no terms."""
+    n = columns[0][0].ring.n if columns else 0
+    terms = [(pos, *e, c) for col in columns for pos, f in enumerate(col) for e, c in f.terms]
+    arr = np.array(terms, dtype=np.int64).reshape(len(terms), n + 2)
+    counts = np.array([sum(len(f.terms) for f in col) for col in columns], dtype=np.int64)
+    return arr[:, 0], arr[:, 1:-1], arr[:, -1], counts, np.array(degrees, dtype=np.int64)
 
 
 def _keys(pos, exps: np.ndarray, q: int) -> np.ndarray:
@@ -191,33 +196,53 @@ def _keys(pos, exps: np.ndarray, q: int) -> np.ndarray:
     return key
 
 
-def _shift_rows(gens: list, q: int, lo: int, hi: int, column: np.ndarray,
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges starts[i], ..., starts[i] + lengths[i] - 1, one after another."""
+    return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+
+
+@lru_cache(maxsize=32)
+def _exponent_table(n: int, lo: int, hi: int) -> np.ndarray:
+    """Exponent vectors of degree lo..hi, by degree, then as ``_compositions``; read only."""
+    exps = [e for k in range(lo, hi + 1) for e in _compositions(n, k)]
+    return np.array(exps, dtype=np.int64).reshape(len(exps), n)
+
+
+def _shift_rows(gens: tuple, q: int, lo: int, hi: int, column: np.ndarray,
                 width: int) -> np.ndarray:
     """Dense rows of the shifts x^e * g with lo <= deg g + |e| <= hi, by g,
     then by e in ``_compositions`` order of each degree; ``column`` maps
-    the ``_keys`` of S^q to column indices below ``width``."""
-    blocks = [np.zeros((0, width), dtype=np.int64)]
-    for pos, exps, coeffs, deg in gens:
-        shifts = np.array([e for k in range(max(lo - deg, 0), hi - deg + 1)
-                           for e in _compositions(exps.shape[1], k)],
-                          dtype=np.int64).reshape(-1, exps.shape[1])
-        block = np.zeros((len(shifts), width), dtype=np.int64)
-        block[np.arange(len(shifts))[:, None],
-              column[_keys(pos, shifts[:, None, :] + exps, q)]] = coeffs
-        blocks.append(block)
-    return np.vstack(blocks)
+    the ``_keys`` of S^q to column indices below ``width``.  The terms of
+    all rows are keyed at once."""
+    pos, exps, coeffs, counts, degs = gens
+    first, last = np.maximum(lo - degs, 0), hi - degs    # shift degrees per generator
+    low = int(first[first <= last].min(initial=hi + 1))
+    table = _exponent_table(exps.shape[1], low, int(last.max(initial=-1)))
+    deg = table.sum(axis=1)
+    start = np.searchsorted(deg, first)
+    shifts = np.maximum(np.searchsorted(deg, last, side="right") - start, 0)
+    row_gen = np.repeat(np.arange(len(degs)), shifts)
+    size = counts[row_gen]    # row r holds the terms of generator row_gen[r]
+    entry_row = np.repeat(np.arange(len(row_gen)), size)
+    entry_term = _runs((np.cumsum(counts) - counts)[row_gen], size)
+    keys = _keys(pos[entry_term], table[_runs(start, shifts)[entry_row]] + exps[entry_term], q)
+    block = np.zeros((len(row_gen), width), dtype=np.int64)
+    block[entry_row, column[keys]] = coeffs[entry_term]
+    return block
 
 
 class _CodeEchelon:
     """Reduced echelon form of the generator shifts of one code, grown by cap.
 
-    Column k holds the term of ``_keys`` k, so the columns read from the
-    highest number down list the degrees from the top; each block adds
-    the columns of its degree.  Every pivot keeps its degree and the cap
-    whose block added it; pivots are never removed, because each block
-    is reduced against the existing rows first.  A lock serializes
-    growth and counting, since echelons are shared, and an exception
-    while growing empties the echelon.
+    The columns are the terms of S^q by ``_keys``, each block adding the
+    terms of its degree.  The rows are the identity on their pivots, so
+    only their free columns are kept: ``rows[i]`` is row i on ``free``,
+    the columns that are no pivot, from the highest key down, and row i
+    pivots at ``pivots[i]``, keeping its degree and the cap whose block
+    added it.  Pivots are never removed, because each block is reduced
+    against the existing rows first.  A lock serializes growth and
+    counting, since echelons are shared, and an exception while growing
+    empties the echelon.
     """
 
     def __init__(self, code: CodePresentation):
@@ -228,38 +253,13 @@ class _CodeEchelon:
 
     def _clear(self):
         self.cap = -1
-        self.col_deg = np.zeros(0, dtype=np.int64)
-        self._buf = np.zeros((0, 0), dtype=np.int64)
-        self.pivots = np.zeros(0, dtype=np.int64)
-        self.pivot_deg = np.zeros(0, dtype=np.int64)
-        self.pivot_cap = np.zeros(0, dtype=np.int64)
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The echelon rows, one per pivot, as a view of the row buffer."""
-        return self._buf[:len(self.pivots), :len(self.col_deg)]
-
-    def _reserve(self, rows: int, cols: int):
-        """Room for rows x cols entries in the row buffer.
-
-        A short side doubles, within MAX_CELLS, so a long climb of caps
-        copies the rows only now and then; entries outside the rows stay
-        zero, so new columns need no writing.
-        """
-        have_r, have_c = self._buf.shape
-        if rows <= have_r and cols <= have_c:
-            return
-        new_c = max(cols, min(2 * have_c if cols > have_c else have_c,
-                              MAX_CELLS // max(rows, 1)))
-        new_r = max(rows, min(2 * have_r if rows > have_r else have_r, MAX_CELLS // new_c))
-        buf = np.zeros((new_r, new_c), dtype=np.int64)
-        old = self.rows
-        buf[:old.shape[0], :old.shape[1]] = old
-        self._buf = buf
+        empty = np.zeros(0, dtype=np.int64)
+        self.col_deg = self.free = self.pivots = self.pivot_deg = self.pivot_cap = empty
+        self.rows = np.zeros((0, 0), dtype=np.int64)
 
     def check(self, cap: int):
         """Raise InputError when the shifts of degree <= cap are too many."""
-        shifts = sum(comb(cap - deg + self.n, self.n) for *_, deg in self.gens if deg <= cap)
+        shifts = sum(comb(cap - deg + self.n, self.n) for deg in self.gens[-1] if deg <= cap)
         _check_cells(shifts, self.q * comb(cap + self.n, self.n))
 
     def dim(self, cap: int, d: int) -> int:
@@ -278,31 +278,30 @@ class _CodeEchelon:
             return int(np.count_nonzero((self.pivot_cap <= cap) & (self.pivot_deg <= d)))
 
     def _add_block(self, c: int):
-        p = self.p
+        p, rank = self.p, len(self.pivots)
         fresh = self.q * comb(c + self.n - 1, self.n - 1)
         width = len(self.col_deg) + fresh
-        self._reserve(len(self.pivots), width)
         self.col_deg = np.concatenate([self.col_deg, np.full(fresh, c)])
+        self.free = np.concatenate([np.arange(width - 1, width - fresh - 1, -1), self.free])
+        self.rows = np.hstack([np.zeros((rank, fresh), dtype=np.int64), self.rows])
         self.cap = c
-        block = _shift_rows(self.gens, self.q, c, c, np.arange(width), width)
-        if not block.shape[0]:
-            return
-        # Reduce the block against the pivots and echelonize what is left,
-        # on the free columns in descending degree.
-        rows = self.rows
-        is_pivot = np.zeros(width, dtype=bool)
-        is_pivot[self.pivots] = True
-        free = np.nonzero(~is_pivot)[0][::-1]
-        rest = (block[:, free] - _matmul_mod(block[:, self.pivots], rows[:, free], p)) % p
+        if c < self.gens[-1].min():
+            return    # no shift has degree c
+        # The block in (pivot | free) column order, reduced against the
+        # rows; what is left is echelonized on the free columns.
+        column = np.empty(width, dtype=np.int64)
+        column[self.pivots] = np.arange(rank)
+        column[self.free] = np.arange(rank, width)
+        block = _shift_rows(self.gens, self.q, c, c, column, width)
+        rest = (block[:, rank:] - _matmul_mod(block[:, :rank], self.rows, p)) % p
         rest = rest[rest.any(axis=1)]
         if not rest.shape[0]:
             return
         reduced, cols = rref_mod_p(rest, p)
-        new = free[cols]
-        rows[:, free] = (rows[:, free] - _matmul_mod(rows[:, new], reduced, p)) % p
-        rank = len(rows)
-        self._reserve(rank + len(new), width)
-        self._buf[rank:rank + len(new), free] = reduced
+        new = self.free[cols]
+        rows = np.vstack([(self.rows - _matmul_mod(self.rows[:, cols], reduced, p)) % p, reduced])
+        keep = np.delete(np.arange(len(self.free)), cols)
+        self.rows, self.free = rows[:, keep], self.free[keep]
         self.pivots = np.concatenate([self.pivots, new])
         self.pivot_deg = np.concatenate([self.pivot_deg, self.col_deg[new]])
         self.pivot_cap = np.concatenate([self.pivot_cap, np.full(len(new), c)])
@@ -341,7 +340,7 @@ def _count(code: CodePresentation, d: int, cap: int = None):
     ``cap`` defaulting to d, at which D(c, d) reaches the engine's F(d)."""
     echelon = _echelon(code)
     n = code.ring.n
-    margin = max(1, max(deg for *_, deg in echelon.gens))
+    margin = max(1, int(echelon.gens[-1].max()))
     c = d if cap is None else max(cap, d)
     echelon.check(c + margin)
     target = _target(code, d)
@@ -413,10 +412,11 @@ def _truncated_map(mat: PolyMatrix, row_twist, col_twist, d: int) -> np.ndarray:
     row_twist = check_twist(row_twist, mat.nrows)
     col_twist = check_twist(col_twist, mat.ncols)
     terms, column = _slice(n, row_twist, d)
-    gens = _generator_terms(mat.columns(), col_twist)
-    for j, (pos, exps, _, deg) in enumerate(gens):
-        if (exps.sum(axis=1) + np.array(row_twist)[pos] > deg).any():
-            raise DomainError(f"column {j} of the map exceeds its twisted degree {deg}")
+    gens = pos, exps, _, counts, degs = _generator_terms(mat.columns(), col_twist)
+    over = exps.sum(axis=1) + np.array(row_twist, dtype=np.int64)[pos] > np.repeat(degs, counts)
+    if over.any():
+        j = int(np.repeat(np.arange(len(counts)), counts)[over][0])
+        raise DomainError(f"column {j} of the map exceeds its twisted degree {col_twist[j]}")
     _check_cells(sum(comb(d - t + n, n) for t in col_twist if t <= d), len(terms))
     return _shift_rows(gens, mat.nrows, 0, d, column, len(terms))
 

@@ -320,6 +320,37 @@ def graded_minimal_generator_count(generators, rank, twist, ring):
     return total
 
 
+# -- pure-Python references for the oracle's elimination kernels ------------
+
+def reference_rref(rows, p):
+    """Gauss-Jordan over F_p on lists of Python ints: (the nonzero rows
+    of the reduced row echelon form, their pivot columns).  RREF is
+    unique, so any elimination order gives the same answer."""
+    m = [[x % p for x in row] for row in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        k = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def reference_matmul(a, b, p):
+    """a @ b mod p by the schoolbook rule, each entry a sum of Python int
+    products, so nothing overflows."""
+    return [[sum(int(a[i, k]) * int(b[k, j]) for k in range(a.shape[1])) % p
+             for j in range(b.shape[1])] for i in range(a.shape[0])]
+
+
 # -- from-scratch code-slice oracle (reference for the incremental echelon) --
 
 def _monomials_up_to(nvars, d):
