@@ -26,8 +26,6 @@ from .complexes import (
     check_reduced,
     check_resolution,
     column_degree_table,
-    homogenize_complex,
-    leading_term_complex,
     minimal_resolution,
     validate_complex,
 )
@@ -41,19 +39,7 @@ from .errors import (
     StructuralError,
     UnsupportedDimensionError,
 )
-from .groebner import (
-    GroebnerBasis,
-    ModuleOrder,
-    SubmodulePresentation,
-    groebner_basis,
-    left_kernel,
-    matrix_kernel,
-    membership,
-    minimal_generators,
-    module_equal,
-    normal_form,
-    syzygy_basis,
-)
+from .groebner import ModuleOrder
 from .invariants import (
     CodeInvariants,
     ForneyTable,
@@ -73,10 +59,8 @@ from .observability import (
 from .oracle import (
     TruncatedSpace,
     hilbert_oracle,
-    memory_recovery_check,
     truncated_code_space,
     truncated_exactness,
-    truncated_kernel,
 )
 
 __version__ = "0.1.0"

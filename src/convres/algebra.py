@@ -150,16 +150,6 @@ class Poly:
             return cls.zero(ring)
         return cls(ring, (((0,) * ring.nvars, c),))
 
-    @classmethod
-    def variable(cls, ring: Ring, name: str) -> "Poly":
-        slot = ring.var_slot(name)
-        exps = tuple(1 if i == slot else 0 for i in range(ring.nvars))
-        return cls(ring, ((exps, 1),))
-
-    @classmethod
-    def monomial(cls, ring: Ring, exps, coeff: int = 1) -> "Poly":
-        return cls.from_dict(ring, {tuple(exps): coeff})
-
     # -- queries ------------------------------------------------------
 
     def __bool__(self) -> bool:
@@ -175,22 +165,6 @@ class Poly:
         if not self.terms:
             return NEG_INF
         return max(sum(e) for e, _ in self.terms)
-
-    @property
-    def is_constant(self) -> bool:
-        return all(not any(e) for e, _ in self.terms)
-
-    @property
-    def is_nonzero_scalar(self) -> bool:
-        return len(self.terms) == 1 and not any(self.terms[0][0])
-
-    def constant_value(self) -> int:
-        """Value of a constant polynomial as an integer in [0, p)."""
-        if not self.terms:
-            return 0
-        if not self.is_constant:
-            raise DomainError("polynomial is not constant")
-        return self.terms[0][1]
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.ring == other.ring
@@ -234,15 +208,6 @@ class Poly:
         if not c:
             return Poly.zero(self.ring)
         return Poly(self.ring, tuple((e, (c * v) % self.ring.p) for e, v in self.terms))
-
-    def mul_term(self, coeff: int, exps: tuple[int, ...]) -> "Poly":
-        """Multiply by a single term coeff * D^exps."""
-        coeff %= self.ring.p
-        if not coeff:
-            return Poly.zero(self.ring)
-        return Poly.from_dict(self.ring, {
-            tuple(a + b for a, b in zip(e, exps)): (c * coeff)
-            for e, c in self.terms})
 
     # -- text ----------------------------------------------------------
 
@@ -353,10 +318,6 @@ def vec_is_zero(vec: ModElem) -> bool:
     return all(f.is_zero for f in vec)
 
 
-def vec_mul_poly(a: ModElem, f: Poly) -> ModElem:
-    return tuple(x * f for x in a)
-
-
 def twisted_degree(vec: ModElem, twist: tuple[int, ...]):
     """max_i twist(i) + deg(vec_i); NEG_INF on the zero element."""
     if len(vec) != len(twist):
@@ -423,29 +384,14 @@ class PolyMatrix:
         rows = tuple(tuple(col[i] for col in columns) for i in range(nrows))
         return cls(ring, nrows, len(columns), rows)
 
-    @classmethod
-    def identity(cls, ring: Ring, q: int) -> "PolyMatrix":
-        one = Poly.const(ring, 1)
-        zero = Poly.zero(ring)
-        return cls.from_rows(ring, [[one if i == j else zero for j in range(q)]
-                                    for i in range(q)])
-
     def entry(self, i: int, j: int) -> Poly:
         return self.entries[i][j]
-
-    def row(self, i: int) -> ModElem:
-        return self.entries[i]
 
     def column(self, j: int) -> ModElem:
         return tuple(self.entries[i][j] for i in range(self.nrows))
 
     def columns(self) -> list:
         return [self.column(j) for j in range(self.ncols)]
-
-    def transpose(self) -> "PolyMatrix":
-        rows = tuple(tuple(self.entries[i][j] for i in range(self.nrows))
-                     for j in range(self.ncols))
-        return PolyMatrix(self.ring, self.ncols, self.nrows, rows)
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.ring != other.ring:

@@ -21,19 +21,20 @@ predictable degree property: if G^L is a resolution then so is G, so
 one exactness proof on G^L serves both.
 
 Exactness is proved in two independent ways.  ``check_resolution``
-works on any complex with Schreyer syzygies and module equality; it
-serves ``check resolution`` and the tests.  G^L is graded by the degree
-table, so its exactness follows from Hilbert series of lead-term modules
-alone (``_exact``).  The D0-free leads of a Groebner basis of im G_k^H
+works on any complex, with one tracked completion per level on its
+columns packed over S: Schreyer's syzygies of each level must reduce to
+zero against the Groebner basis of the next level's image.  It serves
+``check resolution`` and the tests.  G^L is graded by the degree table,
+so its exactness follows from Hilbert series of lead-term modules alone
+(``_exact``).  The D0-free leads of a Groebner basis of im G_k^H
 generate the lead-term module of im G_k^L (see ``groebner.ModuleOrder``):
 for a given complex they come from one Buchberger run per level on the
 D0-free part of its lift, tracked at level 1 so that the same run gives
-the witness of a failure (``_leading_syzygies``), and
+the witness of a failure (``_leading_completion``), and
 ``minimal_resolution``, the source of all invariants, reads them off the
 bases its own syzygy runs completed.  A scalar entry of G^L past level 1
-is a degree-0 term of G^H (``_scalar_entry``).  G^H and G^L become
-``Poly`` matrices only when a caller asks for them
-(``homogenize_complex``, ``leading_term_complex``).
+is a degree-0 term of G^H (``_scalar_entry``).  Only the report's
+complex and the witnesses become ``Poly``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .errors import DomainError, InvariantError, PreconditionError, StructuralEr
 from .groebner import (
     _MASK,
     ModuleOrder,
-    SubmodulePresentation,
     _addmul,
     _buchberger,
     _d0_free,
@@ -56,10 +56,10 @@ from .groebner import (
     _lead_numerator,
     _lift_flat,
     _minimal_flat,
+    _reduce_flat,
+    _schreyer,
     _syzygies_flat,
     _to_flat,
-    module_equal,
-    syzygy_basis,
 )
 
 DegreeTable = tuple  # (a_1, ..., a_l), each a tuple[int, ...] of length p_i
@@ -68,20 +68,20 @@ DegreeTable = tuple  # (a_1, ..., a_l), each a tuple[int, ...] of length p_i
 class PolyComplex:
     """A chain (G_1, ..., G_l) known to be a complex.
 
-    Built by ``validate_complex``, as G^H or G^L of one, or by
-    ``_report`` from packed levels it has checked itself.
+    Built by ``validate_complex``, or by ``_report`` from packed levels
+    it has checked itself.
     """
 
-    __slots__ = ("ring", "matrices", "q", "sizes", "_table", "_lift", "_lead_syz")
+    __slots__ = ("ring", "matrices", "q", "sizes", "_table", "_lift", "_lead")
 
-    def __init__(self, ring, matrices, q, sizes, table=None):
+    def __init__(self, ring, matrices, q, sizes):
         self.ring = ring
         self.matrices = matrices
         self.q = q
         self.sizes = sizes  # (p_1, ..., p_l)
-        self._table = table  # column degree table, once computed
+        self._table = None   # column degree table, once computed
         self._lift = None    # ``_graded_lift``, once computed
-        self._lead_syz = None    # ``_leading_syzygies``, once computed
+        self._lead = None    # ``_leading_completion``, once computed
 
     @property
     def length(self) -> int:
@@ -134,101 +134,88 @@ def column_degree_table(cx: PolyComplex) -> DegreeTable:
     return cx._table
 
 
+def _packed_levels(cx: PolyComplex):
+    """The levels of a complex as packed columns over S, with the order of each level.
+
+    ``levels[k]`` holds the columns of G_{k+1} packed by ``orders[k]``,
+    the order over S twisted by a_k (a_0 the zero twist), and
+    ``orders[l]`` is twisted by a_l.
+    """
+    orders = [ModuleOrder(cx.ring, twist) for twist in ((0,) * cx.q,) + column_degree_table(cx)]
+    return ([[_to_flat(col, order) for col in mat.columns()]
+             for mat, order in zip(cx.matrices, orders)], orders)
+
+
 def _graded_lift(cx: PolyComplex):
     """G^H of a complex over S as packed columns over T, with the order of each level.
 
     Returns ``(levels, orders)`` in the form ``_syzygy_chain`` gives a
     resolution: ``levels[k]`` holds the columns of G_{k+1}^H packed by
     ``orders[k]``, the order over T twisted by a_k (a_0 the zero twist),
-    and ``orders[l]`` is twisted by a_l.  Each column of G_{k+1} is
-    packed over S under its row twist a_k and lifted by ``_lift_flat``:
-    its weight is its twisted degree a_{k+1}(j), so entry (i, j) is
-    homogenized in degree e = a_{k+1}(j) - a_k(i).  The table makes e an
-    upper bound for the degree of the entry, attained in every column, so
-    G^H and G^L (its D0-free part) have no zero column and the degree
-    table of G.  They are complexes because G is, so no product is
-    checked again: entry (i, j) of G_k^H G_{k+1}^H is homogeneous of
-    degree a_{k+1}(j) - a_{k-1}(i) and is the same entry of G_k G_{k+1}
-    at D0 = 1, so it is zero, and so is its value at D0 = 0 in G^L.
-    Computed once per complex and kept on it.
+    and ``orders[l]`` is twisted by a_l.  Each column of G_{k+1}, packed
+    over S under its row twist a_k (``_packed_levels``), is lifted by
+    ``_lift_flat``: its weight is its twisted degree a_{k+1}(j), so
+    entry (i, j) is homogenized in degree e = a_{k+1}(j) - a_k(i).  The
+    table makes e an upper bound for the degree of the entry, attained
+    in every column, so G^H and G^L (its D0-free part) have no zero
+    column and the degree table of G.  They are complexes because G is,
+    so no product is checked again: entry (i, j) of G_k^H G_{k+1}^H is
+    homogeneous of degree a_{k+1}(j) - a_{k-1}(i) and is the same entry
+    of G_k G_{k+1} at D0 = 1, so it is zero, and so is its value at
+    D0 = 0 in G^L.  Computed once per complex and kept on it.
     """
     if cx._lift is None:
+        levels, s_orders = _packed_levels(cx)
         t_ring = cx.ring.homogeneous_companion()
-        orders = [ModuleOrder(t_ring, twist)
-                  for twist in ((0,) * cx.q,) + column_degree_table(cx)]
-        levels = []
-        for mat, order in zip(cx.matrices, orders):
-            s_order = ModuleOrder(cx.ring, order.twist)
-            levels.append([_lift_flat(_to_flat(col, s_order), s_order, order)
-                           for col in mat.columns()])
-        cx._lift = (levels, orders)
+        orders = [ModuleOrder(t_ring, order.twist) for order in s_orders]
+        cx._lift = ([[_lift_flat(flat, s_order, order) for flat in cols]
+                     for cols, s_order, order in zip(levels, s_orders, orders)], orders)
     return cx._lift
 
 
-def _leading_levels(cx: PolyComplex):
-    """G^L as packed columns over T, the D0-free part of the lift, and the lift's orders."""
-    levels, orders = _graded_lift(cx)
-    return ([[_d0_free(flat, order) for flat in cols] for cols, order in zip(levels, orders)],
-            orders)
-
-
-def _leading_syzygies(cx: PolyComplex):
-    """The syzygies of G_1^L packed over T and the items of the tracked
-    completion that found them (``_syzygies_flat``), a Groebner basis of
-    im G_1^L.  Computed once per complex and kept on it, so the verdict
-    of ``check_reduced`` and the witness of ``pd_failure_witness`` come
-    from one completion.
+def _leading_completion(cx: PolyComplex):
+    """The columns of G_1^L packed over T and the items of their tracked
+    completion, a Groebner basis of im G_1^L.  Computed once per complex
+    and kept on it, so the verdict of ``check_reduced`` and the witness
+    of ``pd_failure_witness`` come from one completion; only the witness
+    pulls its relations back (``_schreyer``).
     """
-    if cx._lead_syz is None:
+    if cx._lead is None:
         levels, orders = _graded_lift(cx)
         cols = [_d0_free(flat, orders[0]) for flat in levels[0]]
-        cx._lead_syz = _syzygies_flat(cols, orders[0], orders[1])
-    return cx._lead_syz
+        cx._lead = (cols, _buchberger(cols, orders[0], orders[1]))
+    return cx._lead
 
 
-def _complex(levels, orders, ring, table=None) -> PolyComplex:
-    """Packed levels as a complex of ``Poly`` matrices over ``ring``, T or S (``_from_flat``)."""
+def _complex(levels, orders, ring) -> PolyComplex:
+    """Packed levels over T as a complex of ``Poly`` matrices over S at D0 = 1 (``_from_flat``)."""
     mats = tuple(PolyMatrix.from_columns(ring, order.rank,
                                          [_from_flat(order, flat, ring) for flat in cols])
                  for cols, order in zip(levels, orders))
-    return PolyComplex(ring, mats, orders[0].rank, tuple(map(len, levels)), table)
-
-
-def homogenize_complex(cx: PolyComplex) -> PolyComplex:
-    """Entrywise degree-exact lift of the complex into T.
-
-    Entry (i, j) of G_k is homogenized in degree a_k(j) - a_{k-1}(i).
-    Columns of the result are homogeneous for the previous level's
-    twist, and substituting D0 = 1 recovers the input.
-    """
-    levels, orders = _graded_lift(cx)
-    return _complex(levels, orders, orders[0].ring, column_degree_table(cx))
-
-
-def leading_term_complex(cx: PolyComplex) -> PolyComplex:
-    """Keep of each entry only its table-prescribed top-degree part.
-
-    Identical to homogenizing, substituting D0 = 0 and dropping D0.
-    """
-    return _complex(*_leading_levels(cx), cx.ring, column_degree_table(cx))
+    return PolyComplex(ring, mats, orders[0].rank, tuple(map(len, levels)))
 
 
 # -- checks ---------------------------------------------------------------
 
 def check_resolution(cx: PolyComplex) -> bool:
-    """Exactness as modules: injective tail, and image = kernel inside."""
-    if syzygy_basis(cx.matrices[-1]).ncols != 0:
-        return False
-    for i in range(cx.length - 1):
-        ker = syzygy_basis(cx.matrices[i])
-        if ker.ncols == 0:
-            # Next matrix has nonzero columns inside this kernel.
+    """Exactness as modules, by Schreyer's theorem on packed columns over S.
+
+    Level k is packed by the order of its row twist a_{k-1}
+    (``_packed_levels``).  One tracked completion per level
+    (``_syzygies_flat``) gives the syzygies of G_k, packed by the order
+    of a_k, and a Groebner basis of im G_k.  G_k G_{k+1} = 0 puts
+    im G_{k+1} inside ker G_k, so the complex is exact exactly when
+    every syzygy of G_k reduces to zero against the basis of im G_{k+1},
+    which is packed in that same order, and G_l has no syzygy.
+    """
+    levels, orders = _packed_levels(cx)
+    kernel = []
+    for cols, order, syz_order in zip(levels, orders, orders[1:]):
+        syz, items = _syzygies_flat(cols, order, syz_order)
+        if any(_reduce_flat(flat, items, order)[0] for flat in kernel):
             return False
-        image = SubmodulePresentation.from_matrix(cx.matrices[i + 1])
-        kernel = SubmodulePresentation.from_matrix(ker)
-        if not module_equal(image, kernel):
-            return False
-    return True
+        kernel = syz
+    return not kernel
 
 
 def _poly_sum(*polys) -> dict:
@@ -299,11 +286,11 @@ def check_reduced(cx: PolyComplex) -> bool:
     graded, so its exactness is proved by Hilbert series (``_exact``),
     with the leads of one Groebner basis per level of G^L packed over T,
     which stays D0-free: for level 1 the tracked completion of
-    ``_leading_syzygies``, which ``pd_failure_witness`` reuses, and for
+    ``_leading_completion``, which ``pd_failure_witness`` reuses, and for
     the others one untracked completion each.
     """
     levels, orders = _graded_lift(cx)
-    bases = chain([_leading_syzygies(cx)[1]],
+    bases = chain([_leading_completion(cx)[1]],
                   (_buchberger([_d0_free(flat, order) for flat in cols], order)
                    for cols, order in zip(levels[1:], orders[1:])))
     return _exact(([(it.pos, it.exps[1:]) for it in items] for items in bases), orders)
@@ -314,12 +301,13 @@ def pd_failure_witness(cx: PolyComplex):
 
     Any nonzero homogeneous kernel element y of G_1^L has twisted degree
     strictly above deg(G_1 @ y), so it certifies the failure: here the
-    first syzygy of G_1^L packed over T (``_leading_syzygies``), at
-    D0 = 1.  Returns None when G_1^L has no kernel (the failure, if any,
-    sits deeper).
+    syzygy of G_1^L packed over T with the smallest lead, pulled back
+    from the completion of ``_leading_completion``, at D0 = 1.  Returns
+    None when G_1^L has no kernel (the failure, if any, sits deeper).
     """
-    syz, _ = _leading_syzygies(cx)
+    cols, items = _leading_completion(cx)
     _, orders = _graded_lift(cx)
+    syz = _schreyer(cols, items, orders[0], orders[1])
     return _from_flat(orders[1], syz[0], cx.ring) if syz else None
 
 

@@ -3,13 +3,16 @@
 Submodules of a free module R^p are handled through a degree-compatible
 term-over-position order: a term is a monomial sitting in one coordinate
 of R^p, terms are compared by twisted weight first, then by grevlex on
-the monomial, then by position (lower position wins).  The engine
-provides normal forms, Buchberger completion, reduced (canonical) bases,
-membership and module equality, syzygies via Schreyer's construction
-with coordinates converted back to the caller's generators,
-extraction of minimal homogeneous generating sets of graded submodules,
-and Hilbert series numerators of graded submodules, read off the lead
-terms of a Groebner basis by a pivot algorithm on monomial ideals.
+the monomial, then by position (lower position wins).  Every routine
+works on packed columns (below): normal forms (``_reduce_flat``),
+Buchberger completion (``_buchberger``), reduced (canonical) bases
+(``_interreduce``), syzygies via Schreyer's construction in the
+caller's coordinates (``_syzygies_flat``, ``_schreyer``), minimal
+homogeneous generating sets of graded submodules (``_minimal_flat``),
+and Hilbert series numerators of lead-term modules, by a pivot
+algorithm on monomial ideals (``_lead_numerator``).  ``_to_flat`` and
+``_from_flat`` pack and unpack ``Poly`` columns; callers unpack only
+what a report prints.
 
 One resumable Buchberger completion (``_Completion``, normal strategy)
 serves every caller and skips pairs by the Gebauer-Moeller chain
@@ -26,12 +29,11 @@ term of a dict of terms is its ``max``, multiplying by a monomial is one
 integer addition, and a divisibility test is one subtraction and one
 mask.  ``complexes`` lifts columns into T term by term as integers
 (``_lift_flat``): the code's reduced basis for its resolution chain, and
-every column of a given complex.  It calls the packed cores of
-``syzygy_basis`` and ``minimal_generators`` itself, so its columns are
-never unpacked before a report, takes the value at D0 = 0 by dropping
-terms (``_d0_free``), and reads Hilbert series off lead terms
-(``_lead_numerator``): of the Groebner bases the chain's syzygy runs
-complete, or of one untracked run per level of a given complex.
+every column of a given complex.  It takes the value at D0 = 0 by
+dropping terms (``_d0_free``) and reads Hilbert series off lead terms:
+of the Groebner bases the chain's syzygy runs complete, or of one
+completion per level of a given complex.  ``check_resolution`` and
+``observability`` run the same cores on columns packed over S.
 """
 
 from __future__ import annotations
@@ -39,15 +41,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .algebra import (
-    ModElem,
-    Poly,
-    PolyMatrix,
-    Ring,
-    check_twist,
-    vec_is_zero,
-)
-from .errors import DomainError, InvariantError, StructuralError
+from .algebra import ModElem, Poly, Ring, check_twist
+from .errors import DomainError, InvariantError
 
 # Internally a module element is a flat dict {packed term: coeff}, with
 # coefficients in [1, p).  A packed term is an int of base-2^32 digits,
@@ -147,39 +142,6 @@ class ModuleOrder:
         """Whether the packed term ``lead`` divides the packed term ``packed``."""
         return ((lead & _MASK) == (packed & _MASK)
                 and not ((lead & self._tail) - (packed & self._tail)) & self._guard)
-
-
-def zero_order(ring: Ring, rank: int) -> ModuleOrder:
-    return ModuleOrder(ring, (0,) * rank)
-
-
-@dataclass(frozen=True)
-class SubmodulePresentation:
-    """Generators of a submodule of R^rank, plus the ambient twist."""
-
-    ring: Ring
-    rank: int
-    generators: tuple
-    twist: tuple[int, ...] = None
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise StructuralError("ambient rank must be >= 1")
-        if not self.generators:
-            raise StructuralError("need at least one generator")
-        for g in self.generators:
-            if len(g) != self.rank:
-                raise StructuralError("generator rank mismatch")
-            if vec_is_zero(g):
-                raise DomainError("zero generator column")
-        if self.twist is None:
-            object.__setattr__(self, "twist", (0,) * self.rank)
-        else:
-            object.__setattr__(self, "twist", check_twist(self.twist, self.rank))
-
-    @classmethod
-    def from_matrix(cls, matrix: PolyMatrix, twist=None) -> "SubmodulePresentation":
-        return cls(matrix.ring, matrix.nrows, tuple(matrix.columns()), twist)
 
 
 # -- flat representation helpers ----------------------------------------
@@ -508,113 +470,39 @@ def _interreduce(items, order: ModuleOrder):
     return reduced
 
 
-class GroebnerBasis:
-    """The reduced Groebner basis of a submodule of R^rank."""
-
-    __slots__ = ("ring", "rank", "order", "elements", "_items")
-
-    def __init__(self, ring, rank, order, items):
-        self.ring = ring
-        self.rank = rank
-        self.order = order
-        self._items = items
-        self.elements = tuple(_from_flat(order, it.flat) for it in items)
-
-    def __len__(self):
-        return len(self._items)
-
-    def __eq__(self, other):
-        return (isinstance(other, GroebnerBasis) and self.ring == other.ring
-                and self.rank == other.rank and self.order == other.order
-                and self.elements == other.elements)
-
-    def __hash__(self):
-        return hash((self.ring, self.rank, self.order, self.elements))
-
-
-def groebner_basis(module: SubmodulePresentation,
-                   order: ModuleOrder = None) -> GroebnerBasis:
-    """Reduced Groebner basis; canonical for (module, order)."""
-    if order is None:
-        order = ModuleOrder(module.ring, module.twist)
-    if order.rank != module.rank or order.ring != module.ring:
-        raise StructuralError("order does not match the presentation")
-    items = _buchberger([_to_flat(g, order) for g in module.generators], order)
-    items = _interreduce(items, order)
-    return GroebnerBasis(module.ring, module.rank, order, items)
-
-
-def normal_form(f: ModElem, basis: GroebnerBasis) -> ModElem:
-    """Remainder of f on division by the basis; f - result is in the span."""
-    if len(f) != basis.rank:
-        raise StructuralError(f"element of rank {len(f)} against basis of rank {basis.rank}")
-    for poly in f:
-        if poly.ring != basis.ring:
-            raise StructuralError("element ring does not match basis ring")
-    rem, _ = _reduce_flat(_to_flat(f, basis.order), basis._items, basis.order)
-    return _from_flat(basis.order, rem)
-
-
-def membership(f: ModElem, module: SubmodulePresentation) -> bool:
-    return vec_is_zero(normal_form(f, groebner_basis(module)))
-
-
-def module_equal(m1: SubmodulePresentation, m2: SubmodulePresentation) -> bool:
-    """Whether two presentations span the same submodule.
-
-    Compares reduced bases under the shared zero-twist order, so the
-    answer does not depend on the presentations' own twists.
-    """
-    if m1.ring != m2.ring or m1.rank != m2.rank:
-        raise StructuralError("presentations live in different ambient modules")
-    order = zero_order(m1.ring, m1.rank)
-    return groebner_basis(m1, order).elements == groebner_basis(m2, order).elements
-
-
 # -- syzygies ------------------------------------------------------------
-
-def syzygy_basis(matrix: PolyMatrix, row_twist=None) -> PolyMatrix:
-    """Generators of {y : matrix @ y = 0}, as columns over the matrix's ring.
-
-    A 0-column result means the matrix is injective.  For a matrix that
-    is homogeneous with respect to ``row_twist`` the returned syzygies
-    are homogeneous as well.  See ``_syzygies_flat``.
-    """
-    ring = matrix.ring
-    q, t = matrix.nrows, matrix.ncols
-    if t == 0:
-        return PolyMatrix.from_columns(ring, 0, [])
-    if matrix.has_zero_column():
-        raise DomainError("matrix has a zero column")
-    order = ModuleOrder(ring, (0,) * q if row_twist is None else check_twist(row_twist, q))
-    syz_order = ModuleOrder(ring, matrix.column_degrees(row_twist))
-    cols, _ = _syzygies_flat([_to_flat(c, order) for c in matrix.columns()], order, syz_order)
-    return PolyMatrix.from_columns(ring, t, [_from_flat(syz_order, flat) for flat in cols])
-
 
 def _syzygies_flat(gens_flat, order: ModuleOrder, syz_order: ModuleOrder):
     """Syzygies of the packed columns ``gens_flat`` as packed columns.
 
     Schreyer's construction: complete the columns to a Groebner basis
     while tracking expressions in the original columns (a tracked
-    ``_Completion``), and pull back to the original coordinates the
-    relations its pairs that reduced to zero left.  No S-pair is reduced
-    again.  A pair a Gebauer-Moeller criterion dropped has its relation
-    in the span of the kept pairs' relations (Gebauer and Moeller, JSC 6,
-    1988; Moeller, Mora and Traverso, ISSAC 1992), and a pair that
-    produced item h has the relation sigma - c e_h, whose pull-back is
-    zero.  The columns of (I - A B), with A the tracked expressions and
-    B the division of the originals by the basis, complete the
-    generating set.
+    ``_Completion``), then pull back the relations it left
+    (``_schreyer``).  ``gens_flat`` are packed by ``order``; the
+    syzygies are packed by ``syz_order``, whose twist should be the
+    columns' degrees.  Returns them with the items of the completion, a
+    Groebner basis of the columns' span.
+    """
+    items = _buchberger(gens_flat, order, syz_order)
+    return _schreyer(gens_flat, items, order, syz_order), items
 
-    ``gens_flat`` are packed by ``order``; the syzygies are packed by
-    ``syz_order``, whose twist should be the columns' degrees, and come
-    monic, without repeats, sorted by ascending lead.  Returns them with
-    the items of the completion, a Groebner basis of the columns' span.
+
+def _schreyer(gens_flat, items, order: ModuleOrder, syz_order: ModuleOrder) -> list:
+    """The syzygies of ``gens_flat`` from the items of their tracked completion.
+
+    The relations its pairs that reduced to zero left are pulled back to
+    the original coordinates; no S-pair is reduced again.  A pair a
+    Gebauer-Moeller criterion dropped has its relation in the span of
+    the kept pairs' relations (Gebauer and Moeller, JSC 6, 1988; Moeller,
+    Mora and Traverso, ISSAC 1992), and a pair that produced item h has
+    the relation sigma - c e_h, whose pull-back is zero.  The columns of
+    (I - A B), with A the tracked expressions and B the division of the
+    originals by the basis, complete the generating set.  The syzygies
+    are packed by ``syz_order`` and come monic, without repeats, sorted
+    by ascending lead.
     """
     p = order.ring.p
     one = (0,) * order.ring.nvars
-    items = _buchberger(gens_flat, order, syz_order)
 
     # Relations, keyed by (basis index, packed shift), that the completion
     # left on its items, pulled back to the original columns.
@@ -653,56 +541,10 @@ def _syzygies_flat(gens_flat, order: ModuleOrder, syz_order: ModuleOrder):
         seen.add(key)
         cleaned.append((lead, flat))
     cleaned.sort(key=lambda pair: pair[0])
-    return [flat for _, flat in cleaned], items
-
-
-def matrix_kernel(matrix: PolyMatrix) -> PolyMatrix:
-    """Generators of {y : matrix @ y = 0}, with zero columns permitted.
-
-    A zero column contributes a free unit generator; the remaining
-    relations come from the syzygies of the nonzero columns.
-    """
-    ring = matrix.ring
-    t = matrix.ncols
-    zero_cols = [j for j in range(t) if vec_is_zero(matrix.column(j))]
-    if len(zero_cols) == t:
-        return PolyMatrix.identity(ring, t)
-    live = [j for j in range(t) if j not in zero_cols]
-    sub = PolyMatrix.from_columns(ring, matrix.nrows,
-                                  [matrix.column(j) for j in live])
-    syz = syzygy_basis(sub)
-    zero = Poly.zero(ring)
-    one = Poly.const(ring, 1)
-    cols = []
-    for k in range(syz.ncols):
-        col = syz.column(k)
-        full = [zero] * t
-        for idx, j in enumerate(live):
-            full[j] = col[idx]
-        cols.append(tuple(full))
-    for j in zero_cols:
-        unit = [zero] * t
-        unit[j] = one
-        cols.append(tuple(unit))
-    return PolyMatrix.from_columns(ring, t, cols)
-
-
-def left_kernel(matrix: PolyMatrix) -> PolyMatrix:
-    """Rows h with h @ matrix = 0; the kernel of the transpose."""
-    return matrix_kernel(matrix.transpose()).transpose()
+    return [flat for _, flat in cleaned]
 
 
 # -- minimal homogeneous generators ---------------------------------------
-
-def minimal_generators(module: SubmodulePresentation, twist=None) -> PolyMatrix:
-    """A minimal homogeneous generating set of a graded submodule, picked
-    by ``_minimal_flat`` under ``twist`` (default: the module's own)."""
-    twist = module.twist if twist is None else check_twist(twist, module.rank)
-    order = ModuleOrder(module.ring, twist)
-    kept = _minimal_flat([_to_flat(g, order) for g in module.generators], order)
-    return PolyMatrix.from_columns(module.ring, module.rank,
-                                   [module.generators[k] for k in kept])
-
 
 def _minimal_flat(gens_flat, order: ModuleOrder) -> list:
     """Indices of a minimal homogeneous generating set of packed columns.
@@ -839,21 +681,3 @@ def _lead_numerator(leads, twist, nvars: int) -> dict:
         for k, c in monomial_hilbert_numerator(exps, nvars).items():
             out[a + k] = out.get(a + k, 0) - c
     return {k: c for k, c in out.items() if c}
-
-
-def hilbert_numerator(module: SubmodulePresentation) -> dict:
-    """N with HS(M) = N(t) / (1 - t)^nvars for a graded submodule M.
-
-    M lies in the direct sum of R(-a_i) with a = ``module.twist``, and
-    every generator must be homogeneous for that twist (``DomainError``
-    otherwise).  By Macaulay's theorem M and its lead-term module under
-    ``ModuleOrder(ring, a)`` have one Hilbert function, and the leads of
-    any Groebner basis generate the lead-term module, so one untracked
-    Buchberger run without interreduction serves (``_lead_numerator``).
-    """
-    order = ModuleOrder(module.ring, module.twist)
-    gens_flat = [_to_flat(g, order) for g in module.generators]
-    for flat in gens_flat:
-        _flat_degree(flat, order)
-    return _lead_numerator(((it.pos, it.exps) for it in _buchberger(gens_flat, order)),
-                          module.twist, module.ring.nvars)

@@ -1,10 +1,13 @@
 """Observability: torsion-freeness of S^q/C and parity-check extraction.
 
 A code is observable when it is the full kernel of some polynomial
-matrix H (a parity check / syndrome former).  The decision procedure is
-the double-kernel route: H is the left kernel of the generator matrix,
-K the kernel of H; the code is observable exactly when it equals K, and
-any generator of K outside the code is a torsion element of S^q/C.
+matrix H (a parity check / syndrome former).  The decision procedure:
+H is the left kernel of the generator matrix, K the kernel of H, both
+Schreyer syzygies on packed columns over S.  The code lies in K by
+construction, so it is observable exactly when every generator of K
+reduces to zero against a Groebner basis of the code; the first one
+that does not is a torsion element of S^q/C.  Only H and the witness
+are unpacked, for the report.
 
 The reduction-modulo-irreducibles criterion is implemented as a
 univariate spot check only: for n = 1 the quotient by an irreducible
@@ -23,16 +26,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CodePresentation, ModElem, Poly, PolyMatrix, vec_is_zero, vec_mul_poly
+from .algebra import CodePresentation, ModElem, Poly, PolyMatrix
 from .complexes import PolyComplex
 from .errors import DomainError, InputError, InvariantError, UnsupportedDimensionError
 from .groebner import (
-    SubmodulePresentation,
-    groebner_basis,
-    left_kernel,
-    matrix_kernel,
-    normal_form,
-    syzygy_basis,
+    _C,
+    _MASK,
+    ModuleOrder,
+    _addmul,
+    _buchberger,
+    _from_flat,
+    _reduce_flat,
+    _syzygies_flat,
+    _to_flat,
 )
 from .oracle import rref_mod_p
 
@@ -62,48 +68,80 @@ class ObservabilityReport:
     witness: TorsionWitness | None
 
 
-def _torsion_multiplier(code: CodePresentation, elem: ModElem) -> Poly:
-    """A nonzero s with s * elem inside the code.
+def _kernel(vecs, order: ModuleOrder, out: ModuleOrder) -> list:
+    """Generators of {y : sum_j y_j vecs[j] = 0}, packed by ``out``.
 
-    The multipliers form the first coordinates of the syzygies of the
-    matrix [elem | generators]; a nonzero one exists whenever elem is
-    torsion modulo the code.
+    ``vecs`` are packed by ``order`` and ``out`` is the zero-twist order
+    on S^len(vecs); zero vectors are allowed.  The syzygies of the
+    nonzero vectors (``_syzygies_flat``, twisted by their degrees) come
+    first, moved to the vectors' positions, then a unit for each zero
+    vector.
     """
-    ring = code.ring
-    cols = [elem] + code.generators.columns()
-    stacked = PolyMatrix.from_columns(ring, code.q, cols)
-    syz = syzygy_basis(stacked)
-    candidates = [syz.entry(0, j) for j in range(syz.ncols) if not syz.entry(0, j).is_zero]
+    live = [j for j, vec in enumerate(vecs) if vec]
+    syz_order = ModuleOrder(order.ring, tuple(max(vecs[j]) >> order._weight_at for j in live))
+    syz, _ = _syzygies_flat([vecs[j] for j in live], order, syz_order)
+    moved = [{out.pack((live[pos], exps)): c for t, c in flat.items()
+              for pos, exps in [syz_order.unpack(t)]} for flat in syz]
+    one = (0,) * order.ring.nvars
+    return moved + [{out.pack((j, one)): 1} for j, vec in enumerate(vecs) if not vec]
+
+
+def _transpose(rows, order: ModuleOrder, t_order: ModuleOrder) -> list:
+    """The columns of the matrix whose rows are packed by ``order``, packed by ``t_order``."""
+    cols = [{} for _ in range(order.rank)]
+    for i, row in enumerate(rows):
+        for t, c in row.items():
+            j, exps = order.unpack(t)
+            cols[j][t_order.pack((i, exps))] = c
+    return cols
+
+
+def _torsion_multiplier(elem: dict, cols, order: ModuleOrder) -> Poly:
+    """A nonzero s with s * elem in the span of ``cols``, all packed by ``order``.
+
+    The multipliers form the first coordinates of the syzygies of
+    [elem | cols] (``_kernel``); a nonzero one exists whenever elem is
+    torsion modulo the span.  Only those coordinates are unpacked, and
+    the least by (degree, terms) is taken.
+    """
+    out = ModuleOrder(order.ring, (0,) * (len(cols) + 1))
+    firsts = (Poly.from_dict(order.ring, {out.unpack(t)[1]: c
+                                          for t, c in flat.items() if t & _MASK == _C})
+              for flat in _kernel([elem] + cols, order, out))
+    candidates = [f for f in firsts if f]
     if not candidates:
         raise DomainError("element is not torsion modulo the code")
-    candidates.sort(key=lambda f: (f.degree, f.terms))
-    return candidates[0]
+    return min(candidates, key=lambda f: (f.degree, f.terms))
 
 
 def is_observable(code: CodePresentation) -> ObservabilityReport:
-    """Decide observability; emit a parity check or a torsion witness."""
-    ring = code.ring
-    q = code.q
-    parity = left_kernel(code.generators)
-    if parity.nrows == 0:
-        kernel_cols = PolyMatrix.identity(ring, q).columns()
-    else:
-        kernel_cols = matrix_kernel(parity).columns()
-    if not kernel_cols:
-        raise InvariantError("the kernel of the left kernel must contain the code")
-    # Both presentations have the zero twist, so their default orders are
-    # the shared order of ``module_equal``: equal reduced bases, equal modules.
-    code_basis = groebner_basis(SubmodulePresentation.from_matrix(code.generators))
-    kernel_pres = SubmodulePresentation(ring, q, tuple(kernel_cols))
-    if code_basis.elements == groebner_basis(kernel_pres).elements:
-        return ObservabilityReport(True, parity, None)
-    for g in kernel_cols:
-        if not vec_is_zero(normal_form(g, code_basis)):
-            s = _torsion_multiplier(code, g)
-            if not vec_is_zero(normal_form(vec_mul_poly(g, s), code_basis)):
+    """Decide observability; emit a parity check or a torsion witness.
+
+    H is the left kernel of the generators and K the kernel of H
+    (``_kernel``), packed by the zero-twist order on S^q.  The code lies
+    in K, so it is K exactly when every generator of K reduces to zero
+    against a Groebner basis of the code; the first that does not is the
+    witness, with its multiplier checked to bring it into the code.
+    """
+    ring, gens = code.ring, code.generators
+    order = ModuleOrder(ring, (0,) * code.q)
+    row_order = ModuleOrder(ring, (0,) * gens.ncols)
+    parity = _kernel([_to_flat(row, row_order) for row in gens.entries], row_order, order)
+    col_order = ModuleOrder(ring, (0,) * len(parity))
+    kernel = _kernel(_transpose(parity, order, col_order), col_order, order)
+    cols = [_to_flat(col, order) for col in gens.columns()]
+    basis = _buchberger(cols, order)
+    for g in kernel:
+        if _reduce_flat(g, basis, order)[0]:
+            s = _torsion_multiplier(g, cols, order)
+            multiple: dict = {}
+            for exps, c in s.terms:
+                _addmul(multiple, g, c, order.shift(exps), ring.p)
+            if _reduce_flat(multiple, basis, order)[0]:
                 raise InvariantError("torsion multiple of the witness is outside the code")
-            return ObservabilityReport(False, None, TorsionWitness(g, s))
-    raise InvariantError("kernel differs from the code but has no outside generator")
+            return ObservabilityReport(False, None, TorsionWitness(_from_flat(order, g), s))
+    rows = tuple(_from_flat(order, h) for h in parity)
+    return ObservabilityReport(True, PolyMatrix(ring, len(rows), code.q, rows), None)
 
 
 # -- univariate spot check -----------------------------------------------

@@ -2,8 +2,8 @@
 
 Every count and basis here is computed without the Groebner engine,
 over explicit monomial bases by dense row reduction modulo p: the second
-route against which Hilbert values, exactness of degree slices, kernels
-of truncated maps and the memory recursion are checked.
+route against which Hilbert values, exactness of degree slices and
+kernels of truncated maps are checked.
 
 One term order serves every slice, map and echelon: ``_keys`` ranks the
 terms of S^q by degree, then position, then exponents, so a degree-<= d
@@ -46,7 +46,7 @@ from math import comb
 import numpy as np
 
 from .algebra import CodePresentation, ModElem, Poly, PolyMatrix, Ring, check_twist
-from .errors import DomainError, InputError, InvariantError, StructuralError
+from .errors import DomainError, InputError, InvariantError
 
 # Largest dense matrix (rows x columns) the oracle handles; a code's
 # echelon counts as its full matrix of generator shifts at the cap.
@@ -458,28 +458,3 @@ def truncated_kernel(mat: PolyMatrix, row_twist, col_twist, d: int):
     terms = [(j, e) for j, t in enumerate(col_twist)
              for k in range(d - t + 1) for e in _compositions(ring.n, k)]
     return [_element(ring, mat.ncols, terms, v) for v in nullspace_mod_p(rows.T, ring.p)]
-
-
-def memory_recovery_check(code: CodePresentation, m: int, d_max: int) -> bool:
-    """Whether the degree-<= m slice regenerates all slices up to d_max.
-
-    Starting from the oracle basis of the degree-<= m slice, each next
-    candidate slice is the span of the previous one and its products
-    with the variables: the ``_shift_rows`` of degree <= 1 of its
-    elements as degree-0 generators, in RREF in ``_keys`` order.  The
-    check succeeds when every candidate equals the oracle slice.
-    """
-    ring, q, n = code.ring, code.q, code.ring.n
-    if d_max <= m:
-        raise StructuralError("d_max must exceed the starting degree")
-    current = list(truncated_code_space(code, m).basis)
-    for d in range(m + 1, d_max + 1):
-        terms, _ = _slice(n, (0,) * q, d)
-        _check_cells(len(current) * (n + 1), len(terms))
-        rows = _shift_rows(_generator_terms(current, [0] * len(current)), q, 0, 1,
-                           np.arange(len(terms)), len(terms))
-        candidate = [_element(ring, q, terms, row) for row in rref_mod_p(rows, ring.p)[0]]
-        if candidate != list(truncated_code_space(code, d).basis):
-            return False
-        current = candidate
-    return True

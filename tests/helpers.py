@@ -1,7 +1,8 @@
 """Shared fixtures: tiny constructors, seeded generators, slice oracles,
-the reference resolution routes, the criteria-free Groebner routes, the
-list-based univariate spot check and the entrywise homogeneity helpers
-that only tests use."""
+the adapter between ``Poly`` columns and the packed core, the reference
+resolution routes, the criteria-free Groebner routes, the former
+resolution and observability checks, the list-based univariate spot
+check and the entrywise homogeneity helpers that only tests use."""
 
 import functools
 import heapq
@@ -32,7 +33,9 @@ from convres.algebra import (
 )
 from convres.complexes import (
     ResolutionReport,
+    _d0_free,
     _exact_by_numerators,
+    _graded_lift,
     _lifted_code,
     _syzygy_chain,
     check_reduced,
@@ -43,25 +46,24 @@ from convres.complexes import (
 )
 from convres.errors import DomainError, InvariantError, PolyParseError, StructuralError
 from convres.groebner import (
-    GroebnerBasis,
     ModuleOrder,
-    SubmodulePresentation,
     _GBItem,
     _addmul,
+    _buchberger,
     _check_weight,
+    _flat_degree,
     _from_flat,
     _interreduce,
     _lcm_shifts,
+    _minimal_flat,
     _monic,
     _reduce_flat,
     _spair_parts,
+    _syzygies_flat,
     _to_flat,
-    groebner_basis,
-    hilbert_numerator,
-    minimal_generators,
     monomial_hilbert_numerator,
-    syzygy_basis,
 )
+from convres.observability import ObservabilityReport, TorsionWitness
 from convres.invariants import hilbert_formula
 from convres.oracle import (
     _compositions,
@@ -103,6 +105,66 @@ def paper_matrix():
     return mat(r, [["2*D1^3 + D1 + 1", "D1^2 - 10"],
                    ["D1^2 - 5", "D1 + 4"],
                    ["3*D1^4 + 7*D1", "D1^2 + 1"]])
+
+
+# -- the adapter between Poly columns and the packed core ---------------------
+# Tests hand ``Poly`` data to the packed core (``_syzygies_flat``,
+# ``_buchberger``, ``_minimal_flat``, ...) through ``pack`` and read its
+# results back through ``unpack``; nothing else converts.
+
+def pack(columns, order):
+    """``Poly`` columns as packed dicts under ``order``."""
+    return [_to_flat(col, order) for col in columns]
+
+
+def unpack(flats, order, ring=None):
+    """Packed columns as tuples of ``Poly``: over ``order.ring``, or
+    over S at D0 = 1 when ``ring`` is S (see ``_from_flat``)."""
+    return [_from_flat(order, flat, ring) for flat in flats]
+
+
+def core_syzygies(gens_flat, order, syz_order):
+    """The packed core's syzygies of packed columns (``_syzygies_flat``)."""
+    return _syzygies_flat(gens_flat, order, syz_order)[0]
+
+
+def poly_syzygies(matrix, row_twist=None, route=core_syzygies):
+    """The syzygies of a ``Poly`` matrix by a packed route, as ``Poly`` columns.
+
+    The columns are packed by the order of ``row_twist`` (zero by
+    default) and the syzygies by the order of the column degrees.
+    """
+    ring = matrix.ring
+    order = ModuleOrder(ring, row_twist or (0,) * matrix.nrows)
+    syz_order = ModuleOrder(ring, matrix.column_degrees(row_twist))
+    return unpack(route(pack(matrix.columns(), order), order, syz_order), syz_order)
+
+
+def reduced_basis(gens_flat, order):
+    """The packed core's reduced Groebner basis of packed columns, as packed columns."""
+    return [it.flat for it in _interreduce(_buchberger(gens_flat, order), order)]
+
+
+def mul_monomial(f, exps, coeff=1):
+    """coeff * D^exps * f."""
+    return Poly.from_dict(f.ring, {tuple(map(add, e, exps)): c * coeff for e, c in f.terms})
+
+
+def scalar_value(f):
+    """The value of a nonzero scalar polynomial, else None."""
+    return f.terms[0][1] if len(f.terms) == 1 and not any(f.terms[0][0]) else None
+
+
+def unpacked_lift(cx):
+    """The packed lift of a complex (``_graded_lift``) through the adapter:
+    the matrices of G^H over T and of G^L, its D0-free part, over S."""
+    levels, orders = _graded_lift(cx)
+    high = tuple(PolyMatrix.from_columns(order.ring, order.rank, unpack(cols, order))
+                 for cols, order in zip(levels, orders))
+    low = tuple(PolyMatrix.from_columns(cx.ring, order.rank,
+                                        unpack([_d0_free(f, order) for f in cols], order, cx.ring))
+                for cols, order in zip(levels, orders))
+    return high, low
 
 
 # -- seeded random generators -------------------------------------------
@@ -201,10 +263,12 @@ def random_complex(rng):
     style = rng.random()
     if style < 0.4:
         return validate_complex([g1])
-    syz = syzygy_basis(g1)
-    if syz.ncols == 0:
+    order = ModuleOrder(ring, (0,) * q)
+    syz_order = ModuleOrder(ring, g1.column_degrees())
+    syz, _ = _syzygies_flat(pack(g1.columns(), order), order, syz_order)
+    if not syz:
         return validate_complex([g1])
-    cols = syz.columns()
+    cols = unpack(syz, syz_order)
     if style < 0.7:
         cols = cols[:3]
     else:
@@ -212,7 +276,8 @@ def random_complex(rng):
         k = rng.randrange(len(cols))
         slot = rng.randrange(ring.nvars)
         shift = tuple(1 if i == slot else 0 for i in range(ring.nvars))
-        cols[k] = tuple(f.mul_term(1, shift) for f in cols[k])
+        cols[k] = tuple(Poly.from_dict(ring, {tuple(map(add, e, shift)): c for e, c in f.terms})
+                        for f in cols[k])
         if len(cols) > 1 and rng.random() < 0.5:
             cols.pop(rng.randrange(len(cols)))
     g2 = PolyMatrix.from_columns(ring, g1.ncols, cols)
@@ -229,9 +294,9 @@ def probe_corpus() -> tuple:
     return tuple(cases)
 
 
-def benchmark_complexes(ops: int) -> list:
-    """The complexes of the ``check`` ops among the first ``ops`` seed-0
-    small-mix benchmark ops: Koszul complexes, many of them damaged."""
+def benchmark_documents(command: str, ops: int) -> list:
+    """The parsed documents of the ``command`` ops among the first ``ops``
+    seed-0 small-mix benchmark ops."""
     bench = str(Path(__file__).resolve().parents[1] / "bench")
     sys.path.insert(0, bench)
     try:
@@ -239,8 +304,36 @@ def benchmark_complexes(ops: int) -> list:
     finally:
         sys.path.remove(bench)
     from convres.cli import parse_input
-    return [parse_input(text).complex for cmd, _, text in workloads.generate("small-mix", 0, ops)
-            if cmd == "check"]
+    return [parse_input(text) for cmd, _, text in workloads.generate("small-mix", 0, ops)
+            if cmd == command]
+
+
+def benchmark_complexes(ops: int) -> list:
+    """The complexes of the ``check`` ops among the first ``ops`` seed-0
+    small-mix benchmark ops: Koszul complexes, many of them damaged."""
+    return [doc.complex for doc in benchmark_documents("check", ops)]
+
+
+@st.composite
+def complexes(draw):
+    """A hypothesis strategy: a code of ``codes`` alone, or followed by
+    up to three of its syzygies, one of them multiplied by a variable or
+    dropped on some draws (still a complex, often inexact)."""
+    c = draw(codes())
+    syz = poly_syzygies(c.generators)
+    if not syz or draw(st.booleans()):
+        return validate_complex([c.generators])
+    cols = syz[:3]
+    damage = draw(st.sampled_from(["none", "shift", "drop"]))
+    if damage == "shift":
+        k = draw(st.integers(0, len(cols) - 1))
+        slot = draw(st.integers(0, c.ring.n - 1))
+        cols[k] = tuple(mul_monomial(f, tuple(int(i == slot) for i in range(c.ring.n)))
+                        for f in cols[k])
+    elif damage == "drop" and len(cols) > 1:
+        cols.pop(draw(st.integers(0, len(cols) - 1)))
+    return validate_complex([c.generators,
+                             PolyMatrix.from_columns(c.ring, c.generators.ncols, cols)])
 
 
 # -- graded slice oracle over T -------------------------------------------
@@ -291,7 +384,7 @@ def graded_minimal_generator_count(generators, rank, twist, ring):
         # Full degree-d slice of the module: all shifts of all generators.
         for g, gd in zip(generators, degs):
             for e in _exact_degree_monomials(ring.nvars, d - gd):
-                rows.append(vectorize(tuple(f.mul_term(1, e) for f in g), index, dim))
+                rows.append(vectorize(tuple(mul_monomial(f, e) for f in g), index, dim))
         m_d = 0
         basis_elems = []
         if rows:
@@ -309,7 +402,7 @@ def graded_minimal_generator_count(generators, rank, twist, ring):
         for elem in prev_basis_elems:
             for slot in range(ring.nvars):
                 sh = tuple(1 if i == slot else 0 for i in range(ring.nvars))
-                shifted.append(vectorize(tuple(f.mul_term(1, sh) for f in elem),
+                shifted.append(vectorize(tuple(mul_monomial(f, sh) for f in elem),
                                          index, dim))
         triv = 0
         if shifted:
@@ -376,7 +469,7 @@ def reference_slice(code, d, cap):
         for e in _monomials_up_to(ring.n, cap - gdeg):
             v = np.zeros(len(big), dtype=np.int64)
             for pos, f in enumerate(g):
-                for e2, c in f.mul_term(1, e).terms:
+                for e2, c in mul_monomial(f, e).terms:
                     v[index[(pos, e2)]] = c
             rows.append(v)
     if not rows:
@@ -472,12 +565,12 @@ def from_rows(ring, rank, terms, rows):
 
 def reference_truncated_map(mat, row_twist, col_twist, d):
     """The former ``_truncated_map``: the (target x source) matrix of the
-    slice map in ``reference_slice_terms`` order, one ``mul_term`` per
-    source term; a target term outside the slice raises KeyError."""
+    slice map in ``reference_slice_terms`` order, one monomial product
+    per source term; a target term outside the slice raises KeyError."""
     n = mat.ring.n
     src = reference_slice_terms(n, check_twist(col_twist, mat.ncols), d)
     dst = reference_slice_terms(n, check_twist(row_twist, mat.nrows), d)
-    images = [tuple(mat.entry(i, pos).mul_term(1, e) for i in range(mat.nrows))
+    images = [tuple(mul_monomial(mat.entry(i, pos), e) for i in range(mat.nrows))
               for pos, e in src]
     return as_rows(images, dst).T
 
@@ -506,10 +599,10 @@ def reference_truncated_kernel(mat, row_twist, col_twist, d):
 
 
 def reference_memory_recovery_check(code, m, d_max):
-    """The former ``memory_recovery_check``: each candidate is the span of
-    the previous slice and its ``mul_term`` products with the variables,
-    compared with the oracle slice as RREF in ``reference_slice_terms``
-    order."""
+    """Whether the degree-<= m slice regenerates all slices up to d_max:
+    each candidate is the span of the previous slice and its products
+    with the variables, compared with the oracle slice as RREF in
+    ``reference_slice_terms`` order."""
     ring, q, n = code.ring, code.q, code.ring.n
     if d_max <= m:
         raise StructuralError("d_max must exceed the starting degree")
@@ -517,7 +610,7 @@ def reference_memory_recovery_check(code, m, d_max):
     current = list(truncated_code_space(code, m).basis)
     for d in range(m + 1, d_max + 1):
         terms = reference_slice_terms(n, (0,) * q, d)
-        shifted = [tuple(f.mul_term(1, e) for f in elem)
+        shifted = [tuple(mul_monomial(f, e) for f in elem)
                    for elem in current for e in [(0,) * n] + units]
         candidate = span_rref(shifted, terms, ring.p)
         truth = span_rref(truncated_code_space(code, d).basis, terms, ring.p)
@@ -597,7 +690,7 @@ def reference_parse_poly(text, ring):
             if peek()[0] == "^":
                 take("^")
                 exps[slot] = int(take("INT")[1])
-            return Poly.monomial(ring, exps)
+            return Poly.from_dict(ring, {tuple(exps): 1})
         raise PolyParseError(f"expected a coefficient or variable, found {value!r}", at)
 
     def parse_term():
@@ -684,9 +777,9 @@ def graded_column_degrees(mat: PolyMatrix, row_twist) -> tuple:
 
 
 # -- the Poly route of the graded checks of a given complex -------------------
-# G^H and G^L entry by entry as Poly, one fresh ``hilbert_numerator`` per
-# level, ``syzygy_basis`` over S and a scan of Poly entries: the reference
-# of ``complexes._graded_lift`` and of the checks that read it.
+# G^H and G^L entry by entry as Poly, one fresh criteria-free Hilbert
+# numerator per level, syzygies over S and a scan of Poly entries: the
+# reference of ``complexes._graded_lift`` and of the checks that read it.
 
 def _lift_by_table(cx: PolyComplex, ring, lift) -> PolyComplex:
     """Apply ``lift(entry, a_k(j) - a_{k-1}(i))`` to every entry of G_k."""
@@ -696,7 +789,7 @@ def _lift_by_table(cx: PolyComplex, ring, lift) -> PolyComplex:
         rows = [[lift(mat.entry(i, j), table[k + 1][j] - table[k][i])
                  for j in range(mat.ncols)] for i in range(mat.nrows)]
         mats.append(PolyMatrix.from_rows(ring, rows))
-    return PolyComplex(ring, tuple(mats), cx.q, cx.sizes, table[1:])
+    return PolyComplex(ring, tuple(mats), cx.q, cx.sizes)
 
 
 def reference_homogenize_complex(cx: PolyComplex) -> PolyComplex:
@@ -712,9 +805,10 @@ def check_graded_resolution(cx: PolyComplex) -> bool:
     series of a fresh Groebner basis of every image; ``DomainError`` for
     a column that is not homogeneous for its row twist."""
     table = ((0,) * cx.q,) + column_degree_table(cx)
+    orders = [ModuleOrder(cx.ring, twist) for twist in table]
     return _exact_by_numerators(
-        (hilbert_numerator(SubmodulePresentation.from_matrix(mat, twist))
-         for mat, twist in zip(cx.matrices, table)), table)
+        (reference_hilbert_numerator(pack(mat.columns(), order), order)
+         for mat, order in zip(cx.matrices, orders)), table)
 
 
 def reference_minimality_witness(lead: PolyComplex):
@@ -723,15 +817,15 @@ def reference_minimality_witness(lead: PolyComplex):
         mat = lead.matrices[k]
         for i in range(mat.nrows):
             for j in range(mat.ncols):
-                if mat.entry(i, j).is_nonzero_scalar:
+                if scalar_value(mat.entry(i, j)):
                     return (k + 1, i, j)
     return None
 
 
 def reference_pd_failure_witness(lead: PolyComplex):
     """The first syzygy of G_1^L over S, or None."""
-    ker = syzygy_basis(lead.matrices[0])
-    return ker.column(0) if ker.ncols else None
+    ker = poly_syzygies(lead.matrices[0])
+    return ker[0] if ker else None
 
 
 def packed_chain(code):
@@ -745,36 +839,42 @@ def _graded_pipeline(code):
     (reference for ``complexes._lifted_code``).
 
     The reduced basis of the code under the degree-compatible order,
-    unpacked to ``Poly`` by ``groebner_basis``, each element homogenized
-    in its own degree.
+    by the criteria-free completion, unpacked to ``Poly`` and
+    homogenized element by element in its own degree.
     """
     order = ModuleOrder(code.ring, (0,) * code.q)
-    basis = groebner_basis(SubmodulePresentation.from_matrix(code.generators), order)
+    basis = unpack(reference_groebner_basis(pack(code.generators.columns(), order), order), order)
     lifted = []
-    for g in basis.elements:
+    for g in basis:
         d = twisted_degree(g, (0,) * code.q)
         lifted.append(tuple(homogenize(f, d) for f in g))
     return lifted
 
 
+def _minimal_columns(columns, ring, twist):
+    """The packed core's minimal generators (``_minimal_flat``) of ``Poly`` columns."""
+    order = ModuleOrder(ring, twist)
+    kept = _minimal_flat(pack(columns, order), order)
+    return PolyMatrix.from_columns(ring, len(twist), [columns[k] for k in kept])
+
+
 def reference_minimal_resolution(code):
     """The ``Poly`` route of ``minimal_resolution`` before its chain stayed packed.
 
-    ``minimal_generators`` of the lifted code, then per level
-    ``syzygy_basis`` and ``minimal_generators`` over T, each packing and
-    unpacking its columns, and D0 := 1 entry by entry at the end.
-    Returns the complex over S and the graded twists of its levels.
+    Minimal generators of the lifted code, then per level syzygies and
+    minimal generators over T, each packing and unpacking its columns,
+    and D0 := 1 entry by entry at the end.  Returns the complex over S
+    and the graded twists of its levels.
     """
     zero = (0,) * code.q
-    pres = SubmodulePresentation(code.ring.homogeneous_companion(), code.q,
-                                 tuple(_graded_pipeline(code)))
-    mats = [minimal_generators(pres)]
+    tring = code.ring.homogeneous_companion()
+    mats = [_minimal_columns(_graded_pipeline(code), tring, zero)]
     twists = [zero, graded_column_degrees(mats[0], zero)]
     for _ in range(code.ring.n + 2):
-        syz = syzygy_basis(mats[-1], row_twist=twists[-2])
-        if syz.ncols == 0:
+        syz = poly_syzygies(mats[-1], row_twist=twists[-2])
+        if not syz:
             break
-        mats.append(minimal_generators(SubmodulePresentation.from_matrix(syz, twists[-1])))
+        mats.append(_minimal_columns(syz, tring, twists[-1]))
         twists.append(graded_column_degrees(mats[-1], twists[-1]))
     else:
         raise InvariantError("syzygy chain did not end")
@@ -802,10 +902,10 @@ def resolution_without_minimalization(code, extra_generators=()):
     mats, twists = [PolyMatrix.from_columns(tring, code.q, lifted)], [(0,) * code.q]
     for _ in range(code.ring.n + 1 + len(lifted)):
         twists.append(graded_column_degrees(mats[-1], twists[-1]))
-        syz = syzygy_basis(mats[-1], row_twist=twists[-2])
-        if syz.ncols == 0:
+        syz = poly_syzygies(mats[-1], row_twist=twists[-2])
+        if not syz:
             break
-        mats.append(syz)
+        mats.append(PolyMatrix.from_columns(tring, mats[-1].ncols, syz))
     else:
         raise InvariantError("syzygy chain did not end")
     cx = validate_complex([map_entries(m, dehomogenize, code.ring)
@@ -851,7 +951,7 @@ def _minimalize_grids(mats, twists):
             grid = grids[k]
             for i in range(len(grid)):
                 for j in range(len(grid[0]) if grid else 0):
-                    if grid[i][j].is_nonzero_scalar:
+                    if scalar_value(grid[i][j]):
                         return k, i, j
         return None
 
@@ -864,7 +964,7 @@ def _minimalize_grids(mats, twists):
         nrows, ncols = len(grid), len(grid[0])
         # Monic pivot: scale column j (a basis change at level k+1,
         # propagated as the inverse scaling of the next matrix's row j).
-        cval = grid[i][j].constant_value()
+        cval = scalar_value(grid[i][j])
         if cval != 1:
             inv = pow(cval, ring.p - 2, ring.p)
             for r in range(nrows):
@@ -995,35 +1095,20 @@ def reference_buchberger(gens_flat, order: ModuleOrder, expr_order: ModuleOrder 
     return items
 
 
-def reference_syzygy_basis(matrix: PolyMatrix, row_twist=None) -> PolyMatrix:
-    """Generators of {y : matrix @ y = 0}, as columns over the matrix's ring.
+def reference_syzygy_basis(gens_flat, order: ModuleOrder, syz_order: ModuleOrder) -> list:
+    """Syzygies of the packed columns ``gens_flat``, packed by ``syz_order``.
 
     The engine's construction before relations were kept from the
     completion.  Schreyer's construction: complete the columns to a
-    Groebner basis while tracking expressions in the original columns, reduce every
-    same-position S-pair of the final basis to zero, and pull the
-    resulting relations back to the original coordinates.  The columns
-    of (I - A B), with A the tracked expressions and B the division of
-    the originals by the basis, complete the generating set.
-
-    A 0-column result means the matrix is injective.  For a matrix that
-    is homogeneous with respect to ``row_twist`` the returned syzygies
-    are homogeneous as well.
+    Groebner basis while tracking expressions in the original columns,
+    reduce every same-position S-pair of the final basis to zero, and
+    pull the resulting relations back to the original coordinates.  The
+    columns of (I - A B), with A the tracked expressions and B the
+    division of the originals by the basis, complete the generating set.
+    They come monic, without repeats, sorted by ascending lead.
     """
-    ring = matrix.ring
-    q, t = matrix.nrows, matrix.ncols
-    if t == 0:
-        return PolyMatrix.from_columns(ring, 0, [])
-    if matrix.has_zero_column():
-        raise DomainError("matrix has a zero column")
-    order = ModuleOrder(ring, (0,) * q if row_twist is None else check_twist(row_twist, q))
-    # Expressions in the columns are packed by the order the syzygies
-    # are finally sorted in.
-    syz_order = ModuleOrder(ring, matrix.column_degrees(row_twist))
-    p = ring.p
-    one = (0,) * ring.nvars
-
-    gens_flat = [_to_flat(col, order) for col in matrix.columns()]
+    p = order.ring.p
+    one = (0,) * order.ring.nvars
     items = reference_buchberger(gens_flat, order, syz_order)
 
     # Schreyer relations of the completed basis, as dicts keyed by
@@ -1079,32 +1164,28 @@ def reference_syzygy_basis(matrix: PolyMatrix, row_twist=None) -> PolyMatrix:
         seen.add(key)
         cleaned.append((lead, flat))
     cleaned.sort(key=lambda pair: pair[0])
-    columns = [_from_flat(syz_order, flat) for _, flat in cleaned]
-    return PolyMatrix.from_columns(ring, t, columns)
+    return [flat for _, flat in cleaned]
 
 
-def reference_minimal_generators(module, twist=None):
-    """The per-degree pass before the engine resumed one completion.
+def reference_minimal_generators(gens_flat, order: ModuleOrder) -> list:
+    """The per-degree pass before the engine resumed one completion:
+    indices of a minimal generating set of packed homogeneous columns.
 
     Before degree d, a full criteria-free completion of the generators
     kept so far, interreduced; the degree-d normal forms are then
-    echelonized by lead.
+    echelonized by lead.  Indices come by degree, then index.
     """
-    twist = module.twist if twist is None else check_twist(twist, module.rank)
-    degrees = [homogeneous_column_degree(g, twist) for g in module.generators]
-    order = ModuleOrder(module.ring, twist)
-    p = module.ring.p
+    p = order.ring.p
     by_degree: dict = {}
-    for k, d in enumerate(degrees):
-        by_degree.setdefault(d, []).append(k)
+    for k, flat in enumerate(gens_flat):
+        by_degree.setdefault(_flat_degree(flat, order), []).append(k)
     kept: list = []
     for d in sorted(by_degree):
-        basis = (_interreduce(reference_buchberger([_to_flat(g, order) for g in kept], order),
-                              order) if kept else [])
+        basis = (_interreduce(reference_buchberger([gens_flat[k] for k in kept], order), order)
+                 if kept else [])
         pivots: dict = {}
         for k in by_degree[d]:
-            g = module.generators[k]
-            rem, _ = _reduce_flat(_to_flat(g, order), basis, order)
+            rem, _ = _reduce_flat(gens_flat[k], basis, order)
             while rem:
                 lead = max(rem)
                 row = pivots.get(lead)
@@ -1114,30 +1195,97 @@ def reference_minimal_generators(module, twist=None):
             if rem:
                 rem, lead, _ = _monic(rem, p)
                 pivots[lead] = rem
-                kept.append(g)
-    return PolyMatrix.from_columns(module.ring, module.rank, kept)
+                kept.append(k)
+    return kept
 
 
-def reference_groebner_basis(module):
-    """Reduced basis of the criteria-free completion, in the module's order."""
-    order = ModuleOrder(module.ring, module.twist)
-    items = reference_buchberger([_to_flat(g, order) for g in module.generators], order)
-    return GroebnerBasis(module.ring, module.rank, order, _interreduce(items, order))
+def reference_groebner_basis(gens_flat, order: ModuleOrder) -> list:
+    """Reduced basis of the criteria-free completion, as packed columns."""
+    return [it.flat for it in _interreduce(reference_buchberger(gens_flat, order), order)]
 
 
-def reference_hilbert_numerator(module):
-    """``hilbert_numerator`` from the leads of the criteria-free completion."""
-    order = ModuleOrder(module.ring, module.twist)
+def reference_hilbert_numerator(gens_flat, order: ModuleOrder) -> dict:
+    """N with HS(M) = N(t) / (1 - t)^nvars for the graded span M of
+    packed columns, from the leads of the criteria-free completion;
+    ``DomainError`` for a column that is not homogeneous for the twist."""
+    for flat in gens_flat:
+        _flat_degree(flat, order)
     leads: dict = {}
-    for it in reference_buchberger([_to_flat(g, order) for g in module.generators], order):
+    for it in reference_buchberger(gens_flat, order):
         leads.setdefault(it.pos, []).append(it.exps)
     out: dict = {}
     for pos, exps in leads.items():
-        a = module.twist[pos]
+        a = order.twist[pos]
         out[a] = out.get(a, 0) + 1
-        for k, c in monomial_hilbert_numerator(exps, module.ring.nvars).items():
+        for k, c in monomial_hilbert_numerator(exps, order.ring.nvars).items():
             out[a + k] = out.get(a + k, 0) - c
     return {k: c for k, c in out.items() if c}
+
+
+# -- the former resolution and observability checks ---------------------------
+# Both on ``Poly`` columns, packing and unpacking at every step: the
+# references of the packed ``check_resolution`` and ``is_observable``.
+
+def reference_check_resolution(cx: PolyComplex) -> bool:
+    """The former ``check_resolution``: the syzygies of every level, then
+    equality of the reduced bases of image and kernel under the zero twist."""
+    kernels = [poly_syzygies(mat, route=reference_syzygy_basis) for mat in cx.matrices]
+    if kernels[-1]:
+        return False
+    for kernel, mat in zip(kernels, cx.matrices[1:]):
+        order = ModuleOrder(cx.ring, (0,) * mat.nrows)
+        if not kernel or (reference_groebner_basis(pack(mat.columns(), order), order)
+                          != reference_groebner_basis(pack(kernel, order), order)):
+            return False
+    return True
+
+
+def reference_matrix_kernel(matrix: PolyMatrix, route=reference_syzygy_basis) -> list:
+    """The former ``matrix_kernel``: the syzygies of the nonzero columns by
+    ``route``, embedded, then a unit for each zero column."""
+    ring, t = matrix.ring, matrix.ncols
+    live = [j for j in range(t) if not vec_is_zero(matrix.column(j))]
+    out = []
+    if live:
+        sub = PolyMatrix.from_columns(ring, matrix.nrows, [matrix.column(j) for j in live])
+        for col in poly_syzygies(sub, route=route):
+            full = [Poly.zero(ring)] * t
+            for idx, j in enumerate(live):
+                full[j] = col[idx]
+            out.append(tuple(full))
+    for j in range(t):
+        if j not in live:
+            out.append(tuple(Poly.const(ring, int(i == j)) for i in range(t)))
+    return out
+
+
+def reference_is_observable(code, route=reference_syzygy_basis) -> ObservabilityReport:
+    """The former ``is_observable``: the double kernel and equality of
+    reduced bases, then the first kernel generator outside the code.
+
+    H is the left kernel of the generators (``reference_matrix_kernel``
+    of the transpose), K the kernel of H, both with syzygies by ``route``.  The
+    criteria-free default may pick other generators than the packed
+    core (``core_syzygies``), so H and the witness are compared on the
+    core's syzygies and the verdict on either.
+    """
+    ring, gens = code.ring, code.generators
+    order = ModuleOrder(ring, (0,) * code.q)
+    rows = reference_matrix_kernel(PolyMatrix.from_rows(ring, zip(*gens.entries)), route)
+    parity = PolyMatrix(ring, len(rows), code.q, tuple(rows))
+    kernel = reference_matrix_kernel(parity, route)
+    items = _interreduce(reference_buchberger(pack(gens.columns(), order), order), order)
+    if [it.flat for it in items] == reference_groebner_basis(pack(kernel, order), order):
+        return ObservabilityReport(True, parity, None)
+    for g in kernel:
+        if _reduce_flat(_to_flat(g, order), items, order)[0]:
+            stacked = PolyMatrix.from_columns(ring, code.q, [g] + gens.columns())
+            firsts = [col[0] for col in poly_syzygies(stacked, route=route) if col[0]]
+            s = sorted(firsts, key=lambda f: (f.degree, f.terms))[0]
+            if _reduce_flat(_to_flat(tuple(f * s for f in g), order), items, order)[0]:
+                raise InvariantError("torsion multiple of the witness is outside the code")
+            return ObservabilityReport(False, None, TorsionWitness(g, s))
+    raise InvariantError("kernel differs from the code but has no outside generator")
 
 
 # -- list-based univariate spot check --------------------------------------

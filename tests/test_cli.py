@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from convres import Poly, cli, complexes, groebner, observability
+from convres import Poly, cli, complexes, observability
 from convres.algebra import is_prime
 from convres.cli import MAX_D, MAX_N, main, parse_input
 from convres.errors import InputError
@@ -96,20 +96,19 @@ def test_check_resolution_accepts_an_exact_complex_that_is_not_reduced(tmp_path,
                          ids=["pd", "minimal"])
 def test_failing_check_lifts_the_complex_once(tmp_path, capsys, monkeypatch, prop, text, key):
     # One packed lift serves the verdict and the witness: every column is
-    # lifted once, and no Poly G^L and no fresh hilbert_numerator is built.
-    calls = {"_lift_flat": 0, "leading_term_complex": 0, "hilbert_numerator": 0}
-    for name, owner in (("_lift_flat", complexes), ("leading_term_complex", complexes),
-                        ("hilbert_numerator", groebner)):
-        def counted(*args, name=name, original=getattr(owner, name)):
+    # lifted once, and the syzygies are pulled back once, for the witness.
+    calls = {"_lift_flat": 0, "_schreyer": 0}
+    for name in calls:
+        def counted(*args, name=name, original=getattr(complexes, name)):
             calls[name] += 1
             return original(*args)
-        monkeypatch.setattr(owner, name, counted)
+        monkeypatch.setattr(complexes, name, counted)
     path = write(tmp_path, "doc.json", text)
     assert main(["check", prop, path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["result"] is False and key in out
     assert calls == {"_lift_flat": sum(parse_input(text).complex.sizes),
-                     "leading_term_complex": 0, "hilbert_numerator": 0}
+                     "_schreyer": int(prop == "pd")}
     assert not hasattr(Poly, "homogenize")
 
 

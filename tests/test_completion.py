@@ -1,15 +1,15 @@
 """The resumable completion against the criteria-free references.
 
 Every completion skips pairs by the Gebauer-Moeller criteria,
-``minimal_generators`` runs one completion up to the current degree, and
-``syzygy_basis`` pulls back only the relations its tracked completion
+``_minimal_flat`` runs one completion up to the current degree, and
+``_syzygies_flat`` pulls back only the relations its tracked completion
 left.  The route to the minimal resolution is walked one level at a
-time, and at each level the engine and the routes of ``tests/helpers.py``
-(which reduce every pair) get the same input.  Reduced bases, Hilbert
-numerators and minimal generators must be equal.  The syzygies may be
-another generating set: each must be a syzygy, and together they must
-span the reference's module.  The Forney tables of the two routes must
-be equal.
+time on packed columns, and at each level the packed core and the
+routes of ``tests/helpers.py`` (which reduce every pair) get the same
+input.  Reduced bases, Hilbert numerators and minimal generators must
+be equal.  The syzygies may be another generating set: each must be a
+syzygy, and together they must span the reference's module.  The
+Forney tables of the two routes must be equal.
 """
 
 import random
@@ -20,13 +20,12 @@ from convres import groebner
 from convres.algebra import CodePresentation
 from convres.groebner import (
     ModuleOrder,
-    SubmodulePresentation,
-    _to_flat,
-    groebner_basis,
-    hilbert_numerator,
-    minimal_generators,
-    module_equal,
-    syzygy_basis,
+    _addmul,
+    _buchberger,
+    _flat_degree,
+    _lead_numerator,
+    _minimal_flat,
+    _MASK,
 )
 
 import helpers
@@ -34,15 +33,24 @@ from helpers import (
     CANARY_ROWS,
     acceptance_corpus,
     codes,
-    graded_column_degrees,
+    core_syzygies,
+    pack,
     random_code,
+    reduced_basis,
     reference_groebner_basis,
     reference_hilbert_numerator,
     reference_minimal_generators,
     reference_syzygy_basis,
 )
 
-ENGINE = (groebner_basis, hilbert_numerator, minimal_generators, syzygy_basis)
+
+def core_hilbert_numerator(gens_flat, order):
+    """The numerator from the leads of one completion (``_lead_numerator``)."""
+    return _lead_numerator(((it.pos, it.exps) for it in _buchberger(gens_flat, order)),
+                           order.twist, order.ring.nvars)
+
+
+ENGINE = (reduced_basis, core_hilbert_numerator, _minimal_flat, core_syzygies)
 REFERENCE = (reference_groebner_basis, reference_hilbert_numerator,
              reference_minimal_generators, reference_syzygy_basis)
 TWIN = dict(zip(ENGINE, REFERENCE))
@@ -53,9 +61,10 @@ def _route(code, routines):
 
     The reduced basis and the syzygies of the code over S, then over T
     the reduced basis, Hilbert numerator and minimal generators of the
-    lifted code and, level by level, the syzygies of the last matrix,
-    their Hilbert numerator and their minimal generators.  Returns the
-    calls as (routine, arguments, result) and the Forney table.
+    lifted code and, level by level, the syzygies of the last level,
+    their Hilbert numerator and their minimal generators, all on packed
+    columns.  Returns the calls as (routine, arguments, result) and the
+    Forney table.
     """
     calls = []
 
@@ -64,39 +73,53 @@ def _route(code, routines):
         return calls[-1][2]
 
     basis, hilbert, mingens, syzygies = routines
-    call(basis, SubmodulePresentation.from_matrix(code.generators))
-    call(syzygies, code.generators, None)
-    lifted = SubmodulePresentation(code.ring.homogeneous_companion(), code.q,
-                                   tuple(helpers._graded_pipeline(code)))
-    call(basis, lifted)
-    call(hilbert, lifted)
-    mat = call(mingens, lifted)
-    twists = [lifted.twist]
+    order = ModuleOrder(code.ring, (0,) * code.q)
+    gens = pack(code.generators.columns(), order)
+    call(basis, gens, order)
+    call(syzygies, gens, order, ModuleOrder(code.ring, code.generators.column_degrees()))
+    order = ModuleOrder(code.ring.homogeneous_companion(), (0,) * code.q)
+    lifted = pack(helpers._graded_pipeline(code), order)
+    call(basis, lifted, order)
+    call(hilbert, lifted, order)
+    cols = [lifted[k] for k in call(mingens, lifted, order)]
+    twists = []
     for _ in range(code.ring.n + 1):
-        twists.append(graded_column_degrees(mat, twists[-1]))
-        syz = call(syzygies, mat, twists[-2])
-        if syz.ncols == 0:
+        syz_order = ModuleOrder(order.ring, tuple(_flat_degree(c, order) for c in cols))
+        twists.append(syz_order.twist)
+        syz = call(syzygies, cols, order, syz_order)
+        if not syz:
             break
-        pres = SubmodulePresentation.from_matrix(syz, twists[-1])
-        call(hilbert, pres)
-        mat = call(mingens, pres)
-    return calls, tuple(tuple(sorted(t)) for t in twists[1:])
+        order = syz_order
+        call(hilbert, syz, order)
+        cols = [syz[k] for k in call(mingens, syz, order)]
+    return calls, tuple(tuple(sorted(t)) for t in twists)
 
 
-def _assert_same_kernel(matrix, ours, theirs):
-    assert (matrix @ ours).is_zero, matrix
-    assert (ours.ncols == 0) == (theirs.ncols == 0), matrix
-    if ours.ncols:
-        assert module_equal(SubmodulePresentation.from_matrix(ours),
-                            SubmodulePresentation.from_matrix(theirs)), matrix
+def _times(syz, cols, syz_order, order):
+    """The packed product of the columns with one syzygy of theirs."""
+    units = {syz_order.pack((j, (0,) * order.ring.nvars)) & _MASK: (j, syz_order.pack(
+        (j, (0,) * order.ring.nvars))) for j in range(len(cols))}
+    out: dict = {}
+    for t, c in syz.items():
+        j, unit = units[t & _MASK]
+        _addmul(out, cols[j], c, t - unit, order.ring.p)
+    return out
+
+
+def _assert_same_kernel(args, ours, theirs):
+    cols, order, syz_order = args
+    assert not any(_times(s, cols, syz_order, order) for s in ours), cols
+    assert bool(ours) == bool(theirs), cols
+    if ours:
+        assert reduced_basis(ours, syz_order) == reduced_basis(theirs, syz_order), cols
 
 
 def _assert_agrees(code):
     calls, forney = _route(code, ENGINE)
     for routine, args, ours in calls:
         theirs = TWIN[routine](*args)
-        if routine is syzygy_basis:
-            _assert_same_kernel(args[0], ours, theirs)
+        if routine is core_syzygies:
+            _assert_same_kernel(args, ours, theirs)
         else:
             assert ours == theirs, code.generators
     assert forney == _route(code, REFERENCE)[1], code.generators
@@ -156,12 +179,10 @@ def test_tracked_and_untracked_completions_take_the_same_pairs(monkeypatch):
     kernels = 0
     for code in [canary] + acceptance_corpus()[:20]:
         for routine, args, _ in _route(code, ENGINE)[0]:
-            if routine is not syzygy_basis:
+            if routine is not core_syzygies:
                 continue
-            matrix, twist = args
-            order = ModuleOrder(matrix.ring, twist or (0,) * matrix.nrows)
-            gens = [_to_flat(col, order) for col in matrix.columns()]
-            tracked = complete(gens, order, ModuleOrder(matrix.ring, matrix.column_degrees(twist)))
-            assert tracked == complete(gens, order, None), matrix
+            gens, order, syz_order = args
+            tracked = complete(gens, order, syz_order)
+            assert tracked == complete(gens, order, None), gens
             kernels += 1
     assert kernels > 20

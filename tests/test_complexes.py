@@ -8,15 +8,13 @@ from convres.complexes import (
     check_reduced,
     check_resolution,
     column_degree_table,
-    homogenize_complex,
-    leading_term_complex,
     minimal_resolution,
     minimality_witness,
     pd_failure_witness,
     validate_complex,
 )
 from convres.errors import DomainError, PreconditionError, StructuralError
-from convres.groebner import ModuleOrder, SubmodulePresentation, hilbert_numerator
+from convres.groebner import ModuleOrder
 from convres.invariants import forney_table, memory, rate_and_dimension
 from convres.oracle import truncated_exactness
 
@@ -33,13 +31,30 @@ from helpers import (
     map_entries,
     mat,
     minimalize_graded,
+    pack,
     packed_chain,
     paper_matrix,
     probe_corpus,
     random_complex,
+    reference_hilbert_numerator,
     resolution_without_minimalization,
     set_d0_zero,
+    unpacked_lift,
 )
+
+
+def identity(ring, q):
+    return mat(ring, [["1" if i == j else "0" for j in range(q)] for i in range(q)])
+
+
+def homogenized(cx):
+    """G^H over T from the packed lift."""
+    return validate_complex(unpacked_lift(cx)[0])
+
+
+def leading(cx):
+    """G^L over S, the D0-free part of the packed lift."""
+    return validate_complex(unpacked_lift(cx)[1])
 
 
 def bad_f2_matrix():
@@ -55,7 +70,7 @@ def test_column_degree_table_golden():
 def test_column_degree_table_koszul_and_identity():
     assert column_degree_table(koszul_complex()) == ((1, 1), (2,))
     r = Ring(2, 2)
-    ident = validate_complex([PolyMatrix.identity(r, 3)])
+    ident = validate_complex([identity(r, 3)])
     assert column_degree_table(ident) == ((0, 0, 0),)
 
 
@@ -87,7 +102,7 @@ def test_single_matrix_is_a_complex():
 
 def test_homogenize_complex_golden_entry():
     cx = validate_complex([paper_matrix()])
-    h = homogenize_complex(cx)
+    h = homogenized(cx)
     t = Ring(101, 1, homog=True)
     assert h.matrices[0].entry(1, 1) == P("D0*D1 + 4*D0^2", t)
     # substituting D0 = 1 recovers the input entrywise
@@ -97,19 +112,19 @@ def test_homogenize_complex_golden_entry():
 
 def test_homogenize_complex_fixes_homogeneous_input():
     kz = koszul_complex()
-    h = homogenize_complex(kz)
+    h = homogenized(kz)
     for hm, gm in zip(h.matrices, kz.matrices):
         assert map_entries(hm, dehomogenize, kz.ring) == gm
         assert map_entries(hm, lambda f: dehomogenize(set_d0_zero(f)), kz.ring) == gm
     r = Ring(2, 2)
-    ident = validate_complex([PolyMatrix.identity(r, 2)])
-    hid = homogenize_complex(ident)
+    ident = validate_complex([identity(r, 2)])
+    hid = homogenized(ident)
     assert map_entries(hid.matrices[0], dehomogenize, r) == ident.matrices[0]
 
 
 def test_homogenized_columns_are_homogeneous():
     cx = validate_complex([paper_matrix()])
-    h = homogenize_complex(cx)
+    h = homogenized(cx)
     table = ((0,) * cx.q,) + column_degree_table(cx)
     for k, hm in enumerate(h.matrices):
         for j in range(hm.ncols):
@@ -118,7 +133,7 @@ def test_homogenized_columns_are_homogeneous():
 
 def test_leading_term_complex_golden():
     cx = validate_complex([paper_matrix()])
-    lead = leading_term_complex(cx)
+    lead = leading(cx)
     r = Ring(101, 1)
     assert lead.matrices[0] == mat(r, [["0", "D1^2"],
                                        ["0", "0"],
@@ -127,17 +142,17 @@ def test_leading_term_complex_golden():
 
 def test_leading_term_complex_fixed_points():
     kz = koszul_complex()
-    lead = leading_term_complex(kz)
+    lead = leading(kz)
     assert lead.matrices == kz.matrices
     r = Ring(2, 2)
-    ident = validate_complex([PolyMatrix.identity(r, 2)])
-    assert leading_term_complex(ident).matrices == ident.matrices
+    ident = validate_complex([identity(r, 2)])
+    assert leading(ident).matrices == ident.matrices
 
 
 def _homogenized_at_d0_zero(cx):
     """G^H with D0 := 0, then dehomogenized back to S."""
     return tuple(map_entries(m, lambda f: dehomogenize(set_d0_zero(f)), cx.ring)
-                 for m in homogenize_complex(cx).matrices)
+                 for m in unpacked_lift(cx)[0])
 
 
 def test_leading_term_complex_is_the_homogenization_at_d0_zero():
@@ -147,7 +162,7 @@ def test_leading_term_complex_is_the_homogenization_at_d0_zero():
     for c in acceptance_corpus():
         cases += [validate_complex([c.generators]), minimal_resolution(c).complex]
     for cx in cases:
-        assert leading_term_complex(cx).matrices == _homogenized_at_d0_zero(cx), cx
+        assert unpacked_lift(cx)[1] == _homogenized_at_d0_zero(cx), cx
 
 
 def test_validate_complex_accepts_every_lifted_corpus_complex():
@@ -159,9 +174,9 @@ def test_validate_complex_accepts_every_lifted_corpus_complex():
     for c in acceptance_corpus():
         cases += [validate_complex([c.generators]), minimal_resolution(c).complex]
     for cx in cases:
-        for lifted in (leading_term_complex(cx), homogenize_complex(cx)):
-            checked = validate_complex(lifted.matrices)
-            assert (checked.q, checked.sizes) == (lifted.q, lifted.sizes)
+        for lifted in unpacked_lift(cx):
+            checked = validate_complex(lifted)
+            assert (checked.q, checked.sizes) == (cx.q, cx.sizes)
             assert column_degree_table(checked) == column_degree_table(cx), cx
 
 
@@ -183,10 +198,8 @@ def test_minimal_resolution_builds_no_derived_complex(monkeypatch):
     # The lift and the checks stay packed: no G^L, no G^H, no lift of the
     # report's complex, no Poly products, no fresh Groebner basis and no
     # Poly basis; and _report reuses the chain's module orders.
-    targets = {name: complexes for name in (
-        "leading_term_complex", "homogenize_complex", "validate_complex", "_graded_lift")}
-    targets.update({"hilbert_numerator": groebner, "_from_flat": groebner,
-                    "GroebnerBasis": groebner})
+    targets = {name: complexes for name in ("validate_complex", "_graded_lift", "_packed_levels")}
+    targets.update({"_from_flat": groebner})
     calls = dict.fromkeys(targets, 0)
     for name, owner in targets.items():
         def counted(*args, name=name, original=getattr(owner, name)):
@@ -225,9 +238,10 @@ def test_minimal_resolution_checks_exactness_once(monkeypatch):
     assert len(compared) == 1 and resolutions == []
     numerators, table = compared[0]
     assert tuple(table) == ((0,),) + rep.degree_table
-    lead = leading_term_complex(rep.complex)
-    assert numerators == [hilbert_numerator(SubmodulePresentation.from_matrix(m, twist))
-                          for m, twist in zip(lead.matrices, table)]
+    _, lead = unpacked_lift(rep.complex)
+    assert numerators == [reference_hilbert_numerator(pack(m.columns(), order), order)
+                          for m, order in zip(lead, (ModuleOrder(rep.complex.ring, twist)
+                                                     for twist in table))]
 
 
 def test_reduced_implies_resolution_on_the_probe_corpus():
@@ -243,7 +257,7 @@ def test_reduced_implies_resolution_on_the_probe_corpus():
     classes = {}
     for cx in cases:
         key = (check_reduced(cx), check_resolution(cx))
-        assert key[0] == check_resolution(leading_term_complex(cx)), cx
+        assert key[0] == check_resolution(leading(cx)), cx
         assert key != (True, False), cx
         classes[key] = classes.get(key, 0) + 1
     assert len(cases) == 287
@@ -257,7 +271,7 @@ def test_hilbert_certificate_rejects_planted_non_exact_complexes():
     # [D1 D2] alone has a kernel at the end
     tail = validate_complex([mat(r, [["D1", "D2"]])])
     for cx in (inside, tail):
-        assert leading_term_complex(cx).matrices == cx.matrices
+        assert leading(cx).matrices == cx.matrices
         assert not check_graded_resolution(cx) and not check_resolution(cx)
         assert not check_reduced(cx)
     assert check_graded_resolution(koszul_complex())
@@ -269,7 +283,7 @@ def test_hilbert_certificate_needs_a_graded_complex():
     bad = bad_f2_matrix()
     with pytest.raises(DomainError):
         check_graded_resolution(bad)
-    lead = leading_term_complex(bad)
+    lead = leading(bad)
     assert graded_column_degrees(lead.matrices[0], (0, 0)) == column_degree_table(bad)[0]
     assert not check_graded_resolution(lead) and not check_reduced(bad)
 
@@ -279,7 +293,7 @@ def test_check_resolution():
     r = Ring(2, 2)
     only_g1 = validate_complex([mat(r, [["D1", "D2"]])])
     assert not check_resolution(only_g1)
-    ident = validate_complex([PolyMatrix.identity(r, 2)])
+    ident = validate_complex([identity(r, 2)])
     assert check_resolution(ident)
 
 
@@ -301,7 +315,7 @@ def test_check_pd_and_witness():
     image = tuple(g.entry(i, 0) * witness[0] + g.entry(i, 1) * witness[1]
                   for i in range(2))
     assert image == (P("1", r), P("0", r))
-    ident = validate_complex([PolyMatrix.identity(r, 2)])
+    ident = validate_complex([identity(r, 2)])
     assert check_resolution(ident) and check_reduced(ident)
 
 
@@ -362,7 +376,7 @@ def test_minimal_resolution_outputs_verify_by_oracle():
 
 def test_minimalize_graded_examples():
     kz = koszul_complex()
-    kzh = homogenize_complex(kz)
+    kzh = homogenized(kz)
     assert minimalize_graded(kzh).matrices == kzh.matrices
 
     # redundant generators: p_1 drops from 3 to 2
@@ -370,7 +384,7 @@ def test_minimalize_graded_examples():
     raw = resolution_without_minimalization(
         koszul_code(), extra_generators=[(P("D1 + D2", r),)])
     assert raw.complex.sizes[0] == 3 and not raw.is_minimal
-    pruned = minimalize_graded(homogenize_complex(raw.complex))
+    pruned = minimalize_graded(homogenized(raw.complex))
     assert pruned.sizes[0] == 2
 
     # a glued-in trivial rank-1 identity pair disappears

@@ -1,108 +1,129 @@
+"""The packed Groebner core on small examples: normal forms, reduced
+bases, membership, syzygies, minimal generators and the left kernel of
+``observability``, reached through the adapter of ``tests/helpers.py``."""
+
 import random
 
 import pytest
 
 from convres import Poly, PolyMatrix, Ring
-from convres.errors import DomainError, StructuralError
+from convres.errors import DomainError
 from convres.groebner import (
-    SubmodulePresentation,
+    ModuleOrder,
+    _buchberger,
+    _interreduce,
+    _minimal_flat,
     _reduce_flat,
     _spair_parts,
-    groebner_basis,
-    left_kernel,
-    membership,
-    minimal_generators,
-    module_equal,
-    normal_form,
-    syzygy_basis,
-    zero_order,
+    _syzygies_flat,
 )
+from convres.observability import _kernel
 from convres.oracle import hilbert_oracle, truncated_kernel
 
-from helpers import P, graded_minimal_generator_count, mat, random_poly
+from helpers import (
+    P,
+    graded_minimal_generator_count,
+    mat,
+    pack,
+    random_poly,
+    reduced_basis,
+    unpack,
+)
 
 
 def ideal(ring, *texts):
-    return SubmodulePresentation(ring, 1, tuple((P(t, ring),) for t in texts))
+    """The packed generators of an ideal and their order."""
+    order = ModuleOrder(ring, (0,))
+    return pack([(P(t, ring),) for t in texts], order), order
+
+
+def remainder(elem, gens_flat, order):
+    """The remainder of a ``Poly`` element against a Groebner basis of the columns."""
+    rem, _ = _reduce_flat(pack([elem], order)[0], _buchberger(gens_flat, order), order)
+    return unpack([rem], order)[0]
+
+
+def in_span(elem, gens_flat, order):
+    return not any(remainder(elem, gens_flat, order))
+
+
+def same_span(a_flat, b_flat, order):
+    return reduced_basis(a_flat, order) == reduced_basis(b_flat, order)
+
+
+def syzygies(g, row_twist=None):
+    """The packed syzygies of a matrix, their order, and the packed columns' order."""
+    order = ModuleOrder(g.ring, row_twist or (0,) * g.nrows)
+    syz_order = ModuleOrder(g.ring, g.column_degrees(row_twist))
+    syz, _ = _syzygies_flat(pack(g.columns(), order), order, syz_order)
+    return syz, syz_order
+
+
+def times(g, cols):
+    """g @ the columns, as a matrix."""
+    return g @ PolyMatrix.from_columns(g.ring, g.ncols, cols)
 
 
 def test_normal_form_examples():
     r = Ring(5, 2)
     m = ideal(r, "D1")
-    basis = groebner_basis(m)
-    assert normal_form((P("D1^2 + D2", r),), basis) == (P("D2", r),)
-    assert normal_form((P("D1", r),), basis) == (Poly.zero(r),)
-    m2 = ideal(r, "D1", "D2")
-    assert normal_form((P("1", r),), groebner_basis(m2)) == (P("1", r),)
-
-
-def test_normal_form_rank_mismatch():
-    r = Ring(5, 2)
-    basis = groebner_basis(ideal(r, "D1"))
-    with pytest.raises(StructuralError):
-        normal_form((Poly.zero(r), Poly.zero(r)), basis)
+    assert remainder((P("D1^2 + D2", r),), *m) == (P("D2", r),)
+    assert remainder((P("D1", r),), *m) == (Poly.zero(r),)
+    assert remainder((P("1", r),), *ideal(r, "D1", "D2")) == (P("1", r),)
 
 
 def test_groebner_basis_examples():
     r = Ring(5, 2)
-    gb = groebner_basis(ideal(r, "D1", "D2"))
-    assert [g[0] for g in gb.elements] == [P("D1", r), P("D2", r)]
-    gb2 = groebner_basis(ideal(r, "D1", "D1"))
-    assert [g[0] for g in gb2.elements] == [P("D1", r)]
-    gb3 = groebner_basis(ideal(r, "D1 + D2", "D2"))
-    assert [g[0] for g in gb3.elements] == [P("D1", r), P("D2", r)]
+
+    def basis(*texts):
+        gens, order = ideal(r, *texts)
+        return [g[0] for g in unpack(reduced_basis(gens, order), order)]
+    assert basis("D1", "D2") == [P("D1", r), P("D2", r)]
+    assert basis("D1", "D1") == [P("D1", r)]
+    assert basis("D1 + D2", "D2") == [P("D1", r), P("D2", r)]
 
 
 def test_membership_examples():
     r = Ring(5, 2)
     m = ideal(r, "D1", "D2")
-    assert membership((P("D1*D2", r),), m)
-    assert not membership((P("1", r),), m)
-    assert membership((Poly.zero(r),), m)
+    assert in_span((P("D1*D2", r),), *m)
+    assert not in_span((P("1", r),), *m)
+    assert in_span((Poly.zero(r),), *m)
 
 
 def test_membership_of_constants_agrees_with_truncated_oracle():
     # Constants lie in the ideal iff its degree-0 slice is nonzero.
     from helpers import code
     r = Ring(5, 2)
-    m = ideal(r, "D1", "D2")
     assert hilbert_oracle(code(r, [["D1", "D2"]]), 0) == 0
-    assert not membership((P("1", r),), m)
+    assert not in_span((P("1", r),), *ideal(r, "D1", "D2"))
 
 
 def test_module_equal():
     r = Ring(5, 2)
-    assert module_equal(ideal(r, "D1", "D2"), ideal(r, "D2", "D1 + D2"))
-    assert not module_equal(ideal(r, "D1"), ideal(r, "D1", "D2"))
-    m = ideal(r, "D1*D2 + D2^2", "D1")
-    assert module_equal(m, m)
-
-
-def test_module_equal_rejects_rank_mismatch():
-    r = Ring(5, 2)
-    m1 = ideal(r, "D1")
-    m2 = SubmodulePresentation(r, 2, ((P("D1", r), Poly.zero(r)),))
-    with pytest.raises(StructuralError):
-        module_equal(m1, m2)
+    (a, order), (b, _) = ideal(r, "D1", "D2"), ideal(r, "D2", "D1 + D2")
+    assert same_span(a, b, order)
+    assert not same_span(ideal(r, "D1")[0], a, order)
+    m, _ = ideal(r, "D1*D2 + D2^2", "D1")
+    assert same_span(m, m, order)
 
 
 def test_syzygy_examples():
     r = Ring(101, 2)
     g = mat(r, [["D1", "D2"]])
-    syz = syzygy_basis(g)
-    assert syz.ncols == 1
-    assert (g @ syz).is_zero
+    syz, syz_order = syzygies(g)
+    assert len(syz) == 1
+    assert times(g, unpack(syz, syz_order)).is_zero
     # Koszul relation up to a scalar: (D2, -D1)
-    assert module_equal(SubmodulePresentation.from_matrix(syz),
-                        SubmodulePresentation(r, 2, ((P("D2", r), P("-D1", r)),)))
+    zero = ModuleOrder(r, (0, 0))
+    assert same_span(pack(unpack(syz, syz_order), zero),
+                     pack([(P("D2", r), P("-D1", r))], zero), zero)
 
-    inj = mat(r, [["D1"], ["D2"]])
-    assert syzygy_basis(inj).ncols == 0
+    assert syzygies(mat(r, [["D1"], ["D2"]]))[0] == []
 
-    dup = mat(r, [["D1", "D1"]])
-    sd = syzygy_basis(dup)
-    assert module_equal(SubmodulePresentation.from_matrix(sd),
-                        SubmodulePresentation(r, 2, ((P("1", r), P("-1", r)),)))
+    sd, sd_order = syzygies(mat(r, [["D1", "D1"]]))
+    assert same_span(pack(unpack(sd, sd_order), zero),
+                     pack([(P("1", r), P("-1", r))], zero), zero)
 
 
 def test_syzygy_soundness_on_random_matrices():
@@ -115,10 +136,11 @@ def test_syzygy_soundness_on_random_matrices():
                                              for _ in range(t)] for _ in range(q)])
             if not g.has_zero_column():
                 break
-        syz = syzygy_basis(g)
-        if syz.ncols:
-            assert (g @ syz).is_zero
-            assert not syz.has_zero_column()
+        syz, syz_order = syzygies(g)
+        if syz:
+            cols = unpack(syz, syz_order)
+            assert times(g, cols).is_zero
+            assert all(any(col) for col in cols)
 
 
 def test_syzygy_completeness_against_truncated_kernels():
@@ -131,45 +153,55 @@ def test_syzygy_completeness_against_truncated_kernels():
                                              for _ in range(t)] for _ in range(q)])
             if not g.has_zero_column():
                 break
-        syz = syzygy_basis(g)
+        syz, syz_order = syzygies(g)
+        zero = ModuleOrder(ring, (0,) * t)
+        span = pack(unpack(syz, syz_order), zero)
         col_twist = g.column_degrees()
         for d in range(0, 5):
             kernel_vectors = truncated_kernel(g, (0,) * q, col_twist, d)
             if not kernel_vectors:
                 continue
-            assert syz.ncols > 0
-            pres = SubmodulePresentation.from_matrix(syz)
+            assert syz
             for vec in kernel_vectors:
-                assert membership(vec, pres)
+                assert in_span(vec, span, zero)
 
 
 def test_left_kernel_examples():
+    def packed_left_kernel(g):
+        rows, cols = ModuleOrder(g.ring, (0,) * g.ncols), ModuleOrder(g.ring, (0,) * g.nrows)
+        h = unpack(_kernel(pack(g.entries, rows), rows, cols), cols)
+        return PolyMatrix(g.ring, len(h), g.nrows, tuple(h))
+
     r = Ring(101, 2)
     g = mat(r, [["D1"], ["D2"]])
-    h = left_kernel(g)
+    h = packed_left_kernel(g)
     assert h.nrows == 1
     assert (h @ g).is_zero
-    assert left_kernel(mat(r, [["D1", "D2"]])).nrows == 0
-    assert left_kernel(PolyMatrix.identity(r, 3)).nrows == 0
+    assert packed_left_kernel(mat(r, [["D1", "D2"]])).nrows == 0
+    ident = mat(r, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+    assert packed_left_kernel(ident).nrows == 0
+    # A zero row of g is a unit row of h, after the syzygies of the others.
+    h = packed_left_kernel(mat(r, [["D1"], ["0"], ["D2"]]))
+    assert h.to_strings() == [["100*D2", "0", "D1"], ["0", "1", "0"]]
+
+
+def _kept(t, twist, *gens):
+    order = ModuleOrder(t, twist)
+    return [gens[k] for k in _minimal_flat(pack(gens, order), order)]
 
 
 def test_minimal_generators_examples():
     r = Ring(5, 2)
     t = r.homogeneous_companion()
-    m = SubmodulePresentation(t, 1, ((P("D1", t),), (P("D2", t),), (P("D1 + D2", t),)))
-    kept = minimal_generators(m)
-    assert kept.ncols == 2
-    m1 = SubmodulePresentation(t, 1, ((P("D1", t),),))
-    assert minimal_generators(m1).ncols == 1
-    m2 = SubmodulePresentation(t, 1, ((P("D1", t),), (P("D1*D2", t),)))
-    assert minimal_generators(m2).to_strings() == [["D1"]]
+    assert len(_kept(t, (0,), (P("D1", t),), (P("D2", t),), (P("D1 + D2", t),))) == 2
+    assert len(_kept(t, (0,), (P("D1", t),))) == 1
+    assert _kept(t, (0,), (P("D1", t),), (P("D1*D2", t),)) == [(P("D1", t),)]
 
 
 def test_minimal_generators_rejects_inhomogeneous_input():
     t = Ring(5, 2, homog=True)
-    m = SubmodulePresentation(t, 1, ((P("D1 + 1", t),),))
     with pytest.raises(DomainError):
-        minimal_generators(m)
+        _kept(t, (0,), (P("D1 + 1", t),))
 
 
 def test_minimal_generator_count_matches_graded_slice_oracle():
@@ -191,13 +223,11 @@ def test_minimal_generator_count_matches_graded_slice_oracle():
                     coeffs[tuple(e)] = rng.randrange(t.p)
                 elem.append(Poly.from_dict(t, coeffs))
             if all(f.is_zero for f in elem):
-                elem[0] = Poly.const(t, 1) if d == 0 else Poly.monomial(
-                    t, tuple(d if i == 0 else 0 for i in range(t.nvars)))
+                elem[0] = Poly.from_dict(t, {tuple(d if i == 0 else 0 for i in range(t.nvars)): 1})
             gens.append(tuple(elem))
-        pres = SubmodulePresentation(t, rank, tuple(gens))
-        kept = minimal_generators(pres)
+        kept = _kept(t, (0,) * rank, *gens)
         expected = graded_minimal_generator_count(gens, rank, (0,) * rank, t)
-        assert kept.ncols == expected
+        assert len(kept) == expected
 
 
 def test_every_generator_reduces_to_zero_and_spairs_too():
@@ -212,13 +242,10 @@ def test_every_generator_reduces_to_zero_and_spairs_too():
                 gens.append(g)
         if not gens:
             continue
-        pres = SubmodulePresentation(ring, rank, tuple(gens))
-        basis = groebner_basis(pres)
-        for g in gens:
-            from convres.algebra import vec_is_zero
-            assert vec_is_zero(normal_form(g, basis))
-        items = basis._items
-        order = basis.order
+        order = ModuleOrder(ring, (0,) * rank)
+        items = _interreduce(_buchberger(pack(gens, order), order), order)
+        for flat in pack(gens, order):
+            assert not _reduce_flat(flat, items, order)[0]
         for j in range(len(items)):
             for i in range(j):
                 if items[i].pos != items[j].pos:
@@ -238,8 +265,7 @@ def test_reduced_basis_is_canonical_under_representation_changes():
             g = tuple(random_poly(rng, ring, 2) for _ in range(rank))
             if not all(f.is_zero for f in g):
                 gens.append(g)
-        pres = SubmodulePresentation(ring, rank, tuple(gens))
-        reference = groebner_basis(pres)
+        order = ModuleOrder(ring, (0,) * rank)
         # Shuffle and append random combinations of the generators.
         noisy = list(gens)
         rng.shuffle(noisy)
@@ -250,23 +276,11 @@ def test_reduced_basis_is_canonical_under_representation_changes():
                 combo = tuple(a + b * c for a, b in zip(combo, g))
             if not all(f.is_zero for f in combo):
                 noisy.append(combo)
-        again = groebner_basis(SubmodulePresentation(ring, rank, tuple(noisy)))
-        assert reference.elements == again.elements
+        assert same_span(pack(gens, order), pack(noisy, order), order)
 
 
 def test_order_key_prefers_low_positions():
-    ring = Ring(5, 2)
-    order = zero_order(ring, 2)
+    order = ModuleOrder(Ring(5, 2), (0, 0))
     t_low = (0, (1, 0))
     t_high = (1, (1, 0))
     assert order.key(t_low) > order.key(t_high)
-
-
-def test_presentation_validation():
-    r = Ring(5, 2)
-    with pytest.raises(DomainError):
-        SubmodulePresentation(r, 1, ((Poly.zero(r),),))
-    with pytest.raises(StructuralError):
-        SubmodulePresentation(r, 1, ())
-    with pytest.raises(StructuralError):
-        SubmodulePresentation(r, 2, ((P("D1", r),),))

@@ -16,14 +16,9 @@ from convres import Poly, Ring
 from convres.cli import main
 from convres.errors import DomainError, InvariantError
 from convres import groebner
-from convres.groebner import (
-    ModuleOrder,
-    SubmodulePresentation,
-    groebner_basis,
-    syzygy_basis,
-)
+from convres.groebner import ModuleOrder, _syzygies_flat
 
-from helpers import mat, random_poly
+from helpers import mat, pack, random_poly, reduced_basis, unpack
 
 LIMIT = groebner._LIMIT
 checked = settings(derandomize=True, deadline=None, max_examples=200)
@@ -124,7 +119,7 @@ def test_oversized_exponent_raises_instead_of_wrapping():
     r = Ring(5, 2)
     huge = Poly.from_dict(r, {(2**31, 0): 1})
     with pytest.raises(DomainError):
-        groebner_basis(SubmodulePresentation(r, 1, ((huge,),)))
+        pack([(huge,)], ModuleOrder(r, (0,)))
     with pytest.raises(DomainError):
         ModuleOrder(r, (0,)).pack((0, (1, -1)))
     with pytest.raises(DomainError):
@@ -135,12 +130,20 @@ def test_spair_beyond_limit_raises():
     # Both generators are in range; their lcm is not.
     r = Ring(5, 2)
     half = (LIMIT + 1) // 2
-    gens = ((Poly.monomial(r, (half, 0)),), (Poly.monomial(r, (0, half)),))
+    gens = [(Poly.from_dict(r, {(half, 0): 1}),), (Poly.from_dict(r, {(0, half): 1}),)]
+    order = ModuleOrder(r, (0,))
     with pytest.raises(DomainError):
-        groebner_basis(SubmodulePresentation(r, 1, gens))
+        reduced_basis(pack(gens, order), order)
 
 
 # -- self-checks raise InvariantError ------------------------------------
+
+def syzygies_of(g):
+    """The packed syzygies of a matrix's columns under the zero row twist."""
+    order = ModuleOrder(g.ring, (0,) * g.nrows)
+    return _syzygies_flat(pack(g.columns(), order), order,
+                          ModuleOrder(g.ring, g.column_degrees()))[0]
+
 
 def _uncompleted(gens_flat, order, expr_order, keep=None):
     """The generators as basis items, without Buchberger completion."""
@@ -157,7 +160,7 @@ def test_unreduced_spair_raises_invariant_error(monkeypatch):
     monkeypatch.setattr(groebner, "_buchberger", _uncompleted)
     # The S-pair of D1^2 + D2 and D1*D2 leaves D2^2.
     with pytest.raises(InvariantError):
-        syzygy_basis(mat(r, [["D1^2 + D2", "D1*D2"]]))
+        syzygies_of(mat(r, [["D1^2 + D2", "D1*D2"]]))
 
 
 def test_unreduced_original_raises_invariant_error(monkeypatch):
@@ -165,7 +168,7 @@ def test_unreduced_original_raises_invariant_error(monkeypatch):
     monkeypatch.setattr(groebner, "_buchberger",
                         lambda g, o, e: _uncompleted(g, o, e, keep=1))
     with pytest.raises(InvariantError):
-        syzygy_basis(mat(r, [["D1", "D2"]]))
+        syzygies_of(mat(r, [["D1", "D2"]]))
 
 
 def test_failed_self_check_exits_2_without_a_report(tmp_path, capsys, monkeypatch):
@@ -194,7 +197,7 @@ def test_lost_pair_outcome_raises_invariant_error(monkeypatch):
     r = Ring(101, 2)
     monkeypatch.setattr(groebner, "_buchberger", _one_outcome_lost(groebner._buchberger))
     with pytest.raises(InvariantError, match="must reduce to zero"):
-        syzygy_basis(mat(r, [["D1^2 + D2", "D1*D2"]]))
+        syzygies_of(mat(r, [["D1^2 + D2", "D1*D2"]]))
 
 
 def test_lost_pair_outcome_exits_2_without_a_report(tmp_path, capsys, monkeypatch):
@@ -244,6 +247,7 @@ def test_ideal_bases_agree_with_sympy():
                  if not f.is_zero]
         if not polys:
             continue
-        ours = groebner_basis(SubmodulePresentation(ring, 1, tuple((f,) for f in polys)))
-        assert {g[0] for g in ours.elements} == _sympy_basis(sympy, polys, ring), polys
+        order = ModuleOrder(ring, (0,))
+        ours = unpack(reduced_basis(pack([(f,) for f in polys], order), order), order)
+        assert {g[0] for g in ours} == _sympy_basis(sympy, polys, ring), polys
         compared += 1

@@ -1,6 +1,6 @@
 """Minimal syzygies at every level of ``minimal_resolution``.
 
-* ``minimal_generators`` (one pass per degree) keeps exactly the
+* ``_minimal_flat`` (one pass per degree) keeps exactly the
   generators of the greedy membership pass it replaced, which stays here
   as the reference.
 * Pruning each syzygy module inside the loop gives the Forney table of
@@ -16,21 +16,17 @@ import time
 
 import pytest
 
-from convres import Poly, PolyMatrix, Ring
+from convres import Poly, Ring
 from convres.algebra import CodePresentation
 from convres.cli import main
 from convres.complexes import (
     column_degree_table,
-    homogenize_complex,
     minimal_resolution,
+    validate_complex,
 )
 from convres import complexes
 from convres.errors import InvariantError
-from convres.groebner import (
-    SubmodulePresentation,
-    membership,
-    minimal_generators,
-)
+from convres.groebner import ModuleOrder, _minimal_flat, _reduce_flat
 from convres.invariants import forney_table, hilbert_values
 from convres.oracle import hilbert_oracle
 
@@ -40,25 +36,36 @@ from helpers import (
     homogeneous_column_degree,
     koszul_code,
     minimalize_graded,
+    mul_monomial,
+    pack,
+    reference_buchberger,
     resolution_without_minimalization,
+    unpacked_lift,
 )
 
 
-def greedy_minimal_generators(module, twist=None):
-    """The former ``minimal_generators``: one membership test per generator."""
-    twist = module.twist if twist is None else twist
-    degrees = [homogeneous_column_degree(g, twist) for g in module.generators]
+def kept_by_core(ring, gens, twist):
+    """The packed core's minimal generators (``_minimal_flat``) of ``Poly`` columns."""
+    order = ModuleOrder(ring, twist)
+    return [gens[k] for k in _minimal_flat(pack(gens, order), order)]
+
+
+def greedy_minimal_generators(ring, gens, twist):
+    """The former ``minimal_generators``: one membership test per generator,
+    against a criteria-free completion of those kept so far."""
+    order = ModuleOrder(ring, twist)
+    degrees = [homogeneous_column_degree(g, twist) for g in gens]
     kept = []
     for k in sorted(range(len(degrees)), key=lambda k: (degrees[k], k)):
-        g = module.generators[k]
-        if kept and membership(g, SubmodulePresentation(module.ring, module.rank,
-                                                        tuple(kept), twist)):
+        flat = pack([gens[k]], order)[0]
+        if kept and not _reduce_flat(flat, reference_buchberger(pack(kept, order), order),
+                                     order)[0]:
             continue
-        kept.append(g)
-    return PolyMatrix.from_columns(module.ring, module.rank, kept)
+        kept.append(gens[k])
+    return kept
 
 
-# -- minimal_generators against the greedy reference ----------------------
+# -- _minimal_flat against the greedy reference ----------------------
 
 def _monomial(rng, nvars, d):
     exps = [0] * nvars
@@ -91,7 +98,7 @@ def _planted_combination(rng, ring, gens, degrees, d):
         if dg > d or rng.random() < 0.4:
             continue
         m = _monomial(rng, ring.nvars, d - dg)
-        term = tuple(f.mul_term(rng.randrange(1, ring.p), m) for f in g)
+        term = tuple(mul_monomial(f, m, rng.randrange(1, ring.p)) for f in g)
         out = term if out is None else tuple(a + b for a, b in zip(out, term))
     if out is None or all(f.is_zero for f in out):
         return None
@@ -125,7 +132,7 @@ def _generator_corpus(rng):
         at = rng.randrange(len(gens) + 1)
         gens.insert(at, planted)
         degrees.insert(at, d)
-    return SubmodulePresentation(ring, rank, tuple(gens), twist)
+    return ring, gens, twist
 
 
 def test_minimal_generators_equals_greedy_membership_pass():
@@ -133,25 +140,23 @@ def test_minimal_generators_equals_greedy_membership_pass():
     primes = set()
     pruned = 0
     for _ in range(80):
-        module = _generator_corpus(rng)
-        primes.add(module.ring.p)
-        new = minimal_generators(module)
-        assert new == greedy_minimal_generators(module), module
-        pruned += len(module.generators) - new.ncols
+        ring, gens, twist = _generator_corpus(rng)
+        primes.add(ring.p)
+        new = kept_by_core(ring, gens, twist)
+        assert new == greedy_minimal_generators(ring, gens, twist), gens
+        pruned += len(gens) - len(new)
     assert primes == {2, 3, 101}
     assert pruned > 80  # the planted redundancy was found
 
 
 def test_minimal_generators_with_an_explicit_twist():
     t = Ring(5, 2).homogeneous_companion()
-    gens = ((Poly.variable(t, "D1"), Poly.zero(t)),
-            (Poly.zero(t), Poly.variable(t, "D2")),
-            (Poly.variable(t, "D1"), Poly.variable(t, "D2")),
-            (Poly.variable(t, "D1") * Poly.variable(t, "D2"), Poly.zero(t)))
-    module = SubmodulePresentation(t, 2, gens)
+    d1, d2 = Poly.from_dict(t, {(0, 1, 0): 1}), Poly.from_dict(t, {(0, 0, 1): 1})
+    zero = Poly.zero(t)
+    gens = [(d1, zero), (zero, d2), (d1, d2), (d1 * d2, zero)]
     twist = (1, 1)
-    assert minimal_generators(module, twist) == greedy_minimal_generators(module, twist)
-    assert minimal_generators(module, twist).columns() == [gens[0], gens[1]]
+    assert kept_by_core(t, gens, twist) == greedy_minimal_generators(t, gens, twist)
+    assert kept_by_core(t, gens, twist) == [gens[0], gens[1]]
 
 
 # -- in-loop pruning against the pivoting route --------------------------
@@ -160,7 +165,7 @@ def test_forney_table_matches_the_pivoting_route():
     for c in acceptance_corpus():
         rep = minimal_resolution(c)
         raw = resolution_without_minimalization(c)
-        pivoted = minimalize_graded(homogenize_complex(raw.complex))
+        pivoted = minimalize_graded(validate_complex(unpacked_lift(raw.complex)[0]))
         old = tuple(tuple(sorted(level)) for level in column_degree_table(pivoted))
         assert forney_table(rep).levels == old, c.generators
 

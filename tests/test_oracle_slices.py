@@ -3,8 +3,8 @@
 
 * The slice helper lists its terms in ``_keys`` order and maps every
   key of degree <= d to its index, or -1 outside a twisted slice.
-* ``truncated_exactness``, kernel spans (compared as RREF in one common
-  order) and ``memory_recovery_check`` verdicts equal the former routes.
+* ``truncated_exactness`` and kernel spans (compared as RREF in one
+  common order) equal the former routes.
 * A map that raises a column's twisted degree raises ``DomainError``.
 """
 
@@ -16,12 +16,10 @@ import pytest
 
 from convres import PolyMatrix, Ring
 from convres.errors import DomainError
-from convres.invariants import memory
 from convres.oracle import (
     _keys,
     _slice,
     engine_resolution,
-    memory_recovery_check,
     truncated_exactness,
     truncated_kernel,
 )
@@ -31,7 +29,6 @@ from helpers import (
     mat,
     random_complex,
     random_poly,
-    reference_memory_recovery_check,
     reference_slice_terms,
     reference_truncated_exactness,
     reference_truncated_kernel,
@@ -101,15 +98,6 @@ def test_kernel_spans_equal_the_former_route():
     for d in range(5):
         assert_same_kernel(g, (0, 0), (2, 2, 2), d + 2)
         assert_same_kernel(g, (0, 1), (3, 0, 2), d)
-
-
-def test_memory_recovery_verdicts_equal_the_former_route():
-    for c in acceptance_corpus():
-        m = memory(engine_resolution(c))
-        for start in (m - 1, m):
-            if start >= 0:
-                assert (memory_recovery_check(c, start, m + 2)
-                        == reference_memory_recovery_check(c, start, m + 2))
 
 
 def test_a_map_above_its_twisted_degree_raises_domain_error():
