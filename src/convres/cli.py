@@ -283,7 +283,7 @@ def main(argv=None) -> int:
     sp.add_argument("file")
     sp.add_argument("--max-d", type=int, dest="max_d", required=True, metavar="D")
     sp.add_argument("--oracle", action="store_true",
-                    help="compute by truncated linear algebra instead of the formula")
+                    help="count by truncated linear algebra up to the engine's values (runs both)")
 
     sp = sub.add_parser("check", parents=[common],
                         help="structural checks of a complex")

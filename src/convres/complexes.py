@@ -32,9 +32,9 @@ for a given complex they come from one Buchberger run per level on the
 D0-free part of its lift, tracked at level 1 so that the same run gives
 the witness of a failure (``_leading_completion``), and
 ``minimal_resolution``, the source of all invariants, reads them off the
-bases its own syzygy runs completed.  A scalar entry of G^L past level 1
-is a degree-0 term of G^H (``_scalar_entry``).  Only the report's
-complex and the witnesses become ``Poly``.
+bases its own runs completed, one per level.  A scalar entry of G^L
+past level 1 is a degree-0 term of G^H (``_scalar_entry``).  Only the
+report's complex and the witnesses become ``Poly``.
 """
 
 from __future__ import annotations
@@ -50,12 +50,11 @@ from .groebner import (
     _addmul,
     _buchberger,
     _d0_free,
-    _flat_degree,
     _from_flat,
     _interreduce,
     _lead_numerator,
     _lift_flat,
-    _minimal_flat,
+    _minimal_level,
     _reduce_flat,
     _schreyer,
     _syzygies_flat,
@@ -357,28 +356,26 @@ def _syzygy_chain(gens, order: ModuleOrder, max_levels: int):
     """Iterated minimal syzygies over T of homogeneous packed columns.
 
     ``gens`` are packed by ``order``, whose twist is their row twist.
-    Every syzygy module is cut down to minimal homogeneous generators
-    (``_minimal_flat``) before the next level is taken.  Level k stays
-    packed by ``orders[k - 1]``: the order its syzygies were produced in
-    and the one the next level reads them in.  Returns the levels, the
-    orders (``orders[0]`` is ``order`` and ``orders[k]`` is twisted by
-    the column degrees of ``levels[k - 1]``) and the leads:
-    ``leads[k - 1]`` lists as (position, exponents over S) the D0-free
-    leads of the Groebner basis of the span of level k that its syzygy
-    run completed, which generate the lead-term module of im G_k^L (see
-    ``ModuleOrder``).
+    Each level is one tracked completion (``_minimal_level``): it keeps
+    minimal homogeneous generators of the span of its candidates, as
+    their normal forms, and gives their syzygies, the candidates of the
+    next level.  Level k stays packed by ``orders[k - 1]``: the order
+    its candidates were produced in and the one the next level reads
+    them in.  Returns the levels, the orders (``orders[0]`` is ``order``
+    and ``orders[k]`` is twisted by the column degrees of
+    ``levels[k - 1]``) and the leads: ``leads[k - 1]`` lists as
+    (position, exponents over S) the D0-free leads of the Groebner basis
+    of the span of level k that its run completed, which generate the
+    lead-term module of im G_k^L (see ``ModuleOrder``).
     """
     levels, orders, leads = [], [order], []
-    cols = [gens[k] for k in _minimal_flat(gens, order)]
     for _ in range(max_levels):
+        cols, order, gens, items = _minimal_level(gens, order)
         levels.append(cols)
-        orders.append(ModuleOrder(order.ring, tuple(_flat_degree(c, order) for c in cols)))
-        syz, items = _syzygies_flat(cols, order, orders[-1])
+        orders.append(order)
         leads.append([(it.pos, it.exps[1:]) for it in items if not it.exps[0]])
-        if not syz:
+        if not gens:
             return levels, orders, leads
-        order = orders[-1]
-        cols = [syz[k] for k in _minimal_flat(syz, order)]
     raise InvariantError(f"syzygy chain did not end within {max_levels} levels")
 
 
@@ -427,18 +424,17 @@ def minimal_resolution(code: CodePresentation) -> ResolutionReport:
 
     Route: lift the code to its graded companion over T via a
     degree-compatible reduced basis homogenized element by element on
-    packed terms (``_lifted_code``), extract minimal homogeneous
-    generators, then repeatedly take the
-    syzygies of the last level and prune them to minimal homogeneous
-    generators before going one level deeper, all on packed columns
-    (``_syzygy_chain``); finally set D0 = 1.  Minimal generators at
-    every level make the graded resolution minimal, so no pivoting is
-    needed afterwards.  The length is checked to be at most n and the
-    degree table to equal the graded twists carried through the
-    construction.  On the packed levels (``_report``) the products are
-    checked to vanish over T, the leading part complex to be a
-    resolution, by Hilbert series of the leads the chain's own syzygy
-    runs left, and to have no scalar entry past level 1.  By the
+    packed terms (``_lifted_code``), then, level by level on packed
+    columns, one tracked completion picks minimal homogeneous generators
+    of the candidates and gives their syzygies, the candidates of the
+    next level (``_syzygy_chain``); finally set D0 = 1.  Minimal
+    generators at every level make the graded resolution minimal, so no
+    pivoting is needed afterwards.  The length is checked to be at most
+    n and the degree table to equal the graded twists carried through
+    the construction.  On the packed levels (``_report``) the products
+    are checked to vanish over T, the leading part complex to be a
+    resolution, by Hilbert series of the leads the chain's own runs
+    left, and to have no scalar entry past level 1.  By the
     paper's main theorem that makes the result a resolution too, so it
     is not checked separately.  A failed check raises
     ``InvariantError``.

@@ -8,19 +8,21 @@ works on packed columns (below): normal forms (``_reduce_flat``),
 Buchberger completion (``_buchberger``), reduced (canonical) bases
 (``_interreduce``), syzygies via Schreyer's construction in the
 caller's coordinates (``_syzygies_flat``, ``_schreyer``), minimal
-homogeneous generating sets of graded submodules (``_minimal_flat``),
-and Hilbert series numerators of lead-term modules, by a pivot
-algorithm on monomial ideals (``_lead_numerator``).  ``_to_flat`` and
-``_from_flat`` pack and unpack ``Poly`` columns; callers unpack only
-what a report prints.
+homogeneous generating sets of graded submodules together with their
+syzygies (``_minimal_level``), and Hilbert series numerators of
+lead-term modules, by a pivot algorithm on monomial ideals
+(``_lead_numerator``).  ``_to_flat`` and ``_from_flat`` pack and
+unpack ``Poly`` columns; callers unpack only what a report prints.
 
 One resumable Buchberger completion (``_Completion``, normal strategy)
 serves every caller and skips pairs by the Gebauer-Moeller chain
-criteria: reduced bases, Hilbert series, minimal generators (which stop
-each run at the current degree) and syzygies.  Syzygy runs are tracked:
-they keep the relation of each pair reduced to zero, and Schreyer's
-construction pulls back only those relations, reducing no S-pair again.
-There are no signature-based or Hilbert-driven shortcuts.
+criteria: reduced bases, Hilbert series and syzygies.  Syzygy runs are
+tracked: they keep the relation of each pair reduced to zero, and
+Schreyer's construction pulls back only those relations, reducing no
+S-pair again.  A level of a minimal resolution is one such run, stopped
+at each degree to choose the minimal generators of that degree before
+it goes on (after La Scala and Stillman, JSC 26, 1998).  There are no
+signature-based or Hilbert-driven shortcuts.
 
 Terms are packed into single integers whose natural order is the module
 order, after Monagan and Pearce, "Polynomial division using dynamic
@@ -31,8 +33,8 @@ mask.  ``complexes`` lifts columns into T term by term as integers
 (``_lift_flat``): the code's reduced basis for its resolution chain, and
 every column of a given complex.  It takes the value at D0 = 0 by
 dropping terms (``_d0_free``) and reads Hilbert series off lead terms:
-of the Groebner bases the chain's syzygy runs complete, or of one
-completion per level of a given complex.  ``check_resolution`` and
+of the Groebner basis the chain's one run per level completes, or of
+one completion per level of a given complex.  ``check_resolution`` and
 ``observability`` run the same cores on columns packed over S.
 """
 
@@ -353,14 +355,14 @@ class _Completion:
     Every same-position pair (i, j), once decided, leaves its outcome in
     ``items[j].relations[i]``: the relation of its reduction to zero in a
     tracked run, else None (dropped by a criterion, produced an item, or
-    reduced to zero untracked).  Tracked (``expr_order`` given), each
-    item also carries its expression in the input generators, packed by
-    ``expr_order``.
+    reduced to zero untracked).  Tracked, each item also carries its
+    expression in the inputs: ``add`` is given an input's own, packed by
+    an order over the ring of ``order``, and ``run`` derives the rest.
     """
 
-    def __init__(self, order: ModuleOrder, expr_order: ModuleOrder = None):
+    def __init__(self, order: ModuleOrder, tracked: bool = False):
         self.order = order
-        self.expr_order = expr_order
+        self.tracked = tracked
         self.items: list[_GBItem] = []
         self._heap: list = []
         self._pairs: dict = {}     # waiting (i, j) -> lcm exponents
@@ -410,21 +412,20 @@ class _Completion:
         """Reduce the waiting pairs of lcm weight <= ``weight`` (all if None)."""
         order, items, heap = self.order, self.items, self._heap
         p = order.ring.p
-        track = self.expr_order is not None
         while heap and (weight is None or heap[0][0] <= weight):
             _, i, j = heapq.heappop(heap)
             if self._pairs.pop((i, j), None) is None:
                 continue    # dropped by criterion B
             s, ui, uj = _spair_parts(items[i], items[j], order)
-            rem, quots = _reduce_flat(s, items, order, want_quotients=track)
-            sigma = _relation(i, ui, j, uj, quots, p) if track else None
+            rem, quots = _reduce_flat(s, items, order, want_quotients=self.tracked)
+            sigma = _relation(i, ui, j, uj, quots, p) if self.tracked else None
             items[j].relations[i] = None if rem else sigma
             if not rem:
                 continue
             # sigma applied to the items is rem: its pull-back expresses rem.
             expr = None if sigma is None else _pull_back(sigma, items, p)
             if expr:    # multiplied further, so held to the limit
-                _check_weight(max(expr) >> self.expr_order._weight_at)
+                _check_weight(max(expr) >> order._weight_at)
             self.add(rem, expr)
 
 
@@ -436,7 +437,7 @@ def _buchberger(gens_flat, order: ModuleOrder, expr_order: ModuleOrder = None):
     relation, so syzygies can be pulled back to the caller's coordinates
     afterwards.
     """
-    completion = _Completion(order, expr_order)
+    completion = _Completion(order, expr_order is not None)
     one = (0,) * order.ring.nvars
     for j, flat in enumerate(gens_flat):
         if not flat:
@@ -544,37 +545,51 @@ def _schreyer(gens_flat, items, order: ModuleOrder, syz_order: ModuleOrder) -> l
     return [flat for _, flat in cleaned]
 
 
-# -- minimal homogeneous generators ---------------------------------------
+# -- minimal homogeneous generators and their syzygies ----------------------
 
-def _minimal_flat(gens_flat, order: ModuleOrder) -> list:
-    """Indices of a minimal homogeneous generating set of packed columns.
+def _minimal_level(gens_flat, order: ModuleOrder):
+    """Minimal homogeneous generators of packed columns and their syzygies,
+    from one tracked ``_Completion``.
 
-    One pass per degree (graded Nakayama) over one ``_Completion`` of
-    the generators kept so far: before degree d it is run up to weight
-    d, so its items are a Groebner basis of the kept span up to degree
-    d.  The generators of degree d (``_flat_degree``) are taken in index
-    order and reduced to normal form against the items; a generator is
-    kept exactly when its normal form is nonzero, and that normal form
-    joins the items.  Normal forms against a Groebner basis are unique,
-    so this keeps the same generators as testing each one for membership
-    in the span of those kept so far, in increasing degree; over a
-    graded module it realizes the (unique) minimal number of generators
-    per degree, so the size and the degree multiset of the output are
-    invariants of the module.  Indices come by degree, then index.
+    One pass per degree (graded Nakayama): before degree d the completion
+    is run up to weight d, so its items are a Groebner basis of the kept
+    span up to degree d.  The columns of degree d (``_flat_degree``) are
+    taken in index order and reduced to normal form against the items.
+    Normal forms against a Groebner basis are unique, so a column is kept
+    exactly when it is not in the span of those kept before it, in
+    increasing degree; over a graded module that realizes the (unique)
+    minimal number of generators per degree, so the size and the degree
+    multiset of the output are invariants of the module.  A kept column
+    is its normal form, made monic: it differs from the column by an
+    element of the span of those kept before, so the kept columns span
+    what the columns span.  It joins the items with its own unit as its
+    expression.
+    Then ``run()`` completes the items, and ``_schreyer`` pulls back the
+    syzygies of the kept columns, each of which reduces in one step.
+
+    Returns ``(kept, syz_order, syzygies, items)``: the kept columns, by
+    degree then index; the order twisted by their degrees, which packs
+    the syzygies and whose unit at position i is the expression of
+    kept[i]; and the items, a Groebner basis of the kept span.
     """
     by_degree: dict = {}
     for k, flat in enumerate(gens_flat):
         by_degree.setdefault(_flat_degree(flat, order), []).append(k)
-    completion = _Completion(order)
-    kept: list = []
+    completion = _Completion(order, tracked=True)
+    kept, degrees = [], []
     for d in sorted(by_degree):
         completion.run(d)
         for k in by_degree[d]:
             rem, _ = _reduce_flat(gens_flat[k], completion.items, order)
             if rem:
-                completion.add(rem)
-                kept.append(k)
-    return kept
+                rem = _monic(rem, order.ring.p)[0]
+                # The unit at position len(kept), of weight d, of ``syz_order``.
+                completion.add(rem, {(d << order._weight_at) + order._base - len(kept): 1})
+                kept.append(rem)
+                degrees.append(d)
+    completion.run()
+    syz_order = ModuleOrder(order.ring, tuple(degrees))
+    return kept, syz_order, _schreyer(kept, completion.items, order, syz_order), completion.items
 
 
 # -- Hilbert series of lead-term modules ------------------------------------

@@ -47,6 +47,7 @@ from convres.complexes import (
 from convres.errors import DomainError, InvariantError, PolyParseError, StructuralError
 from convres.groebner import (
     ModuleOrder,
+    _Completion,
     _GBItem,
     _addmul,
     _buchberger,
@@ -55,7 +56,7 @@ from convres.groebner import (
     _from_flat,
     _interreduce,
     _lcm_shifts,
-    _minimal_flat,
+    _minimal_level,
     _monic,
     _reduce_flat,
     _spair_parts,
@@ -109,7 +110,7 @@ def paper_matrix():
 
 # -- the adapter between Poly columns and the packed core ---------------------
 # Tests hand ``Poly`` data to the packed core (``_syzygies_flat``,
-# ``_buchberger``, ``_minimal_flat``, ...) through ``pack`` and read its
+# ``_buchberger``, ``_minimal_level``, ...) through ``pack`` and read its
 # results back through ``unpack``; nothing else converts.
 
 def pack(columns, order):
@@ -851,20 +852,76 @@ def _graded_pipeline(code):
     return lifted
 
 
+def _minimal_flat(gens_flat, order: ModuleOrder) -> list:
+    """The first of the two runs per level that ``minimal_resolution``
+    made before one tracked run (``_minimal_level``) did both: indices of
+    a minimal homogeneous generating set of packed columns.
+
+    One pass per degree (graded Nakayama) over one untracked
+    ``_Completion`` of the generators kept so far: before degree d it is
+    run up to weight d.  The generators of degree d are taken in index
+    order and reduced to normal form against the items; a generator is
+    kept exactly when its normal form is nonzero, and that normal form
+    joins the items.  Indices come by degree, then index.
+    """
+    by_degree: dict = {}
+    for k, flat in enumerate(gens_flat):
+        by_degree.setdefault(_flat_degree(flat, order), []).append(k)
+    completion = _Completion(order)
+    kept: list = []
+    for d in sorted(by_degree):
+        completion.run(d)
+        for k in by_degree[d]:
+            rem, _ = _reduce_flat(gens_flat[k], completion.items, order)
+            if rem:
+                completion.add(rem)
+                kept.append(k)
+    return kept
+
+
 def _minimal_columns(columns, ring, twist):
-    """The packed core's minimal generators (``_minimal_flat``) of ``Poly`` columns."""
+    """The two-pass route's minimal generators (``_minimal_flat``) of ``Poly`` columns."""
     order = ModuleOrder(ring, twist)
     kept = _minimal_flat(pack(columns, order), order)
     return PolyMatrix.from_columns(ring, len(twist), [columns[k] for k in kept])
 
 
 def reference_minimal_resolution(code):
-    """The ``Poly`` route of ``minimal_resolution`` before its chain stayed packed.
+    """The ``Poly`` route of ``minimal_resolution``.
 
-    Minimal generators of the lifted code, then per level syzygies and
-    minimal generators over T, each packing and unpacking its columns,
-    and D0 := 1 entry by entry at the end.  Returns the complex over S
-    and the graded twists of its levels.
+    Over T, per level: the candidates (the lifted code, then the last
+    level's syzygies) packed, one ``_minimal_level`` on them, and its
+    kept columns and their syzygies unpacked; the twists come from the
+    ``Poly`` columns.  D0 := 1 entry by entry at the end.  Returns the
+    complex over S and the graded twists of its levels.
+    """
+    tring = code.ring.homogeneous_companion()
+    candidates, twist = _graded_pipeline(code), (0,) * code.q
+    mats, twists = [], []
+    for _ in range(code.ring.n + 2):
+        order = ModuleOrder(tring, twist)
+        kept, syz_order, syz, _ = _minimal_level(pack(candidates, order), order)
+        mats.append(PolyMatrix.from_columns(tring, len(twist), unpack(kept, order)))
+        twist = graded_column_degrees(mats[-1], twist)
+        twists.append(twist)
+        if not syz:
+            break
+        candidates = unpack(syz, syz_order)
+    else:
+        raise InvariantError("syzygy chain did not end")
+    return (validate_complex([map_entries(m, dehomogenize, code.ring) for m in mats]),
+            tuple(twists))
+
+
+def two_pass_resolution(code):
+    """The ``Poly`` route of ``minimal_resolution`` with two runs per level.
+
+    Minimal generators of the lifted code (``_minimal_flat``), then per
+    level the syzygies of the kept columns themselves by a second,
+    tracked completion (``_syzygies_flat``) and their minimal
+    generators, each packing and unpacking its columns, and D0 := 1
+    entry by entry at the end.  Returns the complex over S and the
+    graded twists of its levels.
     """
     zero = (0,) * code.q
     tring = code.ring.homogeneous_companion()

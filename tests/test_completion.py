@@ -1,12 +1,13 @@
 """The resumable completion against the criteria-free references.
 
 Every completion skips pairs by the Gebauer-Moeller criteria,
-``_minimal_flat`` runs one completion up to the current degree, and
-``_syzygies_flat`` pulls back only the relations its tracked completion
-left.  The route to the minimal resolution is walked one level at a
-time on packed columns, and at each level the packed core and the
-routes of ``tests/helpers.py`` (which reduce every pair) get the same
-input.  Reduced bases, Hilbert numerators and minimal generators must
+``_minimal_flat`` (the two-pass route's minimal generators, in
+``tests/helpers.py``) resumes one engine completion up to the current
+degree, and ``_syzygies_flat`` pulls back only the relations its
+tracked completion left.  The two-pass route to the minimal resolution
+is walked one level at a time on packed columns, and at each level the
+engine's completion and the routes of ``tests/helpers.py`` (which
+reduce every pair) get the same input.  Reduced bases, Hilbert numerators and minimal generators must
 be equal.  The syzygies may be another generating set: each must be a
 syzygy, and together they must span the reference's module.  The
 Forney tables of the two routes must be equal.
@@ -24,13 +25,13 @@ from convres.groebner import (
     _buchberger,
     _flat_degree,
     _lead_numerator,
-    _minimal_flat,
     _MASK,
 )
 
 import helpers
 from helpers import (
     CANARY_ROWS,
+    _minimal_flat,
     acceptance_corpus,
     codes,
     core_syzygies,

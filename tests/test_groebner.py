@@ -12,7 +12,6 @@ from convres.groebner import (
     ModuleOrder,
     _buchberger,
     _interreduce,
-    _minimal_flat,
     _reduce_flat,
     _spair_parts,
     _syzygies_flat,
@@ -22,6 +21,7 @@ from convres.oracle import hilbert_oracle, truncated_kernel
 
 from helpers import (
     P,
+    _minimal_flat,
     graded_minimal_generator_count,
     mat,
     pack,

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from convres import Poly, Ring
 from convres.cli import main
 from convres.errors import DomainError, InvariantError
-from convres import groebner
+from convres import complexes, groebner
 from convres.groebner import ModuleOrder, _syzygies_flat
 
 from helpers import mat, pack, random_poly, reduced_basis, unpack
@@ -171,10 +171,26 @@ def test_unreduced_original_raises_invariant_error(monkeypatch):
         syzygies_of(mat(r, [["D1", "D2"]]))
 
 
+def _level_from(damage, real=complexes._minimal_level):
+    """``_minimal_level`` whose syzygies come from its items after ``damage``."""
+    def run(gens_flat, order):
+        kept, syz_order, _, items = real(gens_flat, order)
+        items = damage(items)
+        return kept, syz_order, groebner._schreyer(kept, items, order, syz_order), items
+    return run
+
+
+def _first_outcome_lost(items):
+    """The items with the first recorded pair outcome deleted."""
+    item = next(it for it in items if it.relations)
+    del item.relations[next(iter(item.relations))]
+    return items
+
+
 def test_failed_self_check_exits_2_without_a_report(tmp_path, capsys, monkeypatch):
-    real = groebner._buchberger
-    monkeypatch.setattr(groebner, "_buchberger", lambda g, o, e=None:
-                        real(g, o) if e is None else _uncompleted(g, o, e, keep=1))
+    # The syzygies of a level from its first item alone: the second
+    # column of [D1 D2] does not reduce to zero against it.
+    monkeypatch.setattr(complexes, "_minimal_level", _level_from(lambda items: items[:1]))
     path = tmp_path / "code.json"
     path.write_text('{"p": 2, "n": 2, "kind": "code", "matrix": [["D1", "D2"]]}')
     assert main(["resolve", str(path)]) == 2
@@ -186,10 +202,7 @@ def _one_outcome_lost(real):
     """``_buchberger`` that loses the first recorded pair outcome of a tracked run."""
     def run(gens_flat, order, expr_order=None):
         items = real(gens_flat, order, expr_order)
-        if expr_order is not None:
-            item = next(it for it in items if it.relations)
-            del item.relations[next(iter(item.relations))]
-        return items
+        return items if expr_order is None else _first_outcome_lost(items)
     return run
 
 
@@ -201,7 +214,7 @@ def test_lost_pair_outcome_raises_invariant_error(monkeypatch):
 
 
 def test_lost_pair_outcome_exits_2_without_a_report(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(groebner, "_buchberger", _one_outcome_lost(groebner._buchberger))
+    monkeypatch.setattr(complexes, "_minimal_level", _level_from(_first_outcome_lost))
     path = tmp_path / "code.json"
     path.write_text('{"p": 2, "n": 2, "kind": "code", "matrix": [["D1", "D2"]]}')
     assert main(["resolve", str(path)]) == 2

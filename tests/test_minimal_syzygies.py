@@ -1,8 +1,11 @@
 """Minimal syzygies at every level of ``minimal_resolution``.
 
-* ``_minimal_flat`` (one pass per degree) keeps exactly the
-  generators of the greedy membership pass it replaced, which stays here
-  as the reference.
+* ``_minimal_flat`` (one pass per degree, in ``tests/helpers.py``)
+  keeps exactly the generators of the greedy membership pass it
+  replaced, which stays here as the reference.
+* ``_minimal_level``, which picks the generators within the tracked
+  completion that gives their syzygies, keeps the normal forms of those
+  same generators, and its syzygies span the kernel of what it kept.
 * Pruning each syzygy module inside the loop gives the Forney table of
   the older route: all Schreyer syzygies first, then graded pivoting
   with ``minimalize_graded``.
@@ -26,19 +29,22 @@ from convres.complexes import (
 )
 from convres import complexes
 from convres.errors import InvariantError
-from convres.groebner import ModuleOrder, _minimal_flat, _reduce_flat
+from convres.groebner import ModuleOrder, _minimal_level, _monic, _reduce_flat
 from convres.invariants import forney_table, hilbert_values
 from convres.oracle import hilbert_oracle
 
 from helpers import (
     CANARY_ROWS,
+    _minimal_flat,
     acceptance_corpus,
     homogeneous_column_degree,
     koszul_code,
     minimalize_graded,
     mul_monomial,
     pack,
+    reduced_basis,
     reference_buchberger,
+    reference_syzygy_basis,
     resolution_without_minimalization,
     unpacked_lift,
 )
@@ -157,6 +163,30 @@ def test_minimal_generators_with_an_explicit_twist():
     twist = (1, 1)
     assert kept_by_core(t, gens, twist) == greedy_minimal_generators(t, gens, twist)
     assert kept_by_core(t, gens, twist) == [gens[0], gens[1]]
+
+
+def test_one_tracked_run_keeps_the_normal_forms_of_the_greedy_pass():
+    rng = random.Random(405)
+    for _ in range(60):
+        ring, gens, twist = _generator_corpus(rng)
+        order = ModuleOrder(ring, twist)
+        kept, syz_order, syz, items = _minimal_level(pack(gens, order), order)
+        greedy = greedy_minimal_generators(ring, gens, twist)
+        packed = pack(greedy, order)
+        normal_forms = [_monic(_reduce_flat(g, reference_buchberger(packed[:i], order),
+                                            order)[0], ring.p)[0]
+                        for i, g in enumerate(packed)]
+        assert kept == normal_forms, gens
+        assert syz_order.twist == tuple(homogeneous_column_degree(g, twist) for g in greedy)
+        # A kept column's expression is its unit in the order of the syzygies.
+        one = (0,) * ring.nvars
+        for i, col in enumerate(kept):
+            assert next(it.expr for it in items if it.flat == col) == {
+                syz_order.pack((i, one)): 1}
+        reference = reference_syzygy_basis(kept, order, syz_order)
+        assert bool(syz) == bool(reference), gens
+        if syz:
+            assert reduced_basis(syz, syz_order) == reduced_basis(reference, syz_order), gens
 
 
 # -- in-loop pruning against the pivoting route --------------------------

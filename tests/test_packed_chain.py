@@ -8,8 +8,14 @@ in ``tests/helpers.py`` packs and unpacks at every public call and
 dehomogenizes entry by entry.  Both must give the same complex, the
 same strings and the same degree table.
 
+Each level is one tracked completion (``_minimal_level``), so one
+``minimal_resolution`` runs one completion per level and one over S.
+The two-pass route it replaced (minimal generators by one run, their
+syzygies by a second) may give other matrices, but the same degree and
+Forney tables, and both complexes pass every check.
+
 The exactness proof reads the Hilbert numerators of G^L off the leads
-the chain's own syzygy runs left; the fresh route (a criteria-free
+the chain's own runs left; the fresh route (a criteria-free
 Hilbert numerator of each level of G^L of the report) is its reference.  A chain
 broken on purpose must fail the checks with ``InvariantError``.
 """
@@ -20,12 +26,15 @@ import re
 import pytest
 from hypothesis import given, settings
 
-from convres import Ring, complexes
+from convres import Ring, complexes, groebner
 from convres.algebra import CodePresentation
 from convres.cli import main
 from convres.complexes import (
     _lifted_code,
     _syzygy_chain,
+    check_minimal,
+    check_reduced,
+    check_resolution,
     column_degree_table,
     minimal_resolution,
 )
@@ -39,6 +48,7 @@ from convres.groebner import (
     _lead_numerator,
     _to_flat,
 )
+from convres.invariants import forney_table
 
 from helpers import (
     P,
@@ -51,6 +61,7 @@ from helpers import (
     packed_chain,
     reference_hilbert_numerator,
     reference_minimal_resolution,
+    two_pass_resolution,
     unpacked_lift,
 )
 
@@ -134,6 +145,43 @@ def test_packed_chain_matches_the_poly_route_on_sampled_codes(code):
     _assert_same_resolution(code)
 
 
+# -- one completion per level against the two-pass route ----------------------
+
+def test_one_completion_per_level_and_one_over_s(monkeypatch):
+    made = []
+
+    class Counted(groebner._Completion):
+        def __init__(self, order, *args, **kwargs):
+            made.append(order.ring.homog)
+            super().__init__(order, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_Completion", Counted)
+    for code in [KOSZUL_3] + acceptance_corpus():
+        made.clear()
+        length = minimal_resolution(code).complex.length
+        assert made == [False] + [True] * length, code.generators
+
+
+def _assert_two_pass_agrees(code):
+    report = minimal_resolution(code)
+    two_pass, twists = two_pass_resolution(code)
+    assert report.degree_table == twists == column_degree_table(two_pass), code.generators
+    assert forney_table(report).levels == tuple(tuple(sorted(level)) for level in twists)
+    for cx in (report.complex, two_pass):
+        assert check_resolution(cx) and check_reduced(cx) and check_minimal(cx), cx.matrices
+
+
+def test_one_run_per_level_matches_the_two_pass_route_on_the_acceptance_corpus():
+    for code in acceptance_corpus():
+        _assert_two_pass_agrees(code)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(codes())
+def test_one_run_per_level_matches_the_two_pass_route_on_sampled_codes(code):
+    _assert_two_pass_agrees(code)
+
+
 def test_degree_reader_rejects_a_column_with_two_weights():
     t = Ring(101, 2, homog=True)
     order = ModuleOrder(t, (0, 0))
@@ -187,18 +235,18 @@ KOSZUL_3 = CodePresentation.from_strings(p=101, n=3, rows=[["D1", "D2", "D3"]])
 
 
 def _drop_syzygy_column(level):
-    real, calls = complexes._minimal_flat, []
+    real, calls = complexes._minimal_level, []
 
     def pruned(gens, order):
         calls.append(None)
-        kept = real(gens, order)
-        return kept[:-1] if len(calls) == level else kept
-    return "_minimal_flat", pruned
+        out = real(gens, order)
+        return real(out[0][:-1], order) if len(calls) == level else out
+    return "_minimal_level", pruned
 
 
-def _drop_item(gens, order, syz_order, real=complexes._syzygies_flat):
-    syz, items = real(gens, order, syz_order)
-    return syz, items[1:]
+def _drop_item(gens, order, real=complexes._minimal_level):
+    kept, syz_order, syz, items = real(gens, order)
+    return kept, syz_order, syz, items[1:]
 
 
 def _chain_with(change):
@@ -223,7 +271,7 @@ NOT_EXACT, NOT_ZERO = "leading part complex is not exact", "G_1 G_2 is not zero"
 MUTATIONS = {
     "syzygy column dropped at level 2": (lambda: _drop_syzygy_column(2), NOT_EXACT),
     "syzygy column dropped at level 3": (lambda: _drop_syzygy_column(3), NOT_EXACT),
-    "completion item dropped": (lambda: ("_syzygies_flat", _drop_item), NOT_EXACT),
+    "completion item dropped": (lambda: ("_minimal_level", _drop_item), NOT_EXACT),
     "lead dropped": (lambda: _chain_with(lambda levels, leads: leads[1].pop(0)), NOT_EXACT),
     "coefficient changed at level 1": (lambda: _bump_coefficient(1), NOT_ZERO),
     "coefficient changed at level 2": (lambda: _bump_coefficient(2), NOT_ZERO),
