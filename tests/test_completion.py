@@ -1,16 +1,19 @@
 """The resumable completion against the criteria-free references.
 
 Every completion skips pairs by the Gebauer-Moeller criteria,
-``_minimal_flat`` (the two-pass route's minimal generators, in
-``tests/helpers.py``) resumes one engine completion up to the current
-degree, and ``_syzygies_flat`` pulls back only the relations its
-tracked completion left.  The two-pass route to the minimal resolution
-is walked one level at a time on packed columns, and at each level the
-engine's completion and the routes of ``tests/helpers.py`` (which
-reduce every pair) get the same input.  Reduced bases, Hilbert numerators and minimal generators must
-be equal.  The syzygies may be another generating set: each must be a
-syzygy, and together they must span the reference's module.  The
-Forney tables of the two routes must be equal.
+``_minimal_level`` resumes one tracked completion up to the current
+degree to pick minimal generators and then pulls back their syzygies,
+and ``_syzygies_flat`` pulls back only the relations its tracked
+completion left.  The route to the minimal resolution is walked one
+level at a time on packed columns, and at each level the packed core
+and the routes of ``tests/helpers.py`` (which reduce every pair) get
+the same input.  Reduced bases and Hilbert numerators must be equal.
+A level must keep as many columns of each degree as the reference's
+minimal generators, their span and the completion of it must be the
+reference's, and its syzygies, which may be another generating set,
+must each be a syzygy of the kept columns and together span the
+reference's module of them.  The Forney tables of the two routes must
+be equal.
 """
 
 import random
@@ -24,20 +27,22 @@ from convres.groebner import (
     _addmul,
     _buchberger,
     _flat_degree,
+    _interreduce,
     _lead_numerator,
+    _minimal_level,
     _MASK,
 )
 
 import helpers
 from helpers import (
     CANARY_ROWS,
-    _minimal_flat,
     acceptance_corpus,
     codes,
     core_syzygies,
     pack,
     random_code,
     reduced_basis,
+    reference_buchberger,
     reference_groebner_basis,
     reference_hilbert_numerator,
     reference_minimal_generators,
@@ -51,9 +56,20 @@ def core_hilbert_numerator(gens_flat, order):
                            order.twist, order.ring.nvars)
 
 
-ENGINE = (reduced_basis, core_hilbert_numerator, _minimal_flat, core_syzygies)
+def reference_level(gens_flat, order):
+    """A level of the two-pass route on the references: the minimal
+    generators of the candidates (``reference_minimal_generators``), the
+    order of their degrees, their syzygies (``reference_syzygy_basis``)
+    and their criteria-free completion, as ``_minimal_level`` returns."""
+    kept = [gens_flat[k] for k in reference_minimal_generators(gens_flat, order)]
+    syz_order = ModuleOrder(order.ring, tuple(_flat_degree(c, order) for c in kept))
+    return (kept, syz_order, reference_syzygy_basis(kept, order, syz_order),
+            reference_buchberger(kept, order))
+
+
+ENGINE = (reduced_basis, core_hilbert_numerator, _minimal_level, core_syzygies)
 REFERENCE = (reference_groebner_basis, reference_hilbert_numerator,
-             reference_minimal_generators, reference_syzygy_basis)
+             reference_level, reference_syzygy_basis)
 TWIN = dict(zip(ENGINE, REFERENCE))
 
 
@@ -61,11 +77,11 @@ def _route(code, routines):
     """Every call on the way to the minimal resolution of ``code``.
 
     The reduced basis and the syzygies of the code over S, then over T
-    the reduced basis, Hilbert numerator and minimal generators of the
-    lifted code and, level by level, the syzygies of the last level,
-    their Hilbert numerator and their minimal generators, all on packed
-    columns.  Returns the calls as (routine, arguments, result) and the
-    Forney table.
+    the reduced basis and Hilbert numerator of the lifted code and,
+    level by level, the minimal generators of the candidates and their
+    syzygies, the next level's candidates, with their Hilbert
+    numerator, all on packed columns.  Returns the calls as (routine,
+    arguments, result) and the Forney table.
     """
     calls = []
 
@@ -73,26 +89,23 @@ def _route(code, routines):
         calls.append((routine, args, routine(*args)))
         return calls[-1][2]
 
-    basis, hilbert, mingens, syzygies = routines
+    basis, hilbert, level, syzygies = routines
     order = ModuleOrder(code.ring, (0,) * code.q)
     gens = pack(code.generators.columns(), order)
     call(basis, gens, order)
     call(syzygies, gens, order, ModuleOrder(code.ring, code.generators.column_degrees()))
     order = ModuleOrder(code.ring.homogeneous_companion(), (0,) * code.q)
-    lifted = pack(helpers._graded_pipeline(code), order)
-    call(basis, lifted, order)
-    call(hilbert, lifted, order)
-    cols = [lifted[k] for k in call(mingens, lifted, order)]
+    cols = pack(helpers._graded_pipeline(code), order)
+    call(basis, cols, order)
+    call(hilbert, cols, order)
     twists = []
     for _ in range(code.ring.n + 1):
-        syz_order = ModuleOrder(order.ring, tuple(_flat_degree(c, order) for c in cols))
+        _, syz_order, syz, _ = call(level, cols, order)
         twists.append(syz_order.twist)
-        syz = call(syzygies, cols, order, syz_order)
         if not syz:
             break
-        order = syz_order
-        call(hilbert, syz, order)
-        cols = [syz[k] for k in call(mingens, syz, order)]
+        order, cols = syz_order, syz
+        call(hilbert, cols, order)
     return calls, tuple(tuple(sorted(t)) for t in twists)
 
 
@@ -115,12 +128,26 @@ def _assert_same_kernel(args, ours, theirs):
         assert reduced_basis(ours, syz_order) == reduced_basis(theirs, syz_order), cols
 
 
+def _assert_same_level(args, ours, theirs):
+    order = args[1]
+    kept, syz_order, syz, items = ours
+    # As many kept columns of each degree, the same span, and the items
+    # complete it.
+    assert syz_order.twist == theirs[1].twist, args[0]
+    assert [it.flat for it in _interreduce(items, order)] == reference_groebner_basis(
+        theirs[0], order), args[0]
+    _assert_same_kernel((kept, order, syz_order), syz,
+                        reference_syzygy_basis(kept, order, syz_order))
+
+
 def _assert_agrees(code):
     calls, forney = _route(code, ENGINE)
     for routine, args, ours in calls:
         theirs = TWIN[routine](*args)
         if routine is core_syzygies:
             _assert_same_kernel(args, ours, theirs)
+        elif routine is _minimal_level:
+            _assert_same_level(args, ours, theirs)
         else:
             assert ours == theirs, code.generators
     assert forney == _route(code, REFERENCE)[1], code.generators
@@ -179,10 +206,13 @@ def test_tracked_and_untracked_completions_take_the_same_pairs(monkeypatch):
     canary = CodePresentation.from_strings(p=101, n=3, rows=CANARY_ROWS)
     kernels = 0
     for code in [canary] + acceptance_corpus()[:20]:
-        for routine, args, _ in _route(code, ENGINE)[0]:
-            if routine is not core_syzygies:
+        for routine, args, result in _route(code, ENGINE)[0]:
+            if routine is core_syzygies:
+                gens, order, syz_order = args
+            elif routine is _minimal_level:
+                (gens, syz_order), order = result[:2], args[1]
+            else:
                 continue
-            gens, order, syz_order = args
             tracked = complete(gens, order, syz_order)
             assert tracked == complete(gens, order, None), gens
             kernels += 1

@@ -12,6 +12,7 @@ from convres.groebner import (
     ModuleOrder,
     _buchberger,
     _interreduce,
+    _minimal_level,
     _reduce_flat,
     _spair_parts,
     _syzygies_flat,
@@ -21,7 +22,6 @@ from convres.oracle import hilbert_oracle, truncated_kernel
 
 from helpers import (
     P,
-    _minimal_flat,
     graded_minimal_generator_count,
     mat,
     pack,
@@ -186,8 +186,9 @@ def test_left_kernel_examples():
 
 
 def _kept(t, twist, *gens):
+    """The minimal generators ``_minimal_level`` keeps: monic normal forms."""
     order = ModuleOrder(t, twist)
-    return [gens[k] for k in _minimal_flat(pack(gens, order), order)]
+    return unpack(_minimal_level(pack(gens, order), order)[0], order)
 
 
 def test_minimal_generators_examples():
@@ -196,6 +197,8 @@ def test_minimal_generators_examples():
     assert len(_kept(t, (0,), (P("D1", t),), (P("D2", t),), (P("D1 + D2", t),))) == 2
     assert len(_kept(t, (0,), (P("D1", t),))) == 1
     assert _kept(t, (0,), (P("D1", t),), (P("D1*D2", t),)) == [(P("D1", t),)]
+    assert _kept(t, (0,), (P("D1", t),), (P("2*D1 + 3*D2", t),)) == [(P("D1", t),),
+                                                                     (P("D2", t),)]
 
 
 def test_minimal_generators_rejects_inhomogeneous_input():

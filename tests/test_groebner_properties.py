@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from convres import Poly, Ring
 from convres.cli import main
 from convres.errors import DomainError, InvariantError
-from convres import complexes, groebner
+from convres import groebner
 from convres.groebner import ModuleOrder, _syzygies_flat
 
 from helpers import mat, pack, random_poly, reduced_basis, unpack
@@ -171,12 +171,13 @@ def test_unreduced_original_raises_invariant_error(monkeypatch):
         syzygies_of(mat(r, [["D1", "D2"]]))
 
 
-def _level_from(damage, real=complexes._minimal_level):
-    """``_minimal_level`` whose syzygies come from its items after ``damage``."""
-    def run(gens_flat, order):
-        kept, syz_order, _, items = real(gens_flat, order)
-        items = damage(items)
-        return kept, syz_order, groebner._schreyer(kept, items, order, syz_order), items
+def _schreyer_after(damage, real=groebner._schreyer):
+    """``_schreyer`` that first applies ``damage`` to the items of a level
+    over T, the call ``_minimal_level`` makes on the resolve path."""
+    def run(gens_flat, items, order, syz_order):
+        if order.ring.homog:
+            items = damage(items)
+        return real(gens_flat, items, order, syz_order)
     return run
 
 
@@ -190,7 +191,7 @@ def _first_outcome_lost(items):
 def test_failed_self_check_exits_2_without_a_report(tmp_path, capsys, monkeypatch):
     # The syzygies of a level from its first item alone: the second
     # column of [D1 D2] does not reduce to zero against it.
-    monkeypatch.setattr(complexes, "_minimal_level", _level_from(lambda items: items[:1]))
+    monkeypatch.setattr(groebner, "_schreyer", _schreyer_after(lambda items: items[:1]))
     path = tmp_path / "code.json"
     path.write_text('{"p": 2, "n": 2, "kind": "code", "matrix": [["D1", "D2"]]}')
     assert main(["resolve", str(path)]) == 2
@@ -214,7 +215,7 @@ def test_lost_pair_outcome_raises_invariant_error(monkeypatch):
 
 
 def test_lost_pair_outcome_exits_2_without_a_report(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(complexes, "_minimal_level", _level_from(_first_outcome_lost))
+    monkeypatch.setattr(groebner, "_schreyer", _schreyer_after(_first_outcome_lost))
     path = tmp_path / "code.json"
     path.write_text('{"p": 2, "n": 2, "kind": "code", "matrix": [["D1", "D2"]]}')
     assert main(["resolve", str(path)]) == 2

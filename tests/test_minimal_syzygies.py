@@ -1,11 +1,11 @@
 """Minimal syzygies at every level of ``minimal_resolution``.
 
-* ``_minimal_flat`` (one pass per degree, in ``tests/helpers.py``)
-  keeps exactly the generators of the greedy membership pass it
-  replaced, which stays here as the reference.
 * ``_minimal_level``, which picks the generators within the tracked
-  completion that gives their syzygies, keeps the normal forms of those
-  same generators, and its syzygies span the kernel of what it kept.
+  completion that gives their syzygies, keeps the monic normal forms of
+  the generators of the greedy membership pass, which stays here as the
+  reference, and its syzygies span the kernel of what it kept.  The
+  two-pass route's ``_minimal_flat`` (in ``tests/helpers.py``) keeps
+  exactly the greedy pass's generators.
 * Pruning each syzygy module inside the loop gives the Forney table of
   the older route: all Schreyer syzygies first, then graded pivoting
   with ``minimalize_graded``.
@@ -46,14 +46,15 @@ from helpers import (
     reference_buchberger,
     reference_syzygy_basis,
     resolution_without_minimalization,
+    unpack,
     unpacked_lift,
 )
 
 
 def kept_by_core(ring, gens, twist):
-    """The packed core's minimal generators (``_minimal_flat``) of ``Poly`` columns."""
+    """The packed core's minimal generators (``_minimal_level``) of ``Poly`` columns."""
     order = ModuleOrder(ring, twist)
-    return [gens[k] for k in _minimal_flat(pack(gens, order), order)]
+    return unpack(_minimal_level(pack(gens, order), order)[0], order)
 
 
 def greedy_minimal_generators(ring, gens, twist):
@@ -71,7 +72,16 @@ def greedy_minimal_generators(ring, gens, twist):
     return kept
 
 
-# -- _minimal_flat against the greedy reference ----------------------
+def greedy_normal_forms(ring, gens, twist):
+    """The greedy pass's generators, each as its monic normal form against
+    a criteria-free completion of those kept before it, packed."""
+    order = ModuleOrder(ring, twist)
+    packed = pack(greedy_minimal_generators(ring, gens, twist), order)
+    return [_monic(_reduce_flat(g, reference_buchberger(packed[:i], order), order)[0],
+                   ring.p)[0] for i, g in enumerate(packed)]
+
+
+# -- _minimal_level against the greedy reference ---------------------
 
 def _monomial(rng, nvars, d):
     exps = [0] * nvars
@@ -148,8 +158,11 @@ def test_minimal_generators_equals_greedy_membership_pass():
     for _ in range(80):
         ring, gens, twist = _generator_corpus(rng)
         primes.add(ring.p)
+        order = ModuleOrder(ring, twist)
         new = kept_by_core(ring, gens, twist)
-        assert new == greedy_minimal_generators(ring, gens, twist), gens
+        assert new == unpack(greedy_normal_forms(ring, gens, twist), order), gens
+        greedy = greedy_minimal_generators(ring, gens, twist)
+        assert [gens[k] for k in _minimal_flat(pack(gens, order), order)] == greedy, gens
         pruned += len(gens) - len(new)
     assert primes == {2, 3, 101}
     assert pruned > 80  # the planted redundancy was found
@@ -161,8 +174,11 @@ def test_minimal_generators_with_an_explicit_twist():
     zero = Poly.zero(t)
     gens = [(d1, zero), (zero, d2), (d1, d2), (d1 * d2, zero)]
     twist = (1, 1)
-    assert kept_by_core(t, gens, twist) == greedy_minimal_generators(t, gens, twist)
+    order = ModuleOrder(t, twist)
+    assert kept_by_core(t, gens, twist) == unpack(greedy_normal_forms(t, gens, twist), order)
     assert kept_by_core(t, gens, twist) == [gens[0], gens[1]]
+    # A kept column is its normal form against those kept before it.
+    assert kept_by_core(t, [gens[0], gens[2]], twist) == [gens[0], gens[1]]
 
 
 def test_one_tracked_run_keeps_the_normal_forms_of_the_greedy_pass():
@@ -172,11 +188,7 @@ def test_one_tracked_run_keeps_the_normal_forms_of_the_greedy_pass():
         order = ModuleOrder(ring, twist)
         kept, syz_order, syz, items = _minimal_level(pack(gens, order), order)
         greedy = greedy_minimal_generators(ring, gens, twist)
-        packed = pack(greedy, order)
-        normal_forms = [_monic(_reduce_flat(g, reference_buchberger(packed[:i], order),
-                                            order)[0], ring.p)[0]
-                        for i, g in enumerate(packed)]
-        assert kept == normal_forms, gens
+        assert kept == greedy_normal_forms(ring, gens, twist), gens
         assert syz_order.twist == tuple(homogeneous_column_degree(g, twist) for g in greedy)
         # A kept column's expression is its unit in the order of the syzygies.
         one = (0,) * ring.nvars
