@@ -202,7 +202,7 @@ def run_command(cmd: str, doc: InputDocument, options) -> tuple[dict, int]:
         prop = options.property
         cx = doc.complex
         out = {"command": "check", "property": prop}
-        # The verdict and the witness share the packed lift kept on ``cx``.
+        # The verdict and the witness read the packed leading part kept on ``cx``.
         if prop == "resolution":
             result = check_resolution(cx)
         elif prop == "minimal":

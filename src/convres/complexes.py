@@ -10,11 +10,12 @@ on the ambient S^q.  From the table one forms:
 * the leading part complex G^L over S, keeping of each entry only the
   top-degree part the table prescribes, which is G^H at D0 = 0.
 
-Given and constructed complexes are checked in one form: G^H as packed
-columns over T, level k packed by the ``ModuleOrder`` over T of its row
-twist.  ``_graded_lift`` builds it for a given complex, and
-``_syzygy_chain`` for the one ``minimal_resolution`` constructs.  The
-checks offered here: being a resolution (exact as modules), being column
+A given complex is checked on G^L alone, packed over S: each column of
+G_k, packed by the ``ModuleOrder`` over S of its row twist
+(``_packed_levels``), keeps its terms of top weight (``_leading_part``).
+A constructed complex is checked on G^H, packed over T as
+``_syzygy_chain`` builds it for ``minimal_resolution``.  The checks
+offered here: being a resolution (exact as modules), being column
 reduced (G^L is a resolution) and minimality (no scalar survives in
 G_2^L..G_l^L).  By the paper's main theorem, column reducedness is the
 predictable degree property: if G^L is a resolution then so is G, so
@@ -26,15 +27,15 @@ columns packed over S: Schreyer's syzygies of each level must reduce to
 zero against the Groebner basis of the next level's image.  It serves
 ``check resolution`` and the tests.  G^L is graded by the degree table,
 so its exactness follows from Hilbert series of lead-term modules alone
-(``_exact``).  The D0-free leads of a Groebner basis of im G_k^H
-generate the lead-term module of im G_k^L (see ``groebner.ModuleOrder``):
-for a given complex they come from one Buchberger run per level on the
-D0-free part of its lift, tracked at level 1 so that the same run gives
-the witness of a failure (``_leading_completion``), and
-``minimal_resolution``, the source of all invariants, reads them off the
-bases its own runs completed, one per level.  A scalar entry of G^L
-past level 1 is a degree-0 term of G^H (``_scalar_entry``).  Only the
-report's complex and the witnesses become ``Poly``.
+(``_exact``): for a given complex from the leads of one untracked
+Buchberger run per level of G^L, and for ``minimal_resolution``, the
+source of all invariants, from the bases its own runs completed, one
+per level, whose D0-free leads generate the lead-term module of
+im G_k^L (see ``groebner.ModuleOrder``).  The witness of a failure at
+level 1 takes its own tracked run (``pd_failure_witness``).  A scalar
+entry of G^L past level 1 is a term of degree 0 in either packed form
+(``_scalar_entry``).  Only the report's complex and the witnesses
+become ``Poly``.
 """
 
 from __future__ import annotations
@@ -49,14 +50,12 @@ from .groebner import (
     ModuleOrder,
     _addmul,
     _buchberger,
-    _d0_free,
     _from_flat,
     _interreduce,
     _lead_numerator,
     _lift_flat,
     _minimal_level,
     _reduce_flat,
-    _schreyer,
     _syzygies_flat,
     _to_flat,
 )
@@ -71,16 +70,14 @@ class PolyComplex:
     it has checked itself.
     """
 
-    __slots__ = ("ring", "matrices", "q", "sizes", "_table", "_lift", "_lead")
+    __slots__ = ("ring", "matrices", "q", "sizes", "_lead")
 
     def __init__(self, ring, matrices, q, sizes):
         self.ring = ring
         self.matrices = matrices
         self.q = q
         self.sizes = sizes  # (p_1, ..., p_l)
-        self._table = None   # column degree table, once computed
-        self._lift = None    # ``_graded_lift``, once computed
-        self._lead = None    # ``_leading_completion``, once computed
+        self._lead = None    # ``_leading_part``, once computed
 
     @property
     def length(self) -> int:
@@ -119,18 +116,13 @@ def validate_complex(matrices) -> PolyComplex:
 
 
 def column_degree_table(cx: PolyComplex) -> DegreeTable:
-    """The recursive degree table: a_0 = 0, a_{i+1} = twisted column degrees.
-
-    Computed once per complex and kept on it.
-    """
-    if cx._table is None:
-        twist = (0,) * cx.q
-        table = []
-        for mat in cx.matrices:
-            twist = mat.column_degrees(twist)
-            table.append(twist)
-        cx._table = tuple(table)
-    return cx._table
+    """The recursive degree table: a_0 = 0, a_{i+1} = twisted column degrees."""
+    twist = (0,) * cx.q
+    table = []
+    for mat in cx.matrices:
+        twist = mat.column_degrees(twist)
+        table.append(twist)
+    return tuple(table)
 
 
 def _packed_levels(cx: PolyComplex):
@@ -145,44 +137,28 @@ def _packed_levels(cx: PolyComplex):
              for mat, order in zip(cx.matrices, orders)], orders)
 
 
-def _graded_lift(cx: PolyComplex):
-    """G^H of a complex over S as packed columns over T, with the order of each level.
+def _leading_part(cx: PolyComplex):
+    """G^L of a complex as packed columns over S, with the order of each level.
 
-    Returns ``(levels, orders)`` in the form ``_syzygy_chain`` gives a
-    resolution: ``levels[k]`` holds the columns of G_{k+1}^H packed by
-    ``orders[k]``, the order over T twisted by a_k (a_0 the zero twist),
-    and ``orders[l]`` is twisted by a_l.  Each column of G_{k+1}, packed
-    over S under its row twist a_k (``_packed_levels``), is lifted by
-    ``_lift_flat``: its weight is its twisted degree a_{k+1}(j), so
-    entry (i, j) is homogenized in degree e = a_{k+1}(j) - a_k(i).  The
-    table makes e an upper bound for the degree of the entry, attained
-    in every column, so G^H and G^L (its D0-free part) have no zero
-    column and the degree table of G.  They are complexes because G is,
-    so no product is checked again: entry (i, j) of G_k^H G_{k+1}^H is
-    homogeneous of degree a_{k+1}(j) - a_{k-1}(i) and is the same entry
-    of G_k G_{k+1} at D0 = 1, so it is zero, and so is its value at
-    D0 = 0 in G^L.  Computed once per complex and kept on it.
-    """
-    if cx._lift is None:
-        levels, s_orders = _packed_levels(cx)
-        t_ring = cx.ring.homogeneous_companion()
-        orders = [ModuleOrder(t_ring, order.twist) for order in s_orders]
-        cx._lift = ([[_lift_flat(flat, s_order, order) for flat in cols]
-                     for cols, s_order, order in zip(levels, s_orders, orders)], orders)
-    return cx._lift
-
-
-def _leading_completion(cx: PolyComplex):
-    """The columns of G_1^L packed over T and the items of their tracked
-    completion, a Groebner basis of im G_1^L.  Computed once per complex
-    and kept on it, so the verdict of ``check_reduced`` and the witness
-    of ``pd_failure_witness`` come from one completion; only the witness
-    pulls its relations back (``_schreyer``).
+    Returns ``(levels, orders)`` as ``_packed_levels`` does.  The packed
+    weight of a term of column j of G_{k+1} is its degree plus the row
+    twist a_k(i), so the column's top weight is its twisted degree
+    a_{k+1}(j), and the terms of that weight are the part of degree
+    e = a_{k+1}(j) - a_k(i) of every entry (i, j): the column of G^L.
+    The table makes e an upper bound for the degree of the entry,
+    attained in every column, so G^L has no zero column and the degree
+    table of G.  It is a complex because G is, so no product is checked
+    again: entry (i, j) of G_k^L G_{k+1}^L is the part of degree
+    a_{k+1}(j) - a_{k-1}(i), the top one, of the same entry of
+    G_k G_{k+1}, which is zero.  Computed once per complex and kept on
+    it.
     """
     if cx._lead is None:
-        levels, orders = _graded_lift(cx)
-        cols = [_d0_free(flat, orders[0]) for flat in levels[0]]
-        cx._lead = (cols, _buchberger(cols, orders[0], orders[1]))
+        levels, orders = _packed_levels(cx)
+        w_at = orders[0]._weight_at
+        cx._lead = ([[{t: c for t, c in flat.items() if t >> w_at == top}
+                      for flat, top in zip(cols, order.twist)]
+                     for cols, order in zip(levels, orders[1:])], orders)
     return cx._lead
 
 
@@ -266,8 +242,9 @@ def _units(order: ModuleOrder) -> list:
 def _scalar_entry(levels, orders):
     """First (level, row, col), row-major from level 2 on, of a scalar of G^L, or None.
 
-    Entry (i, j) of G_k^L is a nonzero scalar exactly when entry (i, j)
-    of G_k^H has a term of degree 0, the packed unit at position i.
+    ``levels`` are G^H packed over T or G^L packed over S.  Either way
+    entry (i, j) of G_k^L is a nonzero scalar exactly when entry (i, j)
+    of level k has a term of degree 0, the packed unit at position i.
     """
     for k in range(1, len(levels)):
         for i, unit in enumerate(_units(orders[k])):
@@ -283,16 +260,12 @@ def check_reduced(cx: PolyComplex) -> bool:
     By the paper's main theorem a complex whose G^L is a resolution is
     itself one, so this is also the predictable degree property.  G^L is
     graded, so its exactness is proved by Hilbert series (``_exact``),
-    with the leads of one Groebner basis per level of G^L packed over T,
-    which stays D0-free: for level 1 the tracked completion of
-    ``_leading_completion``, which ``pd_failure_witness`` reuses, and for
-    the others one untracked completion each.
+    with the leads of one untracked Groebner basis per level of G^L
+    packed over S (``_leading_part``).
     """
-    levels, orders = _graded_lift(cx)
-    bases = chain([_leading_completion(cx)[1]],
-                  (_buchberger([_d0_free(flat, order) for flat in cols], order)
-                   for cols, order in zip(levels[1:], orders[1:])))
-    return _exact(([(it.pos, it.exps[1:]) for it in items] for items in bases), orders)
+    levels, orders = _leading_part(cx)
+    return _exact(([(it.pos, it.exps) for it in _buchberger(cols, order)]
+                   for cols, order in zip(levels, orders)), orders)
 
 
 def pd_failure_witness(cx: PolyComplex):
@@ -300,19 +273,18 @@ def pd_failure_witness(cx: PolyComplex):
 
     Any nonzero homogeneous kernel element y of G_1^L has twisted degree
     strictly above deg(G_1 @ y), so it certifies the failure: here the
-    syzygy of G_1^L packed over T with the smallest lead, pulled back
-    from the completion of ``_leading_completion``, at D0 = 1.  Returns
-    None when G_1^L has no kernel (the failure, if any, sits deeper).
+    syzygy of G_1^L with the smallest lead, from its own tracked
+    completion over S (``_syzygies_flat``).  Returns None when G_1^L has
+    no kernel (the failure, if any, sits deeper).
     """
-    cols, items = _leading_completion(cx)
-    _, orders = _graded_lift(cx)
-    syz = _schreyer(cols, items, orders[0], orders[1])
-    return _from_flat(orders[1], syz[0], cx.ring) if syz else None
+    levels, orders = _leading_part(cx)
+    syz, _ = _syzygies_flat(levels[0], orders[0], orders[1])
+    return _from_flat(orders[1], syz[0]) if syz else None
 
 
 def minimality_witness(cx: PolyComplex):
     """First (level, row, col), row-major, of a scalar entry in G_2^L.., or None."""
-    return _scalar_entry(*_graded_lift(cx))
+    return _scalar_entry(*_leading_part(cx))
 
 
 def check_minimal(cx: PolyComplex) -> bool:
@@ -439,8 +411,6 @@ def minimal_resolution(code: CodePresentation) -> ResolutionReport:
     is not checked separately.  A failed check raises
     ``InvariantError``.
     """
-    if code.generators.is_zero:
-        raise DomainError("the zero code has no resolution")
     order = ModuleOrder(code.ring.homogeneous_companion(), (0,) * code.q)
     levels, orders, leads = _syzygy_chain(_lifted_code(code, order), order, code.ring.n + 2)
     if not 1 <= len(levels) <= code.ring.n:

@@ -29,13 +29,13 @@ order, after Monagan and Pearce, "Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors" (CASC 2007): the leading
 term of a dict of terms is its ``max``, multiplying by a monomial is one
 integer addition, and a divisibility test is one subtraction and one
-mask.  ``complexes`` lifts columns into T term by term as integers
-(``_lift_flat``): the code's reduced basis for its resolution chain, and
-every column of a given complex.  It takes the value at D0 = 0 by
-dropping terms (``_d0_free``) and reads Hilbert series off lead terms:
-of the Groebner basis the chain's one run per level completes, or of
-one completion per level of a given complex.  ``check_resolution`` and
-``observability`` run the same cores on columns packed over S.
+mask.  ``complexes`` lifts the code's reduced basis into T term by term
+as integers (``_lift_flat``) for its resolution chain, and reads
+Hilbert series off lead terms: of the Groebner basis the chain's one
+run per level completes, or of one completion per level of the leading
+part of a given complex, which stays packed over S.
+``check_resolution`` and ``observability`` run the same cores on
+columns packed over S.
 """
 
 from __future__ import annotations
@@ -195,12 +195,6 @@ def _lift_flat(flat: dict, order: ModuleOrder, lift: ModuleOrder) -> dict:
     top = max(flat) >> w_at
     shift = (top << lift._weight_at) + ((_C - top) << w_at) + (top << deg_at)
     return {t - ((t >> w_at) << deg_at) + shift: c for t, c in flat.items()}
-
-
-def _d0_free(flat: dict, order: ModuleOrder) -> dict:
-    """The terms of ``flat``, packed by ``order`` over T, free of D0: its value at D0 = 0."""
-    at = order._at[0]
-    return {t: c for t, c in flat.items() if (t >> at) & _MASK == _C}
 
 
 def _addmul(target: dict, src: dict, coeff: int, shift: int, p: int):

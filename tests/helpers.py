@@ -33,10 +33,10 @@ from convres.algebra import (
 )
 from convres.complexes import (
     ResolutionReport,
-    _d0_free,
     _exact_by_numerators,
-    _graded_lift,
+    _leading_part,
     _lifted_code,
+    _packed_levels,
     _syzygy_chain,
     check_reduced,
     check_resolution,
@@ -46,6 +46,8 @@ from convres.complexes import (
 )
 from convres.errors import DomainError, InvariantError, PolyParseError, StructuralError
 from convres.groebner import (
+    _C,
+    _MASK,
     ModuleOrder,
     _Completion,
     _GBItem,
@@ -56,6 +58,7 @@ from convres.groebner import (
     _from_flat,
     _interreduce,
     _lcm_shifts,
+    _lift_flat,
     _minimal_level,
     _monic,
     _reduce_flat,
@@ -156,14 +159,31 @@ def scalar_value(f):
     return f.terms[0][1] if len(f.terms) == 1 and not any(f.terms[0][0]) else None
 
 
+def packed_lift(cx):
+    """G^H of a complex as packed columns over T, with the order over T of
+    each level: every column of ``_packed_levels`` homogenized in its
+    twisted degree (``_lift_flat``)."""
+    levels, s_orders = _packed_levels(cx)
+    t_ring = cx.ring.homogeneous_companion()
+    orders = [ModuleOrder(t_ring, order.twist) for order in s_orders]
+    return ([[_lift_flat(flat, s_order, order) for flat in cols]
+             for cols, s_order, order in zip(levels, s_orders, orders)], orders)
+
+
+def _d0_free(flat, order):
+    """The terms of ``flat``, packed by ``order`` over T, free of D0: its value at D0 = 0."""
+    at = order._at[0]
+    return {t: c for t, c in flat.items() if (t >> at) & _MASK == _C}
+
+
 def unpacked_lift(cx):
-    """The packed lift of a complex (``_graded_lift``) through the adapter:
-    the matrices of G^H over T and of G^L, its D0-free part, over S."""
-    levels, orders = _graded_lift(cx)
+    """The matrices of G^H over T (``packed_lift``) and of G^L over S as
+    the checks of a given complex read it (``_leading_part``)."""
+    levels, orders = packed_lift(cx)
     high = tuple(PolyMatrix.from_columns(order.ring, order.rank, unpack(cols, order))
                  for cols, order in zip(levels, orders))
-    low = tuple(PolyMatrix.from_columns(cx.ring, order.rank,
-                                        unpack([_d0_free(f, order) for f in cols], order, cx.ring))
+    levels, orders = _leading_part(cx)
+    low = tuple(PolyMatrix.from_columns(cx.ring, order.rank, unpack(cols, order))
                 for cols, order in zip(levels, orders))
     return high, low
 
@@ -780,7 +800,8 @@ def graded_column_degrees(mat: PolyMatrix, row_twist) -> tuple:
 # -- the Poly route of the graded checks of a given complex -------------------
 # G^H and G^L entry by entry as Poly, one fresh criteria-free Hilbert
 # numerator per level, syzygies over S and a scan of Poly entries: the
-# reference of ``complexes._graded_lift`` and of the checks that read it.
+# reference of ``complexes._leading_part``, of the checks that read it and
+# of ``packed_lift``.
 
 def _lift_by_table(cx: PolyComplex, ring, lift) -> PolyComplex:
     """Apply ``lift(entry, a_k(j) - a_{k-1}(i))`` to every entry of G_k."""

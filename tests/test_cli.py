@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from convres import Poly, cli, complexes, observability
+from convres import Poly, cli, complexes, groebner, observability
 from convres.algebra import is_prime
 from convres.cli import MAX_D, MAX_N, main, parse_input
 from convres.errors import InputError
@@ -92,22 +92,25 @@ def test_check_resolution_accepts_an_exact_complex_that_is_not_reduced(tmp_path,
 
 
 @pytest.mark.parametrize("prop, text, key", [("pd", BAD_F2, "witness_column"),
+                                             ("reduced", BAD_F2, "reduced"),
                                              ("minimal", NOT_MINIMAL, "scalar_entry")],
-                         ids=["pd", "minimal"])
-def test_failing_check_lifts_the_complex_once(tmp_path, capsys, monkeypatch, prop, text, key):
-    # One packed lift serves the verdict and the witness: every column is
-    # lifted once, and the syzygies are pulled back once, for the witness.
-    calls = {"_lift_flat": 0, "_schreyer": 0}
+                         ids=["pd", "reduced", "minimal"])
+def test_failing_check_packs_the_complex_once(tmp_path, capsys, monkeypatch, prop, text, key):
+    # One packed leading part over S serves the verdict and the witness:
+    # every column is packed once and none is lifted into T, and only the
+    # witness of a failing ``check pd`` pulls syzygies back, once.
+    calls = {"_to_flat": 0, "_lift_flat": 0, "_schreyer": 0}
     for name in calls:
-        def counted(*args, name=name, original=getattr(complexes, name)):
+        owner = groebner if name == "_schreyer" else complexes
+        def counted(*args, name=name, original=getattr(owner, name)):
             calls[name] += 1
             return original(*args)
-        monkeypatch.setattr(complexes, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     path = write(tmp_path, "doc.json", text)
     assert main(["check", prop, path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["result"] is False and key in out
-    assert calls == {"_lift_flat": sum(parse_input(text).complex.sizes),
+    assert calls == {"_to_flat": sum(parse_input(text).complex.sizes), "_lift_flat": 0,
                      "_schreyer": int(prop == "pd")}
     assert not hasattr(Poly, "homogenize")
 
@@ -380,3 +383,27 @@ def test_resolve_rejects_an_exponent_beyond_the_engine_limit(tmp_path, capsys):
     assert main(["resolve", path]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "exceeds" in err
+
+
+# Every entry is within the parse limit, but the twisted degree of the
+# second matrix's column is 1,200,000,000.
+HEAVY_COMPLEX = ('{"p": 2, "n": 2, "kind": "complex", "matrices": '
+                 '[[["D1^600000000", "D2^600000000"]], '
+                 '[["D2^600000000"], ["D1^600000000"]]]}')
+
+
+@pytest.mark.parametrize("prop", ["pd", "reduced", "minimal", "resolution"])
+def test_check_rejects_a_twisted_weight_beyond_the_engine_limit(tmp_path, capsys, prop):
+    path = write(tmp_path, "heavy.json", HEAVY_COMPLEX)
+    assert main(["check", prop, path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: term weight 1200000000 exceeds the supported 1073741823\n"
+
+
+def test_oracle_verify_rejects_a_complex_beyond_the_oracle_limit(tmp_path, capsys):
+    path = write(tmp_path, "heavy.json", HEAVY_COMPLEX)
+    assert main(["oracle-verify", path, "--max-d", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert err.endswith(" above its limit of 16777216 entries\n")

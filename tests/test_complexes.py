@@ -48,12 +48,12 @@ def identity(ring, q):
 
 
 def homogenized(cx):
-    """G^H over T from the packed lift."""
+    """G^H over T from the packed lift (``packed_lift``)."""
     return validate_complex(unpacked_lift(cx)[0])
 
 
 def leading(cx):
-    """G^L over S, the D0-free part of the packed lift."""
+    """G^L over S as the checks read it (``_leading_part``)."""
     return validate_complex(unpacked_lift(cx)[1])
 
 
@@ -195,10 +195,10 @@ def test_report_computes_the_degree_table_once(monkeypatch):
 
 
 def test_minimal_resolution_builds_no_derived_complex(monkeypatch):
-    # The lift and the checks stay packed: no G^L, no G^H, no lift of the
-    # report's complex, no Poly products, no fresh Groebner basis and no
+    # The lift and the checks stay packed: no G^L of the report's complex,
+    # no repacking of it, no Poly products, no fresh Groebner basis and no
     # Poly basis; and _report reuses the chain's module orders.
-    targets = {name: complexes for name in ("validate_complex", "_graded_lift", "_packed_levels")}
+    targets = {name: complexes for name in ("validate_complex", "_leading_part", "_packed_levels")}
     targets.update({"_from_flat": groebner})
     calls = dict.fromkeys(targets, 0)
     for name, owner in targets.items():
@@ -278,8 +278,8 @@ def test_hilbert_certificate_rejects_planted_non_exact_complexes():
 
 
 def test_hilbert_certificate_needs_a_graded_complex():
-    # The Hilbert-series proof needs homogeneous columns; the packed lift
-    # always hands it G^L, which is graded by the table of G.
+    # The Hilbert-series proof needs homogeneous columns; the leading part
+    # the checks read is G^L, which is graded by the table of G.
     bad = bad_f2_matrix()
     with pytest.raises(DomainError):
         check_graded_resolution(bad)

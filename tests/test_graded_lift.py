@@ -1,15 +1,17 @@
-"""The packed lift of a given complex and the graded checks that read it,
-against the ``Poly`` route they replaced.
+"""The packed leading part of a given complex and the graded checks that
+read it, against the ``Poly`` route.
 
-``complexes._graded_lift`` lifts a complex once into packed columns over
-T; ``check_reduced``, ``check_minimal``, ``minimality_witness`` and
-``pd_failure_witness`` read it, and the tests unpack it
-(``unpacked_lift``).  The reference in ``tests/helpers.py`` builds G^H
-and G^L entry by entry as ``Poly``, proves exactness by one fresh
-criteria-free Hilbert numerator per level, takes the witness from the
-syzygies over S and scans the ``Poly`` entries for scalars.
-Verdicts, witnesses, G^H and G^L must be equal on the probe corpus, the
-benchmark's damaged Koszul complexes and the acceptance corpus.
+``complexes._leading_part`` keeps the top-weight terms of every column
+of a complex packed over S, which is G^L; ``check_reduced``,
+``check_minimal``, ``minimality_witness`` and ``pd_failure_witness``
+read it, and the tests unpack it (``unpacked_lift``).  The reference in
+``tests/helpers.py`` builds G^L entry by entry as ``Poly``, proves
+exactness by one fresh criteria-free Hilbert numerator per level, takes
+the witness from the syzygies over S and scans the ``Poly`` entries for
+scalars.  Verdicts, witnesses and G^L must be equal on the probe
+corpus, the benchmark's damaged Koszul complexes and the acceptance
+corpus, and G^L must be the lift of the complex into T
+(``packed_lift``) at D0 = 0.
 """
 
 import json
@@ -18,6 +20,7 @@ import pytest
 
 from convres.cli import main
 from convres.complexes import (
+    _leading_part,
     check_minimal,
     check_reduced,
     minimal_resolution,
@@ -26,11 +29,14 @@ from convres.complexes import (
     validate_complex,
 )
 from convres.errors import PreconditionError
+from convres.groebner import _lift_flat
 
 from helpers import (
+    _d0_free,
     acceptance_corpus,
     benchmark_complexes,
     check_graded_resolution,
+    packed_lift,
     probe_corpus,
     reference_homogenize_complex,
     reference_leading_term_complex,
@@ -44,8 +50,12 @@ def _assert_routes_agree(cx):
     """Both routes on one complex; returns (reduced, scalar entry, witness)."""
     lead = reference_leading_term_complex(cx)
     high, low = unpacked_lift(cx)
-    assert high == reference_homogenize_complex(cx).matrices, cx
     assert low == lead.matrices, cx
+    assert high == reference_homogenize_complex(cx).matrices, cx
+    # G^L is G^H at D0 = 0: lifted into T it is the D0-free part of G^H.
+    for cols, order, lead_cols, s_order in zip(*packed_lift(cx), *_leading_part(cx)):
+        assert ([_d0_free(flat, order) for flat in cols]
+                == [_lift_flat(flat, s_order, order) for flat in lead_cols]), cx
     reduced = check_graded_resolution(lead)
     scalar = reference_minimality_witness(lead)
     witness = reference_pd_failure_witness(lead)

@@ -1,0 +1,70 @@
+"""``tools/report_digest.py``, the byte-identity gate over the benchmark pools."""
+
+import hashlib
+import importlib.util
+import io
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+spec = importlib.util.spec_from_file_location("report_digest", ROOT / "tools" / "report_digest.py")
+report_digest = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(report_digest)
+
+SIZES = {"resolve-n3": 1, "oracle-n2": 1, "small-mix": 16}
+
+
+def _chunks(text):
+    """{workload: [(header, body)]} of a written digest text."""
+    out = {}
+    for chunk in text.split("## ")[1:]:
+        header, body = chunk.split("\n", 1)
+        workload, rest = header.split(" ", 1)
+        out.setdefault(workload, []).append((rest, body))
+    return out
+
+
+def test_digests_hash_every_rendering_and_check_every_complex():
+    out = io.StringIO()
+    result = report_digest.digests(ROOT, 0, out, SIZES)
+    assert list(result) == list(report_digest.workloads.WORKLOADS)
+    assert report_digest.digests(ROOT, 0, None, SIZES) == result
+    chunks = _chunks(out.getvalue())
+    for workload, entries in chunks.items():
+        text = "".join(f"## {workload} {h}\n{b}" for h, b in entries)
+        assert hashlib.sha256(text.encode()).hexdigest() == result[workload]
+
+    cli, error = report_digest.import_cli(ROOT)
+    ops = report_digest.workloads.generate("small-mix", 0, SIZES["small-mix"])
+    entries = dict(chunks["small-mix"])
+    assert len(entries) == len(chunks["small-mix"])
+    commands, errors = set(), 0
+    for index, (cmd, options, text) in enumerate(ops):
+        body = entries[f"{index} {cmd}"]
+        complex_text = text if cmd == "check" else None
+        if cmd == "resolve":
+            complex_text = json.dumps(json.loads(body)["complex_document"], sort_keys=True)
+        for prop in report_digest.PROPERTIES:
+            header = f"{index} check {prop}"
+            assert (header in entries) == (complex_text is not None)
+            if complex_text is not None:
+                check = {"property": prop, "strict": False}
+                assert entries[header] == report_digest.render(cli, error, "check", check,
+                                                               complex_text)[0]
+                errors += entries[header].startswith("error: ")
+        commands.add(cmd)
+    # The pool reaches both complex sources and an error text.
+    assert {"check", "resolve"} <= commands and errors
+
+
+def test_renderings_are_what_the_command_line_prints(tmp_path, capsys):
+    cli, error = report_digest.import_cli(ROOT)
+    path = tmp_path / "doc.json"
+    for text in ('{"p": 2, "n": 1, "kind": "code", "matrix": [["0"]]}',
+                 '{"p": 2, "n": 2, "kind": "code", "matrix": [["D1", "D2"]]}'):
+        path.write_text(text)
+        status = cli.main(["resolve", str(path)])
+        printed = capsys.readouterr()
+        rendered, report = report_digest.render(cli, error, "resolve", {}, text)
+        assert rendered == (printed.out if status == 0 else printed.err)
+        assert (report is None) == (status == 2)

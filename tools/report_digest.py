@@ -1,0 +1,108 @@
+"""One sha256 per benchmark workload over every report a source tree renders.
+
+    python tools/report_digest.py SRC [--seed S] [--out FILE]
+
+SRC is a checkout whose ``src/convres`` is imported; the documents come
+from ``bench/workloads.py`` next to this tool, so two checkouts digest
+the same pools.  For each workload every op of the seed's pool is run
+the way the command line runs it, and its rendered report (or the
+``error: ...`` text the command line prints) is hashed.  Every complex
+document met on the way, a ``check`` document of the pool or the
+``complex_document`` of a ``resolve`` report, is also checked for each
+of ``pd``, ``reduced``, ``minimal`` and ``resolution``.  Equal digests
+on two trees mean byte-identical reports.  ``--out`` writes the hashed
+text, one headed entry per rendering, so two trees can be diffed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+import workloads  # noqa: E402
+
+# The pool sizes of ``bench/run.py``.
+POOL_SIZE = {"resolve-n3": 90, "oracle-n2": 120, "small-mix": 18000}
+PROPERTIES = ("pd", "reduced", "minimal", "resolution")
+# The argparse destinations of ``convres.cli`` that an op may leave out.
+OPTION_DEFAULTS = {"hilbert_max": None, "max_d": None, "oracle": None,
+                   "property": None, "strict": None, "prop3_bound": None}
+
+
+def import_cli(src: Path):
+    """``convres.cli`` imported from ``src / "src"``, and the error base class."""
+    sys.path.insert(0, str(src / "src"))
+    import convres.cli
+    import convres.errors
+    where = Path(convres.__file__).resolve().parent
+    if where != (src / "src" / "convres").resolve():
+        raise ImportError(f"convres loaded from {where}, not from {src}")
+    return convres.cli, convres.errors.ConvresError
+
+
+def render(cli, error, cmd: str, options: dict, text: str):
+    """The rendered report of one op and the report itself, or the error text and None."""
+    try:
+        doc = cli.parse_input(text)
+        report, _ = cli.run_command(cmd, doc, SimpleNamespace(**{**OPTION_DEFAULTS, **options}))
+    except error as exc:
+        return f"error: {exc}\n", None
+    return cli._render(report), report
+
+
+def entries(cli, error, workload: str, seed: int, count: int):
+    """(header, rendered text) for every rendering of one workload's pool."""
+    for index, (cmd, options, text) in enumerate(workloads.generate(workload, seed, count)):
+        rendered, report = render(cli, error, cmd, options, text)
+        yield f"{index} {cmd}", rendered
+        if cmd == "check":
+            complex_text = text
+        elif report is not None and "complex_document" in report:
+            complex_text = json.dumps(report["complex_document"], sort_keys=True)
+        else:
+            continue
+        for prop in PROPERTIES:
+            check = {"property": prop, "strict": False}
+            yield f"{index} check {prop}", render(cli, error, "check", check, complex_text)[0]
+
+
+def digests(src: Path, seed: int, out=None, sizes=POOL_SIZE) -> dict:
+    """{workload: sha256 hex} over the renderings of each pool; each one is
+    also written to ``out`` (a text file) under a header line."""
+    cli, error = import_cli(src)
+    result = {}
+    for workload in workloads.WORKLOADS:
+        sha = hashlib.sha256()
+        for header, rendered in entries(cli, error, workload, seed, sizes[workload]):
+            chunk = f"## {workload} {header}\n{rendered}"
+            sha.update(chunk.encode())
+            if out is not None:
+                out.write(chunk)
+        result[workload] = sha.hexdigest()
+    return result
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src", type=Path, help="checkout holding src/convres")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", type=Path, default=None, help="also write the hashed text")
+    args = parser.parse_args(argv)
+    if args.out is None:
+        result = digests(args.src, args.seed)
+    else:
+        with open(args.out, "w", encoding="utf-8") as out:
+            result = digests(args.src, args.seed, out)
+    for workload, sha in result.items():
+        print(f"{sha}  {workload}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
