@@ -235,8 +235,7 @@ def run_command(cmd: str, doc: InputDocument, options) -> tuple[dict, int]:
                 "multiplier": str(rep.witness.multiplier),
             }
         if options.prop3_bound is not None:
-            report = minimal_resolution(doc.code)
-            out["prop3"] = prop3_spot_check(report.complex, options.prop3_bound)
+            out["prop3"] = prop3_spot_check(doc.code, options.prop3_bound)
         status = 1 if (options.strict and not rep.observable) else 0
         return out, status
 
@@ -306,9 +305,6 @@ def main(argv=None) -> int:
     sp.add_argument("--max-d", type=int, dest="max_d", required=True, metavar="D")
 
     args = parser.parse_args(argv)
-    for name in ("hilbert_max", "max_d", "oracle", "property", "strict", "prop3_bound"):
-        if not hasattr(args, name):
-            setattr(args, name, None)
 
     # The --out file is written first, so a report reaches stdout only
     # when the whole command has succeeded.

@@ -10,14 +10,18 @@ that does not is a torsion element of S^q/C.  Only H and the witness
 are unpacked, for the report.
 
 The reduction-modulo-irreducibles criterion is implemented as a
-univariate spot check only: for n = 1 the quotient by an irreducible
-lam is a field, and exactness becomes rank counting.  A matrix over
-F_p[x]/(lam) is ranked over F_p, with each entry replaced by its block
-in the companion matrix of lam, by ``oracle.rref_mod_p``; entries are
-read sparsely by exponent, so a huge degree costs only squarings.  The
-irreducibles come from a product sieve.  Their number is exponential in
-the degree bound, so a bound whose candidate count exceeds
-``MAX_PROP3_CANDIDATES`` is refused before any work.
+univariate spot check only, and it builds no resolution.  For n = 1 the
+code is free and its reduced Groebner basis under the zero-twist order
+is column reduced, so by Forney's minimal-basis theorem it is the G_1 of
+the code's minimal reduced resolution up to a unimodular factor; the
+quotient by an irreducible lam is a field, and exactness becomes full
+column rank of that basis.  A matrix over F_p[x]/(lam) is ranked over
+F_p, with each entry replaced by its block in the companion matrix of
+lam, by ``oracle.rref_mod_p``; entries are read sparsely by exponent, so
+a huge degree costs only squarings.  The irreducibles come from a
+product sieve.  Their number is exponential in the degree bound, so a
+bound whose candidate count exceeds ``MAX_PROP3_CANDIDATES`` is refused
+before any work.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import CodePresentation, ModElem, Poly, PolyMatrix
-from .complexes import PolyComplex
 from .errors import DomainError, InputError, InvariantError, UnsupportedDimensionError
 from .groebner import (
     _C,
@@ -36,6 +39,7 @@ from .groebner import (
     _addmul,
     _buchberger,
     _from_flat,
+    _interreduce,
     _reduce_flat,
     _syzygies_flat,
     _to_flat,
@@ -46,10 +50,10 @@ from .oracle import rref_mod_p
 # Largest number of monic candidates, sum of p^k for k = 1..B, that the
 # spot check sieves.  Within it the product sieve takes at most about
 # 5 ms (p = 2, B = 11; 2-core Xeon VM, Python 3.11, numpy), and a whole
-# check of a 2 x 1 complex at most about 0.1 s (p = 2, B = 11 and p = 61,
-# B = 2), one block rank per irreducible.  It also keeps p <= 4093 < 2^12,
-# which the int64 ranks rely on.  The tests and the small-mix benchmark
-# reach at most 155 (p = 5, B = 3).
+# check of a 2 x 1 code of degree 3 about 0.2 s (p = 2, B = 11 and
+# p = 61, B = 2), one block rank per irreducible.  It also keeps
+# p <= 4093 < 2^12, which the int64 ranks rely on.  The small-mix
+# benchmark reaches 155 (p = 5, B = 3); the tests go up to the limit.
 MAX_PROP3_CANDIDATES = 4096
 
 
@@ -191,30 +195,26 @@ def _matpow(m: np.ndarray, e: int, p: int) -> np.ndarray:
     return out
 
 
-def _ranks_modulo(matrices, irreducibles, p: int):
-    """Per irreducible lam, the ranks of univariate matrices over F_p[x]/(lam).
+def _ranks_modulo(mat: PolyMatrix, irreducibles, p: int):
+    """Per irreducible lam, the rank of a univariate matrix over F_p[x]/(lam).
 
     Restriction of scalars: with C the companion matrix of lam and
     k = deg lam, each entry f becomes the k x k block f(C), which is
     multiplication by f on the field, and the F_p-rank of the block
     matrix is k times the rank over the field.  The coefficients are
-    laid out over the distinct exponents of all entries only, and C^e is
+    laid out over the distinct exponents of the entries only, and C^e is
     reached by square-and-multiply from the previous exponent.
     """
     # int64 is exact: MAX_PROP3_CANDIDATES keeps p <= 4093 < 2^12, so a
     # product of two residues is below 2^24 and a sum of fewer than 2^39
     # of them (matrix products, the einsum over exponents) is below 2^63.
-    exps = sorted({e for mat in matrices for row in mat.entries
-                   for f in row for (e,), _ in f.terms})
+    exps = sorted({e for row in mat.entries for f in row for (e,), _ in f.terms})
     slot = {e: t for t, e in enumerate(exps)}
-    cubes = []
-    for mat in matrices:
-        cube = np.zeros((len(exps), mat.nrows, mat.ncols), dtype=np.int64)
-        for i, row in enumerate(mat.entries):
-            for j, f in enumerate(row):
-                for (e,), c in f.terms:
-                    cube[slot[e], i, j] = c
-        cubes.append(cube)
+    cube = np.zeros((len(exps), mat.nrows, mat.ncols), dtype=np.int64)
+    for i, row in enumerate(mat.entries):
+        for j, f in enumerate(row):
+            for (e,), c in f.terms:
+                cube[slot[e], i, j] = c
     for lam in irreducibles:
         k = len(lam) - 1
         companion = np.eye(k, k, -1, dtype=np.int64)
@@ -224,12 +224,8 @@ def _ranks_modulo(matrices, irreducibles, p: int):
         for t, e in enumerate(exps):
             acc = acc @ _matpow(companion, e - prev, p) % p
             powers[t], prev = acc, e
-        ranks = []
-        for cube in cubes:
-            _, rows, cols = cube.shape
-            blocks = np.einsum("tij,tab->iajb", cube, powers).reshape(rows * k, cols * k)
-            ranks.append(len(rref_mod_p(blocks, p)[1]) // k)
-        yield ranks
+        blocks = np.einsum("tij,tab->iajb", cube, powers).reshape(mat.nrows * k, mat.ncols * k)
+        yield len(rref_mod_p(blocks, p)[1]) // k
 
 
 def check_prop3_bound(p: int, n: int, degree_bound: int):
@@ -255,21 +251,31 @@ def check_prop3_bound(p: int, n: int, degree_bound: int):
                 f"{MAX_PROP3_CANDIDATES} candidate polynomials", "--prop3-bound")
 
 
-def prop3_spot_check(cx: PolyComplex, degree_bound: int) -> bool:
-    """Exactness of the complex modulo every irreducible up to the bound.
+def prop3_spot_check(code: CodePresentation, degree_bound: int) -> bool:
+    """Exactness of the code's resolution modulo every irreducible up to the bound.
 
-    Univariate only: each quotient is a finite field and exactness of
-    the reduced sequence of free modules is decided by rank counting.
-    Returns the conjunction over all monic irreducibles of degree
-    <= degree_bound.  ``check_prop3_bound`` refuses the rest first.
+    Univariate only, and ``check_prop3_bound`` refuses the rest first.
+    For n = 1 the code is free, and the minimal reduced resolution has
+    length 1, so it is exact modulo a monic irreducible lam exactly when
+    its G_1 keeps full column rank over F_p[x]/(lam).  G_1 is not built:
+    the reduced Groebner basis of the code under the zero-twist order
+    (``_buchberger``, ``_interreduce``) has its leads at distinct
+    positions, or ``InvariantError`` is raised.  At zero twist each column's lead sits
+    at the smallest position that carries its top degree, so the
+    top-degree coefficients on the lead rows are triangular with a unit
+    diagonal: the basis is column reduced, a minimal basis with the
+    degrees of G_1 (Forney, SIAM J. Control 13, 1975).  Two bases of the
+    code differ by a unimodular factor, so their ranks modulo every lam
+    agree.  Returns whether the basis has full rank modulo every monic
+    irreducible of degree <= degree_bound.
     """
-    p = cx.ring.p
-    check_prop3_bound(p, cx.ring.n, degree_bound)
-    sizes = cx.sizes
-    for ranks in _ranks_modulo(cx.matrices, monic_irreducibles(p, degree_bound), p):
-        if ranks[-1] != sizes[-1]:
-            return False
-        for k in range(cx.length - 1):
-            if ranks[k] + ranks[k + 1] != sizes[k]:
-                return False
-    return True
+    ring = code.ring
+    check_prop3_bound(ring.p, ring.n, degree_bound)
+    order = ModuleOrder(ring, (0,) * code.q)
+    basis = _interreduce(_buchberger([_to_flat(col, order) for col in code.generators.columns()],
+                                     order), order)
+    if len({it.pos for it in basis}) != len(basis):
+        raise InvariantError("leads of the reduced basis of a univariate code share a position")
+    mat = PolyMatrix.from_columns(ring, code.q, [_from_flat(order, it.flat) for it in basis])
+    return all(rank == len(basis)
+               for rank in _ranks_modulo(mat, monic_irreducibles(ring.p, degree_bound), ring.p))

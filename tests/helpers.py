@@ -1436,11 +1436,12 @@ def _field_inv(a: list, lam: list, p: int) -> list:
     return _poly_trim([(x * c) % p for x in t0])
 
 
+@functools.lru_cache(maxsize=None)
 def reference_monic_irreducibles(p: int, max_deg: int):
     """All monic irreducible polynomials of degree 1..max_deg over F_p.
 
     Exhaustive sieve by trial division; exponential in max_deg, intended
-    for tiny degrees.
+    for tiny degrees.  Cached: callers must not change the list.
     """
     found = []
     for deg in range(1, max_deg + 1):
@@ -1485,7 +1486,8 @@ def reference_rank_mod_lambda(mat: PolyMatrix, lam: list, p: int) -> int:
 
 
 def reference_prop3_spot_check(cx, degree_bound):
-    """The former ``prop3_spot_check`` verdict, without its bound checks."""
+    """The spot check on a complex, by field ranks of every level: the
+    former ``prop3_spot_check`` on a resolution, without its bound checks."""
     p = cx.ring.p
     sizes = cx.sizes
     for lam in reference_monic_irreducibles(p, degree_bound):

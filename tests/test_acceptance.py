@@ -38,6 +38,7 @@ from helpers import (
     reference_groebner_basis,
     reference_matrix_kernel,
     reference_memory_recovery_check,
+    reference_prop3_spot_check,
     resolution_without_minimalization,
     scalar_value,
     unpacked_lift,
@@ -202,7 +203,8 @@ def test_criterion_8_observability():
             resolution = _resolve(c)
             bound = max(int(f.degree) for row in c.generators.entries
                         for f in row if not f.is_zero) + 1
-            assert prop3_spot_check(resolution.complex, bound) == verdict
+            assert prop3_spot_check(c, bound) == verdict
+            assert reference_prop3_spot_check(resolution.complex, bound) == verdict
 
 
 def test_criterion_9_syzygy_length_bound():

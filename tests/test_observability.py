@@ -7,10 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from convres import Ring, observability
+from convres import Ring, cli, complexes, groebner, observability
 from convres.algebra import CodePresentation, Poly, PolyMatrix, is_prime
-from convres.complexes import minimal_resolution, validate_complex
+from convres.complexes import check_reduced, minimal_resolution, validate_complex
 from convres.cli import main
 from convres.errors import InputError, InvariantError, UnsupportedDimensionError
 from convres.groebner import ModuleOrder, _buchberger, _reduce_flat
@@ -23,6 +25,7 @@ from convres.observability import (
 )
 
 from helpers import (
+    benchmark_documents,
     code,
     koszul_code,
     mat,
@@ -88,32 +91,34 @@ def test_double_kernel_is_always_observable():
         assert is_observable(closed).observable
 
 
+def _spot_check_both_ways(c, bound):
+    """The verdict on the code, asserted equal to the field ranks of its resolution."""
+    verdict = prop3_spot_check(c, bound)
+    assert verdict == reference_prop3_spot_check(minimal_resolution(c).complex, bound), \
+        (c.generators, bound)
+    return verdict
+
+
 def test_prop3_spot_check_examples():
     r = Ring(2, 1)
-    cx = validate_complex([mat(r, [["D1"], ["1"]])])
-    assert prop3_spot_check(cx, 2)
-    cx2 = validate_complex([mat(r, [["D1"], ["D1"]])])
-    assert not prop3_spot_check(cx2, 1)
-    cx3 = validate_complex([mat(r, [["1", "0"], ["0", "1"]])])
-    assert prop3_spot_check(cx3, 3)
+    assert _spot_check_both_ways(code(r, [["D1"], ["1"]]), 2)
+    assert not _spot_check_both_ways(code(r, [["D1"], ["D1"]]), 1)
+    assert _spot_check_both_ways(code(r, [["1", "0"], ["0", "1"]]), 3)
 
 
 def test_prop3_rejects_multivariate_input():
-    r = Ring(2, 2)
-    cx = validate_complex([mat(r, [["D1", "D2"]])])
     with pytest.raises(UnsupportedDimensionError):
-        prop3_spot_check(cx, 2)
+        prop3_spot_check(code(Ring(2, 2), [["D1", "D2"]]), 2)
 
 
 def test_prop3_bound_limits():
-    r = Ring(2, 1)
-    cx = validate_complex([mat(r, [["D1"], ["1"]])])
+    c = code(Ring(2, 1), [["D1"], ["1"]])
     # 2 + 4 + ... + 2^11 = 4094 candidates fit, 2^12 more do not
     assert MAX_PROP3_CANDIDATES == 4096
-    assert prop3_spot_check(cx, 11)
+    assert prop3_spot_check(c, 11)
     for bound in (12, 0, -3):
         with pytest.raises(InputError):
-            prop3_spot_check(cx, bound)
+            prop3_spot_check(c, bound)
 
 
 def test_monic_irreducibles_over_f2():
@@ -129,15 +134,124 @@ def test_observability_agrees_with_univariate_spot_check():
     for _ in range(12):
         c = random_code(rng, p=rng.choice([2, 3, 5]), n=1)
         verdict = is_observable(c).observable
-        rep = minimal_resolution(c)
         bound = max(int(f.degree) for row in c.generators.entries
                     for f in row if not f.is_zero) + 1
-        assert prop3_spot_check(rep.complex, bound) == verdict
+        assert _spot_check_both_ways(c, bound) == verdict
         hits[verdict] += 1
     assert hits[True] and hits[False]
 
 
-# -- differential checks against the former list-based spot check ---------
+def test_spot_check_equals_the_resolution_route_on_benchmark_codes():
+    docs = benchmark_documents("observable", 300)
+    assert len(docs) > 50 and {doc.p for doc in docs} == {2, 3, 5}
+    verdicts = set()
+    for doc in docs:
+        resolution = minimal_resolution(doc.code).complex
+        for bound in range(1, _largest_bound(doc.p) + 1):
+            verdict = prop3_spot_check(doc.code, bound)
+            assert verdict == reference_prop3_spot_check(resolution, bound), (doc.code, bound)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@st.composite
+def univariate_codes(draw):
+    """Codes over F_p[D1], p in {2, 3, 5, 101}, q and columns <= 3, entries
+    of degree <= 3 with at most three terms, and an admissible bound <= 3."""
+    ring = Ring(draw(st.sampled_from([2, 3, 5, 101])), 1)
+    q, t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    poly = st.dictionaries(st.tuples(st.integers(0, 3)), st.integers(1, ring.p - 1), max_size=3)
+    rows = [[Poly.from_dict(ring, draw(poly)) for _ in range(t)] for _ in range(q)]
+    generators = PolyMatrix.from_rows(ring, rows)
+    assume(not generators.has_zero_column())
+    c = CodePresentation(ring, generators)
+    return c, draw(st.integers(1, min(3, _largest_bound(ring.p))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(univariate_codes())
+def test_spot_check_equals_the_resolution_route_on_drawn_codes(drawn):
+    _spot_check_both_ways(*drawn)
+
+
+def test_ranked_basis_is_column_reduced_with_the_degrees_of_g1(monkeypatch):
+    ranked, real = [], observability._ranks_modulo
+
+    def spy(m, lams, p):
+        ranked.append(m)
+        return real(m, lams, p)
+    monkeypatch.setattr(observability, "_ranks_modulo", spy)
+    codes = [doc.code for doc in benchmark_documents("observable", 300)]
+    rng = random.Random(107)
+    codes += [random_code(rng, p=rng.choice([2, 3, 5, 101]), n=1, max_deg=3) for _ in range(40)]
+    for c in codes:
+        prop3_spot_check(c, 1)
+        basis = ranked.pop()
+        table = minimal_resolution(c).degree_table
+        assert sorted(basis.column_degrees((0,) * c.q)) == sorted(table[0]), c.generators
+        assert check_reduced(validate_complex([basis]))
+
+
+# -- the spot check builds no resolution -------------------------------------
+
+SPOT_CHECK_DOCS = [
+    '{"p": 2, "n": 1, "kind": "code", "matrix": [["D1"], ["D1"]]}',
+    '{"p": 3, "n": 1, "kind": "code", "matrix": [["D1^2 + 1", "D1"], ["D1", "2"]]}',
+    '{"p": 5, "n": 1, "kind": "code", "matrix": [["D1^3 + D1", "D1^2"], ["D1", "1"], ["0", "D1"]]}',
+]
+
+
+def _raise(*args):
+    raise AssertionError("the spot check must not resolve or lift the code")
+
+
+def test_observable_runs_no_resolution_and_two_completions_over_s(monkeypatch, tmp_path,
+                                                                    capsys):
+    path = tmp_path / "code.json"
+    expected = []
+    for text in SPOT_CHECK_DOCS:
+        path.write_text(text)
+        assert main(["observable", "--prop3-bound", "2", str(path)]) == 0
+        expected.append(capsys.readouterr().out)
+    for module, name in ((cli, "minimal_resolution"), (complexes, "minimal_resolution"),
+                         (complexes, "_lift_flat"), (groebner, "_lift_flat")):
+        monkeypatch.setattr(module, name, _raise)
+    runs, real = [], observability._buchberger
+
+    def counted(gens, order, *rest):
+        runs.append((gens, order))
+        return real(gens, order, *rest)
+    monkeypatch.setattr(observability, "_buchberger", counted)
+    for text, want in zip(SPOT_CHECK_DOCS, expected):
+        path.write_text(text)
+        runs.clear()
+        assert main(["observable", "--prop3-bound", "2", str(path)]) == 0
+        assert capsys.readouterr().out == want
+        # is_observable's completion of the code, then the spot check's.
+        assert len(runs) == 2 and runs[0] == runs[1]
+
+
+def _leads_share_a_position(items, order, real=observability._interreduce):
+    return real(items, order) * 2
+
+
+def test_reduced_basis_with_shared_lead_positions_raises_invariant_error(monkeypatch):
+    monkeypatch.setattr(observability, "_interreduce", _leads_share_a_position)
+    with pytest.raises(InvariantError, match="share a position"):
+        prop3_spot_check(code(Ring(2, 1), [["D1"], ["1"]]), 2)
+
+
+def test_reduced_basis_with_shared_lead_positions_exits_2_without_a_report(
+        monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(observability, "_interreduce", _leads_share_a_position)
+    path = tmp_path / "code.json"
+    path.write_text(SPOT_CHECK_DOCS[1])
+    assert main(["observable", "--prop3-bound", "2", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "share a position" in err
+
+
+# -- the sieve and the block ranks against list-based references ---------
 
 def _largest_bound(p):
     bound, candidates, power = 0, 0, 1
@@ -154,9 +268,9 @@ def test_product_sieve_equals_trial_division_sieve():
         assert monic_irreducibles(p, bound) == reference_monic_irreducibles(p, bound), p
 
 
-def _assert_ranks_match(mats, lams, p):
-    want = [[reference_rank_mod_lambda(m, lam, p) for m in mats] for lam in lams]
-    assert list(_ranks_modulo(mats, lams, p)) == want
+def _assert_ranks_match(m, lams, p):
+    assert list(_ranks_modulo(m, lams, p)) == [reference_rank_mod_lambda(m, lam, p)
+                                               for lam in lams]
 
 
 def test_block_ranks_equal_field_ranks_on_seeded_matrices():
@@ -167,7 +281,7 @@ def test_block_ranks_equal_field_ranks_on_seeded_matrices():
         rows, cols = rng.randint(1, 3), rng.randint(1, 3)
         m = PolyMatrix.from_rows(r, [[random_poly(rng, r, 3) for _ in range(cols)]
                                      for _ in range(rows)])
-        _assert_ranks_match([m], monic_irreducibles(p, 3)[:12], p)
+        _assert_ranks_match(m, monic_irreducibles(p, 3)[:12], p)
 
 
 def test_block_ranks_with_sparse_exponents_and_large_coefficients():
@@ -179,30 +293,13 @@ def test_block_ranks_with_sparse_exponents_and_large_coefficients():
                 return Poly.from_dict(r, {(rng.randint(1990, 2010),): rng.randrange(p - 9, p)
                                           for _ in range(rng.randint(0, 3))})
             m = PolyMatrix.from_rows(r, [[entry() for _ in range(2)] for _ in range(2)])
-            _assert_ranks_match([m], lams, p)
+            _assert_ranks_match(m, lams, p)
 
 
-def test_prop3_verdicts_equal_the_former_check_on_length_two_complexes():
-    # G_1 = (f h, g h), G_2 = (g, -f)^T: exact modulo lam unless lam divides
-    # h (G_1 vanishes, the inner rank condition fails) or gcd(f, g).
-    rng = random.Random(103)
-    verdicts = set()
-    for _ in range(40):
-        p = rng.choice([2, 3, 5])
-        r = Ring(p, 1)
-        f, g, h = (random_poly(rng, r, 2, nonzero=True) for _ in range(3))
-        cx = validate_complex([PolyMatrix.from_rows(r, [[f * h, g * h]]),
-                               PolyMatrix.from_rows(r, [[g], [-f]])])
-        for bound in (1, 2):
-            verdict = prop3_spot_check(cx, bound)
-            assert verdict == reference_prop3_spot_check(cx, bound)
-            verdicts.add(verdict)
-    assert verdicts == {True, False}
+def test_block_rank_drops_where_lam_divides_the_entries():
     r = Ring(3, 1)
-    inner = validate_complex([mat(r, [["D1 + 1", "D1^2 + D1"]]), mat(r, [["D1"], ["-1"]])])
-    assert not prop3_spot_check(inner, 1)
-    assert not reference_prop3_spot_check(inner, 1)
-    assert list(_ranks_modulo(inner.matrices, [[1, 1]], 3)) == [[0, 1]]
+    assert list(_ranks_modulo(mat(r, [["D1 + 1", "D1^2 + D1"]]), [[1, 1], [0, 1]], 3)) == [0, 1]
+    assert list(_ranks_modulo(mat(r, [["D1"], ["-1"]]), [[1, 1], [0, 1]], 3)) == [1, 1]
 
 
 def test_huge_exponent_is_checked_sparsely_under_a_memory_limit(tmp_path):

@@ -17,7 +17,8 @@ Forney tables, and both complexes pass every check.
 The exactness proof reads the Hilbert numerators of G^L off the leads
 the chain's own runs left; the fresh route (a criteria-free
 Hilbert numerator of each level of G^L of the report) is its reference.  A chain
-broken on purpose must fail the checks with ``InvariantError``.
+broken on purpose must fail the checks with ``InvariantError``, and so must a
+report whose degree table or minimality verdict disagrees with the chain.
 """
 
 import random
@@ -265,6 +266,15 @@ def _bump_coefficient(level):
     return _chain_with(change)
 
 
+def _shifted_table(cx, real=complexes.column_degree_table):
+    first, *rest = real(cx)
+    return ((first[0] + 1,) + first[1:], *rest)
+
+
+def _scalar_found(levels, orders):
+    return (2, 0, 0)
+
+
 # Each builds a fresh (name in complexes, replacement) pair; the
 # message names the check that must catch it.
 NOT_EXACT, NOT_ZERO = "leading part complex is not exact", "G_1 G_2 is not zero"
@@ -275,6 +285,10 @@ MUTATIONS = {
     "lead dropped": (lambda: _chain_with(lambda levels, leads: leads[1].pop(0)), NOT_EXACT),
     "coefficient changed at level 1": (lambda: _bump_coefficient(1), NOT_ZERO),
     "coefficient changed at level 2": (lambda: _bump_coefficient(2), NOT_ZERO),
+    "degree table shifted": (lambda: ("column_degree_table", _shifted_table),
+                             "degree table drifted from the graded twists"),
+    "scalar entry reported": (lambda: ("_scalar_entry", _scalar_found),
+                              "construction must yield a minimal reduced resolution$"),
 }
 
 

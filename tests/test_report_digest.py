@@ -4,6 +4,9 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -68,3 +71,16 @@ def test_renderings_are_what_the_command_line_prints(tmp_path, capsys):
         rendered, report = report_digest.render(cli, error, "resolve", {}, text)
         assert rendered == (printed.out if status == 0 else printed.err)
         assert (report is None) == (status == 2)
+
+
+def test_pool_sizes_and_option_defaults_are_those_the_benchmark_runs():
+    # A separate interpreter imports bench/run.py itself, which pins
+    # thread pools in its environment on import.
+    code = ("import json, sys; sys.path.insert(0, 'bench'); import run; "
+            "print(json.dumps([run.POOL_SIZE, run.OPTION_DEFAULTS]))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, check=True,
+                         capture_output=True, text=True).stdout
+    pools, defaults = json.loads(out)
+    assert report_digest.POOL_SIZE == pools and report_digest.OPTION_DEFAULTS == defaults
+    assert set(pools) == set(report_digest.workloads.WORKLOADS)

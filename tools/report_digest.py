@@ -3,20 +3,22 @@
     python tools/report_digest.py SRC [--seed S] [--out FILE]
 
 SRC is a checkout whose ``src/convres`` is imported; the documents come
-from ``bench/workloads.py`` next to this tool, so two checkouts digest
-the same pools.  For each workload every op of the seed's pool is run
-the way the command line runs it, and its rendered report (or the
-``error: ...`` text the command line prints) is hashed.  Every complex
-document met on the way, a ``check`` document of the pool or the
-``complex_document`` of a ``resolve`` report, is also checked for each
-of ``pd``, ``reduced``, ``minimal`` and ``resolution``.  Equal digests
-on two trees mean byte-identical reports.  ``--out`` writes the hashed
-text, one headed entry per rendering, so two trees can be diffed.
+from ``bench/workloads.py`` next to this tool, at the pool sizes that
+``bench/run.py`` sets, so two checkouts digest the same pools.  For each
+workload every op of the seed's pool is run the way the command line
+runs it, and its rendered report (or the ``error: ...`` text the command
+line prints) is hashed.  Every complex document met on the way, a
+``check`` document of the pool or the ``complex_document`` of a
+``resolve`` report, is also checked for each of ``pd``, ``reduced``,
+``minimal`` and ``resolution``.  Equal digests on two trees mean
+byte-identical reports.  ``--out`` writes the hashed text, one headed
+entry per rendering, so two trees can be diffed.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import json
 import sys
@@ -27,12 +29,21 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402
 
-# The pool sizes of ``bench/run.py``.
-POOL_SIZE = {"resolve-n3": 90, "oracle-n2": 120, "small-mix": 18000}
 PROPERTIES = ("pd", "reduced", "minimal", "resolution")
-# The argparse destinations of ``convres.cli`` that an op may leave out.
-OPTION_DEFAULTS = {"hilbert_max": None, "max_d": None, "oracle": None,
-                   "property": None, "strict": None, "prop3_bound": None}
+
+
+def bench_constants(*names: str) -> tuple:
+    """The literal values that ``bench/run.py`` assigns to ``names``, read
+    from its source without importing it."""
+    tree = ast.parse((ROOT / "bench" / "run.py").read_text(encoding="utf-8"))
+    values = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign) and len(node.targets) == 1
+              and isinstance(node.targets[0], ast.Name) and node.targets[0].id in names}
+    return tuple(values[name] for name in names)
+
+
+# The pool sizes the benchmark runs, and the options an op may leave out.
+POOL_SIZE, OPTION_DEFAULTS = bench_constants("POOL_SIZE", "OPTION_DEFAULTS")
 
 
 def import_cli(src: Path):
