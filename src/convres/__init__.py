@@ -40,15 +40,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .groebner import ModuleOrder
-from .invariants import (
-    CodeInvariants,
-    ForneyTable,
-    forney_table,
-    hilbert_formula,
-    hilbert_values,
-    memory,
-    rate_and_dimension,
-)
+from .invariants import forney_table, hilbert_formula, hilbert_values, memory, rate
 from .observability import (
     ObservabilityReport,
     TorsionWitness,

@@ -304,11 +304,15 @@ def check_minimal(cx: PolyComplex) -> bool:
 
 @dataclass(frozen=True)
 class ResolutionReport:
+    """A minimal reduced resolution and its degree table.
+
+    Only ``_report`` builds one, after proving the complex a minimal
+    reduced resolution, so it carries no verdicts.  The table is the
+    code's invariant; ``convres.invariants`` reads the rest off it.
+    """
+
     complex: PolyComplex
     degree_table: DegreeTable
-    is_resolution: bool
-    is_reduced: bool
-    is_minimal: bool
 
 
 def _lifted_code(code: CodePresentation, order: ModuleOrder) -> list:
@@ -369,8 +373,9 @@ def _report(levels, orders, leads, ring) -> ResolutionReport:
       checked again.
     * Minimality: no scalar entry in G_2^L.. (``_scalar_entry``).
 
-    A failed product or exactness check raises ``InvariantError``.  Then
-    each level becomes a ``Poly`` matrix over ``ring`` (``_complex``).
+    A failed check raises ``InvariantError``, so a report is only ever
+    made for a minimal reduced resolution.  Then each level becomes a
+    ``Poly`` matrix over ``ring`` (``_complex``).
     """
     for k in range(1, len(levels)):
         # Each row of level k + 1 by its position digit: its packed unit
@@ -386,9 +391,10 @@ def _report(levels, orders, leads, ring) -> ResolutionReport:
     if not _exact(leads, orders):
         raise InvariantError("construction must yield a minimal reduced resolution, "
                              "but its leading part complex is not exact")
+    if _scalar_entry(levels, orders) is not None:
+        raise InvariantError("construction must yield a minimal reduced resolution")
     cx = _complex(levels, orders, ring)
-    return ResolutionReport(cx, column_degree_table(cx), True, True,
-                            _scalar_entry(levels, orders) is None)
+    return ResolutionReport(cx, column_degree_table(cx))
 
 
 def minimal_resolution(code: CodePresentation) -> ResolutionReport:
@@ -409,7 +415,8 @@ def minimal_resolution(code: CodePresentation) -> ResolutionReport:
     left, and to have no scalar entry past level 1.  By the
     paper's main theorem that makes the result a resolution too, so it
     is not checked separately.  A failed check raises
-    ``InvariantError``.
+    ``InvariantError``; a returned report is a minimal reduced
+    resolution, with no verdict left to read.
     """
     order = ModuleOrder(code.ring.homogeneous_companion(), (0,) * code.q)
     levels, orders, leads = _syzygy_chain(_lifted_code(code, order), order, code.ring.n + 2)
@@ -418,7 +425,5 @@ def minimal_resolution(code: CodePresentation) -> ResolutionReport:
     report = _report(levels, orders, leads, code.ring)
     if report.degree_table != tuple(order.twist for order in orders[1:]):
         raise InvariantError("degree table drifted from the graded twists")
-    if not report.is_minimal:
-        raise InvariantError("construction must yield a minimal reduced resolution")
     return report
 

@@ -1,12 +1,18 @@
-"""Numeric invariants of a code read off its minimal reduced resolution."""
+"""Numeric invariants of a code, as functions of its degree table.
+
+The minimal reduced resolution of a code is unique up to isomorphism,
+so its degree table (a_1, ..., a_l), a tuple of levels with a tuple of
+twisted column degrees each, is an invariant of the code, and so is
+every function of it: the Forney table, memory, rate, length and
+Hilbert function.  For n = 1 the level-1 degrees are Forney's indices
+(Forney, "Minimal bases of rational vector spaces", SIAM J. Control 13,
+1975).  The functions take the table alone and import nothing else of
+the package.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-
-from .complexes import DegreeTable, ResolutionReport
-from .errors import DomainError, InvariantError
 
 
 def _binom_dim(d: int, n: int) -> int:
@@ -20,7 +26,7 @@ def _binom_dim(d: int, n: int) -> int:
     return comb(d + n, n)
 
 
-def hilbert_formula(table: DegreeTable, n: int, d: int) -> int:
+def hilbert_formula(table: tuple, n: int, d: int) -> int:
     """Alternating binomial sum over the degree table.
 
     For a complex with the predictable degree property this equals the
@@ -34,52 +40,21 @@ def hilbert_formula(table: DegreeTable, n: int, d: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class ForneyTable:
-    """Canonical degree table: every level sorted ascending, level 1 first."""
-
-    levels: tuple
-
-    def __post_init__(self):
-        for level in self.levels:
-            if tuple(sorted(level)) != level:
-                raise InvariantError(f"Forney table level {level} is not sorted")
+def hilbert_values(table: tuple, n: int, d_max: int) -> list:
+    """``hilbert_formula`` at d = 0..d_max."""
+    return [hilbert_formula(table, n, d) for d in range(d_max + 1)]
 
 
-@dataclass(frozen=True)
-class CodeInvariants:
-    rate: tuple           # (p_l, ..., p_1)
-    q: int
-    memory: int
-    homological_dimension: int
+def forney_table(table: tuple) -> tuple:
+    """Every level sorted ascending, level 1 first; unique for the code."""
+    return tuple(tuple(sorted(level)) for level in table)
 
 
-def forney_table(report: ResolutionReport) -> ForneyTable:
-    """Sorted form of the degree table; unique for the code."""
-    return ForneyTable(tuple(tuple(sorted(level)) for level in report.degree_table))
-
-
-def memory(report: ResolutionReport) -> int:
+def memory(table: tuple) -> int:
     """Largest level-1 degree; the code is determined by that degree slice."""
-    return max(report.degree_table[0])
+    return max(table[0])
 
 
-def rate_and_dimension(report: ResolutionReport) -> CodeInvariants:
-    """Rate tuple, memory and homological dimension, with the length bound."""
-    cx = report.complex
-    l = cx.length
-    n = cx.ring.n
-    if not (1 <= l <= n):
-        raise DomainError(f"homological dimension {l} violates the bound 1 <= l <= {n}")
-    return CodeInvariants(
-        rate=tuple(reversed(cx.sizes)),
-        q=cx.q,
-        memory=memory(report),
-        homological_dimension=l,
-    )
-
-
-def hilbert_values(report: ResolutionReport, d_max: int) -> dict:
-    """hilbert_formula evaluated over 0..d_max as a dict."""
-    n = report.complex.ring.n
-    return {d: hilbert_formula(report.degree_table, n, d) for d in range(d_max + 1)}
+def rate(table: tuple) -> tuple:
+    """The level sizes (p_l, ..., p_1), last level first."""
+    return tuple(len(level) for level in reversed(table))

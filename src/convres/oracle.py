@@ -47,6 +47,7 @@ import numpy as np
 
 from .algebra import CodePresentation, ModElem, Poly, PolyMatrix, Ring, check_twist
 from .errors import DomainError, InputError, InvariantError
+from .invariants import hilbert_formula
 
 # Largest dense matrix (rows x columns) the oracle handles; a code's
 # echelon counts as its full matrix of generator shifts at the cap.
@@ -331,7 +332,6 @@ def engine_resolution(code: CodePresentation):
 
 def _target(code: CodePresentation, d: int) -> int:
     """The engine's F(d): the Hilbert formula on ``engine_resolution``."""
-    from .invariants import hilbert_formula
     return hilbert_formula(engine_resolution(code).degree_table, code.ring.n, d)
 
 

@@ -11,6 +11,7 @@ import sys
 from itertools import product
 from operator import add
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import assume
@@ -32,7 +33,6 @@ from convres.algebra import (
     vec_is_zero,
 )
 from convres.complexes import (
-    ResolutionReport,
     _exact_by_numerators,
     _leading_part,
     _lifted_code,
@@ -962,6 +962,16 @@ def two_pass_resolution(code):
 
 # -- reference routes: unpruned syzygies and graded pivoting ----------------
 
+class UnprunedResolution(NamedTuple):
+    """A complex with its three verdicts, each computed on its own; unlike
+    a ``ResolutionReport`` any of them may be false."""
+
+    complex: PolyComplex
+    is_resolution: bool
+    is_reduced: bool
+    is_minimal: bool
+
+
 def resolution_without_minimalization(code, extra_generators=()):
     """Iterated syzygies with no pruning; generally reduced but not minimal.
 
@@ -991,8 +1001,7 @@ def resolution_without_minimalization(code, extra_generators=()):
     is_resolution = check_resolution(cx)
     is_reduced = check_reduced(cx)
     is_minimal = is_resolution and is_reduced and minimality_witness(cx) is None
-    return ResolutionReport(cx, column_degree_table(cx), is_resolution, is_reduced,
-                            is_minimal)
+    return UnprunedResolution(cx, is_resolution, is_reduced, is_minimal)
 
 
 def minimalize_graded(cx: PolyComplex) -> PolyComplex:

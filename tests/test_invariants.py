@@ -1,24 +1,18 @@
 import random
+from math import comb
+from types import SimpleNamespace
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from convres import Poly, PolyMatrix, Ring
 from convres.algebra import CodePresentation
+from convres.cli import run_command
 from convres.complexes import minimal_resolution
-from convres.errors import InvariantError
-from convres.invariants import (
-    ForneyTable,
-    forney_table,
-    hilbert_formula,
-    hilbert_values,
-    memory,
-    rate_and_dimension,
-)
+from convres.invariants import forney_table, hilbert_formula, hilbert_values, memory, rate
 from convres.oracle import hilbert_oracle
 
-from helpers import code, codes, koszul_code, random_code
+from helpers import benchmark_documents, code, codes, koszul_code, random_code
 
 
 def test_hilbert_formula_koszul_values():
@@ -63,53 +57,47 @@ def test_hilbert_is_monotone_and_eventually_polynomial():
         assert all(x == 0 for x in diffs[top + 1:])
 
 
+def _table(c):
+    return minimal_resolution(c).degree_table
+
+
 def test_forney_table_examples():
-    rep = minimal_resolution(koszul_code())
-    assert forney_table(rep).levels == ((1, 1), (2,))
+    assert forney_table(_table(koszul_code())) == ((1, 1), (2,))
     r = Ring(2, 2)
-    rep2 = minimal_resolution(code(r, [["D1"], ["D2"]]))
-    assert forney_table(rep2).levels == ((1,),)
-    rep3 = minimal_resolution(code(r, [["1", "0"], ["0", "1"]]))
-    assert forney_table(rep3).levels == ((0, 0),)
+    assert forney_table(_table(code(r, [["D1"], ["D2"]]))) == ((1,),)
+    assert forney_table(_table(code(r, [["1", "0"], ["0", "1"]]))) == ((0, 0),)
+    assert forney_table(((2, 1), (3,))) == ((1, 2), (3,))
 
 
 def test_forney_levels_are_sorted():
     r = Ring(101, 2)
-    rep = minimal_resolution(code(r, [["D1^2", "D2"]]))
-    for level in forney_table(rep).levels:
+    for level in forney_table(_table(code(r, [["D1^2", "D2"]]))):
         assert tuple(sorted(level)) == level
 
 
 def test_memory():
-    assert memory(minimal_resolution(koszul_code())) == 1
+    assert memory(_table(koszul_code())) == 1
     r = Ring(2, 2)
-    assert memory(minimal_resolution(code(r, [["1", "0"], ["0", "1"]]))) == 0
+    assert memory(_table(code(r, [["1", "0"], ["0", "1"]]))) == 0
     # a single generator of degree 4 as its own resolution
     r1 = Ring(101, 1)
-    rep = minimal_resolution(code(r1, [["2*D1^3 + D1 + 1"], ["D1^2 - 5"], ["3*D1^4 + 7*D1"]]))
-    assert memory(rep) == 4
+    assert memory(_table(code(r1, [["2*D1^3 + D1 + 1"], ["D1^2 - 5"], ["3*D1^4 + 7*D1"]]))) == 4
 
 
 def test_rate_and_dimension():
-    inv = rate_and_dimension(minimal_resolution(koszul_code()))
-    assert inv.rate == (1, 2) and inv.q == 1 and inv.homological_dimension == 2
+    """The rate lists the level sizes, last level first; its length is l."""
+    rep = minimal_resolution(koszul_code())
+    assert rate(rep.degree_table) == (1, 2) and rep.complex.q == 1
+    assert len(rep.degree_table) == rep.complex.length == 2
     r = Ring(2, 2)
-    inv2 = rate_and_dimension(minimal_resolution(code(r, [["D1"], ["D2"]])))
-    assert inv2.rate == (1,) and inv2.q == 2 and inv2.homological_dimension == 1
-    inv3 = rate_and_dimension(minimal_resolution(code(r, [["1", "0"], ["0", "1"]])))
-    assert inv3.rate == (2,) and inv3.q == 2
+    table = _table(code(r, [["D1"], ["D2"]]))
+    assert rate(table) == (1,) and len(table) == 1
+    assert rate(_table(code(r, [["1", "0"], ["0", "1"]]))) == (2,)
 
 
 def test_hilbert_values_helper():
-    rep = minimal_resolution(koszul_code())
-    vals = hilbert_values(rep, 4)
-    assert [vals[d] for d in range(5)] == [0, 2, 5, 9, 14]
-
-
-def test_forney_table_rejects_an_unsorted_level():
-    assert ForneyTable(((1, 1), (2,))).levels == ((1, 1), (2,))
-    with pytest.raises(InvariantError, match="not sorted"):
-        ForneyTable(((2, 1),))
+    assert hilbert_values(_table(koszul_code()), 2, 4) == [0, 2, 5, 9, 14]
+    assert hilbert_values(((1, 1), (2,)), 2, 0) == [0]
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -134,5 +122,26 @@ def test_tables_survive_unimodular_column_operations(c, data):
     moved = minimal_resolution(
         CodePresentation(c.ring, PolyMatrix.from_columns(c.ring, c.q, cols)))
     assert moved.degree_table == rep.degree_table
-    assert forney_table(moved) == forney_table(rep)
+    assert forney_table(moved.degree_table) == forney_table(rep.degree_table)
     assert 1 <= moved.complex.length <= c.ring.n
+
+
+def test_resolve_reports_agree_with_their_degree_tables():
+    """Every invariant of a ``resolve`` report, on the benchmark's codes,
+    read off the report's own degree table by hand."""
+    docs = benchmark_documents("resolve", 300)
+    assert len(docs) > 50
+    for doc in docs:
+        out, status = run_command("resolve", doc, SimpleNamespace(hilbert_max=6))
+        table, sizes = out["degree_table"], out["sizes"]
+        assert status == 0
+        assert out["forney_table"] == [sorted(level) for level in table]
+        assert out["memory"] == max(table[0])
+        assert out["rate"] == {"tuple": sizes["p"][::-1], "q": sizes["q"]}
+        assert sizes["p"] == [len(level) for level in table]
+        assert out["l"] == len(table)
+        assert all(out["checks"].values()) and len(out["checks"]) == 4
+        assert out["hilbert"] == [
+            sum((-1) ** k * comb(d - a + doc.n, doc.n)
+                for k, level in enumerate(table) for a in level if a <= d)
+            for d in range(7)]

@@ -25,6 +25,7 @@ from convres.observability import (
 )
 
 from helpers import (
+    acceptance_corpus,
     benchmark_documents,
     code,
     koszul_code,
@@ -172,6 +173,50 @@ def univariate_codes(draw):
 @given(univariate_codes())
 def test_spot_check_equals_the_resolution_route_on_drawn_codes(drawn):
     _spot_check_both_ways(*drawn)
+
+
+# -- observability against the spot check, n = 1 ----------------------------
+
+def _assert_observability_decides_the_spot_check(c, bounds):
+    """``is_observable`` against ``prop3_spot_check`` at each of ``bounds``, n = 1.
+
+    Over F_p[x] a torsion-free quotient is free, so an observable code is
+    a direct summand of S^q and stays one modulo every irreducible: the
+    check holds at every bound.  Otherwise let g be the witness and
+    (C : g) = (s0); s0 divides the multiplier, and for each irreducible
+    factor lam of s0, (s0 / lam) g lies outside C while lam times it lies
+    inside, which drops the rank modulo lam.  So the check fails at every
+    bound from the multiplier's degree on.  Returns the verdict.
+    """
+    rep = is_observable(c)
+    for bound in bounds:
+        if rep.observable:
+            assert prop3_spot_check(c, bound), (c.generators, bound)
+        elif bound >= rep.witness.multiplier.degree:
+            assert not prop3_spot_check(c, bound), (c.generators, bound)
+    return rep.observable
+
+
+def test_observability_decides_the_spot_check_on_the_acceptance_codes():
+    univariate = [c for c in acceptance_corpus() if c.ring.n == 1]
+    assert univariate
+    for c in univariate:
+        _assert_observability_decides_the_spot_check(c, range(1, _largest_bound(c.ring.p) + 1))
+
+
+def test_observability_decides_the_spot_check_on_benchmark_codes():
+    docs = benchmark_documents("observable", 300)
+    assert len(docs) > 50
+    verdicts = {_assert_observability_decides_the_spot_check(
+        doc.code, range(1, _largest_bound(doc.p) + 1)) for doc in docs}
+    assert verdicts == {True, False}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(univariate_codes())
+def test_observability_decides_the_spot_check_on_drawn_codes(drawn):
+    c, bound = drawn
+    _assert_observability_decides_the_spot_check(c, [bound])
 
 
 def test_ranked_basis_is_column_reduced_with_the_degrees_of_g1(monkeypatch):
