@@ -24,6 +24,7 @@ from .complexes import (
     check_minimal,
     check_reduced,
     check_resolution,
+    code_hilbert_values,
     minimal_resolution,
     minimality_witness,
     pd_failure_witness,
@@ -193,7 +194,7 @@ def run_command(cmd: str, doc: InputDocument, options) -> tuple[dict, int]:
         if options.oracle:
             values = [hilbert_oracle(doc.code, d) for d in range(d_max + 1)]
         else:
-            values = hilbert_values(minimal_resolution(doc.code).degree_table, doc.n, d_max)
+            values = code_hilbert_values(doc.code, d_max)
         return {"command": "hilbert", "max_d": d_max, "oracle": bool(options.oracle),
                 "values": values}, 0
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, pairwise
+from math import comb
 
 from .algebra import CodePresentation, PolyMatrix
 from .errors import DomainError, InvariantError, PreconditionError, StructuralError
@@ -315,17 +316,43 @@ class ResolutionReport:
     degree_table: DegreeTable
 
 
+def _completion_over_s(code: CodePresentation, twist: tuple):
+    """One untracked completion of the code's columns over S under the
+    degree-compatible order with ``twist`` (``_buchberger``): its items,
+    a Groebner basis of the code, and that order."""
+    order = ModuleOrder(code.ring, twist)
+    return _buchberger([_to_flat(g, order) for g in code.generators.columns()], order), order
+
+
 def _lifted_code(code: CodePresentation, order: ModuleOrder) -> list:
     """Homogeneous generators of the code lifted to its graded companion.
 
-    They are the reduced basis of the code under the degree-compatible
-    order over S with ``order``'s twist, each element homogenized in its
-    own degree and packed by ``order`` over T (``_lift_flat``); no term
-    is unpacked on the way.
+    They are the reduced basis of the code from ``_completion_over_s``
+    with ``order``'s twist, each element homogenized in its own degree
+    and packed by ``order`` over T (``_lift_flat``); no term is unpacked
+    on the way.
     """
-    s_order = ModuleOrder(code.ring, order.twist)
-    items = _buchberger([_to_flat(g, s_order) for g in code.generators.columns()], s_order)
+    items, s_order = _completion_over_s(code, order.twist)
     return [_lift_flat(it.flat, s_order, order) for it in _interreduce(items, s_order)]
+
+
+def code_hilbert_values(code: CodePresentation, d_max: int) -> list:
+    """F(d) = dim C_{<=d} for d = 0..d_max from the leads of one
+    completion over S at zero twist (``_completion_over_s``, which
+    ``minimal_resolution`` starts from too); no resolution is built.
+
+    Under a degree-compatible order the codewords of degree <= d and the
+    monomial vectors of degree <= d in the lead-term module are equally
+    many (Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*,
+    Ch. 9 Sec. 3, Prop. 4, whose proof holds for submodules).  With N the
+    numerator of the leads over (1 - t)^n (``_lead_numerator``),
+    F(d) = sum_j N_j C(d - j + n, n).
+    """
+    items, order = _completion_over_s(code, (0,) * code.q)
+    n = code.ring.n
+    numerator = _lead_numerator(((it.pos, it.exps) for it in items), order.twist, n)
+    return [sum(c * comb(d - j + n, n) for j, c in numerator.items() if j <= d)
+            for d in range(d_max + 1)]
 
 
 def _syzygy_chain(gens, order: ModuleOrder, max_levels: int):

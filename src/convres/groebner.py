@@ -473,34 +473,41 @@ def _syzygies_flat(gens_flat, order: ModuleOrder, syz_order: ModuleOrder):
     Schreyer's construction: complete the columns to a Groebner basis
     while tracking expressions in the original columns (a tracked
     ``_Completion``), then pull back the relations it left
-    (``_schreyer``).  ``gens_flat`` are packed by ``order``; the
-    syzygies are packed by ``syz_order``, whose twist should be the
+    (``_schreyer``).  The columns of (I - A B), with A the tracked
+    expressions and B the division of the originals by the basis,
+    complete the generating set.  ``gens_flat`` are packed by ``order``;
+    the syzygies are packed by ``syz_order``, whose twist should be the
     columns' degrees.  Returns them with the items of the completion, a
     Groebner basis of the columns' span.
     """
     items = _buchberger(gens_flat, order, syz_order)
-    return _schreyer(gens_flat, items, order, syz_order), items
+    units: list[dict] = []
+    for j, flat in enumerate(gens_flat):
+        rem, quots = _reduce_flat(flat, items, order, want_quotients=True)
+        if rem:
+            raise InvariantError("original generator must reduce to zero against its basis")
+        col: dict = {syz_order.pack((j, (0,) * order.ring.nvars)): 1}
+        for k, quot in enumerate(quots):
+            for shift, c in quot.items():
+                _addmul(col, items[k].expr, -c, shift, order.ring.p)
+        if col:
+            units.append(col)
+    return _schreyer(items, order, units), items
 
 
-def _schreyer(gens_flat, items, order: ModuleOrder, syz_order: ModuleOrder) -> list:
-    """The syzygies of ``gens_flat`` from the items of their tracked completion.
+def _schreyer(items, order: ModuleOrder, units=()) -> list:
+    """The syzygies from the items of a tracked completion, and ``units``.
 
     The relations its pairs that reduced to zero left are pulled back to
-    the original coordinates; no S-pair is reduced again.  A pair a
-    Gebauer-Moeller criterion dropped has its relation in the span of
-    the kept pairs' relations (Gebauer and Moeller, JSC 6, 1988; Moeller,
-    Mora and Traverso, ISSAC 1992), and a pair that produced item h has
-    the relation sigma - c e_h, whose pull-back is zero.  The columns of
-    (I - A B), with A the tracked expressions and B the division of the
-    originals by the basis, complete the generating set.  The syzygies
-    are packed by ``syz_order`` and come monic, without repeats, sorted
-    by ascending lead.
+    the coordinates of the items' expressions; no S-pair is reduced
+    again.  A pair a Gebauer-Moeller criterion dropped has its relation
+    in the span of the kept pairs' relations (Gebauer and Moeller, JSC 6,
+    1988; Moeller, Mora and Traverso, ISSAC 1992), and a pair that
+    produced item h has the relation sigma - c e_h, whose pull-back is
+    zero.  These relations, then ``units`` (further syzygies in the same
+    coordinates), come monic, without repeats, sorted by ascending lead.
     """
     p = order.ring.p
-    one = (0,) * order.ring.nvars
-
-    # Relations, keyed by (basis index, packed shift), that the completion
-    # left on its items, pulled back to the original columns.
     candidates: list[dict] = []
     for j, item in enumerate(items):
         for i in range(j):
@@ -513,19 +520,7 @@ def _schreyer(gens_flat, items, order: ModuleOrder, syz_order: ModuleOrder) -> l
             out = _pull_back(sigma, items, p) if sigma else None
             if out:
                 candidates.append(out)
-
-    # Unit relations from re-dividing the originals by the basis.
-    for j, flat in enumerate(gens_flat):
-        rem, quots = _reduce_flat(flat, items, order, want_quotients=True)
-        if rem:
-            raise InvariantError("original generator must reduce to zero against its basis")
-        col: dict = {syz_order.pack((j, one)): 1}
-        for k, quot in enumerate(quots):
-            for shift, c in quot.items():
-                _addmul(col, items[k].expr, -c, shift, p)
-        if col:
-            candidates.append(col)
-
+    candidates.extend(units)
     seen = set()
     cleaned = []
     for flat in candidates:
@@ -559,7 +554,8 @@ def _minimal_level(gens_flat, order: ModuleOrder):
     what the columns span.  It joins the items with its own unit as its
     expression.
     Then ``run()`` completes the items, and ``_schreyer`` pulls back the
-    syzygies of the kept columns, each of which reduces in one step.
+    pair relations: they are all the syzygies, because each kept column
+    is an item, so dividing it by the items leaves no unit relation.
 
     Returns ``(kept, syz_order, syzygies, items)``: the kept columns, by
     degree then index; the order twisted by their degrees, which packs
@@ -583,7 +579,7 @@ def _minimal_level(gens_flat, order: ModuleOrder):
                 degrees.append(d)
     completion.run()
     syz_order = ModuleOrder(order.ring, tuple(degrees))
-    return kept, syz_order, _schreyer(kept, completion.items, order, syz_order), completion.items
+    return kept, syz_order, _schreyer(completion.items, order), completion.items
 
 
 # -- Hilbert series of lead-term modules ------------------------------------

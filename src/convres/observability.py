@@ -48,12 +48,13 @@ from .oracle import rref_mod_p
 
 
 # Largest number of monic candidates, sum of p^k for k = 1..B, that the
-# spot check sieves.  Within it the product sieve takes at most about
-# 5 ms (p = 2, B = 11; 2-core Xeon VM, Python 3.11, numpy), and a whole
-# check of a 2 x 1 code of degree 3 about 0.2 s (p = 2, B = 11 and
-# p = 61, B = 2), one block rank per irreducible.  It also keeps
-# p <= 4093 < 2^12, which the int64 ranks rely on.  The small-mix
-# benchmark reaches 155 (p = 5, B = 3); the tests go up to the limit.
+# spot check sieves.  Within it the product sieve takes 5-8 ms (p = 2,
+# B = 11), and a whole check of a 2 x 1 code of degree 3 0.06-0.14 s
+# (p = 2, B = 11 and p = 61, B = 2), one block rank per irreducible
+# (best of 7 and of 3 runs; shared 2-core x86 VM, Python 3.11.7,
+# numpy 2.4).  It also keeps p <= 4093 < 2^12, which the int64 ranks
+# rely on.  The small-mix benchmark reaches 155 (p = 5, B = 3); the
+# tests go up to the limit.
 MAX_PROP3_CANDIDATES = 4096
 
 

@@ -8,7 +8,11 @@ kernels of truncated maps are checked.
 One term order serves every slice, map and echelon: ``_keys`` ranks the
 terms of S^q by degree, then position, then exponents, so a degree-<= d
 slice is a prefix and every basis is in RREF in that order.  Every row
-is built by ``_shift_rows``, the generators a code's columns or a map's.
+is built by ``_shift_rows``, the generators a code's columns or a map's,
+and every matrix is reduced by ``rref_mod_p``: one broadcast rank-1
+update per pivot, over the rows that carry the pivot column or over the
+whole matrix when they are most of it, with entries reduced modulo p
+lazily, as far as int64 allows.
 
 Codeword dimensions come from one reduced echelon form per code
 (``_CodeEchelon``), grown by one block of generator shifts x^e * g per
@@ -69,30 +73,48 @@ def _check_cells(rows: int, cols: int):
 
 
 def rref_mod_p(mat: np.ndarray, p: int):
-    """Reduced row echelon form over F_p; returns (rref, pivot_columns)."""
+    """Reduced row echelon form over F_p; returns (rref, pivot_columns).
+
+    Each pivot is one broadcast rank-1 update: with the pivot row made
+    monic, row i loses m[i, c] times it and the pivot row loses
+    m[r, c] - 1 times it, which leaves that monic row.  The update runs
+    over the whole matrix when more than half the rows carry the pivot
+    column and over those rows otherwise.  Entries are reduced modulo p
+    lazily: only the pivot column and row are reduced before an update,
+    so each update subtracts products below (p - 1)^2, and the whole
+    matrix is reduced after every ``every`` updates, which keeps it
+    within int64.
+    """
     m = mat.astype(np.int64) % p
     rows, cols = m.shape
+    every = (2 ** 63 - 1) // (p - 1) ** 2
     pivots = []
-    r = 0
     for c in range(cols):
+        r = len(pivots)
         if r == rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        k = r + nz[0]
-        if k != r:
-            m[[r, k]] = m[[k, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        col = m[:, c].copy()
-        col[r] = 0
-        touched = np.nonzero(col)[0]
-        if touched.size:
-            m[touched] = (m[touched] - np.outer(col[touched], m[r])) % p
+        col = m[:, c] % p
+        a = col.item(r)
+        if not a:
+            nz = col[r:].nonzero()[0]
+            if not nz.size:
+                continue
+            k = r + nz.item(0)
+            m[[r, k]], col[[r, k]] = m[[k, r]], col[[k, r]]
+            a = col.item(r)
+        row = m[r] % p
+        if a != 1:
+            row = row * pow(a, p - 2, p) % p
+        col[r] = a - 1
+        touched = col.nonzero()[0]
+        if 2 * len(touched) > rows:
+            m -= col[:, None] * row
+        else:
+            m[touched] -= col[touched, None] * row
         pivots.append(c)
-        r += 1
-    return m[:r], pivots
+        if not len(pivots) % every:
+            m %= p
+    return m[:len(pivots)] % p, pivots
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -113,11 +135,8 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 def nullspace_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
     """Basis of {x : mat @ x = 0} as rows, from the RREF free columns."""
     rref, pivots = rref_mod_p(mat, p)
-    cols = mat.shape[1]
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
+    free = np.setdiff1d(np.arange(mat.shape[1]), pivots)
+    basis = np.eye(mat.shape[1], dtype=np.int64)[free]
     basis[:, pivots] = (-rref[:, free].T) % p
     return basis
 
@@ -179,20 +198,29 @@ def _generator_terms(columns, degrees) -> tuple:
     return arr[:, 0], arr[:, 1:-1], arr[:, -1], counts, np.array(degrees, dtype=np.int64)
 
 
+@lru_cache(maxsize=32)
+def _binomials(n: int, bits: int) -> np.ndarray:
+    """C(r + m, m) at [r, m] for r < 2^bits and m = 0..n; read only.
+
+    Callers pass the bit length of the largest r they read, so one table
+    serves every r up to twice that and few tables are ever built.
+    """
+    table = np.array([[comb(r + m, m) for m in range(n + 1)] for r in range(1 << bits)], np.int64)
+    table.flags.writeable = False
+    return table
+
+
 def _keys(pos, exps: np.ndarray, q: int) -> np.ndarray:
     """Index of each term (pos, exps) when the terms of S^q are ordered by
     degree, then position, then exponent vector as in ``_compositions``."""
     n = exps.shape[-1]
     deg = exps.sum(axis=-1)
-    r = np.arange(int(deg.max(initial=0)) + 1)
-    binom = np.ones((len(r), n + 1), dtype=np.int64)   # C(r + m, m)
-    for m in range(1, n + 1):
-        binom[:, m] = binom[:, m - 1] * (r + m) // m
+    binom = _binomials(n, int(deg.max(initial=0)).bit_length())
     key = q * (binom[deg, n] - binom[deg, n - 1]) + pos * binom[deg, n - 1]
     rest = deg
     for i in range(n - 1):
         # Vectors of sum ``rest`` in n - i entries with a smaller first entry.
-        key = key + binom[rest, n - 1 - i] - binom[rest - exps[..., i], n - 1 - i]
+        key += binom[rest, n - 1 - i] - binom[rest - exps[..., i], n - 1 - i]
         rest = rest - exps[..., i]
     return key
 
@@ -206,7 +234,9 @@ def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 def _exponent_table(n: int, lo: int, hi: int) -> np.ndarray:
     """Exponent vectors of degree lo..hi, by degree, then as ``_compositions``; read only."""
     exps = [e for k in range(lo, hi + 1) for e in _compositions(n, k)]
-    return np.array(exps, dtype=np.int64).reshape(len(exps), n)
+    table = np.array(exps, dtype=np.int64).reshape(len(exps), n)
+    table.flags.writeable = False
+    return table
 
 
 def _shift_rows(gens: tuple, q: int, lo: int, hi: int, column: np.ndarray,
@@ -239,28 +269,35 @@ class _CodeEchelon:
     terms of its degree.  The rows are the identity on their pivots, so
     only their free columns are kept: ``rows[i]`` is row i on ``free``,
     the columns that are no pivot, from the highest key down, and row i
-    pivots at ``pivots[i]``, keeping its degree and the cap whose block
-    added it.  Pivots are never removed, because each block is reduced
-    against the existing rows first.  A lock serializes growth and
+    pivots at ``pivots[i]``, keeping its degree (``pivot_deg``, read off
+    the key) and the cap whose block added it (``pivot_cap``).  Each
+    block's shifts are laid out in (pivot | free) column order and
+    reduced against the rows with one exact product modulo p; what is
+    left is row reduced on the free columns (``rref_mod_p``), the rows
+    lose their entries on the new pivots by a second product, and a
+    boolean mask drops those columns from ``free`` and ``rows``.  Pivots
+    are never removed.  The result is the RREF of all the shifts with
+    the columns from the highest key down.  A lock serializes growth and
     counting, since echelons are shared, and an exception while growing
     empties the echelon.
     """
 
     def __init__(self, code: CodePresentation):
         self.p, self.n, self.q = code.ring.p, code.ring.n, code.q
-        self.gens = _generator_terms(code.generators.columns(), code.generators.column_degrees())
+        self.degrees = code.generators.column_degrees()
+        self.gens = _generator_terms(code.generators.columns(), self.degrees)
         self._lock = threading.Lock()
         self._clear()
 
     def _clear(self):
         self.cap = -1
         empty = np.zeros(0, dtype=np.int64)
-        self.col_deg = self.free = self.pivots = self.pivot_deg = self.pivot_cap = empty
+        self.free = self.pivots = self.pivot_deg = self.pivot_cap = empty
         self.rows = np.zeros((0, 0), dtype=np.int64)
 
     def check(self, cap: int):
         """Raise InputError when the shifts of degree <= cap are too many."""
-        shifts = sum(comb(cap - deg + self.n, self.n) for deg in self.gens[-1] if deg <= cap)
+        shifts = sum(comb(cap - deg + self.n, self.n) for deg in self.degrees if deg <= cap)
         _check_cells(shifts, self.q * comb(cap + self.n, self.n))
 
     def dim(self, cap: int, d: int) -> int:
@@ -279,32 +316,31 @@ class _CodeEchelon:
             return int(np.count_nonzero((self.pivot_cap <= cap) & (self.pivot_deg <= d)))
 
     def _add_block(self, c: int):
-        p, rank = self.p, len(self.pivots)
-        fresh = self.q * comb(c + self.n - 1, self.n - 1)
-        width = len(self.col_deg) + fresh
-        self.col_deg = np.concatenate([self.col_deg, np.full(fresh, c)])
+        p, q, n, rank = self.p, self.q, self.n, len(self.pivots)
+        width, fresh = q * comb(c + n, n), q * comb(c + n - 1, n - 1)
         self.free = np.concatenate([np.arange(width - 1, width - fresh - 1, -1), self.free])
-        self.rows = np.hstack([np.zeros((rank, fresh), dtype=np.int64), self.rows])
+        self.rows = np.concatenate([np.zeros((rank, fresh), dtype=np.int64), self.rows], axis=1)
         self.cap = c
-        if c < self.gens[-1].min():
+        if c < min(self.degrees):
             return    # no shift has degree c
         # The block in (pivot | free) column order, reduced against the
         # rows; what is left is echelonized on the free columns.
-        column = np.empty(width, dtype=np.int64)
-        column[self.pivots] = np.arange(rank)
-        column[self.free] = np.arange(rank, width)
-        block = _shift_rows(self.gens, self.q, c, c, column, width)
+        column = np.argsort(np.concatenate([self.pivots, self.free]))
+        block = _shift_rows(self.gens, q, c, c, column, width)
         rest = (block[:, rank:] - _matmul_mod(block[:, :rank], self.rows, p)) % p
         rest = rest[rest.any(axis=1)]
         if not rest.shape[0]:
             return
         reduced, cols = rref_mod_p(rest, p)
         new = self.free[cols]
+        keep = np.ones(len(self.free), dtype=bool)
+        keep[cols] = False
         rows = np.vstack([(self.rows - _matmul_mod(self.rows[:, cols], reduced, p)) % p, reduced])
-        keep = np.delete(np.arange(len(self.free)), cols)
         self.rows, self.free = rows[:, keep], self.free[keep]
         self.pivots = np.concatenate([self.pivots, new])
-        self.pivot_deg = np.concatenate([self.pivot_deg, self.col_deg[new]])
+        # Key k has degree d when q * C(d - 1 + n, n) <= k < q * C(d + n, n).
+        degree = np.searchsorted(q * _binomials(n, c.bit_length())[:, n], new, side="right")
+        self.pivot_deg = np.concatenate([self.pivot_deg, degree])
         self.pivot_cap = np.concatenate([self.pivot_cap, np.full(len(new), c)])
 
 
@@ -340,7 +376,7 @@ def _count(code: CodePresentation, d: int, cap: int = None):
     ``cap`` defaulting to d, at which D(c, d) reaches the engine's F(d)."""
     echelon = _echelon(code)
     n = code.ring.n
-    margin = max(1, int(echelon.gens[-1].max()))
+    margin = max(1, *echelon.degrees)
     c = d if cap is None else max(cap, d)
     echelon.check(c + margin)
     target = _target(code, d)

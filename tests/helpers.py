@@ -529,6 +529,14 @@ def reference_code_space(code, d, cap=None):
     return len(basis), c, tuple(basis)
 
 
+def generator_term_lists(code):
+    """The code's columns as ``reference_shift_rows`` takes them: (terms,
+    degree) per column, terms as (pos, exps, coeff)."""
+    mat = code.generators
+    return [([(pos, e, coeff) for pos, f in enumerate(col) for e, coeff in f.terms], deg)
+            for col, deg in zip(mat.columns(), mat.column_degrees())]
+
+
 def reference_shift_rows(gens, n, lo, hi, column, width):
     """The oracle's former loop form of ``_shift_rows``: dense rows of the
     shifts x^e * g with lo <= deg g + |e| <= hi, one Python step per term.

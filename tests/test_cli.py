@@ -385,6 +385,18 @@ def test_resolve_rejects_an_exponent_beyond_the_engine_limit(tmp_path, capsys):
     assert out == "" and "exceeds" in err
 
 
+def test_hilbert_needs_no_syzygy_beyond_the_engine_limit(tmp_path, capsys):
+    # The completion over S reaches weight 800,000,000; the last Koszul
+    # syzygy of the resolution would weigh 1,200,000,000.
+    path = write(tmp_path, "koszul.json", '{"p": 101, "n": 3, "kind": "code", "matrix": '
+                 '[["D1^400000000", "D2^400000000", "D3^400000000"]]}')
+    assert main(["hilbert", path, "--max-d", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["values"] == [0, 0, 0, 0]
+    assert main(["resolve", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: term weight 1200000000 exceeds the supported 1073741823\n"
+
+
 # Every entry is within the parse limit, but the twisted degree of the
 # second matrix's column is 1,200,000,000.
 HEAVY_COMPLEX = ('{"p": 2, "n": 2, "kind": "complex", "matrices": '

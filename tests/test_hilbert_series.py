@@ -4,7 +4,9 @@
 standard monomials and against closed forms on powers of the maximal
 ideal that defeat a naive split; the numerator of the image of G_1^L,
 from the leads of one completion (``_lead_numerator``), is checked
-against ``hilbert_formula`` over the degree table.
+against ``hilbert_formula`` over the degree table, and so are the values
+``hilbert`` prints, read from the leads of the code's own completion
+over S (``code_hilbert_values``).
 """
 
 import time
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convres import Ring
-from convres.complexes import minimal_resolution
+from convres.complexes import code_hilbert_values, minimal_resolution
 from convres.errors import DomainError
 from convres.groebner import (
     ModuleOrder,
@@ -146,3 +148,20 @@ def test_lead_image_hilbert_series_matches_the_formula_on_the_acceptance_corpus(
 @given(codes())
 def test_lead_image_hilbert_series_matches_the_formula(c):
     assert_lead_image_matches_the_formula(c)
+
+
+def assert_leads_route_matches_the_formula(c):
+    """``code_hilbert_values`` equals the formula on the resolution's table, d <= 8."""
+    want = hilbert_values(minimal_resolution(c).degree_table, c.ring.n, 8)
+    assert code_hilbert_values(c, 8) == want, c.generators.to_strings()
+
+
+def test_code_hilbert_values_match_the_resolution_on_the_acceptance_corpus():
+    for c in acceptance_corpus():
+        assert_leads_route_matches_the_formula(c)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(codes())
+def test_code_hilbert_values_match_the_resolution(c):
+    assert_leads_route_matches_the_formula(c)

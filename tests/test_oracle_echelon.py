@@ -46,6 +46,7 @@ from helpers import (
     code,
     codes,
     engine_hilbert,
+    generator_term_lists,
     reference_code_space,
     reference_shift_rows,
     reference_slice,
@@ -231,12 +232,6 @@ def test_a_target_above_the_monomial_count_is_refused_at_once(monkeypatch):
     assert oracle._echelon(c).cap == -1
 
 
-def old_generator_terms(c):
-    mat = c.generators
-    return [([(pos, e, coeff) for pos, f in enumerate(col) for e, coeff in f.terms], deg)
-            for col, deg in zip(mat.columns(), mat.column_degrees())]
-
-
 def test_vectorized_shift_rows_equal_the_loop_reference():
     rng = random.Random(13)
     cases = [dense_code(rng, p, n, q, t)
@@ -255,7 +250,7 @@ def test_vectorized_shift_rows_equal_the_loop_reference():
             gens = oracle._generator_terms(c.generators.columns(),
                                            c.generators.column_degrees())
             got = oracle._shift_rows(gens, q, lo, hi, column, len(terms))
-            want = reference_shift_rows(old_generator_terms(c), n, lo, hi,
+            want = reference_shift_rows(generator_term_lists(c), n, lo, hi,
                                         dict(zip(terms, order)), len(terms))
             assert got.shape == want.shape and np.array_equal(got, want)
 
