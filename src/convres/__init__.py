@@ -45,7 +45,6 @@ from .observability import (
     ObservabilityReport,
     TorsionWitness,
     is_observable,
-    monic_irreducibles,
     prop3_spot_check,
 )
 from .oracle import (

@@ -10,25 +10,23 @@ that does not is a torsion element of S^q/C.  Only H and the witness
 are unpacked, for the report.
 
 The reduction-modulo-irreducibles criterion is implemented as a
-univariate spot check only, and it builds no resolution.  For n = 1 the
-code is free and its reduced Groebner basis under the zero-twist order
-is column reduced, so by Forney's minimal-basis theorem it is the G_1 of
-the code's minimal reduced resolution up to a unimodular factor; the
-quotient by an irreducible lam is a field, and exactness becomes full
-column rank of that basis.  A matrix over F_p[x]/(lam) is ranked over
-F_p, with each entry replaced by its block in the companion matrix of
-lam, by ``oracle.rref_mod_p``; entries are read sparsely by exponent, so
-a huge degree costs only squarings.  The irreducibles come from a
-product sieve.  Their number is exponential in the degree bound, so a
-bound whose candidate count exceeds ``MAX_PROP3_CANDIDATES`` is refused
+univariate spot check only, and it builds no resolution and no
+Groebner basis.  For n = 1 the minimal reduced resolution of a code of
+rank r is exact modulo an irreducible lam exactly when its G_1 keeps
+rank r over the field F_p[x]/(lam), that is when lam does not divide
+Delta, the gcd of the r x r minors (Buchsbaum and Eisenbud, "What makes
+a complex exact?", J. Algebra 25, 1973).  The irreducibles of degree
+<= B are the factors of x^(p^k) - x for k <= B, so the check is one
+gcd with x^(p^k) - x per k, read off a Smith form of the code's own
+generator matrix.  An entry of degree p^k or more is first folded
+modulo x^(p^k) - x, so a huge degree costs no dense storage.  A bound
+with more than ``MAX_PROP3_CANDIDATES`` monic candidates is refused
 before any work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .algebra import CodePresentation, ModElem, Poly, PolyMatrix
 from .errors import DomainError, InputError, InvariantError, UnsupportedDimensionError
@@ -39,22 +37,17 @@ from .groebner import (
     _addmul,
     _buchberger,
     _from_flat,
-    _interreduce,
     _reduce_flat,
     _syzygies_flat,
     _to_flat,
 )
-from .oracle import rref_mod_p
 
 
 # Largest number of monic candidates, sum of p^k for k = 1..B, that the
-# spot check sieves.  Within it the product sieve takes 5-8 ms (p = 2,
-# B = 11), and a whole check of a 2 x 1 code of degree 3 0.06-0.14 s
-# (p = 2, B = 11 and p = 61, B = 2), one block rank per irreducible
-# (best of 7 and of 3 runs; shared 2-core x86 VM, Python 3.11.7,
-# numpy 2.4).  It also keeps p <= 4093 < 2^12, which the int64 ranks
-# rely on.  The small-mix benchmark reaches 155 (p = 5, B = 3); the
-# tests go up to the limit.
+# spot check admits.  It bounds the dense work: every entry of the
+# Smith form taken modulo x^(p^k) - x has degree below p^k <= 4096.  The
+# small-mix benchmark reaches 155 (p = 5, B = 3); the tests go up to the
+# limit.
 MAX_PROP3_CANDIDATES = 4096
 
 
@@ -150,83 +143,104 @@ def is_observable(code: CodePresentation) -> ObservabilityReport:
 
 
 # -- univariate spot check -----------------------------------------------
+# Polynomials in x are sparse {exponent: coefficient} dicts over F_p.
+# Every division takes one step per term of the quotient, so a huge
+# degree costs only as many steps as the quotient has terms.
 
-def _monics(p: int, k: int) -> np.ndarray:
-    """Ascending coefficient rows of all monic polynomials of degree k.
-
-    Row m has the base-p digits of m, most significant first, as its
-    coefficients 0..k-1: the order of ``itertools.product(range(p),
-    repeat=k)``.
-    """
-    tails = np.indices((p,) * k).reshape(k, -1).T
-    return np.hstack([tails, np.ones((len(tails), 1), dtype=tails.dtype)])
-
-
-def monic_irreducibles(p: int, max_deg: int):
-    """All monic irreducible polynomials of degree 1..max_deg over F_p.
-
-    Ascending coefficient lists, by degree and then in the row order of
-    ``_monics``.  A product sieve: for each split i <= k/2 every product
-    of monics of degrees i and k - i is marked reducible.  Exponential in
-    max_deg, intended for tiny degrees.
-    """
-    found = []
-    for k in range(1, max_deg + 1):
-        place = p ** np.arange(k - 1, -1, -1)
-        reducible = np.zeros(p ** k, dtype=bool)
-        for i in range(1, k // 2 + 1):
-            a, b = _monics(p, i), _monics(p, k - i)
-            prod = np.zeros((len(a), len(b), k + 1), dtype=np.int64)
-            for s in range(i + 1):
-                prod[:, :, s:s + k - i + 1] += a[:, None, s, None] * b[None]
-            reducible[(prod[:, :, :k] % p) @ place] = True
-        found.extend(_monics(p, k)[~reducible].tolist())
-    return found
-
-
-def _matpow(m: np.ndarray, e: int, p: int) -> np.ndarray:
-    """m^e mod p by square-and-multiply."""
-    out = np.eye(len(m), dtype=np.int64)
-    while e:
-        if e & 1:
-            out = out @ m % p
-        e >>= 1
-        if e:
-            m = m @ m % p
+def _muladd(out: dict, a: dict, b: dict, p: int, c: int = 1) -> dict:
+    """out += c * a * b, in place; returns out."""
+    for e, x in a.items():
+        _addmul(out, b, c * x, e, p)
     return out
 
 
-def _ranks_modulo(mat: PolyMatrix, irreducibles, p: int):
-    """Per irreducible lam, the rank of a univariate matrix over F_p[x]/(lam).
+def _divmod(a: dict, b: dict, p: int):
+    """Quotient and remainder of a by a nonzero b."""
+    a, quo = dict(a), {}
+    top_b = max(b)
+    inv = pow(b[top_b], p - 2, p)
+    while a and (top := max(a)) >= top_b:
+        quo[top - top_b] = c = a[top] * inv % p
+        _addmul(a, b, -c, top - top_b, p)
+    return quo, a
 
-    Restriction of scalars: with C the companion matrix of lam and
-    k = deg lam, each entry f becomes the k x k block f(C), which is
-    multiplication by f on the field, and the F_p-rank of the block
-    matrix is k times the rank over the field.  The coefficients are
-    laid out over the distinct exponents of the entries only, and C^e is
-    reached by square-and-multiply from the previous exponent.
+
+def _fold(f: dict, n: int, p: int) -> dict:
+    """f modulo x^n - x, by x^e = x^(1 + (e - 1) mod (n - 1)) for e >= 1."""
+    out: dict = {}
+    for e, c in f.items():
+        _addmul(out, {0: c}, 1, e if e < n else 1 + (e - 1) % (n - 1), p)
+    return out
+
+
+def _rank(rows: list, p: int) -> int:
+    """Rank over F_p(x), by fraction-free elimination (Bareiss): every
+    entry below the pivot row is then a minor, so the division by the
+    previous pivot is exact and the entries stay sparse."""
+    rows, prev, rank = [list(row) for row in rows], {0: 1}, 0
+    for j in range(len(rows[0])):
+        i = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if i is None:
+            continue
+        rows[rank], rows[i] = rows[i], rows[rank]
+        top = rows[rank]
+        for row in rows[rank + 1:]:
+            row[:] = [_divmod(_muladd(_muladd({}, top[j], f, p), row[j], g, p, -1), prev, p)[0]
+                      for f, g in zip(row, top)]
+        prev, rank = top[j], rank + 1
+    return rank
+
+
+def _smith_diagonal(rows: list, n: int, p: int) -> list:
+    """Nonzero diagonal d_1, d_2, ... of a Smith form of [rows | (x^n - x) I].
+
+    Unimodular row and column steps over F_p[x] on the matrix ``rows``,
+    whose entries are kept folded modulo x^n - x (column steps with the
+    implicit block): each pivot is an entry of least degree, its column
+    and row are divided by it, and a nonzero remainder becomes the next
+    pivot; a row with an entry that the pivot does not divide is added
+    to the pivot's row.  Every later entry lies in the ideal
+    (d_i, x^n - x), so gcd(d_i, x^n - x) divides gcd(d_j, x^n - x) for
+    i < j.
     """
-    # int64 is exact: MAX_PROP3_CANDIDATES keeps p <= 4093 < 2^12, so a
-    # product of two residues is below 2^24 and a sum of fewer than 2^39
-    # of them (matrix products, the einsum over exponents) is below 2^63.
-    exps = sorted({e for row in mat.entries for f in row for (e,), _ in f.terms})
-    slot = {e: t for t, e in enumerate(exps)}
-    cube = np.zeros((len(exps), mat.nrows, mat.ncols), dtype=np.int64)
-    for i, row in enumerate(mat.entries):
-        for j, f in enumerate(row):
-            for (e,), c in f.terms:
-                cube[slot[e], i, j] = c
-    for lam in irreducibles:
-        k = len(lam) - 1
-        companion = np.eye(k, k, -1, dtype=np.int64)
-        companion[:, -1] = np.negative(lam[:k]) % p
-        powers = np.empty((len(exps), k, k), dtype=np.int64)
-        acc, prev = np.eye(k, dtype=np.int64), 0
-        for t, e in enumerate(exps):
-            acc = acc @ _matpow(companion, e - prev, p) % p
-            powers[t], prev = acc, e
-        blocks = np.einsum("tij,tab->iajb", cube, powers).reshape(mat.nrows * k, mat.ncols * k)
-        yield len(rref_mod_p(blocks, p)[1]) // k
+    rows, diag = [list(row) for row in rows], []
+    while True:
+        cells = [(max(f), i, j) for i, row in enumerate(rows) for j, f in enumerate(row) if f]
+        if not cells:
+            return diag
+        _, i, j = min(cells)
+        top, piv = rows[i], rows[i][j]
+        for k, row in enumerate(rows):
+            if k != i and row[j]:
+                quo = _divmod(row[j], piv, p)[0]
+                rows[k] = [_fold(_muladd(dict(f), quo, g, p, -1), n, p)
+                           for f, g in zip(row, top)]
+        if any(row[j] for row in rows if row is not top):
+            continue
+        top[:] = [f if c == j else _divmod(f, piv, p)[1] for c, f in enumerate(top)]
+        if any(f for c, f in enumerate(top) if c != j):
+            continue
+        rest = [row for row in rows if row is not top]
+        bad = next((row for row in rest if any(_divmod(f, piv, p)[1] for f in row)), None)
+        if bad is None:
+            diag.append(piv)
+            rows = [row[:j] + row[j + 1:] for row in rest]
+        else:
+            top[:] = [piv if c == j else _divmod(f, piv, p)[1] for c, f in enumerate(bad)]
+
+
+def _prime_to(d: dict, n: int, p: int) -> bool:
+    """Whether gcd(d, x^n - x) = 1 for a nonzero d.  x^n mod d comes from
+    squaring when d is small against n, else from one division."""
+    if max(d) * n.bit_length() < n:
+        h = {0: 1}
+        for bit in bin(n)[2:]:
+            h = _divmod(_muladd({}, h, h, p), d, p)[1]
+            if bit == "1":
+                h = _divmod({e + 1: c for e, c in h.items()}, d, p)[1]
+    else:
+        h = _divmod({n: 1}, d, p)[1]
+    return max(_smith_diagonal([[d, _muladd(h, {1: 1}, {0: 1}, p, -1)]], n, p)[0]) == 0
 
 
 def check_prop3_bound(p: int, n: int, degree_bound: int):
@@ -256,27 +270,30 @@ def prop3_spot_check(code: CodePresentation, degree_bound: int) -> bool:
     """Exactness of the code's resolution modulo every irreducible up to the bound.
 
     Univariate only, and ``check_prop3_bound`` refuses the rest first.
-    For n = 1 the code is free, and the minimal reduced resolution has
-    length 1, so it is exact modulo a monic irreducible lam exactly when
-    its G_1 keeps full column rank over F_p[x]/(lam).  G_1 is not built:
-    the reduced Groebner basis of the code under the zero-twist order
-    (``_buchberger``, ``_interreduce``) has its leads at distinct
-    positions, or ``InvariantError`` is raised.  At zero twist each column's lead sits
-    at the smallest position that carries its top degree, so the
-    top-degree coefficients on the lead rows are triangular with a unit
-    diagonal: the basis is column reduced, a minimal basis with the
-    degrees of G_1 (Forney, SIAM J. Control 13, 1975).  Two bases of the
-    code differ by a unimodular factor, so their ranks modulo every lam
-    agree.  Returns whether the basis has full rank modulo every monic
-    irreducible of degree <= degree_bound.
+    For n = 1 the code is free of some rank r and its minimal reduced
+    resolution is 0 -> S^r -> S^q, with G_1 a basis of the code.  By
+    Cauchy-Binet the ideal of r x r minors of the generator matrix
+    depends only on its column span, and unimodular steps keep it, so it
+    is G_1's ideal (Delta).  G_1 keeps rank r modulo a monic irreducible
+    lam exactly when lam does not divide Delta, and the lam of degree
+    <= degree_bound are the factors of x^(p^k) - x, k <= degree_bound.
+
+    For each k the entries are folded modulo x^(p^k) - x, which keeps
+    the ideal of minors modulo x^(p^k) - x, and d_1 | d_2 | ... is the
+    diagonal of a Smith form of [folded | (x^(p^k) - x) I]
+    (``_smith_diagonal``).  Its rank modulo lam | x^(p^k) - x counts the
+    d_i prime to lam, so G_1 keeps rank r modulo every such lam exactly
+    when there are r of them and gcd(d_r, x^(p^k) - x) = 1; r comes from
+    ``_rank``.  Returns whether that holds for every k.
     """
     ring = code.ring
     check_prop3_bound(ring.p, ring.n, degree_bound)
-    order = ModuleOrder(ring, (0,) * code.q)
-    basis = _interreduce(_buchberger([_to_flat(col, order) for col in code.generators.columns()],
-                                     order), order)
-    if len({it.pos for it in basis}) != len(basis):
-        raise InvariantError("leads of the reduced basis of a univariate code share a position")
-    mat = PolyMatrix.from_columns(ring, code.q, [_from_flat(order, it.flat) for it in basis])
-    return all(rank == len(basis)
-               for rank in _ranks_modulo(mat, monic_irreducibles(ring.p, degree_bound), ring.p))
+    p = ring.p
+    sparse = [[{e: c for (e,), c in f.terms} for f in row] for row in code.generators.entries]
+    r = _rank(sparse, p)
+    for k in range(1, degree_bound + 1):
+        n = p ** k
+        diag = _smith_diagonal([[_fold(f, n, p) for f in row] for row in sparse], n, p)
+        if len(diag) < r or not _prime_to(diag[r - 1], n, p):
+            return False
+    return True

@@ -2,7 +2,8 @@
 the adapter between ``Poly`` columns and the packed core, the reference
 resolution routes, the criteria-free Groebner routes, the former
 resolution and observability checks, the list-based univariate spot
-check and the entrywise homogeneity helpers that only tests use."""
+check, the former block-rank spot check and the entrywise homogeneity
+helpers that only tests use."""
 
 import functools
 import heapq
@@ -1515,3 +1516,107 @@ def reference_prop3_spot_check(cx, degree_bound):
             if ranks[k] + ranks[k + 1] != sizes[k]:
                 return False
     return True
+
+
+# -- the former block-rank spot check ----------------------------------------
+# The route ``prop3_spot_check`` took before it read the gcd of the maximal
+# minors: the code's reduced Groebner basis, whose leads sit at distinct
+# positions, ranked over F_p[x]/(lam) through companion-matrix blocks for
+# every monic irreducible lam from a product sieve.
+
+def reference_monics(p: int, k: int) -> np.ndarray:
+    """Ascending coefficient rows of all monic polynomials of degree k.
+
+    Row m has the base-p digits of m, most significant first, as its
+    coefficients 0..k-1: the order of ``itertools.product(range(p),
+    repeat=k)``.
+    """
+    tails = np.indices((p,) * k).reshape(k, -1).T
+    return np.hstack([tails, np.ones((len(tails), 1), dtype=tails.dtype)])
+
+
+@functools.lru_cache(maxsize=None)
+def reference_product_sieve(p: int, max_deg: int):
+    """All monic irreducible polynomials of degree 1..max_deg over F_p.
+
+    Ascending coefficient lists, by degree and then in the row order of
+    ``reference_monics``.  A product sieve: for each split i <= k/2 every
+    product of monics of degrees i and k - i is marked reducible.
+    Cached: callers must not change the list.
+    """
+    found = []
+    for k in range(1, max_deg + 1):
+        place = p ** np.arange(k - 1, -1, -1)
+        reducible = np.zeros(p ** k, dtype=bool)
+        for i in range(1, k // 2 + 1):
+            a, b = reference_monics(p, i), reference_monics(p, k - i)
+            prod = np.zeros((len(a), len(b), k + 1), dtype=np.int64)
+            for s in range(i + 1):
+                prod[:, :, s:s + k - i + 1] += a[:, None, s, None] * b[None]
+            reducible[(prod[:, :, :k] % p) @ place] = True
+        found.extend(reference_monics(p, k)[~reducible].tolist())
+    return found
+
+
+def reference_matpow(m: np.ndarray, e: int, p: int) -> np.ndarray:
+    """m^e mod p by square-and-multiply."""
+    out = np.eye(len(m), dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out @ m % p
+        e >>= 1
+        if e:
+            m = m @ m % p
+    return out
+
+
+def reference_ranks_modulo(mat: PolyMatrix, irreducibles, p: int):
+    """Per irreducible lam, the rank of a univariate matrix over F_p[x]/(lam).
+
+    Restriction of scalars: with C the companion matrix of lam and
+    k = deg lam, each entry f becomes the k x k block f(C), and the
+    F_p-rank of the block matrix is k times the rank over the field.
+    The coefficients are laid out over the distinct exponents of the
+    entries only, and C^e is reached by square-and-multiply from the
+    previous exponent.  int64 is exact for p < 2^12.
+    """
+    exps = sorted({e for row in mat.entries for f in row for (e,), _ in f.terms})
+    slot = {e: t for t, e in enumerate(exps)}
+    cube = np.zeros((len(exps), mat.nrows, mat.ncols), dtype=np.int64)
+    for i, row in enumerate(mat.entries):
+        for j, f in enumerate(row):
+            for (e,), c in f.terms:
+                cube[slot[e], i, j] = c
+    for lam in irreducibles:
+        k = len(lam) - 1
+        companion = np.eye(k, k, -1, dtype=np.int64)
+        companion[:, -1] = np.negative(lam[:k]) % p
+        powers = np.empty((len(exps), k, k), dtype=np.int64)
+        acc, prev = np.eye(k, dtype=np.int64), 0
+        for t, e in enumerate(exps):
+            acc = acc @ reference_matpow(companion, e - prev, p) % p
+            powers[t], prev = acc, e
+        blocks = np.einsum("tij,tab->iajb", cube, powers).reshape(mat.nrows * k, mat.ncols * k)
+        yield len(rref_mod_p(blocks, p)[1]) // k
+
+
+def reference_reduced_basis(code) -> PolyMatrix:
+    """The reduced Groebner basis of a univariate code under the zero-twist
+    order, as the columns of a matrix; its leads sit at distinct positions,
+    or ``InvariantError`` is raised.  It is column reduced, a minimal basis
+    with the degrees of G_1 (Forney, SIAM J. Control 13, 1975)."""
+    order = ModuleOrder(code.ring, (0,) * code.q)
+    basis = _interreduce(_buchberger([_to_flat(col, order) for col in code.generators.columns()],
+                                     order), order)
+    if len({it.pos for it in basis}) != len(basis):
+        raise InvariantError("leads of the reduced basis of a univariate code share a position")
+    return PolyMatrix.from_columns(code.ring, code.q, [_from_flat(order, it.flat) for it in basis])
+
+
+def reference_block_rank_spot_check(code, degree_bound: int) -> bool:
+    """The former ``prop3_spot_check`` after its bound checks: whether the
+    reduced basis keeps full rank modulo every monic irreducible of degree
+    <= degree_bound."""
+    basis = reference_reduced_basis(code)
+    return all(rank == basis.ncols for rank in reference_ranks_modulo(
+        basis, reference_product_sieve(code.ring.p, degree_bound), code.ring.p))

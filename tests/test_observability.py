@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import random
@@ -18,12 +19,13 @@ from convres.errors import InputError, InvariantError, UnsupportedDimensionError
 from convres.groebner import ModuleOrder, _buchberger, _reduce_flat
 from convres.observability import (
     MAX_PROP3_CANDIDATES,
-    _ranks_modulo,
+    _rank,
+    _smith_diagonal,
     is_observable,
-    monic_irreducibles,
     prop3_spot_check,
 )
 
+import helpers
 from helpers import (
     acceptance_corpus,
     benchmark_documents,
@@ -33,11 +35,15 @@ from helpers import (
     pack,
     random_code,
     random_poly,
+    reference_block_rank_spot_check,
     reference_groebner_basis,
     reference_matrix_kernel,
     reference_monic_irreducibles,
+    reference_product_sieve,
     reference_prop3_spot_check,
     reference_rank_mod_lambda,
+    reference_ranks_modulo,
+    reference_reduced_basis,
 )
 
 
@@ -123,10 +129,10 @@ def test_prop3_bound_limits():
 
 
 def test_monic_irreducibles_over_f2():
-    polys = monic_irreducibles(2, 3)
+    polys = reference_product_sieve(2, 3)
     # x, x+1, x^2+x+1, and the two irreducible cubics
     assert polys == [[0, 1], [1, 1], [1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]]
-    assert len(monic_irreducibles(3, 2)) == 3 + 3
+    assert len(reference_product_sieve(3, 2)) == 3 + 3
 
 
 def test_observability_agrees_with_univariate_spot_check():
@@ -219,22 +225,148 @@ def test_observability_decides_the_spot_check_on_drawn_codes(drawn):
     _assert_observability_decides_the_spot_check(c, [bound])
 
 
-def test_ranked_basis_is_column_reduced_with_the_degrees_of_g1(monkeypatch):
-    ranked, real = [], observability._ranks_modulo
-
-    def spy(m, lams, p):
-        ranked.append(m)
-        return real(m, lams, p)
-    monkeypatch.setattr(observability, "_ranks_modulo", spy)
+def test_ranked_basis_is_column_reduced_with_the_degrees_of_g1():
     codes = [doc.code for doc in benchmark_documents("observable", 300)]
     rng = random.Random(107)
     codes += [random_code(rng, p=rng.choice([2, 3, 5, 101]), n=1, max_deg=3) for _ in range(40)]
     for c in codes:
-        prop3_spot_check(c, 1)
-        basis = ranked.pop()
+        basis = reference_reduced_basis(c)
         table = minimal_resolution(c).degree_table
         assert sorted(basis.column_degrees((0,) * c.q)) == sorted(table[0]), c.generators
         assert check_reduced(validate_complex([basis]))
+
+
+# -- the Smith-form route against the block-rank route and against Delta ---
+
+# A modulus x^n - x with n above every degree met here, so that
+# ``_smith_diagonal`` folds nothing and gives a Smith form over F_p[x].
+NO_FOLD = 2 ** 40
+
+
+def _sparse(c):
+    return [[{e: v for (e,), v in f.terms} for f in row] for row in c.generators.entries]
+
+
+def _monic_product(ring, polys):
+    out = Poly.const(ring, 1)
+    for f in polys:
+        out = out * Poly.from_dict(ring, {(e,): v for e, v in f.items()})
+    return out.scale(pow(out.terms[0][1], ring.p - 2, ring.p))
+
+
+def test_spot_check_equals_the_block_rank_route_on_benchmark_codes():
+    """``tools/prop3_crosscheck.py`` on the observable codes of the first
+    300 seed-0 small-mix ops; the tool runs the whole pool."""
+    tool = Path(__file__).resolve().parents[1] / "tools" / "prop3_crosscheck.py"
+    spec = importlib.util.spec_from_file_location("prop3_crosscheck", tool)
+    crosscheck = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(crosscheck)
+    pairs, disagreements = crosscheck.crosscheck(300)
+    assert pairs > 400 and disagreements == []
+
+
+def _irreducible_pool(p):
+    """Monic irreducibles of degree 1..3 as sparse dicts; over F_101 the
+    linear ones and x^2 - 2 (2 is not a square modulo 101)."""
+    if p == 101:
+        return [{0: -a % p, 1: 1} for a in range(p)] + [{0: 99, 2: 1}]
+    return [{e: c for e, c in enumerate(lam) if c} for lam in reference_monic_irreducibles(p, 3)]
+
+
+def _elementary(steps, ring, size, degree):
+    """A unimodular size x size matrix: a product of elementary ``steps``,
+    each adding a multiple of degree <= ``degree`` of one row to another."""
+    rows = [[Poly.const(ring, int(i == j)) for j in range(size)] for i in range(size)]
+    for i, j, coeffs in steps:
+        if i % size != j % size:
+            m = Poly.from_dict(ring, {(e,): c for e, c in enumerate(coeffs[:degree + 1])})
+            rows[i % size] = [f + m * g for f, g in zip(rows[i % size], rows[j % size])]
+    return PolyMatrix.from_rows(ring, rows)
+
+
+@st.composite
+def diagonal_codes(draw):
+    """Codes U [D 0; 0 0] V over F_p[D1], p in {2, 3, 5, 101}, with U and V
+    unimodular and D diagonal of rank r <= 3, its entries products of drawn
+    irreducibles (repeats allowed), and up to one extra row and column, so
+    the rank may lie below q and below the column count.  Returns the code,
+    a bound, r, the diagonal and whether no drawn factor has degree <= the
+    bound."""
+    p = draw(st.sampled_from([2, 3, 5, 101]))
+    ring = Ring(p, 1)
+    bound = draw(st.integers(1, min(3, _largest_bound(p))))
+    pool = _irreducible_pool(p)
+    r = draw(st.integers(1, 3))
+    factors = [draw(st.lists(st.sampled_from(pool), max_size=3)) for _ in range(r)]
+    q, t = r + draw(st.integers(0, 1)), r + draw(st.integers(0, 1))
+    diagonal = [_monic_product(ring, fs) for fs in factors]
+    core = [[diagonal[i] if i == j and i < r else Poly.zero(ring) for j in range(t)]
+            for i in range(q)]
+    steps = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                               st.lists(st.integers(0, p - 1), min_size=2, max_size=2)),
+                     max_size=4)
+    u, v = _elementary(draw(steps), ring, q, 1), _elementary(draw(steps), ring, t, 1)
+    generators = u @ PolyMatrix.from_rows(ring, core) @ v
+    assume(not generators.has_zero_column())
+    verdict = all(max(f) > bound for fs in factors for f in fs)
+    return CodePresentation(ring, generators), bound, r, diagonal, verdict
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(diagonal_codes())
+def test_spot_check_reads_delta_of_drawn_diagonal_codes(drawn):
+    c, bound, r, diagonal, verdict = drawn
+    sparse = _sparse(c)
+    smith = _smith_diagonal(sparse, NO_FOLD, c.ring.p)
+    assert _rank(sparse, c.ring.p) == len(smith) == r
+    assert _monic_product(c.ring, smith) == _monic_product(
+        c.ring, [{e: v for (e,), v in f.terms} for f in diagonal])
+    assert prop3_spot_check(c, bound) == verdict, (c.generators, bound)
+    assert reference_block_rank_spot_check(c, bound) == verdict, (c.generators, bound)
+
+
+def test_spot_check_on_repeated_factors_and_factors_of_degree_the_bound():
+    r = Ring(2, 1)
+    # (x^2 + x + 1)^2 fails at bound 2 and passes at bound 1; so does its
+    # product with x^3 + x + 1, which is irreducible of degree 3.
+    square = "D1^4 + D1^2 + 1"
+    for rows in ([[square]], [["D1^2 + D1 + 1", "0"], ["0", "D1^2 + D1 + 1"]],
+                 [["D1^7 + D1^4 + D1^2 + D1 + 1"], ["0"]]):
+        c = code(r, rows)
+        assert prop3_spot_check(c, 1) and not prop3_spot_check(c, 2), rows
+        assert not prop3_spot_check(c, 3), rows
+    # x^3 + x + 1 alone passes every bound below 3 and fails at 3.
+    c = code(r, [["D1^3 + D1 + 1", "D1^4 + D1^2 + D1"], ["0", "0"]])
+    assert [prop3_spot_check(c, b) for b in (1, 2, 3)] == [True, True, False]
+
+
+def test_rank_and_smith_form_ignore_zero_columns_and_rows():
+    p = 3
+    zero = {}
+    rows = [[{1: 1, 0: 1}, zero, {2: 1, 1: 1}], [zero, zero, zero], [{0: 2}, zero, {1: 2}]]
+    # Column 3 is x times column 1, so the rank is 1 and Delta = gcd(x + 1, 2) = 1.
+    smith = _smith_diagonal(rows, NO_FOLD, p)
+    assert _rank(rows, p) == len(smith) == 1 and max(smith[0]) == 0
+
+
+def _assert_observable_exactly_when_delta_is_constant(c):
+    """Over the PID F_p[x] the quotient S^q/C is torsion free exactly when
+    every invariant factor of the generators is a unit."""
+    constant = all(max(d) == 0 for d in _smith_diagonal(_sparse(c), NO_FOLD, c.ring.p))
+    assert is_observable(c).observable == constant, c.generators
+    return constant
+
+
+def test_observable_exactly_when_delta_is_constant_on_corpus_and_benchmark_codes():
+    codes = [c for c in acceptance_corpus() if c.ring.n == 1]
+    codes += [doc.code for doc in benchmark_documents("observable", 300)]
+    assert {_assert_observable_exactly_when_delta_is_constant(c) for c in codes} == {True, False}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(univariate_codes())
+def test_observable_exactly_when_delta_is_constant_on_drawn_codes(drawn):
+    _assert_observable_exactly_when_delta_is_constant(drawn[0])
 
 
 # -- the spot check builds no resolution -------------------------------------
@@ -250,8 +382,8 @@ def _raise(*args):
     raise AssertionError("the spot check must not resolve or lift the code")
 
 
-def test_observable_runs_no_resolution_and_two_completions_over_s(monkeypatch, tmp_path,
-                                                                    capsys):
+def test_observable_runs_no_resolution_and_one_completion_over_s(monkeypatch, tmp_path,
+                                                                   capsys):
     path = tmp_path / "code.json"
     expected = []
     for text in SPOT_CHECK_DOCS:
@@ -272,31 +404,21 @@ def test_observable_runs_no_resolution_and_two_completions_over_s(monkeypatch, t
         runs.clear()
         assert main(["observable", "--prop3-bound", "2", str(path)]) == 0
         assert capsys.readouterr().out == want
-        # is_observable's completion of the code, then the spot check's.
-        assert len(runs) == 2 and runs[0] == runs[1]
+        # is_observable's completion of the code; the spot check runs none.
+        assert len(runs) == 1
 
 
-def _leads_share_a_position(items, order, real=observability._interreduce):
+def _leads_share_a_position(items, order, real=helpers._interreduce):
     return real(items, order) * 2
 
 
 def test_reduced_basis_with_shared_lead_positions_raises_invariant_error(monkeypatch):
-    monkeypatch.setattr(observability, "_interreduce", _leads_share_a_position)
+    monkeypatch.setattr(helpers, "_interreduce", _leads_share_a_position)
     with pytest.raises(InvariantError, match="share a position"):
-        prop3_spot_check(code(Ring(2, 1), [["D1"], ["1"]]), 2)
+        reference_reduced_basis(code(Ring(2, 1), [["D1"], ["1"]]))
 
 
-def test_reduced_basis_with_shared_lead_positions_exits_2_without_a_report(
-        monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(observability, "_interreduce", _leads_share_a_position)
-    path = tmp_path / "code.json"
-    path.write_text(SPOT_CHECK_DOCS[1])
-    assert main(["observable", "--prop3-bound", "2", str(path)]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: ") and "share a position" in err
-
-
-# -- the sieve and the block ranks against list-based references ---------
+# -- the former sieve and block ranks against list-based references ------
 
 def _largest_bound(p):
     bound, candidates, power = 0, 0, 1
@@ -310,12 +432,12 @@ def _largest_bound(p):
 def test_product_sieve_equals_trial_division_sieve():
     cases = [(p, _largest_bound(p)) for p in range(2, 14) if is_prime(p)]
     for p, bound in cases + [(61, 2), (4093, 1)]:
-        assert monic_irreducibles(p, bound) == reference_monic_irreducibles(p, bound), p
+        assert reference_product_sieve(p, bound) == reference_monic_irreducibles(p, bound), p
 
 
 def _assert_ranks_match(m, lams, p):
-    assert list(_ranks_modulo(m, lams, p)) == [reference_rank_mod_lambda(m, lam, p)
-                                               for lam in lams]
+    assert list(reference_ranks_modulo(m, lams, p)) == [reference_rank_mod_lambda(m, lam, p)
+                                                        for lam in lams]
 
 
 def test_block_ranks_equal_field_ranks_on_seeded_matrices():
@@ -326,12 +448,13 @@ def test_block_ranks_equal_field_ranks_on_seeded_matrices():
         rows, cols = rng.randint(1, 3), rng.randint(1, 3)
         m = PolyMatrix.from_rows(r, [[random_poly(rng, r, 3) for _ in range(cols)]
                                      for _ in range(rows)])
-        _assert_ranks_match(m, monic_irreducibles(p, 3)[:12], p)
+        _assert_ranks_match(m, reference_product_sieve(p, 3)[:12], p)
 
 
 def test_block_ranks_with_sparse_exponents_and_large_coefficients():
     rng = random.Random(101)
-    for p, lams in ((3, monic_irreducibles(3, 3)), (4093, monic_irreducibles(4093, 1)[-6:])):
+    for p, lams in ((3, reference_product_sieve(3, 3)),
+                    (4093, reference_product_sieve(4093, 1)[-6:])):
         r = Ring(p, 1)
         for _ in range(15):
             def entry():
@@ -343,25 +466,48 @@ def test_block_ranks_with_sparse_exponents_and_large_coefficients():
 
 def test_block_rank_drops_where_lam_divides_the_entries():
     r = Ring(3, 1)
-    assert list(_ranks_modulo(mat(r, [["D1 + 1", "D1^2 + D1"]]), [[1, 1], [0, 1]], 3)) == [0, 1]
-    assert list(_ranks_modulo(mat(r, [["D1"], ["-1"]]), [[1, 1], [0, 1]], 3)) == [1, 1]
+    lams = [[1, 1], [0, 1]]
+    assert list(reference_ranks_modulo(mat(r, [["D1 + 1", "D1^2 + D1"]]), lams, 3)) == [0, 1]
+    assert list(reference_ranks_modulo(mat(r, [["D1"], ["-1"]]), lams, 3)) == [1, 1]
+
+
+# Documents whose entries are of huge degree, each with a degree bound and
+# the spot check's verdict.  Each runs the spot check alone, and the first
+# also the command line; the second exceeds the weight limit of
+# ``is_observable``'s syzygies.
+HUGE_DOCS = [
+    ({"p": 3, "n": 1, "kind": "code", "matrix": [["D1^100000000 + D1"]]}, 2, False),
+    ({"p": 4093, "n": 1, "kind": "code",
+      "matrix": [["D1^1073741823 + 3*D1^1000000 + 7"], ["D1^2000000 + 1"]]}, 1, True),
+    ({"p": 2, "n": 1, "kind": "code", "matrix": [["D1^1073741823 + D1 + 1"]]}, 11, True),
+]
+
+SPOT_CHECK_ONLY = ("import sys; from convres.cli import parse_input; "
+                   "from convres.observability import prop3_spot_check; "
+                   "print(prop3_spot_check(parse_input(open(sys.argv[1]).read()).code, "
+                   "int(sys.argv[2])))")
 
 
 def test_huge_exponent_is_checked_sparsely_under_a_memory_limit(tmp_path):
-    doc = tmp_path / "huge.json"
-    doc.write_text(json.dumps({"p": 3, "n": 1, "kind": "code",
-                               "matrix": [["D1^100000000 + D1"]]}))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "convres.cli", "observable", "--prop3-bound", "2", str(doc)],
-        capture_output=True, text=True, timeout=60, env=env, preexec_fn=limit_memory)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["prop3"] is False
+    def run(*args):
+        proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              timeout=60, env=env, preexec_fn=limit_memory)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    for number, (document, bound, verdict) in enumerate(HUGE_DOCS):
+        doc = tmp_path / f"huge{number}.json"
+        doc.write_text(json.dumps(document))
+        assert run("-c", SPOT_CHECK_ONLY, str(doc), str(bound)) == f"{verdict}\n", document
+    doc = tmp_path / "huge0.json"
+    out = run("-m", "convres.cli", "observable", "--prop3-bound", "2", str(doc))
+    assert json.loads(out)["prop3"] is False
 
 
 # -- result guards ---------------------------------------------------------
