@@ -16,17 +16,19 @@ rank r is exact modulo an irreducible lam exactly when its G_1 keeps
 rank r over the field F_p[x]/(lam), that is when lam does not divide
 Delta, the gcd of the r x r minors (Buchsbaum and Eisenbud, "What makes
 a complex exact?", J. Algebra 25, 1973).  The irreducibles of degree
-<= B are the factors of x^(p^k) - x for k <= B, so the check is one
-gcd with x^(p^k) - x per k, read off a Smith form of the code's own
-generator matrix.  An entry of degree p^k or more is first folded
-modulo x^(p^k) - x, so a huge degree costs no dense storage.  A bound
-with more than ``MAX_PROP3_CANDIDATES`` monic candidates is refused
-before any work.
+<= B are the factors of x^(p^k) - x for B/2 < k <= B, so the check is
+one gcd with x^(p^k) - x per such k, read off a Smith form of the
+code's own generator matrix.  An entry of degree p^k or more is first
+folded modulo x^(p^k) - x, so a huge degree costs no dense storage.  A
+bound with more than ``MAX_PROP3_CANDIDATES`` monic candidates is
+refused before any work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .algebra import CodePresentation, ModElem, Poly, PolyMatrix
 from .errors import DomainError, InputError, InvariantError, UnsupportedDimensionError
@@ -45,7 +47,8 @@ from .groebner import (
 
 # Largest number of monic candidates, sum of p^k for k = 1..B, that the
 # spot check admits.  It bounds the dense work: every entry of the
-# Smith form taken modulo x^(p^k) - x has degree below p^k <= 4096.  The
+# Smith form taken modulo x^(p^k) - x has degree below p^k <= 4096, and
+# is held as an int64 array of at most 4,096 coefficients.  The
 # small-mix benchmark reaches 155 (p = 5, B = 3); the tests go up to the
 # limit.
 MAX_PROP3_CANDIDATES = 4096
@@ -143,34 +146,27 @@ def is_observable(code: CodePresentation) -> ObservabilityReport:
 
 
 # -- univariate spot check -----------------------------------------------
-# Polynomials in x are sparse {exponent: coefficient} dicts over F_p.
-# Every division takes one step per term of the quotient, so a huge
-# degree costs only as many steps as the quotient has terms.
+# ``_rank`` works on sparse {exponent: coefficient} dicts over F_p; its
+# divisions are exact, so each takes one step per term of the quotient
+# and a huge degree costs only as many steps as the quotient has terms.
+# The Smith form works on entries folded below x^n, n <= 4096, as int64
+# coefficient arrays, lowest degree first with no trailing zero (0 is
+# empty).  Every coefficient of a product or of a division in progress
+# is a sum of at most 4,096 terms below p^2 < 2^24, far inside int64.
 
-def _muladd(out: dict, a: dict, b: dict, p: int, c: int = 1) -> dict:
-    """out += c * a * b, in place; returns out."""
+def _bareiss(a: dict, b: dict, c: dict, d: dict, prev: dict, p: int) -> dict:
+    """(a * d - b * c) / prev, for a nonzero prev that divides a * d - b * c."""
+    num, quo, top_prev = {}, {}, max(prev)
     for e, x in a.items():
-        _addmul(out, b, c * x, e, p)
-    return out
-
-
-def _divmod(a: dict, b: dict, p: int):
-    """Quotient and remainder of a by a nonzero b."""
-    a, quo = dict(a), {}
-    top_b = max(b)
-    inv = pow(b[top_b], p - 2, p)
-    while a and (top := max(a)) >= top_b:
-        quo[top - top_b] = c = a[top] * inv % p
-        _addmul(a, b, -c, top - top_b, p)
-    return quo, a
-
-
-def _fold(f: dict, n: int, p: int) -> dict:
-    """f modulo x^n - x, by x^e = x^(1 + (e - 1) mod (n - 1)) for e >= 1."""
-    out: dict = {}
-    for e, c in f.items():
-        _addmul(out, {0: c}, 1, e if e < n else 1 + (e - 1) % (n - 1), p)
-    return out
+        _addmul(num, d, x, e, p)
+    for e, x in b.items():
+        _addmul(num, c, -x, e, p)
+    inv = pow(prev[top_prev], p - 2, p)
+    while num:
+        top = max(num)
+        quo[top - top_prev] = q = num[top] * inv % p
+        _addmul(num, prev, -q, top - top_prev, p)
+    return quo
 
 
 def _rank(rows: list, p: int) -> int:
@@ -185,10 +181,49 @@ def _rank(rows: list, p: int) -> int:
         rows[rank], rows[i] = rows[i], rows[rank]
         top = rows[rank]
         for row in rows[rank + 1:]:
-            row[:] = [_divmod(_muladd(_muladd({}, top[j], f, p), row[j], g, p, -1), prev, p)[0]
-                      for f, g in zip(row, top)]
+            row[:] = [_bareiss(top[j], row[j], g, f, prev, p) for f, g in zip(row, top)]
         prev, rank = top[j], rank + 1
     return rank
+
+
+def _trim(a: np.ndarray) -> np.ndarray:
+    if not len(a) or a[-1]:
+        return a
+    nonzero = np.flatnonzero(a)
+    return a[:nonzero[-1] + 1] if nonzero.size else a[:0]
+
+
+def _fold(f: dict, n: int, p: int) -> np.ndarray:
+    """f modulo x^n - x, by x^e = x^(1 + (e - 1) mod (n - 1)) for e >= 1."""
+    out = np.zeros(min(n, max(f, default=-1) + 1), np.int64)
+    for e, c in f.items():
+        out[e if e < n else 1 + (e - 1) % (n - 1)] += c
+    return _trim(out % p)
+
+
+def _submul(f: np.ndarray, q: np.ndarray, g: np.ndarray, n: int, p: int) -> np.ndarray:
+    """f - q * g modulo x^n - x, for f, q and g of degree below n."""
+    prod = np.convolve(q, g) if len(g) else g
+    out = np.zeros(max(len(f), len(prod)), np.int64)
+    out[:len(f)] = f
+    out[:len(prod)] -= prod
+    if len(out) > n:
+        out[1:len(out) - n + 1] += out[n:]
+        out = out[:n]
+    return _trim(out % p)
+
+
+def _divmod(a: np.ndarray, b: np.ndarray, p: int):
+    """Quotient and remainder of a by a nonzero b, in len(a) - deg b steps."""
+    m, inv = len(b) - 1, pow(int(b[-1]), p - 2, p)
+    if not m:
+        return a * inv % p, a[:0]
+    a, quo = a.copy(), np.zeros(max(len(a) - m, 0), np.int64)
+    for s in range(len(quo) - 1, -1, -1):
+        if c := int(a[s + m]) * inv % p:
+            quo[s] = c
+            a[s:s + m + 1] -= c * b
+    return _trim(quo), _trim(a[:m] % p)
 
 
 def _smith_diagonal(rows: list, n: int, p: int) -> list:
@@ -205,23 +240,22 @@ def _smith_diagonal(rows: list, n: int, p: int) -> list:
     """
     rows, diag = [list(row) for row in rows], []
     while True:
-        cells = [(max(f), i, j) for i, row in enumerate(rows) for j, f in enumerate(row) if f]
+        cells = [(len(f), i, j) for i, row in enumerate(rows) for j, f in enumerate(row) if len(f)]
         if not cells:
             return diag
         _, i, j = min(cells)
         top, piv = rows[i], rows[i][j]
         for k, row in enumerate(rows):
-            if k != i and row[j]:
+            if k != i and len(row[j]):
                 quo = _divmod(row[j], piv, p)[0]
-                rows[k] = [_fold(_muladd(dict(f), quo, g, p, -1), n, p)
-                           for f, g in zip(row, top)]
-        if any(row[j] for row in rows if row is not top):
+                rows[k] = [_submul(f, quo, g, n, p) for f, g in zip(row, top)]
+        if any(len(row[j]) for row in rows if row is not top):
             continue
         top[:] = [f if c == j else _divmod(f, piv, p)[1] for c, f in enumerate(top)]
-        if any(f for c, f in enumerate(top) if c != j):
+        if any(len(f) for c, f in enumerate(top) if c != j):
             continue
         rest = [row for row in rows if row is not top]
-        bad = next((row for row in rest if any(_divmod(f, piv, p)[1] for f in row)), None)
+        bad = next((row for row in rest if any(len(_divmod(f, piv, p)[1]) for f in row)), None)
         if bad is None:
             diag.append(piv)
             rows = [row[:j] + row[j + 1:] for row in rest]
@@ -229,18 +263,15 @@ def _smith_diagonal(rows: list, n: int, p: int) -> list:
             top[:] = [piv if c == j else _divmod(f, piv, p)[1] for c, f in enumerate(bad)]
 
 
-def _prime_to(d: dict, n: int, p: int) -> bool:
-    """Whether gcd(d, x^n - x) = 1 for a nonzero d.  x^n mod d comes from
-    squaring when d is small against n, else from one division."""
-    if max(d) * n.bit_length() < n:
-        h = {0: 1}
-        for bit in bin(n)[2:]:
-            h = _divmod(_muladd({}, h, h, p), d, p)[1]
-            if bit == "1":
-                h = _divmod({e + 1: c for e, c in h.items()}, d, p)[1]
-    else:
-        h = _divmod({n: 1}, d, p)[1]
-    return max(_smith_diagonal([[d, _muladd(h, {1: 1}, {0: 1}, p, -1)]], n, p)[0]) == 0
+def _prime_to(d: np.ndarray, n: int, p: int) -> bool:
+    """Whether gcd(d, x^n - x) = 1 for a nonzero d of degree below n, by
+    Euclid from (x^n - x) mod d, whose division takes n - deg d steps."""
+    x_n = np.zeros(n + 1, np.int64)
+    x_n[[1, n]] = p - 1, 1
+    a, b = d, _divmod(x_n, d, p)[1]
+    while len(b):
+        a, b = b, _divmod(a, b, p)[1]
+    return len(a) == 1
 
 
 def check_prop3_bound(p: int, n: int, degree_bound: int):
@@ -275,25 +306,31 @@ def prop3_spot_check(code: CodePresentation, degree_bound: int) -> bool:
     Cauchy-Binet the ideal of r x r minors of the generator matrix
     depends only on its column span, and unimodular steps keep it, so it
     is G_1's ideal (Delta).  G_1 keeps rank r modulo a monic irreducible
-    lam exactly when lam does not divide Delta, and the lam of degree
-    <= degree_bound are the factors of x^(p^k) - x, k <= degree_bound.
+    lam exactly when lam does not divide Delta.  A lam of degree e
+    divides x^(p^k) - x exactly when e divides k, and every e <=
+    degree_bound has a multiple k with degree_bound / 2 < k <=
+    degree_bound, so those k cover every lam up to the bound.
 
     For each k the entries are folded modulo x^(p^k) - x, which keeps
     the ideal of minors modulo x^(p^k) - x, and d_1 | d_2 | ... is the
     diagonal of a Smith form of [folded | (x^(p^k) - x) I]
     (``_smith_diagonal``).  Its rank modulo lam | x^(p^k) - x counts the
     d_i prime to lam, so G_1 keeps rank r modulo every such lam exactly
-    when there are r of them and gcd(d_r, x^(p^k) - x) = 1; r comes from
-    ``_rank``.  Returns whether that holds for every k.
+    when there are r of them and gcd(d_r, x^(p^k) - x) = 1.  There are
+    at most r, and r is at most min(q, columns), so ``_rank`` is asked
+    only when there are fewer than that.  Returns whether the test holds
+    for every such k.
     """
     ring = code.ring
     check_prop3_bound(ring.p, ring.n, degree_bound)
     p = ring.p
     sparse = [[{e: c for (e,), c in f.terms} for f in row] for row in code.generators.entries]
-    r = _rank(sparse, p)
-    for k in range(1, degree_bound + 1):
+    full = min(len(sparse), len(sparse[0]))
+    for k in range(degree_bound // 2 + 1, degree_bound + 1):
         n = p ** k
         diag = _smith_diagonal([[_fold(f, n, p) for f in row] for row in sparse], n, p)
-        if len(diag) < r or not _prime_to(diag[r - 1], n, p):
+        if len(diag) < full and len(diag) < _rank(sparse, p):
+            return False
+        if not _prime_to(diag[-1], n, p):
             return False
     return True

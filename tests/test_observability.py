@@ -5,8 +5,10 @@ import random
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -14,11 +16,12 @@ from hypothesis import strategies as st
 from convres import Ring, cli, complexes, groebner, observability
 from convres.algebra import CodePresentation, Poly, PolyMatrix, is_prime
 from convres.complexes import check_reduced, minimal_resolution, validate_complex
-from convres.cli import main
+from convres.cli import main, parse_input
 from convres.errors import InputError, InvariantError, UnsupportedDimensionError
 from convres.groebner import ModuleOrder, _buchberger, _reduce_flat
 from convres.observability import (
     MAX_PROP3_CANDIDATES,
+    _fold,
     _rank,
     _smith_diagonal,
     is_observable,
@@ -247,6 +250,12 @@ def _sparse(c):
     return [[{e: v for (e,), v in f.terms} for f in row] for row in c.generators.entries]
 
 
+def _unfolded_smith(rows, p):
+    """``_smith_diagonal`` over F_p[x] of sparse ``rows``, as sparse dicts."""
+    arrays = [[_fold(f, NO_FOLD, p) for f in row] for row in rows]
+    return [{e: int(v) for e, v in enumerate(d) if v} for d in _smith_diagonal(arrays, NO_FOLD, p)]
+
+
 def _monic_product(ring, polys):
     out = Poly.const(ring, 1)
     for f in polys:
@@ -317,7 +326,7 @@ def diagonal_codes(draw):
 def test_spot_check_reads_delta_of_drawn_diagonal_codes(drawn):
     c, bound, r, diagonal, verdict = drawn
     sparse = _sparse(c)
-    smith = _smith_diagonal(sparse, NO_FOLD, c.ring.p)
+    smith = _unfolded_smith(sparse, c.ring.p)
     assert _rank(sparse, c.ring.p) == len(smith) == r
     assert _monic_product(c.ring, smith) == _monic_product(
         c.ring, [{e: v for (e,), v in f.terms} for f in diagonal])
@@ -345,14 +354,14 @@ def test_rank_and_smith_form_ignore_zero_columns_and_rows():
     zero = {}
     rows = [[{1: 1, 0: 1}, zero, {2: 1, 1: 1}], [zero, zero, zero], [{0: 2}, zero, {1: 2}]]
     # Column 3 is x times column 1, so the rank is 1 and Delta = gcd(x + 1, 2) = 1.
-    smith = _smith_diagonal(rows, NO_FOLD, p)
+    smith = _unfolded_smith(rows, p)
     assert _rank(rows, p) == len(smith) == 1 and max(smith[0]) == 0
 
 
 def _assert_observable_exactly_when_delta_is_constant(c):
     """Over the PID F_p[x] the quotient S^q/C is torsion free exactly when
     every invariant factor of the generators is a unit."""
-    constant = all(max(d) == 0 for d in _smith_diagonal(_sparse(c), NO_FOLD, c.ring.p))
+    constant = all(max(d) == 0 for d in _unfolded_smith(_sparse(c), c.ring.p))
     assert is_observable(c).observable == constant, c.generators
     return constant
 
@@ -471,16 +480,26 @@ def test_block_rank_drops_where_lam_divides_the_entries():
     assert list(reference_ranks_modulo(mat(r, [["D1"], ["-1"]]), lams, 3)) == [1, 1]
 
 
-# Documents whose entries are of huge degree, each with a degree bound and
-# the spot check's verdict.  Each runs the spot check alone, and the first
-# also the command line; the second exceeds the weight limit of
+# Every entry of DENSE_DOC is below x^4093, so nothing folds and the Smith
+# form runs dense Euclid near degree 4,000; its determinant has no root in
+# F_4093 (``test_bound_one_verdicts_over_f_4093_are_common_roots_of_the_maximal_minors``).
+DENSE_DOC = {"p": 4093, "n": 1, "kind": "code",
+             "matrix": [["D1^2428 + 2230*D1^975 + 535", "D1^3752 + 2474*D1^1516 + 1942"],
+                        ["D1^2563 + 269*D1^2380 + 2481", "D1^3723 + 3431*D1^54 + 1922"]]}
+
+# Documents whose entries are of huge degree or fold densely, each with a
+# degree bound and the spot check's verdict.  Each runs the spot check
+# alone within SPOT_CHECK_SECONDS, interpreter start included, and the
+# first also the command line; the second exceeds the weight limit of
 # ``is_observable``'s syzygies.
 HUGE_DOCS = [
     ({"p": 3, "n": 1, "kind": "code", "matrix": [["D1^100000000 + D1"]]}, 2, False),
     ({"p": 4093, "n": 1, "kind": "code",
       "matrix": [["D1^1073741823 + 3*D1^1000000 + 7"], ["D1^2000000 + 1"]]}, 1, True),
     ({"p": 2, "n": 1, "kind": "code", "matrix": [["D1^1073741823 + D1 + 1"]]}, 11, True),
+    (DENSE_DOC, 1, True),
 ]
+SPOT_CHECK_SECONDS = 5
 
 SPOT_CHECK_ONLY = ("import sys; from convres.cli import parse_input; "
                    "from convres.observability import prop3_spot_check; "
@@ -504,10 +523,51 @@ def test_huge_exponent_is_checked_sparsely_under_a_memory_limit(tmp_path):
     for number, (document, bound, verdict) in enumerate(HUGE_DOCS):
         doc = tmp_path / f"huge{number}.json"
         doc.write_text(json.dumps(document))
+        start = time.perf_counter()
         assert run("-c", SPOT_CHECK_ONLY, str(doc), str(bound)) == f"{verdict}\n", document
+        assert time.perf_counter() - start < SPOT_CHECK_SECONDS, document
     doc = tmp_path / "huge0.json"
     out = run("-m", "convres.cli", "observable", "--prop3-bound", "2", str(doc))
     assert json.loads(out)["prop3"] is False
+
+
+def _full(degree):
+    """Every coefficient p - 1 = 4092 from D1^0 to D1^degree."""
+    return " + ".join(f"4092*D1^{e}" for e in range(degree + 1))
+
+
+# Codes over F_4093 whose int64 Smith form meets the largest coefficients:
+# DENSE_DOC, a column whose huge-degree entry is divided by a quadratic
+# (a quotient of about 4,000 terms), and a 2 x 2 code of full entries.
+DENSE_MATRICES = [
+    DENSE_DOC["matrix"],
+    [[_full(4000)], [_full(2)]],
+    [[_full(4000), _full(3999)], [_full(2000), "4092*D1^3 + 1"]],
+]
+
+
+@pytest.mark.parametrize("matrix", DENSE_MATRICES, ids=["dense", "tall", "full"])
+def test_bound_one_verdicts_over_f_4093_are_common_roots_of_the_maximal_minors(matrix):
+    """At B = 1 the spot check is true exactly when the maximal minors have
+    no common root in F_p; every entry is evaluated at every point."""
+    c = parse_input(json.dumps({"p": 4093, "n": 1, "kind": "code", "matrix": matrix})).code
+    p, t = c.ring.p, np.arange(c.ring.p, dtype=np.int64)
+    values = []
+    for row in _sparse(c):
+        values.append([])
+        for f in row:
+            v = np.zeros(p, np.int64)
+            for e in range(max(f), -1, -1):
+                v = (v * t + f.get(e, 0)) % p
+            values[-1].append(v)
+    if len(values[0]) == 2:
+        (a, b), (d, e) = values
+        minors = [a * e - b * d]
+    else:
+        minors = [row[0] for row in values]
+    root_free = not np.any(np.all([m % p == 0 for m in minors], axis=0))
+    assert prop3_spot_check(c, 1) == root_free
+    assert root_free or matrix is not DENSE_DOC["matrix"]
 
 
 # -- result guards ---------------------------------------------------------
