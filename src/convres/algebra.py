@@ -139,17 +139,6 @@ class Poly:
                                reverse=True))
         return cls(ring, ordered)
 
-    @classmethod
-    def zero(cls, ring: Ring) -> "Poly":
-        return cls(ring, ())
-
-    @classmethod
-    def const(cls, ring: Ring, c: int) -> "Poly":
-        c %= ring.p
-        if not c:
-            return cls.zero(ring)
-        return cls(ring, (((0,) * ring.nvars, c),))
-
     # -- queries ------------------------------------------------------
 
     def __bool__(self) -> bool:
@@ -175,39 +164,11 @@ class Poly:
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other: "Poly") -> "Poly":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self._combine(other, -1)
-
-    def _combine(self, other: "Poly", sign: int) -> "Poly":
-        """self + sign * other."""
-        _check_same_ring(self, other)
-        acc = dict(self.terms)
-        p = self.ring.p
-        for e, c in other.terms:
-            v = (acc.get(e, 0) + sign * c) % p
-            if v:
-                acc[e] = v
-            else:
-                acc.pop(e, None)
-        return Poly.from_dict(self.ring, acc)
-
-    def __neg__(self) -> "Poly":
-        return self.scale(-1)
-
     def __mul__(self, other: "Poly") -> "Poly":
         _check_same_ring(self, other)
         acc: dict = {}
         _add_product(acc, self, other)
         return Poly.from_dict(self.ring, acc)
-
-    def scale(self, c: int) -> "Poly":
-        c %= self.ring.p
-        if not c:
-            return Poly.zero(self.ring)
-        return Poly(self.ring, tuple((e, (c * v) % self.ring.p) for e, v in self.terms))
 
     # -- text ----------------------------------------------------------
 

@@ -52,7 +52,7 @@ from .errors import DomainError, InvariantError
 # _C - e0 (the D0 exponent), the degree, then _C - e for every other
 # exponent in the order in which ``Ring.mono_key`` compares them, and
 # _C - pos last.  Every digit but the weight lies in [0, _C], so integer
-# order is digit-by-digit order, which is exactly ``ModuleOrder.key``; a
+# order is digit-by-digit order, which is exactly the module order; a
 # digit's top bit (its guard bit) stays clear.  With the D0 digit above
 # the degree, D0 is the last variable among terms of one weight even at
 # positions of unequal twist, so a homogeneous element has a lead
@@ -112,14 +112,8 @@ class ModuleOrder:
     def rank(self) -> int:
         return len(self.twist)
 
-    def key(self, term):
-        pos, exps = term
-        deg, tail = self.ring.mono_key(exps)
-        # Over T the D0 exponent comes right after the weight.
-        return (deg + self.twist[pos],) + (-exps[0],) * self.ring.homog + (deg, tail, -pos)
-
     def pack(self, term) -> int:
-        """The term (position, exponents) as an int ordered like ``key``."""
+        """The term (position, exponents) as an int in the module order."""
         pos, exps = term
         deg = sum(exps)
         weight = deg + self.twist[pos]
@@ -266,24 +260,18 @@ def _reduce_flat(f: dict, items, order: ModuleOrder, want_quotients=False):
     return rem, quotients
 
 
-def _lcm_shifts(gi: _GBItem, gj: _GBItem, order: ModuleOrder):
-    """Weight of lcm(lead gi, lead gj) and the packed shifts onto it."""
-    lcm = tuple(max(a, b) for a, b in zip(gi.exps, gj.exps))
-    weight = sum(lcm) + order.twist[gi.pos]
-    _check_weight(weight)
-    return (weight,
-            order.shift(tuple(a - b for a, b in zip(lcm, gi.exps))),
-            order.shift(tuple(a - b for a, b in zip(lcm, gj.exps))))
-
-
 def _spair_parts(gi: _GBItem, gj: _GBItem, order: ModuleOrder):
     """S-pair of two monic items with leads in the same position.
 
     Returns (spair_flat, shift_i, shift_j) where
-    spair = D^shift_i * gi - D^shift_j * gj.
+    spair = D^shift_i * gi - D^shift_j * gj, with D^shift_i * lead gi =
+    lcm(lead gi, lead gj) = D^shift_j * lead gj.  The lcm's weight was
+    held to the limit when ``_Completion._update`` queued the pair.
     """
     p = order.ring.p
-    _, ui, uj = _lcm_shifts(gi, gj, order)
+    lcm = tuple(map(max, gi.exps, gj.exps))
+    ui = order.shift(tuple(a - b for a, b in zip(lcm, gi.exps)))
+    uj = order.shift(tuple(a - b for a, b in zip(lcm, gj.exps)))
     s: dict = {}
     _addmul(s, gi.flat, 1, ui, p)
     _addmul(s, gj.flat, -1, uj, p)

@@ -171,20 +171,12 @@ def _element(ring: Ring, rank: int, terms: list, row: np.ndarray) -> ModElem:
 
 @dataclass(frozen=True)
 class TruncatedSpace:
-    """RREF basis of a degree slice of a submodule of S^rank."""
+    """RREF basis of a degree slice of a code, its dimension and the cap
+    at which it was counted."""
 
-    ring: Ring
-    rank: int
-    twist: tuple
-    d: int
     basis: tuple
     dimension: int
     cap_used: int
-
-    def __eq__(self, other):
-        return (isinstance(other, TruncatedSpace) and self.ring == other.ring
-                and self.rank == other.rank and self.twist == other.twist
-                and self.d == other.d and self.basis == other.basis)
 
 
 def _generator_terms(columns, degrees) -> tuple:
@@ -418,15 +410,14 @@ def truncated_code_space(code: CodePresentation, d: int, cap: int = None) -> Tru
     shifts at ``cap_used`` and must have the incremental echelon's
     dimension.
     """
-    ring = code.ring
     if d < 0:
-        return TruncatedSpace(ring, code.q, (0,) * code.q, d, (), 0, cap or 0)
+        return TruncatedSpace((), 0, cap or 0)
     dimension, cap_used = _count(code, d, cap)
     basis = _slice_basis(code, d, cap_used)
     if len(basis) != dimension:
         raise InvariantError(f"oracle slice at d={d}, cap {cap_used}: basis of "
                              f"{len(basis)} elements, incremental dimension {dimension}")
-    return TruncatedSpace(ring, code.q, (0,) * code.q, d, basis, dimension, cap_used)
+    return TruncatedSpace(basis, dimension, cap_used)
 
 
 def hilbert_oracle(code: CodePresentation, d: int) -> int:

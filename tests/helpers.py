@@ -58,12 +58,10 @@ from convres.groebner import (
     _flat_degree,
     _from_flat,
     _interreduce,
-    _lcm_shifts,
     _lift_flat,
     _minimal_level,
     _monic,
     _reduce_flat,
-    _spair_parts,
     _syzygies_flat,
     _to_flat,
     monomial_hilbert_numerator,
@@ -84,6 +82,14 @@ def ring2():
 
 def P(text, ring):
     return parse_poly(text, ring)
+
+
+def combine(f, g, c=1):
+    """f + c * g: the one additive operation on ``Poly`` that tests use."""
+    acc = dict(f.terms)
+    for e, v in g.terms:
+        acc[e] = acc.get(e, 0) + c * v
+    return Poly.from_dict(f.ring, acc)
 
 
 def mat(ring, rows):
@@ -126,6 +132,15 @@ def unpack(flats, order, ring=None):
     """Packed columns as tuples of ``Poly``: over ``order.ring``, or
     over S at D0 = 1 when ``ring`` is S (see ``_from_flat``)."""
     return [_from_flat(order, flat, ring) for flat in flats]
+
+
+def order_key(order, term):
+    """The term (position, exponents) as a tuple in the order of ``order``,
+    the reference ``ModuleOrder.pack`` is tested against: weight, then
+    over T the smaller D0 exponent, then grevlex, then smaller position."""
+    pos, exps = term
+    deg, tail = order.ring.mono_key(exps)
+    return (deg + order.twist[pos],) + (-exps[0],) * order.ring.homog + (deg, tail, -pos)
 
 
 def core_syzygies(gens_flat, order, syz_order):
@@ -201,7 +216,7 @@ def random_poly(rng, ring, max_deg, nonzero=False):
         coeffs[tuple(exps)] = coeffs.get(tuple(exps), 0) + rng.randrange(ring.p)
     f = Poly.from_dict(ring, coeffs)
     if nonzero and f.is_zero:
-        return Poly.const(ring, 1 + rng.randrange(ring.p - 1))
+        return P(str(1 + rng.randrange(ring.p - 1)), ring)
     return f
 
 
@@ -708,7 +723,7 @@ def reference_parse_poly(text, ring):
         kind, value, at = peek()
         if kind == "INT":
             take("INT")
-            return Poly.const(ring, int(value))
+            return Poly.from_dict(ring, {(0,) * ring.nvars: int(value)})
         if kind == "VAR":
             take("VAR")
             try:
@@ -732,14 +747,14 @@ def reference_parse_poly(text, ring):
         while peek()[0] == "*":
             take("*")
             out = out * parse_factor()
-        return out.scale(sign)
+        return combine(Poly.from_dict(ring, {}), out, sign)
 
     result = parse_term()
     while pos < len(tokens):
         kind, value, at = peek()
         if kind not in ("+", "-"):
             raise PolyParseError(f"expected '+' or '-', found {value!r}", at)
-        result = result + parse_term()
+        result = combine(result, parse_term())
     return result
 
 
@@ -1040,6 +1055,7 @@ def _minimalize_grids(mats, twists):
     """
     grids = [[list(row) for row in m.entries] for m in mats]
     ring = mats[0].ring
+    zero = P("0", ring)
     tw = [list(t) for t in twists]
 
     def find_pivot():
@@ -1064,20 +1080,20 @@ def _minimalize_grids(mats, twists):
         if cval != 1:
             inv = pow(cval, ring.p - 2, ring.p)
             for r in range(nrows):
-                grid[r][j] = grid[r][j].scale(inv)
+                grid[r][j] = combine(zero, grid[r][j], inv)
             if k + 1 < len(grids):
                 nxt = grids[k + 1]
-                nxt[j] = [f.scale(cval) for f in nxt[j]]
+                nxt[j] = [combine(zero, f, cval) for f in nxt[j]]
         # Clear row i by column operations; mirror on the next matrix's rows.
         for jj in range(ncols):
             if jj == j or grid[i][jj].is_zero:
                 continue
             h = grid[i][jj]
             for r in range(nrows):
-                grid[r][jj] = grid[r][jj] - h * grid[r][j]
+                grid[r][jj] = combine(grid[r][jj], h * grid[r][j], -1)
             if k + 1 < len(grids):
                 nxt = grids[k + 1]
-                nxt[j] = [a + h * b for a, b in zip(nxt[j], nxt[jj])]
+                nxt[j] = [combine(a, h * b) for a, b in zip(nxt[j], nxt[jj])]
         # Clear column j by row operations; mirror on the previous matrix's columns.
         prev = grids[k - 1]
         for ii in range(nrows):
@@ -1085,9 +1101,9 @@ def _minimalize_grids(mats, twists):
                 continue
             h = grid[ii][j]
             for c in range(ncols):
-                grid[ii][c] = grid[ii][c] - h * grid[i][c]
+                grid[ii][c] = combine(grid[ii][c], h * grid[i][c], -1)
             for row in prev:
-                row[i] = row[i] + h * row[ii]
+                row[i] = combine(row[i], h * row[ii])
         # The companion column and row must now vanish.
         if not all(row[i].is_zero for row in prev):
             raise InvariantError("pivot companion column not zero")
@@ -1133,6 +1149,21 @@ def _minimalize_grids(mats, twists):
 
 # -- reference Groebner routes: no pair criteria, all pairs re-reduced ------
 
+def _reference_spair(gi: _GBItem, gj: _GBItem, order: ModuleOrder):
+    """(lcm weight, S-pair, shift_i, shift_j) of two monic items at one
+    position: S-pair = D^shift_i gi - D^shift_j gj, onto the lcm of their
+    leads, whose weight must be within the limit."""
+    lcm = tuple(map(max, gi.exps, gj.exps))
+    weight = sum(lcm) + order.twist[gi.pos]
+    _check_weight(weight)
+    ui = order.shift([a - b for a, b in zip(lcm, gi.exps)])
+    uj = order.shift([a - b for a, b in zip(lcm, gj.exps)])
+    s: dict = {}
+    _addmul(s, gi.flat, 1, ui, order.ring.p)
+    _addmul(s, gj.flat, -1, uj, order.ring.p)
+    return weight, s, ui, uj
+
+
 def reference_buchberger(gens_flat, order: ModuleOrder, expr_order: ModuleOrder = None):
     """Complete ``gens_flat`` to a Groebner basis (normal strategy).
 
@@ -1159,11 +1190,11 @@ def reference_buchberger(gens_flat, order: ModuleOrder, expr_order: ModuleOrder 
     for i in range(len(items)):
         for j in range(i):
             if items[i].pos == items[j].pos:
-                heapq.heappush(heap, (_lcm_shifts(items[i], items[j], order)[0], j, i))
+                heapq.heappush(heap, (_reference_spair(items[i], items[j], order)[0], j, i))
 
     while heap:
         _, i, j = heapq.heappop(heap)
-        s, ui, uj = _spair_parts(items[i], items[j], order)
+        _, s, ui, uj = _reference_spair(items[i], items[j], order)
         rem, quots = _reduce_flat(s, items, order, want_quotients=track)
         if not rem:
             continue
@@ -1187,7 +1218,7 @@ def reference_buchberger(gens_flat, order: ModuleOrder, expr_order: ModuleOrder 
         hi = len(items) - 1
         for k in range(hi):
             if items[k].pos == new.pos:
-                heapq.heappush(heap, (_lcm_shifts(items[k], new, order)[0], k, hi))
+                heapq.heappush(heap, (_reference_spair(items[k], new, order)[0], k, hi))
     return items
 
 
@@ -1214,7 +1245,7 @@ def reference_syzygy_basis(gens_flat, order: ModuleOrder, syz_order: ModuleOrder
         for i in range(j):
             if items[i].pos != items[j].pos:
                 continue
-            s, ui, uj = _spair_parts(items[i], items[j], order)
+            _, s, ui, uj = _reference_spair(items[i], items[j], order)
             rem, quots = _reduce_flat(s, items, order, want_quotients=True)
             if rem:
                 raise InvariantError("S-pair of a completed basis must reduce to zero")
@@ -1345,13 +1376,13 @@ def reference_matrix_kernel(matrix: PolyMatrix, route=reference_syzygy_basis) ->
     if live:
         sub = PolyMatrix.from_columns(ring, matrix.nrows, [matrix.column(j) for j in live])
         for col in poly_syzygies(sub, route=route):
-            full = [Poly.zero(ring)] * t
+            full = [P("0", ring)] * t
             for idx, j in enumerate(live):
                 full[j] = col[idx]
             out.append(tuple(full))
     for j in range(t):
         if j not in live:
-            out.append(tuple(Poly.const(ring, int(i == j)) for i in range(t)))
+            out.append(tuple(P(str(int(i == j)), ring) for i in range(t)))
     return out
 
 

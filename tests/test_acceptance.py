@@ -134,10 +134,8 @@ def test_criterion_5_invariance_of_invariants():
             appended = 0
             while appended < 3:
                 coeffs = [random_poly(rng, c.ring, 1) for _ in original]
-                combo = tuple(
-                    sum((g[i] * cf for g, cf in zip(original[1:], coeffs[1:])),
-                        original[0][i] * coeffs[0])
-                    for i in range(c.q))
+                combo = (PolyMatrix.from_columns(c.ring, c.q, original)
+                         @ PolyMatrix.from_rows(c.ring, [[cf] for cf in coeffs])).column(0)
                 if not all(f.is_zero for f in combo):
                     cols.append(combo)
                     appended += 1

@@ -7,6 +7,7 @@ checks here on the first ops of two workloads makes a break of that
 contract fail the tests instead.
 """
 
+import importlib.util
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,11 +16,15 @@ import pytest
 
 from convres.cli import parse_input, run_command
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+spec = importlib.util.spec_from_file_location("report_digest", ROOT / "tools" / "report_digest.py")
+report_digest = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(report_digest)
 
-# The options every op is run with, as ``OPTION_DEFAULTS`` in bench/run.py.
-OPTION_DEFAULTS = {"hilbert_max": None, "max_d": None, "oracle": None,
-                   "property": None, "strict": None, "prop3_bound": None}
+# The options every op is run with, read from bench/run.py by
+# ``report_digest.bench_constants``.
+OPTION_DEFAULTS = report_digest.OPTION_DEFAULTS
 
 
 @pytest.mark.parametrize("workload, count", [("small-mix", 300), ("oracle-n2", 5)])

@@ -23,6 +23,7 @@ from helpers import (
     acceptance_corpus,
     check_graded_resolution,
     code,
+    combine,
     dehomogenize,
     graded_column_degrees,
     homogeneous_column_degree,
@@ -311,7 +312,7 @@ def test_check_pd_and_witness():
     assert witness == (P("1", r), P("1", r))
     # the witness drops degree: deg_a f = 1 but deg(G f) = 0
     g = bad.matrices[0]
-    image = tuple(g.entry(i, 0) * witness[0] + g.entry(i, 1) * witness[1]
+    image = tuple(combine(g.entry(i, 0) * witness[0], g.entry(i, 1) * witness[1])
                   for i in range(2))
     assert image == (P("1", r), P("0", r))
     ident = validate_complex([identity(r, 2)])
@@ -434,9 +435,8 @@ def test_invariance_under_representation_changes():
         original = list(cols)
         for _ in range(3):
             coeffs = [random_poly(rng, c.ring, 1) for _ in original]
-            combo = tuple(sum((g[i] * cf for g, cf in zip(original[1:], coeffs[1:])),
-                              original[0][i] * coeffs[0])
-                          for i in range(c.q))
+            combo = (PolyMatrix.from_columns(c.ring, c.q, original)
+                     @ PolyMatrix.from_rows(c.ring, [[cf] for cf in coeffs])).column(0)
             if not all(f.is_zero for f in combo):
                 cols.append(combo)
         c2 = CodePresentation(c.ring, PolyMatrix.from_columns(c.ring, c.q, cols))

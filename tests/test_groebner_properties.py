@@ -18,7 +18,7 @@ from convres.errors import DomainError, InvariantError
 from convres import groebner
 from convres.groebner import ModuleOrder, _syzygies_flat
 
-from helpers import mat, pack, random_poly, reduced_basis, unpack
+from helpers import mat, order_key, pack, random_poly, reduced_basis, unpack
 
 LIMIT = groebner._LIMIT
 checked = settings(derandomize=True, deadline=None, max_examples=200)
@@ -53,9 +53,9 @@ def test_packed_order_is_module_order(data):
     order = data.draw(orders())
     ts = data.draw(st.lists(terms(order), min_size=2, max_size=8))
     a, b = ts[0], ts[1]
-    assert (order.pack(a) < order.pack(b)) == (order.key(a) < order.key(b))
+    assert (order.pack(a) < order.pack(b)) == (order_key(order, a) < order_key(order, b))
     assert (order.pack(a) == order.pack(b)) == (a == b)
-    assert sorted(ts, key=order.pack) == sorted(ts, key=order.key)
+    assert sorted(ts, key=order.pack) == sorted(ts, key=lambda t: order_key(order, t))
 
 
 def test_packed_order_is_module_order_over_t_with_unequal_twists():
@@ -67,10 +67,10 @@ def test_packed_order_is_module_order_over_t_with_unequal_twists():
                         ((0, 2), (0, (1, 0, 2)), (1, (0, 1, 0)))):
         order = ModuleOrder(Ring(101, len(a[1]) - 1, homog=True), twist)
         assert order.pack(b) > order.pack(a)
-        assert order.key(b) > order.key(a)
+        assert order_key(order, b) > order_key(order, a)
     order = ModuleOrder(Ring(101, 1, homog=True), (0, 1))
     ts = [(pos, (e0, e1)) for pos in (0, 1) for e0 in range(3) for e1 in range(3)]
-    assert sorted(ts, key=order.pack) == sorted(ts, key=order.key)
+    assert sorted(ts, key=order.pack) == sorted(ts, key=lambda t: order_key(order, t))
 
 
 @checked
@@ -134,6 +134,14 @@ def test_spair_beyond_limit_raises():
     order = ModuleOrder(r, (0,))
     with pytest.raises(DomainError):
         reduced_basis(pack(gens, order), order)
+    # The one check of an lcm's weight: ``_Completion.add`` makes it as it
+    # queues the pair, so it raises before ``run`` reduces anything.
+    completion = groebner._Completion(order)
+    first, second = pack(gens, order)
+    completion.add(first)
+    with pytest.raises(DomainError, match=f"term weight {2 * half} exceeds the supported {LIMIT}"):
+        completion.add(second)
+    assert completion._heap == []
 
 
 # -- self-checks raise InvariantError ------------------------------------

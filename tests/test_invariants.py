@@ -12,7 +12,7 @@ from convres.complexes import minimal_resolution
 from convres.invariants import forney_table, hilbert_formula, hilbert_values, memory, rate
 from convres.oracle import hilbert_oracle
 
-from helpers import benchmark_documents, code, codes, koszul_code, random_code
+from helpers import benchmark_documents, code, codes, combine, koszul_code, random_code
 
 
 def test_hilbert_formula_koszul_values():
@@ -117,7 +117,7 @@ def test_tables_survive_unimodular_column_operations(c, data):
         exps = st.tuples(*[st.integers(0, 2)] * c.ring.n)
         h = Poly.from_dict(c.ring, data.draw(
             st.dictionaries(exps, st.integers(1, c.ring.p - 1), max_size=3)))
-        cols[j] = tuple(a + h * b for a, b in zip(cols[j], cols[k]))
+        cols[j] = tuple(combine(a, h * b) for a, b in zip(cols[j], cols[k]))
         assume(any(not f.is_zero for f in cols[j]))
     moved = minimal_resolution(
         CodePresentation(c.ring, PolyMatrix.from_columns(c.ring, c.q, cols)))

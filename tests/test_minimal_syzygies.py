@@ -36,8 +36,10 @@ from convres.oracle import hilbert_oracle
 
 from helpers import (
     CANARY_ROWS,
+    P,
     _minimal_flat,
     acceptance_corpus,
+    combine,
     homogeneous_column_degree,
     koszul_code,
     minimalize_graded,
@@ -97,7 +99,7 @@ def _homogeneous_element(rng, ring, twist, d):
         elem = []
         for pos, a in enumerate(twist):
             if a > d or rng.random() < 0.3:
-                elem.append(Poly.zero(ring))
+                elem.append(P("0", ring))
                 continue
             coeffs = {}
             for _ in range(rng.randint(1, 3)):
@@ -116,7 +118,7 @@ def _planted_combination(rng, ring, gens, degrees, d):
             continue
         m = _monomial(rng, ring.nvars, d - dg)
         term = tuple(mul_monomial(f, m, rng.randrange(1, ring.p)) for f in g)
-        out = term if out is None else tuple(a + b for a, b in zip(out, term))
+        out = term if out is None else tuple(map(combine, out, term))
     if out is None or all(f.is_zero for f in out):
         return None
     return out
@@ -139,7 +141,7 @@ def _generator_corpus(rng):
         kind = rng.randrange(3)
         if kind == 0:
             k = rng.randrange(len(gens))
-            planted = tuple(f.scale(rng.randrange(1, ring.p)) for f in gens[k])
+            planted = tuple(f * P(str(rng.randrange(1, ring.p)), ring) for f in gens[k])
             d = degrees[k]
         else:
             d = max(degrees) + (kind == 2) * rng.randint(1, 2)
@@ -172,7 +174,7 @@ def test_minimal_generators_equals_greedy_membership_pass():
 def test_minimal_generators_with_an_explicit_twist():
     t = Ring(5, 2).homogeneous_companion()
     d1, d2 = Poly.from_dict(t, {(0, 1, 0): 1}), Poly.from_dict(t, {(0, 0, 1): 1})
-    zero = Poly.zero(t)
+    zero = P("0", t)
     gens = [(d1, zero), (zero, d2), (d1, d2), (d1 * d2, zero)]
     twist = (1, 1)
     order = ModuleOrder(t, twist)

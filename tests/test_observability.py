@@ -30,9 +30,11 @@ from convres.observability import (
 
 import helpers
 from helpers import (
+    P,
     acceptance_corpus,
     benchmark_documents,
     code,
+    combine,
     koszul_code,
     mat,
     pack,
@@ -257,10 +259,10 @@ def _unfolded_smith(rows, p):
 
 
 def _monic_product(ring, polys):
-    out = Poly.const(ring, 1)
+    out = P("1", ring)
     for f in polys:
         out = out * Poly.from_dict(ring, {(e,): v for e, v in f.items()})
-    return out.scale(pow(out.terms[0][1], ring.p - 2, ring.p))
+    return out * P(str(pow(out.terms[0][1], ring.p - 2, ring.p)), ring)
 
 
 def test_spot_check_equals_the_block_rank_route_on_benchmark_codes():
@@ -285,11 +287,11 @@ def _irreducible_pool(p):
 def _elementary(steps, ring, size, degree):
     """A unimodular size x size matrix: a product of elementary ``steps``,
     each adding a multiple of degree <= ``degree`` of one row to another."""
-    rows = [[Poly.const(ring, int(i == j)) for j in range(size)] for i in range(size)]
+    rows = [[P(str(int(i == j)), ring) for j in range(size)] for i in range(size)]
     for i, j, coeffs in steps:
         if i % size != j % size:
             m = Poly.from_dict(ring, {(e,): c for e, c in enumerate(coeffs[:degree + 1])})
-            rows[i % size] = [f + m * g for f, g in zip(rows[i % size], rows[j % size])]
+            rows[i % size] = [combine(f, m * g) for f, g in zip(rows[i % size], rows[j % size])]
     return PolyMatrix.from_rows(ring, rows)
 
 
@@ -309,7 +311,7 @@ def diagonal_codes(draw):
     factors = [draw(st.lists(st.sampled_from(pool), max_size=3)) for _ in range(r)]
     q, t = r + draw(st.integers(0, 1)), r + draw(st.integers(0, 1))
     diagonal = [_monic_product(ring, fs) for fs in factors]
-    core = [[diagonal[i] if i == j and i < r else Poly.zero(ring) for j in range(t)]
+    core = [[diagonal[i] if i == j and i < r else P("0", ring) for j in range(t)]
             for i in range(q)]
     steps = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
                                st.lists(st.integers(0, p - 1), min_size=2, max_size=2)),

@@ -16,6 +16,16 @@ spec.loader.exec_module(report_digest)
 
 SIZES = {"resolve-n3": 1, "oracle-n2": 1, "small-mix": 16}
 
+# The digests of a fixed seed-0 slice of the pools.  A change to any
+# report they render fails here; a new pin goes with a report change
+# recorded in CHANGES.md.
+PINNED_SIZES = {"resolve-n3": 6, "oracle-n2": 4, "small-mix": 600}
+PINNED = {
+    "resolve-n3": "3b0eed193abd9d4cc6590d2491e0c3e1ea269dca74918383238e495ef5ccb79e",
+    "oracle-n2": "6642b8d5d016c8219c8cdeb23d47d4023799b76496f93b33ef2b4d9dec5a398f",
+    "small-mix": "05b903b8264eee2c8dac7fa2ffb0e4a47c5a192e4525f204d7eeb959b716ba2e",
+}
+
 
 def _chunks(text):
     """{workload: [(header, body)]} of a written digest text."""
@@ -58,6 +68,10 @@ def test_digests_hash_every_rendering_and_check_every_complex():
         commands.add(cmd)
     # The pool reaches both complex sources and an error text.
     assert {"check", "resolve"} <= commands and errors
+
+
+def test_reports_on_a_fixed_slice_are_byte_identical():
+    assert report_digest.digests(ROOT, 0, sizes=PINNED_SIZES) == PINNED
 
 
 def test_renderings_are_what_the_command_line_prints(tmp_path, capsys):
