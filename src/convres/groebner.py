@@ -461,39 +461,31 @@ def _syzygies_flat(gens_flat, order: ModuleOrder, syz_order: ModuleOrder):
     Schreyer's construction: complete the columns to a Groebner basis
     while tracking expressions in the original columns (a tracked
     ``_Completion``), then pull back the relations it left
-    (``_schreyer``).  The columns of (I - A B), with A the tracked
-    expressions and B the division of the originals by the basis,
-    complete the generating set.  ``gens_flat`` are packed by ``order``;
-    the syzygies are packed by ``syz_order``, whose twist should be the
+    (``_schreyer``).  Each column is an item of the run, so these are
+    all its syzygies.  ``gens_flat`` are packed by ``order``; the
+    syzygies are packed by ``syz_order``, whose twist should be the
     columns' degrees.  Returns them with the items of the completion, a
     Groebner basis of the columns' span.
     """
     items = _buchberger(gens_flat, order, syz_order)
-    units: list[dict] = []
-    for j, flat in enumerate(gens_flat):
-        rem, quots = _reduce_flat(flat, items, order, want_quotients=True)
-        if rem:
-            raise InvariantError("original generator must reduce to zero against its basis")
-        col: dict = {syz_order.pack((j, (0,) * order.ring.nvars)): 1}
-        for k, quot in enumerate(quots):
-            for shift, c in quot.items():
-                _addmul(col, items[k].expr, -c, shift, order.ring.p)
-        if col:
-            units.append(col)
-    return _schreyer(items, order, units), items
+    return _schreyer(items, order), items
 
 
-def _schreyer(items, order: ModuleOrder, units=()) -> list:
-    """The syzygies from the items of a tracked completion, and ``units``.
+def _schreyer(items, order: ModuleOrder) -> list:
+    """The syzygies of the inputs of a tracked completion, from its items.
 
-    The relations its pairs that reduced to zero left are pulled back to
-    the coordinates of the items' expressions; no S-pair is reduced
+    Every input is an item, its expression a multiple of its own unit by
+    a nonzero scalar, so the syzygies of the inputs are the pull-backs,
+    through the items' expressions, of the syzygies of the items, which
+    the relations of the basis's S-pairs generate by Schreyer's theorem
+    (Eisenbud, Commutative Algebra, Thm. 15.10).  The relations the pairs
+    that reduced to zero left are pulled back; no S-pair is reduced
     again.  A pair a Gebauer-Moeller criterion dropped has its relation
     in the span of the kept pairs' relations (Gebauer and Moeller, JSC 6,
     1988; Moeller, Mora and Traverso, ISSAC 1992), and a pair that
     produced item h has the relation sigma - c e_h, whose pull-back is
-    zero.  These relations, then ``units`` (further syzygies in the same
-    coordinates), come monic, without repeats, sorted by ascending lead.
+    zero.  The syzygies come monic, without repeats, sorted by ascending
+    lead.
     """
     p = order.ring.p
     candidates: list[dict] = []
@@ -508,7 +500,6 @@ def _schreyer(items, order: ModuleOrder, units=()) -> list:
             out = _pull_back(sigma, items, p) if sigma else None
             if out:
                 candidates.append(out)
-    candidates.extend(units)
     seen = set()
     cleaned = []
     for flat in candidates:
@@ -542,8 +533,8 @@ def _minimal_level(gens_flat, order: ModuleOrder):
     what the columns span.  It joins the items with its own unit as its
     expression.
     Then ``run()`` completes the items, and ``_schreyer`` pulls back the
-    pair relations: they are all the syzygies, because each kept column
-    is an item, so dividing it by the items leaves no unit relation.
+    pair relations: each kept column is an item, as each input of
+    ``_syzygies_flat`` is, so they are all the syzygies.
 
     Returns ``(kept, syz_order, syzygies, items)``: the kept columns, by
     degree then index; the order twisted by their degrees, which packs

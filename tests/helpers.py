@@ -62,11 +62,17 @@ from convres.groebner import (
     _minimal_level,
     _monic,
     _reduce_flat,
+    _schreyer,
     _syzygies_flat,
     _to_flat,
     monomial_hilbert_numerator,
 )
-from convres.observability import ObservabilityReport, TorsionWitness
+from convres.observability import (
+    ObservabilityReport,
+    TorsionWitness,
+    is_observable,
+    prop3_spot_check,
+)
 from convres.invariants import hilbert_formula
 from convres.oracle import (
     _compositions,
@@ -163,6 +169,11 @@ def poly_syzygies(matrix, row_twist=None, route=core_syzygies):
 def reduced_basis(gens_flat, order):
     """The packed core's reduced Groebner basis of packed columns, as packed columns."""
     return [it.flat for it in _interreduce(_buchberger(gens_flat, order), order)]
+
+
+def same_span(a_flat, b_flat, order):
+    """Whether two lists of packed columns span one module (equal reduced bases)."""
+    return reduced_basis(a_flat, order) == reduced_basis(b_flat, order)
 
 
 def mul_monomial(f, exps, coeff=1):
@@ -1235,7 +1246,6 @@ def reference_syzygy_basis(gens_flat, order: ModuleOrder, syz_order: ModuleOrder
     They come monic, without repeats, sorted by ascending lead.
     """
     p = order.ring.p
-    one = (0,) * order.ring.nvars
     items = reference_buchberger(gens_flat, order, syz_order)
 
     # Schreyer relations of the completed basis, as dicts keyed by
@@ -1270,17 +1280,7 @@ def reference_syzygy_basis(gens_flat, order: ModuleOrder, syz_order: ModuleOrder
             candidates.append(out)
 
     # Unit relations from re-dividing the originals by the basis.
-    for j, flat in enumerate(gens_flat):
-        rem, quots = _reduce_flat(flat, items, order, want_quotients=True)
-        if rem:
-            raise InvariantError("original generator must reduce to zero against its basis")
-        col: dict = {syz_order.pack((j, one)): 1}
-        for k, quot in enumerate(quots):
-            for shift, c in quot.items():
-                _addmul(col, items[k].expr, -c, shift, p)
-        if col:
-            candidates.append(col)
-
+    candidates += division_columns(gens_flat, items, order, syz_order)
     seen = set()
     cleaned = []
     for flat in candidates:
@@ -1292,6 +1292,39 @@ def reference_syzygy_basis(gens_flat, order: ModuleOrder, syz_order: ModuleOrder
         cleaned.append((lead, flat))
     cleaned.sort(key=lambda pair: pair[0])
     return [flat for _, flat in cleaned]
+
+
+def division_columns(gens_flat, items, order: ModuleOrder, syz_order: ModuleOrder) -> list:
+    """The nonzero columns of (I - A B), syzygies of ``gens_flat`` packed by
+    ``syz_order``: A holds the expressions of the tracked ``items`` in
+    ``gens_flat`` and B the division of ``gens_flat`` by the items.
+
+    Column j is nonzero only when an earlier column's lead divides the
+    lead of column j: otherwise the division of column j stops at the
+    item that is column j itself.
+    """
+    p = order.ring.p
+    one = (0,) * order.ring.nvars
+    cols = []
+    for j, flat in enumerate(gens_flat):
+        rem, quots = _reduce_flat(flat, items, order, want_quotients=True)
+        if rem:
+            raise InvariantError("original generator must reduce to zero against its basis")
+        col: dict = {syz_order.pack((j, one)): 1}
+        for k, quot in enumerate(quots):
+            for shift, c in quot.items():
+                _addmul(col, items[k].expr, -c, shift, p)
+        if col:
+            cols.append(col)
+    return cols
+
+
+def division_syzygies(gens_flat, order: ModuleOrder, syz_order: ModuleOrder) -> list:
+    """The syzygies of packed columns as ``_syzygies_flat`` once gave them:
+    the pulled-back pair relations of the tracked completion, then the
+    ``division_columns`` of its items."""
+    items = _buchberger(gens_flat, order, syz_order)
+    return _schreyer(items, order) + division_columns(gens_flat, items, order, syz_order)
 
 
 def reference_minimal_generators(gens_flat, order: ModuleOrder) -> list:
@@ -1547,6 +1580,26 @@ def reference_prop3_spot_check(cx, degree_bound):
             if ranks[k] + ranks[k + 1] != sizes[k]:
                 return False
     return True
+
+
+def observability_route(code, bounds):
+    """``prop3_spot_check`` against ``is_observable`` at each of ``bounds``, n = 1.
+
+    Over F_p[x] a torsion-free quotient is free, so an observable code is
+    a direct summand of S^q and stays one modulo every irreducible: the
+    check holds at every bound.  Otherwise let g be the witness and
+    (C : g) = (s0); s0 divides the multiplier, and for each irreducible
+    factor lam of s0, (s0 / lam) g lies outside C while lam times it lies
+    inside, which drops the rank modulo lam.  So the check fails at every
+    bound from the multiplier's degree on.  Returns the verdict of
+    ``is_observable``, the bounds at which it decides the check, and those
+    of them at which the check disagrees.
+    """
+    rep = is_observable(code)
+    decided = [bound for bound in bounds
+               if rep.observable or bound >= rep.witness.multiplier.degree]
+    return (rep.observable, decided,
+            [bound for bound in decided if prop3_spot_check(code, bound) != rep.observable])
 
 
 # -- the former block-rank spot check ----------------------------------------

@@ -29,6 +29,7 @@ from helpers import (
     pack,
     random_poly,
     reduced_basis,
+    same_span,
     unpack,
 )
 
@@ -47,10 +48,6 @@ def remainder(elem, gens_flat, order):
 
 def in_span(elem, gens_flat, order):
     return not any(remainder(elem, gens_flat, order))
-
-
-def same_span(a_flat, b_flat, order):
-    return reduced_basis(a_flat, order) == reduced_basis(b_flat, order)
 
 
 def syzygies(g, row_twist=None):

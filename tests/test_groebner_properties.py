@@ -16,9 +16,21 @@ from convres import Poly, Ring
 from convres.cli import main
 from convres.errors import DomainError, InvariantError
 from convres import groebner
-from convres.groebner import ModuleOrder, _syzygies_flat
+from convres.groebner import ModuleOrder, _monic, _syzygies_flat
 
-from helpers import mat, order_key, pack, random_poly, reduced_basis, unpack
+from helpers import (
+    benchmark_documents,
+    codes,
+    division_syzygies,
+    mat,
+    mul_monomial,
+    order_key,
+    pack,
+    random_poly,
+    reduced_basis,
+    same_span,
+    unpack,
+)
 
 LIMIT = groebner._LIMIT
 checked = settings(derandomize=True, deadline=None, max_examples=200)
@@ -153,11 +165,11 @@ def syzygies_of(g):
                           ModuleOrder(g.ring, g.column_degrees()))[0]
 
 
-def _uncompleted(gens_flat, order, expr_order, keep=None):
+def _uncompleted(gens_flat, order, expr_order):
     """The generators as basis items, without Buchberger completion."""
     one = (0,) * order.ring.nvars
     items = []
-    for j, flat in enumerate(gens_flat[:keep]):
+    for j, flat in enumerate(gens_flat):
         flat, lead, inv = groebner._monic(dict(flat), order.ring.p)
         items.append(groebner._GBItem(flat, lead, order, {expr_order.pack((j, one)): inv}))
     return items
@@ -171,21 +183,13 @@ def test_unreduced_spair_raises_invariant_error(monkeypatch):
         syzygies_of(mat(r, [["D1^2 + D2", "D1*D2"]]))
 
 
-def test_unreduced_original_raises_invariant_error(monkeypatch):
-    r = Ring(101, 2)
-    monkeypatch.setattr(groebner, "_buchberger",
-                        lambda g, o, e: _uncompleted(g, o, e, keep=1))
-    with pytest.raises(InvariantError):
-        syzygies_of(mat(r, [["D1", "D2"]]))
-
-
 def _schreyer_after(damage, real=groebner._schreyer):
     """``_schreyer`` that first applies ``damage`` to the items of a level
     over T, the call ``_minimal_level`` makes on the resolve path."""
-    def run(items, order, units=()):
+    def run(items, order):
         if order.ring.homog:
             items = damage(items)
-        return real(items, order, units)
+        return real(items, order)
     return run
 
 
@@ -239,6 +243,67 @@ def test_changed_lead_raises_invariant_error():
     item = groebner._GBItem({big: 1, small: 1}, small, order)
     with pytest.raises(InvariantError):
         groebner._interreduce([item], order)
+
+
+# -- the pair relations are all the syzygies ------------------------------
+# ``_syzygies_flat`` once appended the columns of (I - A B) to the pulled
+# back pair relations (``division_syzygies`` of ``tests/helpers.py``).
+
+def _lead_divides_a_later_lead(columns, order):
+    """Whether an earlier column's lead divides a later one's, the only
+    case in which a column of (I - A B) is nonzero."""
+    leads = [max(col) for col in columns]
+    return any(order.divides(leads[i], leads[j]) for j in range(len(leads)) for i in range(j))
+
+
+def _pair_relations_span_the_division_syzygies(columns, order):
+    """Asserts that the syzygies of nonzero packed columns span what the
+    pair relations and the columns of (I - A B) span; returns whether a
+    column of (I - A B) is none of the syzygies."""
+    syz_order = ModuleOrder(order.ring, tuple(max(col) >> order._weight_at for col in columns))
+    syz = _syzygies_flat(columns, order, syz_order)[0]
+    reference = division_syzygies(columns, order, syz_order)
+    assert same_span(syz, reference, syz_order), columns
+    return any(_monic(col, order.ring.p)[0] not in syz for col in reference)
+
+
+def test_pair_relations_span_the_division_syzygies_of_equal_columns():
+    # Item 1's lead divides item 0's, so item 2 pairs with item 1 only;
+    # dividing column 2 by the items leaves e_2 - e_0, no pair relation.
+    r = Ring(101, 2)
+    order = ModuleOrder(r, (0,))
+    columns = pack(mat(r, [["D1", "D1", "D1"]]).columns(), order)
+    assert _lead_divides_a_later_lead(columns, order)
+    assert _pair_relations_span_the_division_syzygies(columns, order)
+
+
+def test_pair_relations_span_the_division_syzygies_of_benchmark_parity_checks():
+    # The left kernel that ``is_observable`` takes of each seed-0
+    # small-mix code.  While the columns of (I - A B) were appended, 59
+    # parity checks carried one as a third row.
+    new_rows = 0
+    for doc in benchmark_documents("observable", 18000):
+        gens = doc.code.generators
+        order = ModuleOrder(doc.code.ring, (0,) * gens.ncols)
+        rows = [row for row in pack(gens.entries, order) if row]
+        if rows and _lead_divides_a_later_lead(rows, order):
+            new_rows += _pair_relations_span_the_division_syzygies(rows, order)
+    assert new_rows >= 59
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.data())
+def test_pair_relations_span_the_division_syzygies_of_drawn_codes(data):
+    # A drawn code's columns, then a monomial multiple of one of them.
+    c = data.draw(codes())
+    columns = list(c.generators.columns())
+    exps = data.draw(st.tuples(*[st.integers(0, 1)] * c.ring.n))
+    coeff = data.draw(st.integers(1, c.ring.p - 1))
+    columns.append(tuple(mul_monomial(f, exps, coeff) for f in data.draw(st.sampled_from(columns))))
+    order = ModuleOrder(c.ring, (0,) * c.q)
+    packed = pack(columns, order)
+    assert _lead_divides_a_later_lead(packed, order)
+    _pair_relations_span_the_division_syzygies(packed, order)
 
 
 # -- differential test against sympy -------------------------------------

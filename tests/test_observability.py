@@ -37,6 +37,7 @@ from helpers import (
     combine,
     koszul_code,
     mat,
+    observability_route,
     pack,
     random_code,
     random_poly,
@@ -189,23 +190,10 @@ def test_spot_check_equals_the_resolution_route_on_drawn_codes(drawn):
 # -- observability against the spot check, n = 1 ----------------------------
 
 def _assert_observability_decides_the_spot_check(c, bounds):
-    """``is_observable`` against ``prop3_spot_check`` at each of ``bounds``, n = 1.
-
-    Over F_p[x] a torsion-free quotient is free, so an observable code is
-    a direct summand of S^q and stays one modulo every irreducible: the
-    check holds at every bound.  Otherwise let g be the witness and
-    (C : g) = (s0); s0 divides the multiplier, and for each irreducible
-    factor lam of s0, (s0 / lam) g lies outside C while lam times it lies
-    inside, which drops the rank modulo lam.  So the check fails at every
-    bound from the multiplier's degree on.  Returns the verdict.
-    """
-    rep = is_observable(c)
-    for bound in bounds:
-        if rep.observable:
-            assert prop3_spot_check(c, bound), (c.generators, bound)
-        elif bound >= rep.witness.multiplier.degree:
-            assert not prop3_spot_check(c, bound), (c.generators, bound)
-    return rep.observable
+    """``observability_route`` finds no disagreement; returns the verdict."""
+    observable, _, wrong = observability_route(c, bounds)
+    assert not wrong, (c.generators, wrong)
+    return observable
 
 
 def test_observability_decides_the_spot_check_on_the_acceptance_codes():
@@ -226,8 +214,8 @@ def test_observability_decides_the_spot_check_on_benchmark_codes():
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(univariate_codes())
 def test_observability_decides_the_spot_check_on_drawn_codes(drawn):
-    c, bound = drawn
-    _assert_observability_decides_the_spot_check(c, [bound])
+    c, _ = drawn
+    _assert_observability_decides_the_spot_check(c, range(1, _largest_bound(c.ring.p) + 1))
 
 
 def test_ranked_basis_is_column_reduced_with_the_degrees_of_g1():
@@ -272,8 +260,8 @@ def test_spot_check_equals_the_block_rank_route_on_benchmark_codes():
     spec = importlib.util.spec_from_file_location("prop3_crosscheck", tool)
     crosscheck = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(crosscheck)
-    pairs, disagreements = crosscheck.crosscheck(300)
-    assert pairs > 400 and disagreements == []
+    pairs, observable, torsion, disagreements = crosscheck.crosscheck(300)
+    assert pairs > 400 and observable > 20 and torsion > 20 and disagreements == []
 
 
 def _irreducible_pool(p):

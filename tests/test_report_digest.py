@@ -23,7 +23,7 @@ PINNED_SIZES = {"resolve-n3": 6, "oracle-n2": 4, "small-mix": 600}
 PINNED = {
     "resolve-n3": "3b0eed193abd9d4cc6590d2491e0c3e1ea269dca74918383238e495ef5ccb79e",
     "oracle-n2": "6642b8d5d016c8219c8cdeb23d47d4023799b76496f93b33ef2b4d9dec5a398f",
-    "small-mix": "05b903b8264eee2c8dac7fa2ffb0e4a47c5a192e4525f204d7eeb959b716ba2e",
+    "small-mix": "226b88a04db57860dec280528f405b04e6ad2dcd47cbb5d6824ccb1fb079a43b",
 }
 
 
@@ -72,6 +72,30 @@ def test_digests_hash_every_rendering_and_check_every_complex():
 
 def test_reports_on_a_fixed_slice_are_byte_identical():
     assert report_digest.digests(ROOT, 0, sizes=PINNED_SIZES) == PINNED
+
+
+def test_compare_counts_differing_renderings_by_command_and_key(tmp_path, capsys):
+    old = ('## w 0 observable\n{\n  "observable": true,\n  "parity_check": [["1"]]\n}\n'
+           '## w 0 check pd\n{\n  "result": false,\n  "witness_column": ["1"]\n}\n'
+           '## w 1 observable\nerror: p must be prime\n'
+           '## v 0 resolve\n{"result": true}\n')
+    new = old.replace('[["1"]]', '[["D1"]]').replace('["1"]\n', '["D1"]\n')
+    new = new.replace("error: p must be prime", "error: p must be a prime")
+    assert report_digest.compare(old, new) == {
+        ("v", "resolve"): (1, 0, set()),
+        ("w", "check pd"): (1, 1, {"witness_column"}),
+        ("w", "observable"): (2, 2, {"parity_check", "error"}),
+    }
+    assert report_digest.compare(old, old + "## v 1 resolve\n{}\n")[("v", "resolve")] == \
+        (2, 1, {"missing"})
+    (tmp_path / "old.txt").write_text(old)
+    (tmp_path / "new.txt").write_text(new)
+    assert report_digest.main(["--compare", str(tmp_path / "old.txt"), str(tmp_path / "new.txt")]) == 1
+    assert capsys.readouterr().out == (
+        "v resolve: 0 of 1 renderings differ\n"
+        "w check pd: 1 of 1 renderings differ, in witness_column\n"
+        "w observable: 2 of 2 renderings differ, in error, parity_check\n")
+    assert report_digest.main(["--compare", str(tmp_path / "old.txt"), str(tmp_path / "old.txt")]) == 0
 
 
 def test_renderings_are_what_the_command_line_prints(tmp_path, capsys):

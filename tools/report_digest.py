@@ -13,6 +13,13 @@ line prints) is hashed.  Every complex document met on the way, a
 ``minimal`` and ``resolution``.  Equal digests on two trees mean
 byte-identical reports.  ``--out`` writes the hashed text, one headed
 entry per rendering, so two trees can be diffed.
+
+    python tools/report_digest.py --compare OLD NEW
+
+reads two ``--out`` texts and prints, for each workload and command, how
+many renderings differ and in which top-level report keys (``error``
+where either side is an error text).  The exit status is 1 when any
+rendering differs.
 """
 
 from __future__ import annotations
@@ -99,12 +106,64 @@ def digests(src: Path, seed: int, out=None, sizes=POOL_SIZE) -> dict:
     return result
 
 
+def read_out(text: str) -> dict:
+    """{workload: {header: rendered text}} of a text written by ``--out``."""
+    out: dict = {}
+    body = None
+    for line in text.splitlines(keepends=True):
+        if line.startswith("## "):
+            workload, header = line[3:].rstrip("\n").split(" ", 1)
+            body = out.setdefault(workload, {})[header] = []
+        else:
+            body.append(line)
+    return {w: {h: "".join(lines) for h, lines in entries.items()} for w, entries in out.items()}
+
+
+def changed_keys(old: str, new: str) -> set:
+    """The top-level report keys in which two renderings differ; ``error``
+    when either is an error text."""
+    if old.startswith("error: ") or new.startswith("error: "):
+        return {"error"}
+    a, b = json.loads(old), json.loads(new)
+    return {key for key in a.keys() | b.keys() if a.get(key) != b.get(key)}
+
+
+def compare(old: str, new: str) -> dict:
+    """{(workload, command): (renderings, differing, keys)} over two ``--out``
+    texts; the command is the header without its op index, and a rendering
+    that only one side has differs in the key ``missing``."""
+    a, b = read_out(old), read_out(new)
+    result: dict = {}
+    for workload in a.keys() | b.keys():
+        x, y = a.get(workload, {}), b.get(workload, {})
+        for header in x.keys() | y.keys():
+            group = (workload, header.split(" ", 1)[1])
+            total, differing, keys = result.get(group, (0, 0, set()))
+            if header not in x or header not in y:
+                diff = {"missing"}
+            else:
+                diff = changed_keys(x[header], y[header]) if x[header] != y[header] else set()
+            result[group] = (total + 1, differing + bool(diff), keys | diff)
+    return dict(sorted(result.items()))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("src", type=Path, help="checkout holding src/convres")
+    parser.add_argument("src", type=Path, nargs="?", help="checkout holding src/convres")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=Path, default=None, help="also write the hashed text")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two --out texts instead of rendering")
     args = parser.parse_args(argv)
+    if args.compare:
+        old, new = (path.read_text(encoding="utf-8") for path in args.compare)
+        groups = compare(old, new)
+        for (workload, command), (total, differing, keys) in groups.items():
+            where = f", in {', '.join(sorted(keys))}" if keys else ""
+            print(f"{workload} {command}: {differing} of {total} renderings differ{where}")
+        return int(any(differing for _, differing, _ in groups.values()))
+    if args.src is None:
+        parser.error("a checkout or --compare is required")
     if args.out is None:
         result = digests(args.src, args.seed)
     else:
