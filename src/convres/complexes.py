@@ -188,7 +188,7 @@ def check_resolution(cx: PolyComplex) -> bool:
     kernel = []
     for cols, order, syz_order in zip(levels, orders, orders[1:]):
         syz, items = _syzygies_flat(cols, order, syz_order)
-        if any(_reduce_flat(flat, items, order)[0] for flat in kernel):
+        if any(_reduce_flat(flat, items, order) for flat in kernel):
             return False
         kernel = syz
     return not kernel
@@ -265,7 +265,7 @@ def check_reduced(cx: PolyComplex) -> bool:
     packed over S (``_leading_part``).
     """
     levels, orders = _leading_part(cx)
-    return _exact(([(it.pos, it.exps) for it in _buchberger(cols, order)]
+    return _exact(([(it.pos, it.exps) for it in _buchberger(cols, order).items]
                    for cols, order in zip(levels, orders)), orders)
 
 
@@ -321,7 +321,7 @@ def _completion_over_s(code: CodePresentation, twist: tuple):
     degree-compatible order with ``twist`` (``_buchberger``): its items,
     a Groebner basis of the code, and that order."""
     order = ModuleOrder(code.ring, twist)
-    return _buchberger([_to_flat(g, order) for g in code.generators.columns()], order), order
+    return _buchberger([_to_flat(g, order) for g in code.generators.columns()], order).items, order
 
 
 def _lifted_code(code: CodePresentation, order: ModuleOrder) -> list:

@@ -17,12 +17,14 @@ unpack ``Poly`` columns; callers unpack only what a report prints.
 One resumable Buchberger completion (``_Completion``, normal strategy)
 serves every caller and skips pairs by the Gebauer-Moeller chain
 criteria: reduced bases, Hilbert series and syzygies.  Syzygy runs are
-tracked: they keep the relation of each pair reduced to zero, and
-Schreyer's construction pulls back only those relations, reducing no
-S-pair again.  A level of a minimal resolution is one such run, stopped
-at each degree to choose the minimal generators of that degree before
-it goes on (after La Scala and Stillman, JSC 26, 1998).  There are no
-signature-based or Hilbert-driven shortcuts.
+tracked: each reduction is applied to an expression in the inputs as
+well, so every item carries its expression and every pair that reduces
+to zero leaves a syzygy of the inputs, which Schreyer's construction
+takes as they are, reducing no S-pair again.  A level of a minimal
+resolution is one such run, stopped at each degree to choose the
+minimal generators of that degree before it goes on (after La Scala
+and Stillman, JSC 26, 1998).  There are no signature-based or
+Hilbert-driven shortcuts.
 
 Terms are packed into single integers whose natural order is the module
 order, after Monagan and Pearce, "Polynomial division using dynamic
@@ -207,66 +209,57 @@ def _addmul(target: dict, src: dict, coeff: int, shift: int, p: int):
 
 
 class _GBItem:
-    __slots__ = ("flat", "lead", "pos", "exps", "expr", "relations")
+    __slots__ = ("flat", "lead", "pos", "exps", "expr")
 
     def __init__(self, flat, lead, order, expr=None):
         self.flat = flat      # monic: coefficient of lead is 1
         self.lead = lead      # packed leading term
         self.pos, self.exps = order.unpack(lead)
         self.expr = expr      # flat dict over input indices, or None
-        # i -> outcome of the S-pair (i, self) in a ``_Completion``: its
-        # relation (see ``_relation``) if a tracked run reduced it to zero,
-        # else None; a pair not yet decided has no entry.
-        self.relations = {}
 
 
-def _reduce_flat(f: dict, items, order: ModuleOrder, want_quotients=False):
+def _reduce_flat(f: dict, items, order: ModuleOrder, expr: dict = None) -> dict:
     """Full normal form of ``f`` against monic ``items``.
 
-    Returns (remainder, quotients) where quotients[k] is the flat dict
-    of the multiplier applied to items[k] (only when requested), keyed
-    by packed shifts.  Each step divides the leading term by the first
-    item whose lead divides it.
+    Each step divides the leading term by the first item whose lead
+    divides it.  Given the expression ``expr`` of ``f`` in the inputs,
+    each step is applied to it too, with the item's own expression, so
+    afterwards ``expr`` (changed in place) expresses the remainder.
     """
     p = order.ring.p
     tail, guard = order._tail, order._guard
     # Items by the position digit of their lead, in item order, with the
     # exponent digits of the lead for the guard-bit divisibility test.
     reducers: dict = {}
-    for k, item in enumerate(items):
-        reducers.setdefault(item.lead & _MASK, []).append((item.lead & tail, k, item))
+    for item in items:
+        reducers.setdefault(item.lead & _MASK, []).append((item.lead & tail, item))
     work = dict(f)
     rem: dict = {}
-    quotients = [dict() for _ in items] if want_quotients else None
     while work:
         t = max(work)
         c = work[t]
         t_tail = t & tail
-        for lead_tail, k, item in reducers.get(t & _MASK, ()):
+        for lead_tail, item in reducers.get(t & _MASK, ()):
             if not (lead_tail - t_tail) & guard:
                 shift = t - item.lead
                 _addmul(work, item.flat, -c, shift, p)
-                if want_quotients:
-                    quot = quotients[k]
-                    v = (quot.get(shift, 0) + c) % p
-                    if v:
-                        quot[shift] = v
-                    else:
-                        del quot[shift]
+                if expr is not None:
+                    _addmul(expr, item.expr, -c, shift, p)
                 break
         else:
             rem[t] = c
             del work[t]
-    return rem, quotients
+    return rem
 
 
 def _spair_parts(gi: _GBItem, gj: _GBItem, order: ModuleOrder):
     """S-pair of two monic items with leads in the same position.
 
-    Returns (spair_flat, shift_i, shift_j) where
-    spair = D^shift_i * gi - D^shift_j * gj, with D^shift_i * lead gi =
-    lcm(lead gi, lead gj) = D^shift_j * lead gj.  The lcm's weight was
-    held to the limit when ``_Completion._update`` queued the pair.
+    Returns (spair, expr): spair = D^ui * gi - D^uj * gj, with D^ui *
+    lead gi = lcm(lead gi, lead gj) = D^uj * lead gj, and expr = D^ui *
+    gi.expr - D^uj * gj.expr, its expression in the inputs (None when
+    the items carry none).  The lcm's weight was held to the limit when
+    ``_Completion._update`` queued the pair.
     """
     p = order.ring.p
     lcm = tuple(map(max, gi.exps, gj.exps))
@@ -275,7 +268,12 @@ def _spair_parts(gi: _GBItem, gj: _GBItem, order: ModuleOrder):
     s: dict = {}
     _addmul(s, gi.flat, 1, ui, p)
     _addmul(s, gj.flat, -1, uj, p)
-    return s, ui, uj
+    if gi.expr is None:
+        return s, None
+    expr: dict = {}
+    _addmul(expr, gi.expr, 1, ui, p)
+    _addmul(expr, gj.expr, -1, uj, p)
+    return s, expr
 
 
 def _monic(flat: dict, p: int):
@@ -285,31 +283,6 @@ def _monic(flat: dict, p: int):
     if inv != 1:
         flat = {t: (c * inv) % p for t, c in flat.items()}
     return flat, lead, inv
-
-
-def _relation(i, ui, j, uj, quotients, p) -> dict:
-    """The basis-coordinate relation of a reduction of an S-pair to zero.
-
-    D^ui g_i - D^uj g_j - sum_k quotients[k] g_k = 0, as a dict keyed
-    by (item index, packed shift).
-    """
-    sigma: dict = {(i, ui): 1, (j, uj): p - 1}
-    for k, quot in enumerate(quotients):
-        for shift, c in quot.items():
-            v = (sigma.get((k, shift), 0) - c) % p
-            if v:
-                sigma[(k, shift)] = v
-            else:
-                sigma.pop((k, shift), None)
-    return sigma
-
-
-def _pull_back(sigma: dict, items, p) -> dict:
-    """A relation among tracked items as an expression in the inputs."""
-    out: dict = {}
-    for (k, shift), c in sigma.items():
-        _addmul(out, items[k].expr, c, shift, p)
-    return out
 
 
 def _exps_divide(a, b) -> bool:
@@ -334,18 +307,18 @@ class _Completion:
     the items are then a Groebner basis up to that weight, and ``run()``
     completes them.
 
-    Every same-position pair (i, j), once decided, leaves its outcome in
-    ``items[j].relations[i]``: the relation of its reduction to zero in a
-    tracked run, else None (dropped by a criterion, produced an item, or
-    reduced to zero untracked).  Tracked, each item also carries its
-    expression in the inputs: ``add`` is given an input's own, packed by
-    an order over the ring of ``order``, and ``run`` derives the rest.
+    A run is tracked when ``add`` is given each input's expression,
+    packed by an order over the ring of ``order``: every item then
+    carries its expression in the inputs, and ``run`` carries the
+    expression of each S-pair through its reduction.  A nonzero
+    remainder joins the items with it; a pair (i, j) that reduces to
+    zero leaves it, a syzygy of the inputs, in ``syzygies[(j, i)]``.
     """
 
-    def __init__(self, order: ModuleOrder, tracked: bool = False):
+    def __init__(self, order: ModuleOrder):
         self.order = order
-        self.tracked = tracked
         self.items: list[_GBItem] = []
+        self.syzygies: dict = {}   # (j, i) -> expression of a pair reduced to zero
         self._heap: list = []
         self._pairs: dict = {}     # waiting (i, j) -> lcm exponents
         self._active: list = []    # items that still form pairs
@@ -371,16 +344,12 @@ class _Completion:
             if (items[i].pos == h.pos and _exps_divide(he, lcm_ij)
                     and lcm(items[i]) != lcm_ij and lcm(items[j]) != lcm_ij):
                 del self._pairs[(i, j)]
-                items[j].relations[i] = None
         fresh = [(k, lcm(items[k])) for k in self._active if items[k].pos == h.pos]
         kept: list = []
         for idx, (k, lcm_k) in enumerate(fresh):                # criteria M and F
             if not any(_exps_divide(other, lcm_k)
                        for _, other in fresh[idx + 1:] + kept):
                 kept.append((k, lcm_k))
-        queued = dict(kept)
-        h.relations = {k: None for k in range(hi)
-                       if items[k].pos == h.pos and k not in queued}
         for k, lcm_k in kept:
             weight = sum(lcm_k) + self.order.twist[h.pos]
             _check_weight(weight)
@@ -393,33 +362,29 @@ class _Completion:
     def run(self, weight: int = None):
         """Reduce the waiting pairs of lcm weight <= ``weight`` (all if None)."""
         order, items, heap = self.order, self.items, self._heap
-        p = order.ring.p
         while heap and (weight is None or heap[0][0] <= weight):
             _, i, j = heapq.heappop(heap)
             if self._pairs.pop((i, j), None) is None:
                 continue    # dropped by criterion B
-            s, ui, uj = _spair_parts(items[i], items[j], order)
-            rem, quots = _reduce_flat(s, items, order, want_quotients=self.tracked)
-            sigma = _relation(i, ui, j, uj, quots, p) if self.tracked else None
-            items[j].relations[i] = None if rem else sigma
-            if not rem:
-                continue
-            # sigma applied to the items is rem: its pull-back expresses rem.
-            expr = None if sigma is None else _pull_back(sigma, items, p)
-            if expr:    # multiplied further, so held to the limit
-                _check_weight(max(expr) >> order._weight_at)
-            self.add(rem, expr)
+            s, expr = _spair_parts(items[i], items[j], order)
+            rem = _reduce_flat(s, items, order, expr)
+            if rem:
+                if expr:    # multiplied further, so held to the limit
+                    _check_weight(max(expr) >> order._weight_at)
+                self.add(rem, expr)
+            elif expr:
+                self.syzygies[(j, i)] = expr
 
 
 def _buchberger(gens_flat, order: ModuleOrder, expr_order: ModuleOrder = None):
-    """The items of a completed ``_Completion`` of ``gens_flat``.
+    """A completed ``_Completion`` of ``gens_flat``; its items are a
+    Groebner basis of their span.
 
-    With ``expr_order`` the run is tracked: each item carries its
-    expression in the input generators and each pair reduced to zero its
-    relation, so syzygies can be pulled back to the caller's coordinates
-    afterwards.
+    With ``expr_order`` the run is tracked: input j is given its unit
+    e_j of ``expr_order`` as its expression, so the items and the
+    syzygies the run leaves are expressed in the caller's coordinates.
     """
-    completion = _Completion(order, expr_order is not None)
+    completion = _Completion(order)
     one = (0,) * order.ring.nvars
     for j, flat in enumerate(gens_flat):
         if not flat:
@@ -427,7 +392,7 @@ def _buchberger(gens_flat, order: ModuleOrder, expr_order: ModuleOrder = None):
         completion.add(dict(flat), None if expr_order is None
                        else {expr_order.pack((j, one)): 1})
     completion.run()
-    return completion.items
+    return completion
 
 
 def _interreduce(items, order: ModuleOrder):
@@ -444,8 +409,7 @@ def _interreduce(items, order: ModuleOrder):
     reduced = []
     for idx, it in enumerate(kept):
         others = kept[:idx] + kept[idx + 1:]
-        rem, _ = _reduce_flat(it.flat, others, order)
-        rem, lead, _ = _monic(rem, p)
+        rem, lead, _ = _monic(_reduce_flat(it.flat, others, order), p)
         if lead != it.lead:
             raise InvariantError("tail reduction changed a leading term")
         reduced.append(_GBItem(rem, lead, order))
@@ -460,49 +424,38 @@ def _syzygies_flat(gens_flat, order: ModuleOrder, syz_order: ModuleOrder):
 
     Schreyer's construction: complete the columns to a Groebner basis
     while tracking expressions in the original columns (a tracked
-    ``_Completion``), then pull back the relations it left
+    ``_Completion``); the pairs that reduced to zero leave the syzygies
     (``_schreyer``).  Each column is an item of the run, so these are
     all its syzygies.  ``gens_flat`` are packed by ``order``; the
     syzygies are packed by ``syz_order``, whose twist should be the
     columns' degrees.  Returns them with the items of the completion, a
     Groebner basis of the columns' span.
     """
-    items = _buchberger(gens_flat, order, syz_order)
-    return _schreyer(items, order), items
+    completion = _buchberger(gens_flat, order, syz_order)
+    return _schreyer(completion), completion.items
 
 
-def _schreyer(items, order: ModuleOrder) -> list:
-    """The syzygies of the inputs of a tracked completion, from its items.
+def _schreyer(completion: _Completion) -> list:
+    """The syzygies of the inputs of a completed tracked run.
 
     Every input is an item, its expression a multiple of its own unit by
-    a nonzero scalar, so the syzygies of the inputs are the pull-backs,
-    through the items' expressions, of the syzygies of the items, which
-    the relations of the basis's S-pairs generate by Schreyer's theorem
-    (Eisenbud, Commutative Algebra, Thm. 15.10).  The relations the pairs
-    that reduced to zero left are pulled back; no S-pair is reduced
-    again.  A pair a Gebauer-Moeller criterion dropped has its relation
-    in the span of the kept pairs' relations (Gebauer and Moeller, JSC 6,
-    1988; Moeller, Mora and Traverso, ISSAC 1992), and a pair that
-    produced item h has the relation sigma - c e_h, whose pull-back is
-    zero.  The syzygies come monic, without repeats, sorted by ascending
-    lead.
+    a nonzero scalar, so the syzygies of the inputs are the images,
+    through the items' expressions, of the syzygies of the items.  By
+    Schreyer's theorem (Eisenbud, Commutative Algebra, Thm. 15.10) the
+    syzygies that the basis's S-pairs give by their reductions to zero
+    generate those.  A pair that reduced to zero in the run left the
+    image of its syzygy in ``completion.syzygies``; no S-pair is reduced
+    again.  A pair a Gebauer-Moeller criterion dropped has its syzygy in
+    the span of the kept pairs' (Gebauer and Moeller, JSC 6, 1988;
+    Moeller, Mora and Traverso, ISSAC 1992), and a pair that produced
+    item h has the syzygy sigma - c e_h, whose image is zero.  The
+    syzygies come monic, without repeats, sorted by ascending lead, ties
+    by pair (j, i).
     """
-    p = order.ring.p
-    candidates: list[dict] = []
-    for j, item in enumerate(items):
-        for i in range(j):
-            if items[i].pos != item.pos:
-                continue
-            if i not in item.relations:
-                raise InvariantError("S-pair of a completed basis has no recorded outcome;"
-                                     " it must reduce to zero")
-            sigma = item.relations[i]
-            out = _pull_back(sigma, items, p) if sigma else None
-            if out:
-                candidates.append(out)
+    p = completion.order.ring.p
     seen = set()
     cleaned = []
-    for flat in candidates:
+    for _, flat in sorted(completion.syzygies.items()):
         flat, lead, _ = _monic(flat, p)
         key = tuple(sorted(flat.items()))
         if key in seen:
@@ -532,9 +485,10 @@ def _minimal_level(gens_flat, order: ModuleOrder):
     element of the span of those kept before, so the kept columns span
     what the columns span.  It joins the items with its own unit as its
     expression.
-    Then ``run()`` completes the items, and ``_schreyer`` pulls back the
-    pair relations: each kept column is an item, as each input of
-    ``_syzygies_flat`` is, so they are all the syzygies.
+    Then ``run()`` completes the items, and the pairs that reduced to
+    zero leave their syzygies (``_schreyer``): each kept column is an
+    item, as each input of ``_syzygies_flat`` is, so they are all the
+    syzygies.
 
     Returns ``(kept, syz_order, syzygies, items)``: the kept columns, by
     degree then index; the order twisted by their degrees, which packs
@@ -544,12 +498,12 @@ def _minimal_level(gens_flat, order: ModuleOrder):
     by_degree: dict = {}
     for k, flat in enumerate(gens_flat):
         by_degree.setdefault(_flat_degree(flat, order), []).append(k)
-    completion = _Completion(order, tracked=True)
+    completion = _Completion(order)
     kept, degrees = [], []
     for d in sorted(by_degree):
         completion.run(d)
         for k in by_degree[d]:
-            rem, _ = _reduce_flat(gens_flat[k], completion.items, order)
+            rem = _reduce_flat(gens_flat[k], completion.items, order)
             if rem:
                 rem = _monic(rem, order.ring.p)[0]
                 # The unit at position len(kept), of weight d, of ``syz_order``.
@@ -558,7 +512,7 @@ def _minimal_level(gens_flat, order: ModuleOrder):
                 degrees.append(d)
     completion.run()
     syz_order = ModuleOrder(order.ring, tuple(degrees))
-    return kept, syz_order, _schreyer(completion.items, order), completion.items
+    return kept, syz_order, _schreyer(completion), completion.items
 
 
 # -- Hilbert series of lead-term modules ------------------------------------

@@ -131,14 +131,14 @@ def is_observable(code: CodePresentation) -> ObservabilityReport:
     col_order = ModuleOrder(ring, (0,) * len(parity))
     kernel = _kernel(_transpose(parity, order, col_order), col_order, order)
     cols = [_to_flat(col, order) for col in gens.columns()]
-    basis = _buchberger(cols, order)
+    basis = _buchberger(cols, order).items
     for g in kernel:
-        if _reduce_flat(g, basis, order)[0]:
+        if _reduce_flat(g, basis, order):
             s = _torsion_multiplier(g, cols, order)
             multiple: dict = {}
             for exps, c in s.terms:
                 _addmul(multiple, g, c, order.shift(exps), ring.p)
-            if _reduce_flat(multiple, basis, order)[0]:
+            if _reduce_flat(multiple, basis, order):
                 raise InvariantError("torsion multiple of the witness is outside the code")
             return ObservabilityReport(False, None, TorsionWitness(_from_flat(order, g), s))
     rows = tuple(_from_flat(order, h) for h in parity)

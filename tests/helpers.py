@@ -168,7 +168,7 @@ def poly_syzygies(matrix, row_twist=None, route=core_syzygies):
 
 def reduced_basis(gens_flat, order):
     """The packed core's reduced Groebner basis of packed columns, as packed columns."""
-    return [it.flat for it in _interreduce(_buchberger(gens_flat, order), order)]
+    return [it.flat for it in _interreduce(_buchberger(gens_flat, order).items, order)]
 
 
 def same_span(a_flat, b_flat, order):
@@ -928,7 +928,7 @@ def _minimal_flat(gens_flat, order: ModuleOrder) -> list:
     for d in sorted(by_degree):
         completion.run(d)
         for k in by_degree[d]:
-            rem, _ = _reduce_flat(gens_flat[k], completion.items, order)
+            rem = _reduce_flat(gens_flat[k], completion.items, order)
             if rem:
                 completion.add(rem)
                 kept.append(k)
@@ -1175,6 +1175,42 @@ def _reference_spair(gi: _GBItem, gj: _GBItem, order: ModuleOrder):
     return weight, s, ui, uj
 
 
+def reference_division(f: dict, items, order: ModuleOrder):
+    """The normal form of ``f`` against monic ``items`` with its quotients,
+    as the engine's ``_reduce_flat`` once gave them: (remainder,
+    quotients), quotients[k] the flat dict of the multiplier applied to
+    items[k], keyed by packed shifts.  Each step divides the leading
+    term by the first item whose lead divides it.
+    """
+    p = order.ring.p
+    tail, guard = order._tail, order._guard
+    reducers: dict = {}
+    for k, item in enumerate(items):
+        reducers.setdefault(item.lead & _MASK, []).append((item.lead & tail, k, item))
+    work = dict(f)
+    rem: dict = {}
+    quotients = [dict() for _ in items]
+    while work:
+        t = max(work)
+        c = work[t]
+        t_tail = t & tail
+        for lead_tail, k, item in reducers.get(t & _MASK, ()):
+            if not (lead_tail - t_tail) & guard:
+                shift = t - item.lead
+                _addmul(work, item.flat, -c, shift, p)
+                quot = quotients[k]
+                v = (quot.get(shift, 0) + c) % p
+                if v:
+                    quot[shift] = v
+                else:
+                    del quot[shift]
+                break
+        else:
+            rem[t] = c
+            del work[t]
+    return rem, quotients
+
+
 def reference_buchberger(gens_flat, order: ModuleOrder, expr_order: ModuleOrder = None):
     """Complete ``gens_flat`` to a Groebner basis (normal strategy).
 
@@ -1206,7 +1242,7 @@ def reference_buchberger(gens_flat, order: ModuleOrder, expr_order: ModuleOrder 
     while heap:
         _, i, j = heapq.heappop(heap)
         _, s, ui, uj = _reference_spair(items[i], items[j], order)
-        rem, quots = _reduce_flat(s, items, order, want_quotients=track)
+        rem, quots = reference_division(s, items, order)
         if not rem:
             continue
         if track:
@@ -1236,11 +1272,13 @@ def reference_buchberger(gens_flat, order: ModuleOrder, expr_order: ModuleOrder 
 def reference_syzygy_basis(gens_flat, order: ModuleOrder, syz_order: ModuleOrder) -> list:
     """Syzygies of the packed columns ``gens_flat``, packed by ``syz_order``.
 
-    The engine's construction before relations were kept from the
-    completion.  Schreyer's construction: complete the columns to a
+    The engine's construction before the completion's own pairs left
+    the syzygies.  Schreyer's construction: complete the columns to a
     Groebner basis while tracking expressions in the original columns,
-    reduce every same-position S-pair of the final basis to zero, and
-    pull the resulting relations back to the original coordinates.  The
+    reduce every same-position S-pair of the final basis to zero by
+    ``reference_division``, record each reduction as a relation in basis
+    coordinates, and pull the relations back to the original
+    coordinates through the expressions.  The
     columns of (I - A B), with A the tracked expressions and B the
     division of the originals by the basis, complete the generating set.
     They come monic, without repeats, sorted by ascending lead.
@@ -1256,7 +1294,7 @@ def reference_syzygy_basis(gens_flat, order: ModuleOrder, syz_order: ModuleOrder
             if items[i].pos != items[j].pos:
                 continue
             _, s, ui, uj = _reference_spair(items[i], items[j], order)
-            rem, quots = _reduce_flat(s, items, order, want_quotients=True)
+            rem, quots = reference_division(s, items, order)
             if rem:
                 raise InvariantError("S-pair of a completed basis must reduce to zero")
             sigma: dict = {(i, ui): 1, (j, uj): p - 1}
@@ -1307,7 +1345,7 @@ def division_columns(gens_flat, items, order: ModuleOrder, syz_order: ModuleOrde
     one = (0,) * order.ring.nvars
     cols = []
     for j, flat in enumerate(gens_flat):
-        rem, quots = _reduce_flat(flat, items, order, want_quotients=True)
+        rem, quots = reference_division(flat, items, order)
         if rem:
             raise InvariantError("original generator must reduce to zero against its basis")
         col: dict = {syz_order.pack((j, one)): 1}
@@ -1321,10 +1359,11 @@ def division_columns(gens_flat, items, order: ModuleOrder, syz_order: ModuleOrde
 
 def division_syzygies(gens_flat, order: ModuleOrder, syz_order: ModuleOrder) -> list:
     """The syzygies of packed columns as ``_syzygies_flat`` once gave them:
-    the pulled-back pair relations of the tracked completion, then the
+    the syzygies the tracked completion's pairs left, then the
     ``division_columns`` of its items."""
-    items = _buchberger(gens_flat, order, syz_order)
-    return _schreyer(items, order) + division_columns(gens_flat, items, order, syz_order)
+    completion = _buchberger(gens_flat, order, syz_order)
+    return _schreyer(completion) + division_columns(gens_flat, completion.items, order,
+                                                    syz_order)
 
 
 def reference_minimal_generators(gens_flat, order: ModuleOrder) -> list:
@@ -1345,7 +1384,7 @@ def reference_minimal_generators(gens_flat, order: ModuleOrder) -> list:
                  if kept else [])
         pivots: dict = {}
         for k in by_degree[d]:
-            rem, _ = _reduce_flat(gens_flat[k], basis, order)
+            rem = _reduce_flat(gens_flat[k], basis, order)
             while rem:
                 lead = max(rem)
                 row = pivots.get(lead)
@@ -1438,11 +1477,11 @@ def reference_is_observable(code, route=reference_syzygy_basis) -> Observability
     if [it.flat for it in items] == reference_groebner_basis(pack(kernel, order), order):
         return ObservabilityReport(True, parity, None)
     for g in kernel:
-        if _reduce_flat(_to_flat(g, order), items, order)[0]:
+        if _reduce_flat(_to_flat(g, order), items, order):
             stacked = PolyMatrix.from_columns(ring, code.q, [g] + gens.columns())
             firsts = [col[0] for col in poly_syzygies(stacked, route=route) if col[0]]
             s = sorted(firsts, key=lambda f: (f.degree, f.terms))[0]
-            if _reduce_flat(_to_flat(tuple(f * s for f in g), order), items, order)[0]:
+            if _reduce_flat(_to_flat(tuple(f * s for f in g), order), items, order):
                 raise InvariantError("torsion multiple of the witness is outside the code")
             return ObservabilityReport(False, None, TorsionWitness(g, s))
     raise InvariantError("kernel differs from the code but has no outside generator")
@@ -1691,7 +1730,7 @@ def reference_reduced_basis(code) -> PolyMatrix:
     with the degrees of G_1 (Forney, SIAM J. Control 13, 1975)."""
     order = ModuleOrder(code.ring, (0,) * code.q)
     basis = _interreduce(_buchberger([_to_flat(col, order) for col in code.generators.columns()],
-                                     order), order)
+                                     order).items, order)
     if len({it.pos for it in basis}) != len(basis):
         raise InvariantError("leads of the reduced basis of a univariate code share a position")
     return PolyMatrix.from_columns(code.ring, code.q, [_from_flat(order, it.flat) for it in basis])

@@ -181,10 +181,10 @@ def test_criterion_8_observability():
         assert not rep.observable
         w = rep.witness
         order = ModuleOrder(Ring(2, 2), (0,))
-        basis = _buchberger(pack(koszul_code().generators.columns(), order), order)
-        assert _reduce_flat(pack([w.element], order)[0], basis, order)[0]
+        basis = _buchberger(pack(koszul_code().generators.columns(), order), order).items
+        assert _reduce_flat(pack([w.element], order)[0], basis, order)
         multiple = tuple(f * w.multiplier for f in w.element)
-        assert not _reduce_flat(pack([multiple], order)[0], basis, order)[0]
+        assert not _reduce_flat(pack([multiple], order)[0], basis, order)
 
         r = Ring(2, 2)
         free = code(r, [["D1"], ["D2"]])

@@ -2,22 +2,25 @@
 
 Every completion skips pairs by the Gebauer-Moeller criteria,
 ``_minimal_level`` resumes one tracked completion up to the current
-degree to pick minimal generators and then pulls back their syzygies,
-and ``_syzygies_flat`` pulls back only the relations its tracked
-completion left.  The route to the minimal resolution is walked one
-level at a time on packed columns, and at each level the packed core
-and the routes of ``tests/helpers.py`` (which reduce every pair) get
-the same input.  Reduced bases and Hilbert numerators must be equal.
+degree to pick minimal generators and then takes their syzygies from
+it, and ``_syzygies_flat`` takes only the syzygies its tracked
+completion's pairs left.  The route to the minimal resolution is walked
+one level at a time on packed columns, and at each level the packed
+core and the routes of ``tests/helpers.py`` (which reduce every pair)
+get the same input.  Reduced bases and Hilbert numerators must be equal.
 A level must keep as many columns of each degree as the reference's
 minimal generators, their span and the completion of it must be the
 reference's, and its syzygies, which may be another generating set,
 must each be a syzygy of the kept columns and together span the
 reference's module of them.  The Forney tables of the two routes must
-be equal.
+be equal.  In every tracked completion on the route, each item must be
+its expression applied to the inputs and each syzygy left must vanish
+on them.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 
 from convres import groebner
@@ -52,7 +55,7 @@ from helpers import (
 
 def core_hilbert_numerator(gens_flat, order):
     """The numerator from the leads of one completion (``_lead_numerator``)."""
-    return _lead_numerator(((it.pos, it.exps) for it in _buchberger(gens_flat, order)),
+    return _lead_numerator(((it.pos, it.exps) for it in _buchberger(gens_flat, order).items),
                            order.twist, order.ring.nvars)
 
 
@@ -170,22 +173,23 @@ def test_engine_agrees_with_the_references_on_drawn_codes(c):
     _assert_agrees(c)
 
 
-def _counting_reductions(monkeypatch, modules):
-    """Count ``_reduce_flat`` calls made through ``modules``."""
+def _counting_reductions(monkeypatch, targets):
+    """Count the calls of the divisions ``targets`` names as (module, name)."""
     count = [0]
-    real = groebner._reduce_flat
-
-    def counted(*args, **kwargs):
-        count[0] += 1
-        return real(*args, **kwargs)
-
-    for module in modules:
-        monkeypatch.setattr(module, "_reduce_flat", counted)
+    for module, name in targets:
+        def counted(*args, real=getattr(module, name), **kwargs):
+            count[0] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
     return count
 
 
 def test_criteria_skip_pairs_on_the_canary(monkeypatch):
-    count = _counting_reductions(monkeypatch, (groebner, helpers))
+    # The references divide by ``reference_division`` where they track
+    # quotients and by the engine's ``_reduce_flat`` elsewhere.
+    count = _counting_reductions(monkeypatch, ((groebner, "_reduce_flat"),
+                                               (helpers, "_reduce_flat"),
+                                               (helpers, "reference_division")))
     canary = CodePresentation.from_strings(p=101, n=3, rows=CANARY_ROWS)
     _, forney = _route(canary, ENGINE)
     engine, count[0] = count[0], 0
@@ -196,12 +200,12 @@ def test_criteria_skip_pairs_on_the_canary(monkeypatch):
 
 
 def test_tracked_and_untracked_completions_take_the_same_pairs(monkeypatch):
-    count = _counting_reductions(monkeypatch, (groebner,))
+    count = _counting_reductions(monkeypatch, ((groebner, "_reduce_flat"),))
 
     def complete(gens, order, expr_order):
         count[0] = 0
-        items = groebner._buchberger(gens, order, expr_order)
-        return count[0], [(it.flat, sorted(it.relations)) for it in items]
+        items = groebner._buchberger(gens, order, expr_order).items
+        return count[0], [it.flat for it in items]
 
     canary = CodePresentation.from_strings(p=101, n=3, rows=CANARY_ROWS)
     kernels = 0
@@ -217,3 +221,51 @@ def test_tracked_and_untracked_completions_take_the_same_pairs(monkeypatch):
             assert tracked == complete(gens, order, None), gens
             kernels += 1
     assert kernels > 20
+
+
+def _tracked_runs(code):
+    """Every tracked completion on the way to the minimal resolution of
+    ``code`` (``_route``), each with its inputs and the orders that pack
+    the inputs and their expressions."""
+    completions = []
+
+    def spy(completion, real=groebner._schreyer):
+        completions.append(completion)
+        return real(completion)
+
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "_schreyer", spy)
+        for routine, args, result in _route(code, ENGINE)[0]:
+            if routine is core_syzygies:
+                runs.append(args)
+            elif routine is _minimal_level:
+                runs.append((result[0], args[1], result[1]))
+    assert len(runs) == len(completions), code.generators
+    return list(zip(runs, completions))
+
+
+def _assert_expressions_hold(code):
+    """Each item of a tracked run is its expression applied to the
+    inputs, and each syzygy the run left applied to them is zero.
+    Returns the numbers of items and of syzygies checked."""
+    items = syzygies = 0
+    for (inputs, order, expr_order), completion in _tracked_runs(code):
+        for it in completion.items:
+            assert _times(it.expr, inputs, expr_order, order) == it.flat, code.generators
+        for syz in completion.syzygies.values():
+            assert syz and not _times(syz, inputs, expr_order, order), code.generators
+        items += len(completion.items)
+        syzygies += len(completion.syzygies)
+    return items, syzygies
+
+
+def test_tracked_expressions_hold_on_the_acceptance_corpus():
+    counts = [_assert_expressions_hold(c) for c in acceptance_corpus()]
+    assert min(map(sum, zip(*counts))) > 0, counts
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(codes())
+def test_tracked_expressions_hold_on_drawn_codes(c):
+    _assert_expressions_hold(c)

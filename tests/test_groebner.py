@@ -42,7 +42,7 @@ def ideal(ring, *texts):
 
 def remainder(elem, gens_flat, order):
     """The remainder of a ``Poly`` element against a Groebner basis of the columns."""
-    rem, _ = _reduce_flat(pack([elem], order)[0], _buchberger(gens_flat, order), order)
+    rem = _reduce_flat(pack([elem], order)[0], _buchberger(gens_flat, order).items, order)
     return unpack([rem], order)[0]
 
 
@@ -245,16 +245,15 @@ def test_every_generator_reduces_to_zero_and_spairs_too():
         if not gens:
             continue
         order = ModuleOrder(ring, (0,) * rank)
-        items = _interreduce(_buchberger(pack(gens, order), order), order)
+        items = _interreduce(_buchberger(pack(gens, order), order).items, order)
         for flat in pack(gens, order):
-            assert not _reduce_flat(flat, items, order)[0]
+            assert not _reduce_flat(flat, items, order)
         for j in range(len(items)):
             for i in range(j):
                 if items[i].pos != items[j].pos:
                     continue
-                s, _, _ = _spair_parts(items[i], items[j], order)
-                rem, _ = _reduce_flat(s, items, order)
-                assert not rem
+                s, _ = _spair_parts(items[i], items[j], order)
+                assert not _reduce_flat(s, items, order)
 
 
 def test_reduced_basis_is_canonical_under_representation_changes():

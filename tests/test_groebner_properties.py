@@ -158,82 +158,26 @@ def test_spair_beyond_limit_raises():
 
 # -- self-checks raise InvariantError ------------------------------------
 
-def syzygies_of(g):
-    """The packed syzygies of a matrix's columns under the zero row twist."""
-    order = ModuleOrder(g.ring, (0,) * g.nrows)
-    return _syzygies_flat(pack(g.columns(), order), order,
-                          ModuleOrder(g.ring, g.column_degrees()))[0]
-
-
-def _uncompleted(gens_flat, order, expr_order):
-    """The generators as basis items, without Buchberger completion."""
-    one = (0,) * order.ring.nvars
-    items = []
-    for j, flat in enumerate(gens_flat):
-        flat, lead, inv = groebner._monic(dict(flat), order.ring.p)
-        items.append(groebner._GBItem(flat, lead, order, {expr_order.pack((j, one)): inv}))
-    return items
-
-
-def test_unreduced_spair_raises_invariant_error(monkeypatch):
-    r = Ring(101, 2)
-    monkeypatch.setattr(groebner, "_buchberger", _uncompleted)
-    # The S-pair of D1^2 + D2 and D1*D2 leaves D2^2.
-    with pytest.raises(InvariantError):
-        syzygies_of(mat(r, [["D1^2 + D2", "D1*D2"]]))
-
-
 def _schreyer_after(damage, real=groebner._schreyer):
-    """``_schreyer`` that first applies ``damage`` to the items of a level
-    over T, the call ``_minimal_level`` makes on the resolve path."""
-    def run(items, order):
-        if order.ring.homog:
-            items = damage(items)
-        return real(items, order)
+    """``_schreyer`` that first applies ``damage`` to the completion of a
+    level over T, the call ``_minimal_level`` makes on the resolve path."""
+    def run(completion):
+        if completion.order.ring.homog:
+            damage(completion)
+        return real(completion)
     return run
 
 
-def _first_outcome_lost(items):
-    """The items with the first recorded pair outcome deleted."""
-    item = next(it for it in items if it.relations)
-    del item.relations[next(iter(item.relations))]
-    return items
-
-
 def test_failed_self_check_exits_2_without_a_report(tmp_path, capsys, monkeypatch):
-    # The syzygies of a level from its first item alone: the level has no
-    # pair relation left, so [D1 D2] loses its Koszul syzygy and the
-    # exactness check of the constructed complex fails.
-    monkeypatch.setattr(groebner, "_schreyer", _schreyer_after(lambda items: items[:1]))
+    # A level whose run left no syzygy: [D1 D2] loses its Koszul syzygy
+    # and the exactness check of the constructed complex fails.
+    monkeypatch.setattr(groebner, "_schreyer",
+                        _schreyer_after(lambda completion: completion.syzygies.clear()))
     path = tmp_path / "code.json"
     path.write_text('{"p": 2, "n": 2, "kind": "code", "matrix": [["D1", "D2"]]}')
     assert main(["resolve", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "not exact" in err
-
-
-def _one_outcome_lost(real):
-    """``_buchberger`` that loses the first recorded pair outcome of a tracked run."""
-    def run(gens_flat, order, expr_order=None):
-        items = real(gens_flat, order, expr_order)
-        return items if expr_order is None else _first_outcome_lost(items)
-    return run
-
-
-def test_lost_pair_outcome_raises_invariant_error(monkeypatch):
-    r = Ring(101, 2)
-    monkeypatch.setattr(groebner, "_buchberger", _one_outcome_lost(groebner._buchberger))
-    with pytest.raises(InvariantError, match="must reduce to zero"):
-        syzygies_of(mat(r, [["D1^2 + D2", "D1*D2"]]))
-
-
-def test_lost_pair_outcome_exits_2_without_a_report(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(groebner, "_schreyer", _schreyer_after(_first_outcome_lost))
-    path = tmp_path / "code.json"
-    path.write_text('{"p": 2, "n": 2, "kind": "code", "matrix": [["D1", "D2"]]}')
-    assert main(["resolve", str(path)]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "must reduce to zero" in err
 
 
 def test_changed_lead_raises_invariant_error():

@@ -105,7 +105,7 @@ def numerator_of_span(m, twist=None):
     """The numerator of the span of a matrix's columns under ``twist``,
     from the leads of one completion."""
     order = ModuleOrder(m.ring, twist or (0,) * m.nrows)
-    items = _buchberger(pack(m.columns(), order), order)
+    items = _buchberger(pack(m.columns(), order), order).items
     return _lead_numerator(((it.pos, it.exps) for it in items), order.twist, m.ring.nvars)
 
 

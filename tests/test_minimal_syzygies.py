@@ -69,7 +69,7 @@ def greedy_minimal_generators(ring, gens, twist):
     for k in sorted(range(len(degrees)), key=lambda k: (degrees[k], k)):
         flat = pack([gens[k]], order)[0]
         if kept and not _reduce_flat(flat, reference_buchberger(pack(kept, order), order),
-                                     order)[0]:
+                                     order):
             continue
         kept.append(gens[k])
     return kept
@@ -80,7 +80,7 @@ def greedy_normal_forms(ring, gens, twist):
     a criteria-free completion of those kept before it, packed."""
     order = ModuleOrder(ring, twist)
     packed = pack(greedy_minimal_generators(ring, gens, twist), order)
-    return [_monic(_reduce_flat(g, reference_buchberger(packed[:i], order), order)[0],
+    return [_monic(_reduce_flat(g, reference_buchberger(packed[:i], order), order),
                    ring.p)[0] for i, g in enumerate(packed)]
 
 

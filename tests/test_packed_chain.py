@@ -114,7 +114,7 @@ def test_packed_lift_keeps_a_twist():
     s_order = ModuleOrder(code.ring, (1, 0))
     lifted = []
     for g in _interreduce(_buchberger([_to_flat(c, s_order) for c in code.generators.columns()],
-                                      s_order), s_order):
+                                      s_order).items, s_order):
         col = _from_flat(s_order, g.flat)
         d = max(f.degree + a for f, a in zip(col, (1, 0)) if f)
         lifted.append(_to_flat(tuple(homogenize(f, d - a) for f, a in zip(col, (1, 0))), order))
