@@ -10,10 +10,12 @@ from convres import Poly, PolyMatrix, Ring
 from convres.errors import DomainError
 from convres.groebner import (
     ModuleOrder,
+    _Completion,
     _buchberger,
     _interreduce,
     _minimal_level,
     _reduce_flat,
+    _schreyer,
     _spair_parts,
     _syzygies_flat,
 )
@@ -123,6 +125,25 @@ def test_syzygy_examples():
     sd, sd_order = syzygies(mat(r, [["D1", "D1"]]))
     assert same_span(pack(unpack(sd, sd_order), zero),
                      pack([(P("1", r), P("-1", r))], zero), zero)
+
+
+def test_schreyer_makes_left_syzygies_monic_without_repeats_sorted_by_lead():
+    order = ModuleOrder(Ring(5, 1), (0, 0))
+    completion = _Completion(order)
+    e0, e1 = (order.pack((pos, (0,))) for pos in (0, 1))
+    d1 = order.pack((1, (1,)))
+    # Degree first, then position 0 before position 1: d1 > e0 > e1.
+    completion.syzygies = {
+        (1, 0): {d1: 2, e0: 1},
+        (2, 0): {d1: 4, e0: 2},    # twice the syzygy of (1, 0)
+        (2, 1): {d1: 3, e1: 1},    # the lead of (1, 0)
+        (3, 0): {e0: 2, e1: 4},    # the least lead
+    }
+    assert _schreyer(completion) == [
+        {e0: 1, e1: 2},
+        {d1: 1, e0: 3},
+        {d1: 1, e1: 2},
+    ]
 
 
 def test_syzygy_soundness_on_random_matrices():

@@ -180,6 +180,25 @@ def test_failed_self_check_exits_2_without_a_report(tmp_path, capsys, monkeypatc
     assert out == "" and "not exact" in err
 
 
+def _lead_terms_only(completion):
+    """Each syzygy the run left cut down to its leading term, which no
+    longer vanishes on the inputs."""
+    for key, flat in completion.syzygies.items():
+        lead = max(flat)
+        completion.syzygies[key] = {lead: flat[lead]}
+
+
+def test_wrong_syzygy_exits_2_without_a_report(tmp_path, capsys, monkeypatch):
+    # The Koszul syzygy of [D1 D2] without its second term: the product
+    # check of the constructed complex fails before any report is made.
+    monkeypatch.setattr(groebner, "_schreyer", _schreyer_after(_lead_terms_only))
+    path = tmp_path / "code.json"
+    path.write_text('{"p": 2, "n": 2, "kind": "code", "matrix": [["D1", "D2"]]}')
+    assert main(["resolve", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "G_1 G_2 is not zero" in err
+
+
 def test_changed_lead_raises_invariant_error():
     order = ModuleOrder(Ring(5, 1), (0,))
     big, small = order.pack((0, (2,))), order.pack((0, (1,)))
