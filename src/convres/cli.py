@@ -22,12 +22,12 @@ from .algebra import CodePresentation, PolyMatrix, Ring, is_prime, parse_poly
 from .complexes import (
     PolyComplex,
     check_minimal,
+    check_pd,
     check_reduced,
     check_resolution,
     code_hilbert_values,
     minimal_resolution,
     minimality_witness,
-    pd_failure_witness,
     validate_complex,
 )
 from .errors import ConvresError, InputError, PolyParseError
@@ -212,11 +212,9 @@ def run_command(cmd: str, doc: InputDocument, options) -> tuple[dict, int]:
                 out["scalar_entry"] = list(minimality_witness(cx))
         else:
             # "pd" and "reduced" are one property by the paper's main theorem.
-            result = check_reduced(cx)
-            if prop == "pd" and not result:
-                witness = pd_failure_witness(cx)
-                if witness is not None:
-                    out["witness_column"] = [str(f) for f in witness]
+            result, witness = check_pd(cx)
+            if prop == "pd" and witness is not None:
+                out["witness_column"] = [str(f) for f in witness]
         out[prop] = result
         out["result"] = result
         status = 1 if (options.strict and not result) else 0

@@ -21,21 +21,22 @@ G_2^L..G_l^L).  By the paper's main theorem, column reducedness is the
 predictable degree property: if G^L is a resolution then so is G, so
 one exactness proof on G^L serves both.
 
-Exactness is proved in two independent ways.  ``check_resolution``
-works on any complex, with one tracked completion per level on its
-columns packed over S: Schreyer's syzygies of each level must reduce to
-zero against the Groebner basis of the next level's image.  It serves
-``check resolution`` and the tests.  G^L is graded by the degree table,
-so its exactness follows from Hilbert series of lead-term modules alone
-(``_exact``): for a given complex from the leads of one untracked
-Buchberger run per level of G^L, and for ``minimal_resolution``, the
-source of all invariants, from the bases its own runs completed, one
-per level, whose D0-free leads generate the lead-term module of
-im G_k^L (see ``groebner.ModuleOrder``).  The witness of a failure at
-level 1 takes its own tracked run (``pd_failure_witness``).  A scalar
-entry of G^L past level 1 is a term of degree 0 in either packed form
-(``_scalar_entry``).  Only the report's complex and the witnesses
-become ``Poly``.
+Exactness is proved in two ways.  A given complex is checked by one
+Schreyer pass (``_schreyer_pass``), with one tracked completion per
+level on its columns packed over S: Schreyer's syzygies of each level
+must reduce to zero against the Groebner basis of the next level's
+image (Eisenbud, *Commutative Algebra*, Thm. 15.10).
+``check_resolution`` runs it on G, and ``check_reduced`` and
+``check_pd`` on G^L; the syzygies of level 1 that the same pass
+completes give the witness of a failing ``check pd``.  For
+``minimal_resolution``, the source of all invariants, a Schreyer pass
+over the chain's own syzygies would be circular, so ``_report`` proves
+G^L exact by Hilbert series of lead-term modules instead: G^L is graded
+by the degree table, and the D0-free leads of the bases its own runs
+completed, one per level, generate the lead-term module of im G_k^L
+(see ``groebner.ModuleOrder``).  A scalar entry of G^L past level 1 is
+a term of degree 0 in either packed form (``_scalar_entry``).  Only the
+report's complex and the witnesses become ``Poly``.
 """
 
 from __future__ import annotations
@@ -173,25 +174,33 @@ def _complex(levels, orders, ring) -> PolyComplex:
 
 # -- checks ---------------------------------------------------------------
 
-def check_resolution(cx: PolyComplex) -> bool:
-    """Exactness as modules, by Schreyer's theorem on packed columns over S.
+def _schreyer_pass(levels, orders):
+    """Exactness of packed levels over S, by Schreyer's theorem; returns
+    it with the syzygies of level 1.
 
-    Level k is packed by the order of its row twist a_{k-1}
-    (``_packed_levels``).  One tracked completion per level
-    (``_syzygies_flat``) gives the syzygies of G_k, packed by the order
-    of a_k, and a Groebner basis of im G_k.  G_k G_{k+1} = 0 puts
-    im G_{k+1} inside ker G_k, so the complex is exact exactly when
-    every syzygy of G_k reduces to zero against the basis of im G_{k+1},
-    which is packed in that same order, and G_l has no syzygy.
+    ``levels`` and ``orders`` are as ``_packed_levels`` returns them.
+    One tracked completion per level (``_syzygies_flat``) gives the
+    syzygies of G_k, packed by the order of a_k, and a Groebner basis of
+    im G_k.  G_k G_{k+1} = 0 puts im G_{k+1} inside ker G_k, so the
+    complex is exact exactly when every syzygy of G_k reduces to zero
+    against the basis of im G_{k+1}, which is packed in that same order,
+    and G_l has no syzygy.  The first level that fails stops the pass.
     """
-    levels, orders = _packed_levels(cx)
-    kernel = []
-    for cols, order, syz_order in zip(levels, orders, orders[1:]):
+    first, _ = _syzygies_flat(levels[0], orders[0], orders[1])
+    kernel = first
+    for cols, order, syz_order in zip(levels[1:], orders[1:], orders[2:]):
         syz, items = _syzygies_flat(cols, order, syz_order)
         if any(_reduce_flat(flat, items, order) for flat in kernel):
-            return False
+            return False, first
         kernel = syz
-    return not kernel
+    return not kernel, first
+
+
+def check_resolution(cx: PolyComplex) -> bool:
+    """Exactness as modules: the Schreyer pass (``_schreyer_pass``) on
+    the columns of G packed over S by the order of their row twist
+    (``_packed_levels``)."""
+    return _schreyer_pass(*_packed_levels(cx))[0]
 
 
 def _poly_sum(*polys) -> dict:
@@ -219,21 +228,6 @@ def _exact_by_numerators(numerators, table) -> bool:
                for level, (a, b) in zip(table[1:], pairs))
 
 
-def _exact(leads, orders) -> bool:
-    """Exactness of G^L from the leads of a Groebner basis of each image.
-
-    ``leads`` yields, level by level, the leads as (position, exponents
-    over S) that generate the lead-term module of im G_k^L; ``orders``
-    are the orders of the levels.  The numerators come by ``_lead_numerator``
-    (after Bayer & Stillman, "Computation of Hilbert functions", JSC 14,
-    1992) and are compared by ``_exact_by_numerators``; no syzygies are
-    computed.
-    """
-    twists = [order.twist for order in orders]
-    return _exact_by_numerators(
-        (_lead_numerator(lv, tw, orders[0].ring.n) for lv, tw in zip(leads, twists)), twists)
-
-
 def _units(order: ModuleOrder) -> list:
     """The packed unit at every position of ``order``."""
     one = (0,) * order.ring.nvars
@@ -259,28 +253,27 @@ def check_reduced(cx: PolyComplex) -> bool:
     """Column reducedness: the leading part complex is a resolution.
 
     By the paper's main theorem a complex whose G^L is a resolution is
-    itself one, so this is also the predictable degree property.  G^L is
-    graded, so its exactness is proved by Hilbert series (``_exact``),
-    with the leads of one untracked Groebner basis per level of G^L
-    packed over S (``_leading_part``).
+    itself one, so this is also the predictable degree property.  Its
+    exactness is proved by the Schreyer pass (``_schreyer_pass``) on G^L
+    packed over S (``_leading_part``), the pass ``check_resolution``
+    runs on G.
+    """
+    return _schreyer_pass(*_leading_part(cx))[0]
+
+
+def check_pd(cx: PolyComplex):
+    """The predictable degree property with its witness: (verdict, witness).
+
+    The verdict is ``check_reduced``'s, from one Schreyer pass on G^L.
+    When it fails, any nonzero homogeneous kernel element y of G_1^L has
+    twisted degree strictly above deg(G_1 @ y), so it certifies the
+    failure: the witness is the syzygy of G_1^L with the smallest lead,
+    from level 1 of the same pass.  It is None when the verdict holds or
+    G_1^L has no kernel (the failure then sits deeper).
     """
     levels, orders = _leading_part(cx)
-    return _exact(([(it.pos, it.exps) for it in _buchberger(cols, order).items]
-                   for cols, order in zip(levels, orders)), orders)
-
-
-def pd_failure_witness(cx: PolyComplex):
-    """A degree-dropping element when level 1 breaks reducedness.
-
-    Any nonzero homogeneous kernel element y of G_1^L has twisted degree
-    strictly above deg(G_1 @ y), so it certifies the failure: here the
-    syzygy of G_1^L with the smallest lead, from its own tracked
-    completion over S (``_syzygies_flat``).  Returns None when G_1^L has
-    no kernel (the failure, if any, sits deeper).
-    """
-    levels, orders = _leading_part(cx)
-    syz, _ = _syzygies_flat(levels[0], orders[0], orders[1])
-    return _from_flat(orders[1], syz[0]) if syz else None
+    exact, syz = _schreyer_pass(levels, orders)
+    return exact, None if exact or not syz else _from_flat(orders[1], syz[0])
 
 
 def minimality_witness(cx: PolyComplex):
@@ -394,10 +387,15 @@ def _report(levels, orders, leads, ring) -> ResolutionReport:
       multiple of a column of level k, shifted by the term minus the
       packed unit at its position (both orders share one digit layout).
       Zero over T gives zero over S, for G^L and for G.
-    * Exactness of G^L (``_exact``) from the chain's D0-free ``leads``;
-      no Groebner basis is computed again.  By the paper's main theorem
-      a complex whose G^L is a resolution is itself one, so G is not
-      checked again.
+    * Exactness of G^L by Hilbert series: the numerator of each image
+      comes from the chain's D0-free ``leads`` by ``_lead_numerator``
+      (after Bayer & Stillman, "Computation of Hilbert functions",
+      JSC 14, 1992) and the numerators are compared by
+      ``_exact_by_numerators``; no Groebner basis or syzygy is computed
+      again.  A Schreyer pass (``_schreyer_pass``) would read the very
+      syzygies the chain built, so it would prove nothing.  By the
+      paper's main theorem a complex whose G^L is a resolution is itself
+      one, so G is not checked again.
     * Minimality: no scalar entry in G_2^L.. (``_scalar_entry``).
 
     A failed check raises ``InvariantError``, so a report is only ever
@@ -415,7 +413,9 @@ def _report(levels, orders, leads, ring) -> ResolutionReport:
                 _addmul(product, col, c, t - unit, ring.p)
             if product:
                 raise InvariantError(f"the constructed G_{k} G_{k + 1} is not zero")
-    if not _exact(leads, orders):
+    twists = [order.twist for order in orders]
+    numerators = (_lead_numerator(lv, tw, ring.n) for lv, tw in zip(leads, twists))
+    if not _exact_by_numerators(numerators, twists):
         raise InvariantError("construction must yield a minimal reduced resolution, "
                              "but its leading part complex is not exact")
     if _scalar_entry(levels, orders) is not None:

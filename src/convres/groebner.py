@@ -33,11 +33,10 @@ term of a dict of terms is its ``max``, multiplying by a monomial is one
 integer addition, and a divisibility test is one subtraction and one
 mask.  ``complexes`` lifts the code's reduced basis into T term by term
 as integers (``_lift_flat``) for its resolution chain, and reads
-Hilbert series off lead terms: of the Groebner basis the chain's one
-run per level completes, or of one completion per level of the leading
-part of a given complex, which stays packed over S.
-``check_resolution`` and ``observability`` run the same cores on
-columns packed over S.
+Hilbert series off the lead terms of the Groebner basis the chain's one
+run per level completes.  The checks of a given complex, on G or on its
+leading part, and ``observability`` run the same cores on columns
+packed over S.
 """
 
 from __future__ import annotations

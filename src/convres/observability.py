@@ -10,18 +10,21 @@ that does not is a torsion element of S^q/C.  Only H and the witness
 are unpacked, for the report.
 
 The reduction-modulo-irreducibles criterion is implemented as a
-univariate spot check only, and it builds no resolution and no
-Groebner basis.  For n = 1 the minimal reduced resolution of a code of
-rank r is exact modulo an irreducible lam exactly when its G_1 keeps
-rank r over the field F_p[x]/(lam), that is when lam does not divide
-Delta, the gcd of the r x r minors (Buchsbaum and Eisenbud, "What makes
-a complex exact?", J. Algebra 25, 1973).  The irreducibles of degree
-<= B are the factors of x^(p^k) - x for B/2 < k <= B, so the check is
-one gcd with x^(p^k) - x per such k, read off a Smith form of the
-code's own generator matrix.  An entry of degree p^k or more is first
-folded modulo x^(p^k) - x, so a huge degree costs no dense storage.  A
-bound with more than ``MAX_PROP3_CANDIDATES`` monic candidates is
-refused before any work.
+univariate spot check only, and it builds no resolution.  For n = 1
+the minimal reduced resolution of a code of rank r is exact modulo an
+irreducible lam exactly when its G_1 keeps rank r over the field
+F_p[x]/(lam), that is when lam does not divide Delta, the gcd of the
+r x r minors (Buchsbaum and Eisenbud, "What makes a complex exact?",
+J. Algebra 25, 1973).  The irreducibles of degree <= B are the factors
+of x^(p^k) - x for B/2 < k <= B, so the check is one gcd with
+x^(p^k) - x per such k, read off a Smith form of the code's own
+generator matrix.  An entry of degree p^k or more is first folded
+modulo x^(p^k) - x, so a huge degree costs no dense storage.
+When a Smith form is too short to show r, r is read off the leads of
+one Groebner basis of the code over S, the completion ``is_observable``
+runs too; there is no second exact-algebra engine.  A bound with more
+than ``MAX_PROP3_CANDIDATES`` monic candidates is refused before any
+work.
 """
 
 from __future__ import annotations
@@ -146,44 +149,28 @@ def is_observable(code: CodePresentation) -> ObservabilityReport:
 
 
 # -- univariate spot check -----------------------------------------------
-# ``_rank`` works on sparse {exponent: coefficient} dicts over F_p; its
-# divisions are exact, so each takes one step per term of the quotient
-# and a huge degree costs only as many steps as the quotient has terms.
 # The Smith form works on entries folded below x^n, n <= 4096, as int64
 # coefficient arrays, lowest degree first with no trailing zero (0 is
 # empty).  Every coefficient of a product or of a division in progress
 # is a sum of at most 4,096 terms below p^2 < 2^24, far inside int64.
+# The rank of the code, when a Smith form is too short to show it, comes
+# from the Groebner engine over S (``_rank``), with no elimination of
+# its own.
 
-def _bareiss(a: dict, b: dict, c: dict, d: dict, prev: dict, p: int) -> dict:
-    """(a * d - b * c) / prev, for a nonzero prev that divides a * d - b * c."""
-    num, quo, top_prev = {}, {}, max(prev)
-    for e, x in a.items():
-        _addmul(num, d, x, e, p)
-    for e, x in b.items():
-        _addmul(num, c, -x, e, p)
-    inv = pow(prev[top_prev], p - 2, p)
-    while num:
-        top = max(num)
-        quo[top - top_prev] = q = num[top] * inv % p
-        _addmul(num, prev, -q, top - top_prev, p)
-    return quo
+def _rank(code: CodePresentation) -> int:
+    """Rank of the code over F_p(x), for n = 1: the number of distinct
+    lead positions of a Groebner basis of its columns under the
+    zero-twist order (``_buchberger``).
 
-
-def _rank(rows: list, p: int) -> int:
-    """Rank over F_p(x), by fraction-free elimination (Bareiss): every
-    entry below the pivot row is then a minor, so the division by the
-    previous pivot is exact and the entries stay sparse."""
-    rows, prev, rank = [list(row) for row in rows], {0: 1}, 0
-    for j in range(len(rows[0])):
-        i = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
-        if i is None:
-            continue
-        rows[rank], rows[i] = rows[i], rows[rank]
-        top = rows[rank]
-        for row in rows[rank + 1:]:
-            row[:] = [_bareiss(top[j], row[j], g, f, prev, p) for f, g in zip(row, top)]
-        prev, rank = top[j], rank + 1
-    return rank
+    Over the PID F_p[x] every monomial submodule of S^q is a sum of
+    x^(a_i) S e_i, one per position i of its leads, so the lead-term
+    module has dim <= d growing like d times the number of positions.
+    Under a degree-compatible order the code and its lead-term module
+    have the same dim <= d, which grows like d times the rank.
+    """
+    order = ModuleOrder(code.ring, (0,) * code.q)
+    cols = [_to_flat(col, order) for col in code.generators.columns()]
+    return len({it.pos for it in _buchberger(cols, order).items})
 
 
 def _trim(a: np.ndarray) -> np.ndarray:
@@ -318,19 +305,21 @@ def prop3_spot_check(code: CodePresentation, degree_bound: int) -> bool:
     d_i prime to lam, so G_1 keeps rank r modulo every such lam exactly
     when there are r of them and gcd(d_r, x^(p^k) - x) = 1.  There are
     at most r, and r is at most min(q, columns), so ``_rank`` is asked
-    only when there are fewer than that.  Returns whether the test holds
-    for every such k.
+    only when there are fewer than that, and at most once.  Returns
+    whether the test holds for every such k.
     """
     ring = code.ring
     check_prop3_bound(ring.p, ring.n, degree_bound)
     p = ring.p
     sparse = [[{e: c for (e,), c in f.terms} for f in row] for row in code.generators.entries]
-    full = min(len(sparse), len(sparse[0]))
+    full, rank = min(len(sparse), len(sparse[0])), None
     for k in range(degree_bound // 2 + 1, degree_bound + 1):
         n = p ** k
         diag = _smith_diagonal([[_fold(f, n, p) for f in row] for row in sparse], n, p)
-        if len(diag) < full and len(diag) < _rank(sparse, p):
-            return False
+        if len(diag) < full:
+            rank = rank or _rank(code)
+            if len(diag) < rank:
+                return False
         if not _prime_to(diag[-1], n, p):
             return False
     return True

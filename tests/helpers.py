@@ -2,8 +2,8 @@
 the adapter between ``Poly`` columns and the packed core, the reference
 resolution routes, the criteria-free Groebner routes, the former
 resolution and observability checks, the list-based univariate spot
-check, the former block-rank spot check and the entrywise homogeneity
-helpers that only tests use."""
+check, the former block-rank spot check, the former fraction-free rank
+and the entrywise homogeneity helpers that only tests use."""
 
 import functools
 import heapq
@@ -1743,3 +1743,43 @@ def reference_block_rank_spot_check(code, degree_bound: int) -> bool:
     basis = reference_reduced_basis(code)
     return all(rank == basis.ncols for rank in reference_ranks_modulo(
         basis, reference_product_sieve(code.ring.p, degree_bound), code.ring.p))
+
+
+# -- the former fraction-free rank --------------------------------------------
+# The rank ``prop3_spot_check`` took before it read the leads of the
+# code's Groebner basis over S, on sparse {exponent: coefficient} dicts
+# over F_p.  Its divisions are exact, so each takes one step per term of
+# the quotient and a huge degree costs only as many steps as the
+# quotient has terms.
+
+def _bareiss(a: dict, b: dict, c: dict, d: dict, prev: dict, p: int) -> dict:
+    """(a * d - b * c) / prev, for a nonzero prev that divides a * d - b * c."""
+    num, quo, top_prev = {}, {}, max(prev)
+    for e, x in a.items():
+        _addmul(num, d, x, e, p)
+    for e, x in b.items():
+        _addmul(num, c, -x, e, p)
+    inv = pow(prev[top_prev], p - 2, p)
+    while num:
+        top = max(num)
+        quo[top - top_prev] = q = num[top] * inv % p
+        _addmul(num, prev, -q, top - top_prev, p)
+    return quo
+
+
+def reference_rank(rows: list, p: int) -> int:
+    """Rank over F_p(x) of a matrix of sparse univariate dicts, by
+    fraction-free elimination (Bareiss): every entry below the pivot row
+    is then a minor, so the division by the previous pivot is exact and
+    the entries stay sparse."""
+    rows, prev, rank = [list(row) for row in rows], {0: 1}, 0
+    for j in range(len(rows[0])):
+        i = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if i is None:
+            continue
+        rows[rank], rows[i] = rows[i], rows[rank]
+        top = rows[rank]
+        for row in rows[rank + 1:]:
+            row[:] = [_bareiss(top[j], row[j], g, f, prev, p) for f, g in zip(row, top)]
+        prev, rank = top[j], rank + 1
+    return rank

@@ -97,8 +97,10 @@ def test_check_resolution_accepts_an_exact_complex_that_is_not_reduced(tmp_path,
                          ids=["pd", "reduced", "minimal"])
 def test_failing_check_packs_the_complex_once(tmp_path, capsys, monkeypatch, prop, text, key):
     # One packed leading part over S serves the verdict and the witness:
-    # every column is packed once and none is lifted into T, and only the
-    # witness of a failing ``check pd`` pulls syzygies back, once.
+    # every column is packed once and none is lifted into T.  The verdict
+    # is one Schreyer pass over G^L, which takes the syzygies of every
+    # level (neither complex fails before its last level), and the
+    # witness of a failing ``check pd`` is level 1 of that same pass.
     calls = {"_to_flat": 0, "_lift_flat": 0, "_schreyer": 0}
     for name in calls:
         owner = groebner if name == "_schreyer" else complexes
@@ -110,9 +112,25 @@ def test_failing_check_packs_the_complex_once(tmp_path, capsys, monkeypatch, pro
     assert main(["check", prop, path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["result"] is False and key in out
-    assert calls == {"_to_flat": sum(parse_input(text).complex.sizes), "_lift_flat": 0,
-                     "_schreyer": int(prop == "pd")}
+    sizes = parse_input(text).complex.sizes
+    assert calls == {"_to_flat": sum(sizes), "_lift_flat": 0, "_schreyer": len(sizes)}
     assert not hasattr(Poly, "homogenize")
+
+
+def test_failing_check_pd_completes_level_one_once(tmp_path, capsys, monkeypatch):
+    # The verdict and the witness come from one tracked completion of G_1^L.
+    made = []
+
+    class Counted(groebner._Completion):
+        def __init__(self, order):
+            made.append(order)
+            super().__init__(order)
+
+    monkeypatch.setattr(groebner, "_Completion", Counted)
+    path = write(tmp_path, "bad.json", BAD_F2)
+    assert main(["check", "pd", path]) == 0
+    assert json.loads(capsys.readouterr().out)["witness_column"] == ["1", "1"]
+    assert len(made) == 1
 
 
 def test_check_pd_failure_reports_witness(tmp_path, capsys):

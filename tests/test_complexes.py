@@ -5,12 +5,12 @@ import pytest
 from convres import PolyMatrix, Ring, complexes, groebner
 from convres.complexes import (
     check_minimal,
+    check_pd,
     check_reduced,
     check_resolution,
     column_degree_table,
     minimal_resolution,
     minimality_witness,
-    pd_failure_witness,
     validate_complex,
 )
 from convres.errors import DomainError, PreconditionError, StructuralError
@@ -250,14 +250,15 @@ def test_reduced_implies_resolution_on_the_probe_corpus():
     The corpus is the Koszul complex, 200 seeded random complexes
     (damaged ones included) and the unpruned route over the acceptance
     corpus; the three classes the theorem allows all occur.  On G^L the
-    Hilbert-series proof behind ``check_reduced`` agrees with the
-    syzygy proof of ``check_resolution``.
+    Schreyer pass behind ``check_reduced`` agrees with an independent
+    proof: Hilbert series of a fresh criteria-free Groebner basis of
+    every image of the ``Poly`` leading part (``check_graded_resolution``).
     """
     cases = probe_corpus()
     classes = {}
     for cx in cases:
         key = (check_reduced(cx), check_resolution(cx))
-        assert key[0] == check_resolution(leading(cx)), cx
+        assert key[0] == check_graded_resolution(leading(cx)), cx
         assert key != (True, False), cx
         classes[key] = classes.get(key, 0) + 1
     assert len(cases) == 287
@@ -307,7 +308,8 @@ def test_check_pd_and_witness():
     assert check_reduced(koszul_complex())
     bad = bad_f2_matrix()
     assert not check_reduced(bad)
-    witness = pd_failure_witness(bad)
+    verdict, witness = check_pd(bad)
+    assert not verdict and check_pd(koszul_complex()) == (True, None)
     r = Ring(2, 1)
     assert witness == (P("1", r), P("1", r))
     # the witness drops degree: deg_a f = 1 but deg(G f) = 0

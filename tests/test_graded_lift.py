@@ -3,8 +3,8 @@ read it, against the ``Poly`` route.
 
 ``complexes._leading_part`` keeps the top-weight terms of every column
 of a complex packed over S, which is G^L; ``check_reduced``,
-``check_minimal``, ``minimality_witness`` and ``pd_failure_witness``
-read it, and the tests unpack it (``unpacked_lift``).  The reference in
+``check_pd``, ``check_minimal`` and ``minimality_witness`` read it, and
+the tests unpack it (``unpacked_lift``).  The reference in
 ``tests/helpers.py`` builds G^L entry by entry as ``Poly``, proves
 exactness by one fresh criteria-free Hilbert numerator per level, takes
 the witness from the syzygies over S and scans the ``Poly`` entries for
@@ -22,10 +22,10 @@ from convres.cli import main
 from convres.complexes import (
     _leading_part,
     check_minimal,
+    check_pd,
     check_reduced,
     minimal_resolution,
     minimality_witness,
-    pd_failure_witness,
     validate_complex,
 )
 from convres.errors import PreconditionError
@@ -61,7 +61,8 @@ def _assert_routes_agree(cx):
     witness = reference_pd_failure_witness(lead)
     assert check_reduced(cx) == reduced, cx
     assert minimality_witness(cx) == scalar, cx
-    assert pd_failure_witness(cx) == witness, cx
+    # The witness is given only when the verdict fails.
+    assert check_pd(cx) == (reduced, None if reduced else witness), cx
     if reduced:
         assert check_minimal(cx) == (scalar is None), cx
     else:

@@ -47,6 +47,7 @@ from helpers import (
     reference_monic_irreducibles,
     reference_product_sieve,
     reference_prop3_spot_check,
+    reference_rank,
     reference_rank_mod_lambda,
     reference_ranks_modulo,
     reference_reduced_basis,
@@ -317,7 +318,7 @@ def test_spot_check_reads_delta_of_drawn_diagonal_codes(drawn):
     c, bound, r, diagonal, verdict = drawn
     sparse = _sparse(c)
     smith = _unfolded_smith(sparse, c.ring.p)
-    assert _rank(sparse, c.ring.p) == len(smith) == r
+    assert _rank(c) == reference_rank(sparse, c.ring.p) == len(smith) == r
     assert _monic_product(c.ring, smith) == _monic_product(
         c.ring, [{e: v for (e,), v in f.terms} for f in diagonal])
     assert prop3_spot_check(c, bound) == verdict, (c.generators, bound)
@@ -344,8 +345,10 @@ def test_rank_and_smith_form_ignore_zero_columns_and_rows():
     zero = {}
     rows = [[{1: 1, 0: 1}, zero, {2: 1, 1: 1}], [zero, zero, zero], [{0: 2}, zero, {1: 2}]]
     # Column 3 is x times column 1, so the rank is 1 and Delta = gcd(x + 1, 2) = 1.
+    # A code has no zero column, so the engine ranks the code without it.
     smith = _unfolded_smith(rows, p)
-    assert _rank(rows, p) == len(smith) == 1 and max(smith[0]) == 0
+    c = code(Ring(p, 1), [["D1 + 1", "D1^2 + D1"], ["0", "0"], ["2", "2*D1"]])
+    assert _rank(c) == reference_rank(rows, p) == len(smith) == 1 and max(smith[0]) == 0
 
 
 def _assert_observable_exactly_when_delta_is_constant(c):
@@ -521,9 +524,9 @@ def test_huge_exponent_is_checked_sparsely_under_a_memory_limit(tmp_path):
     assert json.loads(out)["prop3"] is False
 
 
-def _full(degree):
-    """Every coefficient p - 1 = 4092 from D1^0 to D1^degree."""
-    return " + ".join(f"4092*D1^{e}" for e in range(degree + 1))
+def _full(degree, low=0):
+    """Every coefficient p - 1 = 4092 from D1^low to D1^degree."""
+    return " + ".join(f"4092*D1^{e}" for e in range(low, degree + 1))
 
 
 # Codes over F_4093 whose int64 Smith form meets the largest coefficients:
@@ -558,6 +561,21 @@ def test_bound_one_verdicts_over_f_4093_are_common_roots_of_the_maximal_minors(m
     root_free = not np.any(np.all([m % p == 0 for m in minors], axis=0))
     assert prop3_spot_check(c, 1) == root_free
     assert root_free or matrix is not DENSE_DOC["matrix"]
+
+
+def test_rank_of_a_dense_rank_one_code_comes_from_the_engine_quickly():
+    """[[F4000, x F4000], [F2000, x F2000]] over F_4093, F_d full up to
+    degree d: its Smith form has one entry, so the spot check needs the
+    rank, 1.  gcd(x^4001 - 1, x^2001 - 1) = x - 1, so Delta is a unit and
+    the check holds.  Fraction-free elimination (``reference_rank``) is
+    quadratic in the terms of these dense entries; the lead positions of
+    one completion over S need no such work."""
+    matrix = [[_full(4000), _full(4001, 1)], [_full(2000), _full(2001, 1)]]
+    c = parse_input(json.dumps({"p": 4093, "n": 1, "kind": "code", "matrix": matrix})).code
+    start = time.perf_counter()
+    assert prop3_spot_check(c, 1)
+    assert time.perf_counter() - start < 1.0
+    assert _rank(c) == 1
 
 
 # -- result guards ---------------------------------------------------------
