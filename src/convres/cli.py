@@ -192,7 +192,8 @@ def run_command(cmd: str, doc: InputDocument, options) -> tuple[dict, int]:
         _require_kind(doc, "code", cmd)
         d_max = options.max_d
         if options.oracle:
-            values = [hilbert_oracle(doc.code, d) for d in range(d_max + 1)]
+            # The largest degree first: its count grows every cap the others read.
+            values = [hilbert_oracle(doc.code, d) for d in range(d_max, -1, -1)][::-1]
         else:
             values = code_hilbert_values(doc.code, d_max)
         return {"command": "hilbert", "max_d": d_max, "oracle": bool(options.oracle),
@@ -240,16 +241,18 @@ def run_command(cmd: str, doc: InputDocument, options) -> tuple[dict, int]:
 
     if cmd == "oracle-verify":
         d_max = options.max_d
+        # Largest degree first, as in `hilbert --oracle`: an oversized one fails
+        # before any block is built.
         if doc.kind == "complex":
-            per_d = {d: truncated_exactness(doc.complex, d) for d in range(d_max + 1)}
+            per_d = [truncated_exactness(doc.complex, d) for d in range(d_max, -1, -1)][::-1]
             verdict = check_reduced(doc.complex)
             return {"command": "oracle-verify", "kind": "complex",
-                    "truncated_exactness": [per_d[d] for d in range(d_max + 1)],
+                    "truncated_exactness": per_d,
                     "pd": verdict,
-                    "agreement": all(per_d.values()) == verdict}, 0
+                    "agreement": all(per_d) == verdict}, 0
         # The resolution whose values the oracle's counts run to: one per op.
         formula = hilbert_values(engine_resolution(doc.code).degree_table, doc.n, d_max)
-        per_d = [hilbert_oracle(doc.code, d) == formula[d] for d in range(d_max + 1)]
+        per_d = [hilbert_oracle(doc.code, d) == formula[d] for d in range(d_max, -1, -1)][::-1]
         return {"command": "oracle-verify", "kind": "code",
                 "hilbert_agreement": per_d, "all": all(per_d)}, 0
 

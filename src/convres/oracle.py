@@ -8,23 +8,26 @@ kernels of truncated maps are checked.
 One term order serves every slice, map and echelon: ``_keys`` ranks the
 terms of S^q by degree, then position, then exponents, so a degree-<= d
 slice is a prefix and every basis is in RREF in that order.  Every row
-is built by ``_shift_rows``, the generators a code's columns or a map's,
+is keyed by ``_shift_keys``, the generators a code's columns or a map's,
 and every matrix is reduced by ``rref_mod_p``: one broadcast rank-1
 update per pivot, over the rows that carry the pivot column or over the
 whole matrix when they are most of it, with entries reduced modulo p
 lazily, as far as int64 allows.
 
 Codeword dimensions come from one reduced echelon form per code
-(``_CodeEchelon``), grown by one block of generator shifts x^e * g per
-degree cap and kept on its free columns only, the rows being the
-identity on their pivots.  Its count D(c, d) of the codewords of degree
-<= d spanned by the shifts of degree <= c never exceeds F(d) = dim
-C_{<=d} and never falls as c rises, but no cap where it reaches F(d) is
-known in advance.  So the count stops by a target, F(d) by the Hilbert
-formula on the engine's minimal resolution (``engine_resolution``).
-From the first cap tried (at least d) the cap rises by one until D(c, d)
-reaches the target, and then by maxdeg more, the largest generator
-degree (at least 1); the count there is the answer.  Hence:
+(``_CodeEchelon``), kept on its free columns only, the rows being the
+identity on their pivots.  A request past its cap keys the generator
+shifts x^e * g of every new cap in one pass and adds them one block per
+cap, from the lowest up; callers ask for their largest degree first, so
+that one growth builds every cap their later requests read.  The count
+D(c, d) of the codewords of degree <= d spanned by the shifts of degree
+<= c never exceeds F(d) = dim C_{<=d} and never falls as c rises, but
+no cap where it reaches F(d) is known in advance.  So the count stops
+by a target, F(d) by the Hilbert formula on the engine's minimal
+resolution (``engine_resolution``).  From the first cap tried (at
+least d) the cap rises by one until D(c, d) reaches the target, and
+then by maxdeg more, the largest generator degree (at least 1); the
+count there is the answer.  Hence:
 
 * D = F(d): the oracle has exhibited F(d) independent codewords of degree <= d.
 * An overcounting engine never agrees.  A target above q * C(d + n, n)
@@ -231,12 +234,11 @@ def _exponent_table(n: int, lo: int, hi: int) -> np.ndarray:
     return table
 
 
-def _shift_rows(gens: tuple, q: int, lo: int, hi: int, column: np.ndarray,
-                width: int) -> np.ndarray:
-    """Dense rows of the shifts x^e * g with lo <= deg g + |e| <= hi, by g,
-    then by e in ``_compositions`` order of each degree; ``column`` maps
-    the ``_keys`` of S^q to column indices below ``width``.  The terms of
-    all rows are keyed at once."""
+def _shift_keys(gens: tuple, q: int, lo: int, hi: int):
+    """The shifts x^e * g with lo <= deg g + |e| <= hi, by g, then by e in
+    ``_compositions`` order of each degree: the degree of each shift, and
+    the row, ``_keys`` value and coefficient of each of their terms.  The
+    terms of all rows are keyed at once."""
     pos, exps, coeffs, counts, degs = gens
     first, last = np.maximum(lo - degs, 0), hi - degs    # shift degrees per generator
     low = int(first[first <= last].min(initial=hi + 1))
@@ -244,14 +246,46 @@ def _shift_rows(gens: tuple, q: int, lo: int, hi: int, column: np.ndarray,
     deg = table.sum(axis=1)
     start = np.searchsorted(deg, first)
     shifts = np.maximum(np.searchsorted(deg, last, side="right") - start, 0)
-    row_gen = np.repeat(np.arange(len(degs)), shifts)
+    row_gen, row_exp = np.repeat(np.arange(len(degs)), shifts), _runs(start, shifts)
     size = counts[row_gen]    # row r holds the terms of generator row_gen[r]
     entry_row = np.repeat(np.arange(len(row_gen)), size)
     entry_term = _runs((np.cumsum(counts) - counts)[row_gen], size)
-    keys = _keys(pos[entry_term], table[_runs(start, shifts)[entry_row]] + exps[entry_term], q)
-    block = np.zeros((len(row_gen), width), dtype=np.int64)
-    block[entry_row, column[keys]] = coeffs[entry_term]
+    keys = _keys(pos[entry_term], table[row_exp[entry_row]] + exps[entry_term], q)
+    return degs[row_gen] + deg[row_exp], entry_row, keys, coeffs[entry_term]
+
+
+def _scatter(rows: int, entry_row, keys, coeffs, column: np.ndarray, width: int) -> np.ndarray:
+    """Dense rows of width ``width`` from keyed terms, ``column`` mapping
+    the ``_keys`` of S^q to column indices."""
+    block = np.zeros((rows, width), dtype=np.int64)
+    block[entry_row, column[keys]] = coeffs
     return block
+
+
+def _shift_rows(gens: tuple, q: int, lo: int, hi: int, column: np.ndarray,
+                width: int) -> np.ndarray:
+    """Dense rows of the shifts of ``_shift_keys``, in its order; ``column``
+    maps the ``_keys`` of S^q to column indices below ``width``.  Slices
+    and truncated maps take their rows from here; the echelon keys every
+    new cap of a request in one pass (``_cap_blocks``) and scatters one
+    cap's block at a time."""
+    deg, *terms = _shift_keys(gens, q, lo, hi)
+    return _scatter(len(deg), *terms, column, width)
+
+
+def _cap_blocks(gens: tuple, q: int, lo: int, hi: int):
+    """The shifts of degree lo..hi keyed in one ``_shift_keys`` pass and cut
+    by degree: for each cap c from lo to hi, c and (rows, entry_row, keys,
+    coeffs) of the shifts of degree c, in their ``_shift_keys`` order at
+    lo = hi = c, which a stable sort by degree keeps."""
+    deg, entry_row, keys, coeffs = _shift_keys(gens, q, lo, hi)
+    row = np.argsort(np.argsort(deg, kind="stable"))[entry_row]    # each term's row by degree
+    terms = np.argsort(row, kind="stable")
+    row_at = np.searchsorted(np.sort(deg), np.arange(lo, hi + 2))
+    term_at = np.searchsorted(row[terms], row_at)
+    for c, a, b, s, t in zip(range(lo, hi + 1), row_at, row_at[1:], term_at, term_at[1:]):
+        at = terms[s:t]
+        yield c, (b - a, row[at] - a, keys[at], coeffs[at])
 
 
 class _CodeEchelon:
@@ -262,16 +296,20 @@ class _CodeEchelon:
     only their free columns are kept: ``rows[i]`` is row i on ``free``,
     the columns that are no pivot, from the highest key down, and row i
     pivots at ``pivots[i]``, keeping its degree (``pivot_deg``, read off
-    the key) and the cap whose block added it (``pivot_cap``).  Each
-    block's shifts are laid out in (pivot | free) column order and
+    the key) and the cap whose block added it (``pivot_cap``).  A request
+    past the cap keys the shifts of every new cap in one pass
+    (``_cap_blocks``) and adds one block per cap, from the lowest up.
+    Each block's shifts are laid out in (pivot | free) column order and
     reduced against the rows with one exact product modulo p; what is
-    left is row reduced on the free columns (``rref_mod_p``), the rows
-    lose their entries on the new pivots by a second product, and a
-    boolean mask drops those columns from ``free`` and ``rows``.  Pivots
-    are never removed.  The result is the RREF of all the shifts with
-    the columns from the highest key down.  A lock serializes growth and
-    counting, since echelons are shared, and an exception while growing
-    empties the echelon.
+    left is row reduced on the free columns (``rref_mod_p``), and a
+    boolean mask drops the new pivots' columns from ``free`` and
+    ``rows``.  The rows are zero on the block's fresh columns, so they
+    lose their entries on the new pivots by a second product only when
+    a pivot lands on a column that was free before.  Pivots are never
+    removed.  The result is the RREF of all the shifts with the columns
+    from the highest key down, whatever caps each request grew.  A lock
+    serializes growth and counting, since echelons are shared, and an
+    exception while growing empties the echelon.
     """
 
     def __init__(self, code: CodePresentation):
@@ -298,8 +336,8 @@ class _CodeEchelon:
             if cap > self.cap:
                 self.check(cap)
                 try:
-                    for c in range(self.cap + 1, cap + 1):
-                        self._add_block(c)
+                    for c, keyed in _cap_blocks(self.gens, self.q, self.cap + 1, cap):
+                        self._add_block(c, keyed)
                 except BaseException:
                     # A block cut short (a timeout, an interrupt) would
                     # leave later counts wrong; start again next time.
@@ -307,18 +345,17 @@ class _CodeEchelon:
                     raise
             return int(np.count_nonzero((self.pivot_cap <= cap) & (self.pivot_deg <= d)))
 
-    def _add_block(self, c: int):
+    def _add_block(self, c: int, keyed: tuple):
         p, q, n, rank = self.p, self.q, self.n, len(self.pivots)
         width, fresh = q * comb(c + n, n), q * comb(c + n - 1, n - 1)
         self.free = np.concatenate([np.arange(width - 1, width - fresh - 1, -1), self.free])
         self.rows = np.concatenate([np.zeros((rank, fresh), dtype=np.int64), self.rows], axis=1)
         self.cap = c
-        if c < min(self.degrees):
+        if not keyed[0]:
             return    # no shift has degree c
         # The block in (pivot | free) column order, reduced against the
         # rows; what is left is echelonized on the free columns.
-        column = np.argsort(np.concatenate([self.pivots, self.free]))
-        block = _shift_rows(self.gens, q, c, c, column, width)
+        block = _scatter(*keyed, np.argsort(np.concatenate([self.pivots, self.free])), width)
         rest = (block[:, rank:] - _matmul_mod(block[:, :rank], self.rows, p)) % p
         rest = rest[rest.any(axis=1)]
         if not rest.shape[0]:
@@ -327,8 +364,9 @@ class _CodeEchelon:
         new = self.free[cols]
         keep = np.ones(len(self.free), dtype=bool)
         keep[cols] = False
-        rows = np.vstack([(self.rows - _matmul_mod(self.rows[:, cols], reduced, p)) % p, reduced])
-        self.rows, self.free = rows[:, keep], self.free[keep]
+        if cols[-1] >= fresh:    # else the rows are zero on every new pivot
+            self.rows = (self.rows - _matmul_mod(self.rows[:, cols], reduced, p)) % p
+        self.rows, self.free = np.vstack([self.rows, reduced])[:, keep], self.free[keep]
         self.pivots = np.concatenate([self.pivots, new])
         # Key k has degree d when q * C(d - 1 + n, n) <= k < q * C(d + n, n).
         degree = np.searchsorted(q * _binomials(n, c.bit_length())[:, n], new, side="right")
@@ -340,8 +378,9 @@ class _CodeEchelon:
 def _echelon(code: CodePresentation) -> _CodeEchelon:
     """The shared, growing echelon of a code.
 
-    Callers ask about one code at a time, for ascending d, so a few
-    live echelons are enough; each grows only to the largest cap asked.
+    Callers ask about one code at a time, for their largest d first, so
+    a few live echelons are enough; each grows only to the largest cap
+    asked.
     """
     return _CodeEchelon(code)
 
@@ -365,7 +404,11 @@ def _target(code: CodePresentation, d: int) -> int:
 
 def _count(code: CodePresentation, d: int, cap: int = None):
     """(D(c, d), c) where c is maxdeg caps past the first cap >= max(cap, d),
-    ``cap`` defaulting to d, at which D(c, d) reaches the engine's F(d)."""
+    ``cap`` defaulting to d, at which D(c, d) reaches the engine's F(d).
+
+    The echelon grows to the first cap tried plus the margin in one
+    request, since the answer's cap is never lower; caps past it are
+    grown one at a time as the count climbs."""
     echelon = _echelon(code)
     n = code.ring.n
     margin = max(1, *echelon.degrees)
@@ -375,6 +418,7 @@ def _count(code: CodePresentation, d: int, cap: int = None):
     if target > code.q * comb(d + n, n):
         raise InputError(f"claimed F({d}) = {target} exceeds the "
                          f"{code.q * comb(d + n, n)} monomial vectors of degree <= {d}")
+    echelon.dim(c + margin, d)
     while echelon.dim(c, d) < target:
         c += 1
     return echelon.dim(c + margin, d), c + margin

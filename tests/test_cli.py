@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from convres import Poly, cli, complexes, groebner, observability
+from convres import Poly, cli, complexes, groebner, observability, oracle
 from convres.algebra import is_prime
 from convres.cli import MAX_D, MAX_N, main, parse_input
 from convres.errors import InputError
@@ -437,3 +437,24 @@ def test_oracle_verify_rejects_a_complex_beyond_the_oracle_limit(tmp_path, capsy
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
     assert err.endswith(" above its limit of 16777216 entries\n")
+
+
+@pytest.mark.parametrize("argv, kind, size", [
+    (["oracle-verify", "--max-d", "10000"], "code", "100030002 x 50025003"),
+    (["hilbert", "--max-d", "10000", "--oracle"], "code", "100030002 x 50025003"),
+    (["oracle-verify", "--max-d", "10000"], "complex", "1 x 50015001"),
+])
+def test_an_oversized_oracle_request_fails_before_any_block(tmp_path, capsys, monkeypatch,
+                                                            argv, kind, size):
+    # The largest degree is asked first, so it is refused before the
+    # echelon grows: the Koszul code at cap 10001 has 2 * C(10002, 2)
+    # shifts, and the degree-<= 10000 slice of S has C(10002, 2) terms.
+    def no_block(echelon, c, keyed):
+        raise AssertionError(f"block {c} was built")
+
+    monkeypatch.setattr(oracle._CodeEchelon, "_add_block", no_block)
+    path = write(tmp_path, "doc.json", KOSZUL_CODE if kind == "code" else KOSZUL_COMPLEX)
+    assert main(argv[:1] + [path] + argv[1:]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"error: the oracle would need a {size} matrix, "
+                                 "above its limit of 16777216 entries\n")

@@ -7,6 +7,9 @@
   value; the Hilbert formula on the minimal resolution equals the
   oracle, and a planted wrong target is refuted or refused.
 * The vectorized shift rows equal the former per-term loop.
+* One ``oracle-verify`` keys its shifts in at most two passes, reduces
+  the blocks that cap-by-cap growth reduces, and takes the second
+  product only for a pivot on a column that was free before its block.
 * Oversized oracle input raises ``InputError`` before allocating, and
   the CLI exits 2 under a memory limit.
 """
@@ -28,6 +31,7 @@ import pytest
 from hypothesis import given, settings
 
 from convres import CodePresentation, Poly, PolyMatrix, Ring, validate_complex
+from convres.cli import main
 from convres.complexes import minimal_resolution
 from convres.errors import InputError
 from convres.invariants import hilbert_formula
@@ -154,6 +158,66 @@ def test_threads_sharing_one_echelon_get_the_sequential_counts():
     for i in range(6):
         assert [got[i][q] for q in queries[i % 3::3] + queries[:i % 3]] == [
             want[queries.index(q)] for q in queries[i % 3::3] + queries[:i % 3]]
+
+
+class WorkSpy:
+    """Counts the oracle's keying passes, ``rref_mod_p`` shapes and, per
+    block, products beyond the first and pivots on formerly free columns."""
+
+    def __init__(self, patch):
+        self.passes, self.shapes, self.products, self.blocks = 0, [], 0, []
+        keys, rref, matmul = oracle._shift_keys, oracle.rref_mod_p, oracle._matmul_mod
+        add_block = oracle._CodeEchelon._add_block
+
+        def shift_keys(*args):
+            self.passes += 1
+            return keys(*args)
+
+        def rref_mod_p(mat, p):
+            self.shapes.append(mat.shape)
+            return rref(mat, p)
+
+        def matmul_mod(*args):
+            self.products += 1
+            return matmul(*args)
+
+        def spied_block(echelon, c, keyed):
+            before, rank, products = set(echelon.free.tolist()), len(echelon.pivots), self.products
+            add_block(echelon, c, keyed)
+            moved = any(k in before for k in echelon.pivots[rank:].tolist())
+            self.blocks.append((self.products - products - (keyed[0] > 0), moved))
+
+        patch.setattr(oracle, "_shift_keys", shift_keys)
+        patch.setattr(oracle, "rref_mod_p", rref_mod_p)
+        patch.setattr(oracle, "_matmul_mod", matmul_mod)
+        patch.setattr(oracle._CodeEchelon, "_add_block", spied_block)
+
+
+@pytest.mark.parametrize("dense", [True, False])
+def test_oracle_verify_keys_once_and_skips_the_zero_second_product(tmp_path, capsys, dense):
+    c = (dense_code(random.Random(8), 101, 2, 2, 3) if dense
+         else code(Ring(101, 2), [["54*D1 + 86", "43*D1*D2"]]))
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"p": 101, "n": 2, "kind": "code",
+                                "matrix": c.generators.to_strings()}))
+    oracle._echelon.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        spy = WorkSpy(patch)
+        assert main(["oracle-verify", str(path), "--max-d", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["all"] is True
+    cap = len(spy.blocks) - 1
+    with pytest.MonkeyPatch.context() as patch:
+        by_cap = WorkSpy(patch)
+        echelon = oracle._CodeEchelon(c)
+        for k in range(cap + 1):
+            echelon.dim(k, k)
+    assert spy.passes <= 2 and by_cap.passes == cap + 1
+    assert spy.shapes == by_cap.shapes
+    # A second product exactly where a new pivot took a formerly free column.
+    assert [second for second, _ in spy.blocks] == [int(moved) for _, moved in spy.blocks]
+    assert spy.blocks == by_cap.blocks
+    # A generic dense code puts every pivot on its block's fresh columns.
+    assert any(moved for _, moved in spy.blocks) != dense
 
 
 def test_matmul_mod_is_exact_below_2_31():

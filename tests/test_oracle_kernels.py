@@ -12,9 +12,12 @@ with zero diagonal entries, which force row swaps, and tall sparse
 shift-like ones; and on entries p - 1 at p = 2^31 - 1, where its lazy
 reduction runs closest to the int64 bound.  The incremental echelon
 (``_CodeEchelon``) is compared whole with a from-scratch Gauss-Jordan
-of the shifts at every cap, and the cached tables are read only.
+of the shifts at every cap, an echelon grown in one request with one
+grown cap by cap, and each cap's block cut from the one keying pass
+with the loop reference; the cached tables are read only.
 """
 
+import random
 from math import comb
 
 import numpy as np
@@ -27,6 +30,7 @@ from convres import oracle
 from helpers import (
     acceptance_corpus,
     generator_term_lists,
+    random_code,
     reference_matmul,
     reference_rref,
     reference_shift_rows,
@@ -184,6 +188,13 @@ def test_rref_mod_p_with_every_entry_p_minus_1_at_the_largest_prime():
 ECHELON_CELLS = 40_000
 
 
+def shift_cells(c, cap):
+    """Entries of the dense matrix of the shifts of degree <= cap."""
+    n = c.ring.n
+    shifts = sum(comb(cap - deg + n, n) for deg in c.generators.column_degrees() if deg <= cap)
+    return shifts * c.q * comb(cap + n, n)
+
+
 def reference_echelon(c, cap):
     """The RREF by ``reference_rref`` of the shifts of degree <= cap, with
     the columns by ``_keys`` from the highest down: {pivot key: row on the
@@ -204,9 +215,7 @@ def test_code_echelon_equals_the_from_scratch_reference_at_every_cap():
         n, q = c.ring.n, c.q
         echelon, first_cap = oracle._CodeEchelon(c), {}
         for cap in range(11):
-            shifts = sum(comb(cap - deg + n, n) for deg in c.generators.column_degrees()
-                         if deg <= cap)
-            if shifts * q * comb(cap + n, n) > ECHELON_CELLS:
+            if shift_cells(c, cap) > ECHELON_CELLS:
                 break
             echelon.dim(cap, cap)
             rows, free = reference_echelon(c, cap)
@@ -219,6 +228,38 @@ def test_code_echelon_equals_the_from_scratch_reference_at_every_cap():
                 next(d for d in range(cap + 1) if key < q * comb(d + n, n)) for key in first_cap]
             assert echelon.free.tolist() == free
             assert echelon.rows.tolist() == [rows[key] for key in first_cap]
+
+
+def echelon_state(echelon):
+    return {name: getattr(echelon, name).tolist()
+            for name in ("pivots", "pivot_cap", "pivot_deg", "free", "rows")}
+
+
+def test_one_request_grows_the_echelon_that_cap_by_cap_requests_grow():
+    rng = random.Random(37)
+    drawn = [random_code(rng, p=p, n=rng.randint(1, 2)) for p in (2, 101, 2**31 - 1)
+             for _ in range(8)]
+    for c in acceptance_corpus() + drawn:
+        n, q = c.ring.n, c.q
+        top = max(cap for cap in range(11) if shift_cells(c, cap) <= ECHELON_CELLS)
+        by_cap, in_one, in_two = (oracle._CodeEchelon(c) for _ in range(3))
+        for cap in range(top + 1):
+            by_cap.dim(cap, 0)
+        in_one.dim(top, 0)
+        in_two.dim(top // 2, 0)
+        in_two.dim(top, 0)
+        assert in_one.cap == in_two.cap == by_cap.cap == top
+        assert echelon_state(in_one) == echelon_state(in_two) == echelon_state(by_cap)
+        # Each cap's block, cut from one keying pass, is the loop reference's
+        # shifts of that degree, row for row; key k is column k.
+        terms = oracle._slice(n, (0,) * q, top)[0]
+        index = {t: i for i, t in enumerate(terms)}
+        blocks = list(oracle._cap_blocks(in_one.gens, q, 0, top))
+        assert [cap for cap, _ in blocks] == list(range(top + 1))
+        for cap, block in blocks:
+            got = oracle._scatter(*block, np.arange(len(terms)), len(terms))
+            want = reference_shift_rows(generator_term_lists(c), n, cap, cap, index, len(terms))
+            assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_cached_tables_are_read_only():
